@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_set>
 
 #include "sql/printer.h"
 
@@ -283,6 +284,34 @@ std::optional<std::pair<size_t, const ParsedExpr*>> MatchColumnEquality(
   return std::nullopt;
 }
 
+// ---------------------------------------------------- access-path ranking
+
+/// Number of leading key columns of `idx` for which `has_eq(column)`
+/// reports a constant equality.
+template <typename HasEq>
+size_t MatchedPrefix(const IndexInfo& idx, HasEq has_eq) {
+  size_t matched = 0;
+  while (matched < idx.key_columns.size() &&
+         has_eq(idx.key_columns[matched])) {
+    matched++;
+  }
+  return matched;
+}
+
+/// The kAdvanced access-path ranking, used both to choose the driving
+/// table and to choose that table's index: a fully matched unique index
+/// beats any fully matched index, which beats the longest matched
+/// prefix. A partial prefix is not selectivity: under Chunk Folding the
+/// meta-data columns (tenant, tbl, chunk) lead the chunk table's key and
+/// select a tenant's whole chunk, while a fully matched (tenant, id)
+/// index selects one row. 0 means "no usable prefix".
+int RankAccessPath(const IndexInfo& idx, size_t matched) {
+  if (matched == 0) return 0;
+  int tier = 0;
+  if (matched == idx.key_columns.size()) tier = idx.unique ? 2 : 1;
+  return tier * 1000 + static_cast<int>(matched);
+}
+
 // ----------------------------------------------------------- flattening
 
 /// Rewrites table qualifiers of every column ref per `rename` (old
@@ -439,9 +468,8 @@ class SelectPlanner {
                                     std::vector<ParsedExprPtr>* conjuncts,
                                     std::vector<bool>* used);
   Result<Built> PlanDerived(const TableRef& ref);
-  /// Score for driving-table choice: matched index-prefix length against
-  /// constant equality conjuncts (+bonus when the index is unique and
-  /// fully matched).
+  /// Score for driving-table choice: the best RankAccessPath over the
+  /// table's indexes against its constant equality conjuncts.
   int ScoreRef(const PendingRef& p,
                const std::vector<ParsedExprPtr>& conjuncts) const;
 
@@ -471,29 +499,16 @@ int SelectPlanner::ScoreRef(const PendingRef& p,
     schema.names.push_back(c.name);
     schema.types.push_back(c.type);
   }
-  const std::string& binding = p.ref->binding_name();
+  std::unordered_set<size_t> eq_cols;
+  for (const ParsedExprPtr& c : conjuncts) {
+    auto m = MatchColumnEquality(*c, p.ref->binding_name(), schema);
+    if (m.has_value() && IsConstant(*m->second)) eq_cols.insert(m->first);
+  }
   int best = 0;
   for (const auto& idx : p.table->indexes) {
-    int matched = 0;
-    for (size_t k = 0; k < idx->key_columns.size(); ++k) {
-      bool found = false;
-      for (const ParsedExprPtr& c : conjuncts) {
-        auto m = MatchColumnEquality(*c, binding, schema);
-        if (m.has_value() && m->first == idx->key_columns[k] &&
-            IsConstant(*m->second)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) break;
-      matched++;
-    }
-    int score = matched * 10;
-    if (matched == static_cast<int>(idx->key_columns.size()) && idx->unique &&
-        matched > 0) {
-      score += 100;
-    }
-    best = std::max(best, score);
+    size_t matched = MatchedPrefix(
+        *idx, [&](size_t col) { return eq_cols.count(col) > 0; });
+    best = std::max(best, RankAccessPath(*idx, matched));
   }
   return best;
 }
@@ -529,14 +544,13 @@ Result<Built> SelectPlanner::PlanBaseTableAccess(
   const IndexInfo* chosen = nullptr;
   size_t prefix_len = 0;
   if (mode_ == PlannerMode::kAdvanced) {
-    // Longest matched prefix over all indexes.
+    int best_rank = 0;
     for (const auto& idx : table->indexes) {
-      size_t matched = 0;
-      for (size_t k = 0; k < idx->key_columns.size(); ++k) {
-        if (eq_by_col.count(idx->key_columns[k]) == 0) break;
-        matched++;
-      }
-      if (matched > prefix_len) {
+      size_t matched = MatchedPrefix(
+          *idx, [&](size_t col) { return eq_by_col.count(col) > 0; });
+      int rank = RankAccessPath(*idx, matched);
+      if (rank > best_rank) {
+        best_rank = rank;
         prefix_len = matched;
         chosen = idx.get();
       }

@@ -13,8 +13,10 @@ namespace mtdb {
 /// Optimizer sophistication, modeling the §6.2 Test 1 contrast:
 ///  * kAdvanced (DB2-like): unnests conjunctive derived tables
 ///    (Fegaras & Maier rule N8), considers all conjuncts for index
-///    selection (longest prefix), and greedily orders joins by estimated
-///    selectivity.
+///    selection, and greedily orders joins by estimated selectivity. One
+///    rule ranks access paths, for the driving table and its index alike:
+///    a fully matched unique index, then any fully matched index, then
+///    the longest matched prefix.
 ///  * kNaive (MySQL-like): derived tables are fully materialized before
 ///    any outer predicate applies, joins run in the written FROM order,
 ///    and index selection on a table considers only the first indexable

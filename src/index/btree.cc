@@ -254,28 +254,31 @@ Status BTree::Insert(std::string_view key, const Rid& rid) {
   if (!node.Fits(full.size())) {
     node.Compact();
   }
+  int pos = node.LowerBound(full);
   if (node.Fits(full.size())) {
-    int pos = node.LowerBound(full);
     node.InsertAt(pos, full, PackRid(rid));
     pool_->UnpinPage(leaf_id, true);
     entries_++;
     return Status::OK();
   }
+  bool append = pos == node.count();
   pool_->UnpinPage(leaf_id, true);
-  MTDB_RETURN_IF_ERROR(SplitAndPropagate(path, leaf_id));
+  MTDB_RETURN_IF_ERROR(SplitAndPropagate(path, leaf_id, append));
   // Retry; the tree has grown so re-descend.
   return Insert(key, rid);
 }
 
 Status BTree::SplitAndPropagate(std::vector<std::pair<PageId, int>>& path,
-                                PageId left_id) {
+                                PageId left_id, bool append) {
   // Pin phase: acquire every page this split will modify before mutating
   // any of them, so an I/O fault aborts with the tree untouched.
   MTDB_ASSIGN_OR_RETURN(Page * left_page, pool_->FetchPage(left_id));
   NodeView left(left_page);
   bool leaf = left.is_leaf();
   int total = left.count();
-  int split_at = total / 2;
+  // An append moves only the last key right, so an ascending load leaves
+  // each left leaf full instead of half full.
+  int split_at = leaf && append ? total - 1 : total / 2;
   std::string separator(left.Key(split_at));
 
   Page* parent_page = nullptr;
@@ -297,7 +300,8 @@ Status BTree::SplitAndPropagate(std::vector<std::pair<PageId, int>>& path,
       // split from scratch; left has not been touched yet.
       pool_->UnpinPage(parent_id, true);  // Compact re-laid it out
       pool_->UnpinPage(left_id, false);
-      MTDB_RETURN_IF_ERROR(SplitAndPropagate(path, parent_id));
+      MTDB_RETURN_IF_ERROR(
+          SplitAndPropagate(path, parent_id, /*append=*/false));
       std::vector<std::pair<PageId, int>> new_path;
       MTDB_ASSIGN_OR_RETURN(PageId reached, FindLeaf(separator, &new_path));
       (void)reached;
@@ -310,7 +314,7 @@ Status BTree::SplitAndPropagate(std::vector<std::pair<PageId, int>>& path,
         }
         new_path = std::move(ancestors);
       }
-      return SplitAndPropagate(new_path, left_id);
+      return SplitAndPropagate(new_path, left_id, append);
     }
   }
 

@@ -93,9 +93,11 @@ class BTree {
                           std::vector<std::pair<PageId, int>>* path);
   /// Splits `left_id` and links the new sibling into its parent. Pins
   /// every page it will modify *before* mutating anything, so an I/O
-  /// failure surfaces with the tree structurally untouched.
+  /// failure surfaces with the tree structurally untouched. `append`
+  /// marks a leaf split for an insert past the leaf's last key: the leaf
+  /// then splits at its end rather than in the middle.
   Status SplitAndPropagate(std::vector<std::pair<PageId, int>>& path,
-                           PageId left_id);
+                           PageId left_id, bool append);
 
   BufferPool* pool_;
   PageId root_;

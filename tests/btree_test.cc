@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 
+#include "common/fault.h"
 #include "common/key_encoding.h"
 #include "common/rng.h"
 #include "index/btree.h"
@@ -225,6 +226,114 @@ TEST_F(BTreeTest, ReverseInsertionOrder) {
     count++;
   }
   EXPECT_EQ(count, 3000);
+}
+
+/// Entries that fit one leaf: ascending inserts into a fresh tree until
+/// its root leaf splits.
+size_t LeafCapacity(BufferPool* pool) {
+  BTree probe(pool);
+  int64_t i = 0;
+  while (probe.page_count() == 1) {
+    EXPECT_TRUE(probe.Insert(KeyEncoder::EncodeKey({Value::Int64(i)}),
+                             Rid{0, 0})
+                    .ok());
+    i++;
+  }
+  probe.Free();
+  return static_cast<size_t>(i - 1);
+}
+
+TEST_F(BTreeTest, AscendingInsertsFillLeaves) {
+  const size_t capacity = LeafCapacity(&pool_);
+  ASSERT_GT(capacity, 10u);
+  BTree tree(&pool_);
+  const int64_t n = static_cast<int64_t>(capacity) * 40;
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(tree.Insert(Key(i), MakeRid(i)).ok()) << i;
+  }
+  ASSERT_EQ(*tree.Height(), 2);  // one root over the leaves
+  const size_t leaves = tree.page_count() - 1;
+  const double fill = static_cast<double>(tree.entry_count()) /
+                      static_cast<double>(leaves * capacity);
+  EXPECT_GE(fill, 0.9) << leaves << " leaves of " << capacity;
+  for (int64_t i = 0; i < n; i += 37) {
+    auto rids = tree.Lookup(Key(i));
+    ASSERT_TRUE(rids.ok());
+    ASSERT_EQ(rids->size(), 1u) << i;
+  }
+}
+
+/// Every key of `tree` in scan order.
+std::vector<std::string> AllKeys(BTree* tree) {
+  std::vector<std::string> keys;
+  auto scan = tree->Scan(std::string(1, '\x00'), std::string(16, '\xFF'));
+  EXPECT_TRUE(scan.ok());
+  if (!scan.ok()) return keys;
+  BTree::Iterator it = *std::move(scan);
+  Rid rid;
+  std::string key;
+  while (true) {
+    auto more = it.Next(&rid, &key);
+    EXPECT_TRUE(more.ok());
+    if (!more.ok() || !*more) break;
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST_F(BTreeTest, ReadFaultDuringAppendSplitLeavesTreeUntouched) {
+  // One frame per shard, so a leaf that shares the root's shard evicts
+  // the root on the way down, and the split's pin phase must read the
+  // root (its parent) back. A persistent read fault there must fail the
+  // insert before any page is modified.
+  pool_.SetCapacity(kBufferPoolShards);
+  FaultInjector injector(11);
+  BTree tree(&pool_);
+  int64_t next = 0;
+  while (*tree.Height() < 2) {
+    ASSERT_TRUE(tree.Insert(Key(next), MakeRid(next)).ok());
+    next++;
+  }
+  const int64_t n = static_cast<int64_t>(LeafCapacity(&pool_)) * 20;
+  int faulted = 0;
+  for (; next < n; ++next) {
+    // Does the descent to this key's leaf evict the root?
+    ASSERT_TRUE(pool_.EvictAll().ok());
+    ASSERT_TRUE(tree.Lookup(Key(next)).ok());
+    uint64_t misses = pool_.stats().misses();
+    ASSERT_TRUE(tree.Lookup(Key(next)).ok());
+    bool root_evicted = pool_.stats().misses() - misses == 2;
+
+    ASSERT_TRUE(pool_.EvictAll().ok());
+    if (root_evicted) {
+      store_.set_fault_injector(&injector);
+      FaultSpec spec;
+      spec.probability = 1.0;
+      spec.skip = 2;  // the descent's root and leaf reads succeed
+      injector.Arm(FaultPoint::kPageRead, spec);
+    }
+    const size_t pages = tree.page_count();
+    const uint64_t entries = tree.entry_count();
+    const size_t allocated = store_.allocated_pages();
+    Status st = tree.Insert(Key(next), MakeRid(next));
+    injector.DisarmAll();
+    store_.set_fault_injector(nullptr);
+    if (!st.ok()) {
+      ASSERT_TRUE(root_evicted) << st.ToString();
+      EXPECT_EQ(st.code(), StatusCode::kIOError);
+      EXPECT_EQ(tree.page_count(), pages);
+      EXPECT_EQ(tree.entry_count(), entries);
+      EXPECT_EQ(store_.allocated_pages(), allocated);
+      std::vector<std::string> keys = AllKeys(&tree);
+      ASSERT_EQ(keys.size(), static_cast<size_t>(next));
+      EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+      faulted++;
+      ASSERT_TRUE(tree.Insert(Key(next), MakeRid(next)).ok());
+    }
+  }
+  EXPECT_GT(faulted, 0);
+  EXPECT_EQ(tree.entry_count(), static_cast<uint64_t>(n));
+  EXPECT_EQ(AllKeys(&tree).size(), static_cast<size_t>(n));
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "engine/database.h"
+#include "mapping_test_util.h"
 
 namespace mtdb {
 namespace {
@@ -96,6 +99,48 @@ TEST_F(PlannerTest, AdvancedIgnoresWrittenPredicateOrder) {
   EXPECT_EQ(*a, *b);
 }
 
+TEST_F(PlannerTest, FullyMatchedIndexDrivesOverMetadataPrefix) {
+  // The Chunk Folding reconstruction of `WHERE id = ?`: a base table with
+  // a non-unique (tenant, id) index next to the chunk table, whose unique
+  // (tenant, tbl, chunk, row) index has three of four columns matched by
+  // meta-data constants. The meta-data prefix selects the tenant's whole
+  // chunk; the fully matched id index selects one row.
+  ASSERT_TRUE(db_.Execute("CREATE TABLE base (tenant INT, row BIGINT, "
+                          "id BIGINT, name VARCHAR)")
+                  .ok());
+  ASSERT_TRUE(
+      db_.Execute("CREATE UNIQUE INDEX ux_base_row ON base (tenant, row)")
+          .ok());
+  ASSERT_TRUE(db_.Execute("CREATE INDEX ix_base_id ON base (tenant, id)").ok());
+  for (int row = 0; row < 50; ++row) {
+    ASSERT_TRUE(db_.Execute("INSERT INTO base VALUES (17, " +
+                            std::to_string(row) + ", " +
+                            std::to_string(1000 + row) + ", 'n" +
+                            std::to_string(row) + "')")
+                    .ok());
+  }
+  db_.set_planner_mode(PlannerMode::kAdvanced);
+  const std::string q =
+      "SELECT b.name, c.str1 FROM chunkdata c, base b "
+      "WHERE c.tenant = 17 AND c.tbl = 0 AND c.chunk = 1 AND "
+      "b.tenant = 17 AND b.id = ? AND c.row = b.row";
+  auto plan = db_.Explain(q);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_NE(plan->find("IndexScan base (b) index=ix_base_id"),
+            std::string::npos)
+      << *plan;
+  EXPECT_NE(plan->find("IndexNLJoin chunkdata (c) index=ux_tcr"),
+            std::string::npos)
+      << *plan;
+  EXPECT_EQ(plan->find("SeqScan"), std::string::npos) << *plan;
+
+  auto rows = db_.Query(q, {Value::Int64(1007)});
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0][0].AsString(), "n7");
+  EXPECT_EQ(rows->rows[0][1].AsString(), "w7");
+}
+
 TEST_F(PlannerTest, NestedQueryUnnestedByAdvancedPlanner) {
   db_.set_planner_mode(PlannerMode::kAdvanced);
   // The §6.1 reconstruction-query shape for Q1.
@@ -156,6 +201,123 @@ TEST_F(PlannerTest, JoinOrderIndependenceOfResults) {
     }
   }
 }
+
+/// Point statements by key must read a bounded number of pages in every
+/// layout, however many rows the tenant has: the access path is the key
+/// index, never a scan of the tenant's partition or chunk. The Universal
+/// Table is the exception: its only index is the (tenant, tbl, row) key,
+/// none on the generic value columns, so it may scan the tenant's
+/// partition once, but no more.
+class PointStatementPagesTest
+    : public ::testing::TestWithParam<mapping::LayoutKind> {
+ protected:
+  static constexpr int kRows = 400;
+  static constexpr uint64_t kMaxPages = 100;
+
+  uint64_t PagesRead(const std::function<void()>& statement) {
+    BufferPool* pool = db_.buffer_pool();
+    uint64_t before = pool->stats().logical_reads();
+    statement();
+    return pool->stats().logical_reads() - before;
+  }
+
+  Database db_;
+};
+
+TEST_P(PointStatementPagesTest, WideSelectUpdateDeleteByKey) {
+  mapping::AppSchema app = mapping::FigureFourSchema();
+  std::unique_ptr<mapping::SchemaMapping> layout =
+      mapping::MakeLayout(GetParam(), &db_, &app);
+  ASSERT_TRUE(layout->Bootstrap().ok());
+  db_.set_planner_mode(PlannerMode::kAdvanced);
+  const bool extended = GetParam() != mapping::LayoutKind::kBasic;
+  for (TenantId tenant : {17, 35}) {
+    ASSERT_TRUE(layout->CreateTenant(tenant).ok());
+    if (extended) {
+      ASSERT_TRUE(layout->EnableExtension(tenant, "healthcare").ok());
+    }
+    for (int i = 1; i <= kRows; ++i) {
+      auto st =
+          extended
+              ? layout->Execute(tenant,
+                                "INSERT INTO account (aid, name, hospital, "
+                                "beds) VALUES (?, ?, ?, ?)",
+                                {Value::Int64(i),
+                                 Value::String("n" + std::to_string(i)),
+                                 Value::String("h" + std::to_string(i)),
+                                 Value::Int64(i % 90)})
+              : layout->Execute(tenant,
+                                "INSERT INTO account (aid, name) VALUES (?, ?)",
+                                {Value::Int64(i),
+                                 Value::String("n" + std::to_string(i))});
+      ASSERT_TRUE(st.ok()) << st.status().ToString();
+    }
+  }
+
+  uint64_t bound = kMaxPages;
+  if (GetParam() == mapping::LayoutKind::kUniversal) {
+    bound += PagesRead([&] {
+      ASSERT_TRUE(layout->Query(17, "SELECT COUNT(*) FROM account").ok());
+    });
+  }
+
+  const std::string wide = extended
+                               ? "SELECT aid, name, hospital, beds FROM "
+                                 "account WHERE aid = ?"
+                               : "SELECT aid, name FROM account WHERE aid = ?";
+  uint64_t select_pages = PagesRead([&] {
+    auto r = layout->Query(17, wide, {Value::Int64(123)});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u);
+    EXPECT_EQ(r->rows[0][1].AsString(), "n123");
+    if (extended) EXPECT_EQ(r->rows[0][2].AsString(), "h123");
+  });
+  EXPECT_LE(select_pages, bound) << "wide point SELECT";
+
+  const std::string update = extended
+                                 ? "UPDATE account SET beds = ? WHERE aid = ?"
+                                 : "UPDATE account SET name = ? WHERE aid = ?";
+  Value new_value = extended ? Value::Int64(999) : Value::String("renamed");
+  uint64_t update_pages = PagesRead([&] {
+    auto n = layout->Execute(17, update, {new_value, Value::Int64(200)});
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    EXPECT_EQ(*n, 1);
+  });
+  EXPECT_LE(update_pages, bound) << "single-row UPDATE";
+
+  uint64_t delete_pages = PagesRead([&] {
+    auto n = layout->Execute(17, "DELETE FROM account WHERE aid = ?",
+                             {Value::Int64(300)});
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    EXPECT_EQ(*n, 1);
+  });
+  EXPECT_LE(delete_pages, bound) << "single-row DELETE";
+
+  auto count = layout->Query(17, "SELECT COUNT(*) FROM account");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows[0][0].AsInt64(), kRows - 1);
+  auto updated = layout->Query(17, wide, {Value::Int64(200)});
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  ASSERT_EQ(updated->rows.size(), 1u);
+  if (extended) {
+    EXPECT_EQ(updated->rows[0][3].AsInt64(), 999);
+  } else {
+    EXPECT_EQ(updated->rows[0][1].AsString(), "renamed");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLayouts, PointStatementPagesTest,
+    ::testing::Values(mapping::LayoutKind::kBasic,
+                      mapping::LayoutKind::kPrivate,
+                      mapping::LayoutKind::kExtension,
+                      mapping::LayoutKind::kUniversal,
+                      mapping::LayoutKind::kPivot, mapping::LayoutKind::kChunk,
+                      mapping::LayoutKind::kVertical,
+                      mapping::LayoutKind::kChunkFolding),
+    [](const ::testing::TestParamInfo<mapping::LayoutKind>& info) {
+      return mapping::LayoutKindName(info.param);
+    });
 
 }  // namespace
 }  // namespace mtdb
