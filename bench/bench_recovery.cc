@@ -6,10 +6,11 @@
 // final checkpoint), and times Database::Open — checkpoint load, WAL
 // replay, and the sealing checkpoint included.
 //
-// Emits BENCH_recovery.json: recovery time and replayed-group counts per
-// log length (checkpoints disabled) and per checkpoint interval (fixed
-// workload), plus the headline ratio between the longest-log recovery
-// and the tightest-interval recovery.
+// Emits BENCH_recovery.json: recovery time, replayed-group counts and
+// what each statement logged (WAL bytes, full page images and delta
+// records per op) per log length (checkpoints disabled) and per
+// checkpoint interval (fixed workload), plus the headline ratio between
+// the longest-log recovery and the tightest-interval recovery.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +34,10 @@ struct BenchConfig {
   /// Checkpoint-interval sweep points in WAL bytes (0 = disabled).
   std::vector<uint64_t> intervals = {64 * 1024, 256 * 1024, 1024 * 1024, 0};
   uint64_t seed = 17;
+  /// Gate on the unbounded-log point: WAL bytes per insert statement.
+  /// Full page after-images cost 16.6 KB per statement; delta redo
+  /// records must log at most a tenth of that.
+  double max_wal_bytes_per_op = 1660.0;
 };
 
 int EnvInt(const char* name, int fallback) {
@@ -47,7 +52,13 @@ struct RunResult {
   double recovery_ms = 0;
   uint64_t replayed_groups = 0;
   uint64_t wal_bytes = 0;
+  uint64_t full_images = 0;
+  uint64_t delta_records = 0;
   uint64_t checkpoints_during_load = 0;
+
+  double PerOp(uint64_t v) const {
+    return ops > 0 ? static_cast<double>(v) / ops : 0.0;
+  }
 };
 
 /// One sweep point: load `ops` insert statements into a fresh durable
@@ -83,6 +94,8 @@ Result<RunResult> RunPoint(const std::string& dir, int ops,
     result.load_s = std::chrono::duration<double>(end - start).count();
     DurabilityCountersSnapshot d = db->Stats().durability;
     result.wal_bytes = d.wal_bytes;
+    result.full_images = d.full_images;
+    result.delta_records = d.delta_records;
     result.checkpoints_during_load = d.checkpoints;
     // Process death: the engine is dropped without a final checkpoint, so
     // everything since the last one must come back through WAL replay.
@@ -117,13 +130,16 @@ int Main() {
       std::filesystem::temp_directory_path() / "mtdb_bench_recovery";
 
   std::printf("# recovery sweep: insert workload, kill, reopen\n");
-  std::printf("%8s %14s %12s %10s %12s %8s\n", "ops", "ckpt-int[B]",
-              "wal[KiB]", "groups", "recover[ms]", "ckpts");
+  std::printf("%8s %14s %12s %10s %8s %8s %10s %12s %8s\n", "ops",
+              "ckpt-int[B]", "wal[KiB]", "wal[B/op]", "img/op", "delta/op",
+              "groups", "recover[ms]", "ckpts");
 
   auto print_row = [](const RunResult& r) {
-    std::printf("%8d %14llu %12.1f %10llu %12.2f %8llu\n", r.ops,
-                static_cast<unsigned long long>(r.checkpoint_interval),
+    std::printf("%8d %14llu %12.1f %10.1f %8.3f %8.3f %10llu %12.2f %8llu\n",
+                r.ops, static_cast<unsigned long long>(r.checkpoint_interval),
                 static_cast<double>(r.wal_bytes) / 1024.0,
+                r.PerOp(r.wal_bytes), r.PerOp(r.full_images),
+                r.PerOp(r.delta_records),
                 static_cast<unsigned long long>(r.replayed_groups),
                 r.recovery_ms,
                 static_cast<unsigned long long>(r.checkpoints_during_load));
@@ -182,10 +198,14 @@ int Main() {
       std::fprintf(
           f,
           "    {\"ops\": %d, \"checkpoint_interval_bytes\": %llu, "
-          "\"wal_bytes\": %llu, \"replayed_groups\": %llu, "
+          "\"wal_bytes\": %llu, \"wal_bytes_per_op\": %.1f, "
+          "\"full_images_per_op\": %.4f, \"delta_records_per_op\": %.4f, "
+          "\"replayed_groups\": %llu, "
           "\"recovery_ms\": %.3f, \"checkpoints_during_load\": %llu}%s\n",
           r.ops, static_cast<unsigned long long>(r.checkpoint_interval),
           static_cast<unsigned long long>(r.wal_bytes),
+          r.PerOp(r.wal_bytes), r.PerOp(r.full_images),
+          r.PerOp(r.delta_records),
           static_cast<unsigned long long>(r.replayed_groups), r.recovery_ms,
           static_cast<unsigned long long>(r.checkpoints_during_load),
           i + 1 < runs.size() ? "," : "");
@@ -199,8 +219,10 @@ int Main() {
                config.interval_sweep_ops);
   emit_runs("log_length_sweep", log_sweep, ",");
   emit_runs("checkpoint_interval_sweep", interval_sweep, ",");
-  std::fprintf(f, "  \"replay_reduction_tightest_interval\": %.3f\n}\n",
+  const double wal_bytes_per_op = unbounded.PerOp(unbounded.wal_bytes);
+  std::fprintf(f, "  \"replay_reduction_tightest_interval\": %.3f,\n",
                group_ratio);
+  std::fprintf(f, "  \"wal_bytes_per_op\": %.1f\n}\n", wal_bytes_per_op);
   std::fclose(f);
   std::printf("# wrote %s\n", out_path);
 
@@ -214,6 +236,13 @@ int Main() {
     std::fprintf(stderr,
                  "FAIL: tight checkpointing reduced replay only %.2fx\n",
                  group_ratio);
+    return 1;
+  }
+  std::printf("# wal bytes per insert statement (unbounded log): %.1f\n",
+              wal_bytes_per_op);
+  if (wal_bytes_per_op > config.max_wal_bytes_per_op) {
+    std::fprintf(stderr, "FAIL: %.1f WAL bytes per statement (limit %.0f)\n",
+                 wal_bytes_per_op, config.max_wal_bytes_per_op);
     return 1;
   }
   return 0;

@@ -70,6 +70,7 @@ inline constexpr const char* kRuleThreadExitHolding = "C206";
 inline constexpr const char* kRuleUnloggedPageMutation = "C301";
 inline constexpr const char* kRuleCaptureLeak = "C302";
 inline constexpr const char* kRuleUnlatchedCommit = "C303";
+inline constexpr const char* kRuleMissingWriteIntent = "C304";
 
 }  // namespace analysis
 }  // namespace mtdb

@@ -13,7 +13,7 @@ namespace analysis {
 /// protocol analyzer. The runtime itself lives in common/latch.h/.cc
 /// (the analysis library sits above catalog/core, so the latch layer
 /// cannot depend on it); this adapter renders its raw violations as
-/// rule-cataloged Diagnostics (C201–C206, C301–C303).
+/// rule-cataloged Diagnostics (C201–C206, C301–C304).
 ///
 /// Only meaningful in instrumented builds (-DMTDB_LOCKDEP=ON); in
 /// release builds the wrappers compile down to raw primitives and every

@@ -365,8 +365,18 @@ void ReportUnloggedMutation(const char* op, uint64_t page_id) {
   Record("C301", std::string("unlogged:") + op, os.str(), nullptr);
 }
 
-void OnCapturedMutation(const void* capture) {
+void OnCapturedMutation(const void* capture, uint64_t page_id,
+                        bool write_intent) {
   Tls().pending_capture = capture;
+  if (write_intent) return;
+  // C304: the capture has no before-image of this page, so the commit
+  // cannot log the page as a delta of what the log already holds; a
+  // mutation site skipped BufferPool::WillWrite.
+  std::ostringstream os;
+  os << "page " << page_id
+     << " dirtied under a capture without a write intent"
+     << " (BufferPool::WillWrite missing before the mutation)";
+  Record("C304", "no-write-intent", os.str(), nullptr);
 }
 
 void OnCaptureCommit(const void* capture) {

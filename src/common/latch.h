@@ -109,8 +109,11 @@ void OnRelease(const LatchInfo& info);
 /// WAL-protocol hooks (instrumented builds; see DESIGN.md §11). The
 /// buffer pool reports page mutations, the engine reports capture
 /// commits; `capture` is an opaque identity (the PageMutationCapture*).
+/// `write_intent` is false when a page was dirtied without the capture
+/// holding its before-image (C304).
 void ReportUnloggedMutation(const char* op, uint64_t page_id);  // C301
-void OnCapturedMutation(const void* capture);
+void OnCapturedMutation(const void* capture, uint64_t page_id,
+                        bool write_intent);
 void OnCaptureCommit(const void* capture);  // clears pending, checks C303
 
 /// Fatal mode: print every violation (with backtraces) and abort() at
@@ -127,7 +130,7 @@ uint64_t TotalViolations();
 #else  // !MTDB_LOCKDEP — every hook compiles away.
 
 inline void ReportUnloggedMutation(const char*, uint64_t) {}
-inline void OnCapturedMutation(const void*) {}
+inline void OnCapturedMutation(const void*, uint64_t, bool) {}
 inline void OnCaptureCommit(const void*) {}
 inline void SetFatal(bool) {}
 inline std::vector<Violation> Drain() { return {}; }

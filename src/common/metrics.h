@@ -68,6 +68,9 @@ struct DurabilityCountersSnapshot {
   uint64_t wal_appends = 0;
   uint64_t wal_bytes = 0;
   uint64_t group_commits = 0;
+  /// Page records inside committed groups: full images vs deltas.
+  uint64_t full_images = 0;
+  uint64_t delta_records = 0;
   uint64_t checkpoints = 0;
   uint64_t recoveries = 0;
   uint64_t replayed_groups = 0;
@@ -88,8 +91,10 @@ class DurabilityCounters {
     wal_appends_.fetch_add(1, std::memory_order_relaxed);
     wal_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
-  void OnGroupCommit() {
+  void OnGroupCommit(uint64_t full_images, uint64_t delta_records) {
     group_commits_.fetch_add(1, std::memory_order_relaxed);
+    full_images_.fetch_add(full_images, std::memory_order_relaxed);
+    delta_records_.fetch_add(delta_records, std::memory_order_relaxed);
   }
   void OnCheckpoint() { checkpoints_.fetch_add(1, std::memory_order_relaxed); }
   void OnRecovery() { recoveries_.fetch_add(1, std::memory_order_relaxed); }
@@ -113,6 +118,8 @@ class DurabilityCounters {
     s.wal_appends = wal_appends_.load(std::memory_order_relaxed);
     s.wal_bytes = wal_bytes_.load(std::memory_order_relaxed);
     s.group_commits = group_commits_.load(std::memory_order_relaxed);
+    s.full_images = full_images_.load(std::memory_order_relaxed);
+    s.delta_records = delta_records_.load(std::memory_order_relaxed);
     s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
     s.recoveries = recoveries_.load(std::memory_order_relaxed);
     s.replayed_groups = replayed_groups_.load(std::memory_order_relaxed);
@@ -129,6 +136,8 @@ class DurabilityCounters {
   std::atomic<uint64_t> wal_appends_{0};
   std::atomic<uint64_t> wal_bytes_{0};
   std::atomic<uint64_t> group_commits_{0};
+  std::atomic<uint64_t> full_images_{0};
+  std::atomic<uint64_t> delta_records_{0};
   std::atomic<uint64_t> checkpoints_{0};
   std::atomic<uint64_t> recoveries_{0};
   std::atomic<uint64_t> replayed_groups_{0};

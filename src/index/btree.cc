@@ -250,6 +250,7 @@ Status BTree::Insert(std::string_view key, const Rid& rid) {
   std::vector<std::pair<PageId, int>> path;
   MTDB_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(full, &path));
   MTDB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(leaf_id));
+  pool_->WillWrite(page);
   NodeView node(page);
   if (!node.Fits(full.size())) {
     node.Compact();
@@ -292,6 +293,7 @@ Status BTree::SplitAndPropagate(std::vector<std::pair<PageId, int>>& path,
       return fetched.status();
     }
     parent_page = *fetched;
+    pool_->WillWrite(parent_page);
     NodeView parent(parent_page);
     if (!parent.Fits(separator.size())) parent.Compact();
     if (!parent.Fits(separator.size())) {
@@ -320,6 +322,7 @@ Status BTree::SplitAndPropagate(std::vector<std::pair<PageId, int>>& path,
 
   // Mutation phase: every page is pinned and NewPage cannot fail, so no
   // error path exits between here and return.
+  pool_->WillWrite(left_page);
   Page* right_page = pool_->NewPage(PageType::kIndex);
   NodeView right(right_page);
   right.Init(leaf);
@@ -377,6 +380,7 @@ Status BTree::Delete(std::string_view key, const Rid& rid) {
   NodeView node(page);
   int pos = node.LowerBound(full);
   if (pos < node.count() && node.Key(pos) == full) {
+    pool_->WillWrite(page);
     node.RemoveAt(pos);
     pool_->UnpinPage(leaf_id, true);
     entries_--;

@@ -39,6 +39,27 @@ PageCaptureScope::~PageCaptureScope() { tls_capture = previous_; }
 
 PageMutationCapture* PageCaptureScope::Current() { return tls_capture; }
 
+void PageMutationCapture::NoteWriteIntent(const Page& page) {
+  auto it =
+      std::lower_bound(intents_.begin(), intents_.end(), page.id(), Before);
+  if (it != intents_.end() && it->page == page.id()) return;
+  const size_t offset = before_images_.size();
+  before_images_.insert(before_images_.end(), page.data(),
+                        page.data() + page.size());
+  intents_.insert(it, Intent{page.id(), offset});
+}
+
+void PageMutationCapture::NoteAllocation(PageId page) {
+  auto it = std::lower_bound(intents_.begin(), intents_.end(), page, Before);
+  if (it != intents_.end() && it->page == page) {
+    // Freed and re-allocated within the statement: the old bytes are no
+    // longer a valid base.
+    it->image = kNoBeforeImage;
+    return;
+  }
+  intents_.insert(it, Intent{page, kNoBeforeImage});
+}
+
 Status BufferPool::ReadWithRetry(PageId id, char* out) {
   uint64_t backoff = retry_policy_.initial_backoff_ns;
   Status st;
@@ -155,7 +176,9 @@ Page* BufferPool::NewPage(PageType type) {
     cap->ops.push_back(
         {PageMutationCapture::Op::Kind::kAlloc, id, type, seq});
     cap->dirtied.push_back(id);
-    lockdep::OnCapturedMutation(cap);
+    cap->NoteAllocation(id);
+    lockdep::OnCapturedMutation(cap, static_cast<uint64_t>(id),
+                                /*write_intent=*/true);
   } else if (wal_checks_) {
     lockdep::ReportUnloggedMutation("NewPage", static_cast<uint64_t>(id));
   }
@@ -173,6 +196,10 @@ Page* BufferPool::NewPage(PageType type) {
   return &raw->page;
 }
 
+void BufferPool::WillWrite(const Page* page) {
+  if (PageMutationCapture* cap = tls_capture) cap->NoteWriteIntent(*page);
+}
+
 void BufferPool::UnpinPage(PageId id, bool dirty) {
   Shard& shard = shards_[ShardOf(id)];
   std::lock_guard<Latch> lock(shard.mu);
@@ -185,7 +212,8 @@ void BufferPool::UnpinPage(PageId id, bool dirty) {
     frame->dirty = true;
     if (PageMutationCapture* cap = tls_capture) {
       cap->dirtied.push_back(id);
-      lockdep::OnCapturedMutation(cap);
+      lockdep::OnCapturedMutation(cap, static_cast<uint64_t>(id),
+                                  cap->HasWriteIntent(id));
     } else if (wal_checks_) {
       lockdep::ReportUnloggedMutation("UnpinPage(dirty)",
                                       static_cast<uint64_t>(id));
@@ -217,7 +245,8 @@ void BufferPool::DeletePage(PageId id) {
     if (PageMutationCapture* cap = tls_capture) {
       cap->ops.push_back(
           {PageMutationCapture::Op::Kind::kDealloc, id, PageType::kFree, seq});
-      lockdep::OnCapturedMutation(cap);
+      lockdep::OnCapturedMutation(cap, static_cast<uint64_t>(id),
+                                  /*write_intent=*/true);
     } else if (wal_checks_) {
       lockdep::ReportUnloggedMutation("DeletePage",
                                       static_cast<uint64_t>(id));

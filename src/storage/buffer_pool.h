@@ -1,6 +1,7 @@
 #ifndef MTDB_STORAGE_BUFFER_POOL_H_
 #define MTDB_STORAGE_BUFFER_POOL_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <list>
@@ -68,7 +69,14 @@ inline constexpr size_t kBufferPoolShards = 8;
 /// the store's global op sequence number — across concurrent statements
 /// the store order is the truth WAL replay must reproduce, and group
 /// append order need not match it; `dirtied` collects the ids whose
-/// after-images the commit-time group append must log.
+/// changes the commit-time group append must log.
+///
+/// Before-images: the first BufferPool::WillWrite on a page copies the
+/// page as it was before this statement touched it — which is exactly
+/// the state the log already reproduces — so the commit can log only the
+/// bytes that changed (DESIGN.md §10.2). Pages the statement allocated
+/// are noted without an image; their first record is a full image. The
+/// images live only as long as the capture, i.e. one statement.
 struct PageMutationCapture {
   struct Op {
     enum class Kind : uint8_t { kAlloc, kDealloc };
@@ -81,12 +89,47 @@ struct PageMutationCapture {
   std::vector<PageId> dirtied;  // may contain duplicates; dedup at commit
 
   bool empty() const { return ops.empty() && dirtied.empty(); }
+
+  /// True once the statement declared write intent on `page` (or
+  /// allocated it). The WAL-protocol analyzer checks this on every dirty
+  /// unpin: a mutation without it would be logged as a wrong delta.
+  bool HasWriteIntent(PageId page) const { return Find(page) != nullptr; }
+
+  /// The page's bytes as of the statement's first write intent, or
+  /// nullptr when the statement allocated the page or never declared
+  /// intent on it.
+  const char* BeforeImage(PageId page) const {
+    const Intent* intent = Find(page);
+    if (intent == nullptr || intent->image == kNoBeforeImage) return nullptr;
+    return before_images_.data() + intent->image;
+  }
+
+  /// Pool hooks: the first intent on a page keeps a copy of its bytes;
+  /// an allocation records the page without one.
+  void NoteWriteIntent(const Page& page);
+  void NoteAllocation(PageId page);
+
+ private:
+  static constexpr size_t kNoBeforeImage = ~size_t{0};
+  struct Intent {
+    PageId page;
+    size_t image;  // offset into before_images_, or kNoBeforeImage
+  };
+  static bool Before(const Intent& intent, PageId page) {
+    return intent.page < page;
+  }
+  const Intent* Find(PageId page) const {
+    auto it = std::lower_bound(intents_.begin(), intents_.end(), page, Before);
+    return it != intents_.end() && it->page == page ? &*it : nullptr;
+  }
+  std::vector<Intent> intents_;  // sorted by page
+  std::vector<char> before_images_;
 };
 
 /// Installs a capture on the current thread for the lifetime of the
-/// scope. Only NewPage / UnpinPage(dirty) / DeletePage on this thread
-/// are recorded; eviction write-backs are cache movement, not logical
-/// mutation, and are deliberately not captured.
+/// scope. Only NewPage / WillWrite / UnpinPage(dirty) / DeletePage on
+/// this thread are recorded; eviction write-backs are cache movement,
+/// not logical mutation, and are deliberately not captured.
 class PageCaptureScope {
  public:
   explicit PageCaptureScope(PageMutationCapture* capture);
@@ -130,6 +173,14 @@ class BufferPool {
 
   /// Allocates a new page in the store and pins it.
   Page* NewPage(PageType type);
+
+  /// Declares that the caller is about to modify `page`, which it has
+  /// pinned under its exclusive table latch. Every mutation site calls
+  /// it before its first change to a page that existed before the
+  /// statement: under a capture the first call keeps the page's
+  /// before-image so the commit can log a delta. With no capture
+  /// installed (in-memory engines) it is one branch.
+  void WillWrite(const Page* page);
 
   /// Releases a pin; `dirty` marks the frame for write-back on eviction.
   void UnpinPage(PageId id, bool dirty);

@@ -22,7 +22,6 @@ constexpr uint32_t kMetaMagic = 0x4D4D4554u;  // "MMET"
 // v2 appends the open-client-transaction section; v1 files (no section)
 // still load.
 constexpr uint32_t kMetaVersion = 2;
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 
 void PutU32(std::string* out, uint32_t v) {
   char b[4];
@@ -134,26 +133,58 @@ Status Durability::CommitGroup(const PageMutationCapture& capture,
     out.seq = op.seq;
     group.ops.push_back(out);
   }
+  // A page whose last op in this statement freed it has nothing to log
+  // (its alloc/dealloc ops still replay, so the free list stays exact);
+  // its slot may already belong to another table's statement.
+  std::vector<PageId> freed;
+  for (const PageMutationCapture::Op& op : capture.ops) {
+    if (op.kind == PageMutationCapture::Op::Kind::kDealloc) {
+      freed.push_back(op.page);
+    } else {
+      freed.erase(std::remove(freed.begin(), freed.end(), op.page),
+                  freed.end());
+    }
+  }
+  std::sort(freed.begin(), freed.end());
   std::vector<PageId> ids = capture.dirtied;
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const size_t page_size = store_->page_size();
   for (PageId id : ids) {
-    // A page allocated and freed within the statement has no after-image;
-    // its alloc/dealloc ops still replay so the free list stays exact.
-    if (!store_->IsAllocated(id)) continue;
-    Result<Page*> page = pool_->FetchPage(id);
-    if (!page.ok()) {
+    if (std::binary_search(freed.begin(), freed.end(), id)) continue;
+    Result<Page*> fetched = pool_->FetchPage(id);
+    if (!fetched.ok()) {
       // The statement already mutated this page in memory; failing to log
       // it would let an acknowledged statement vanish on recovery.
       Freeze();
-      return page.status();
+      return fetched.status();
     }
-    WalPageImage img;
-    img.page = id;
-    img.type = store_->TypeOf(id);
-    img.image.assign((*page)->data(), store_->page_size());
+    const Page* page = *fetched;
+    // The before-image is the page as the log already reproduces it, so
+    // the changed bytes are all a replay needs — once the log holds a
+    // full image of the page to apply them to. The first change after a
+    // checkpoint logs that image: pages.db may then hold a newer or
+    // half-written image (a crash mid-flush), never a valid delta base.
+    const char* before = capture.BeforeImage(id);
+    std::string ops;
+    if (before != nullptr) {
+      ops = EncodePageDelta(before, page->data(), page_size);
+      if (ops.empty()) {  // dirtied but unchanged: nothing to log
+        pool_->UnpinPage(id, /*dirty=*/false);
+        continue;
+      }
+    }
+    const bool imaged = store_->TestAndSetImaged(id);
+    if (before != nullptr && imaged && ops.size() < page_size) {
+      group.deltas.push_back(WalPageDelta{id, std::move(ops)});
+    } else {
+      WalPageImage img;
+      img.page = id;
+      img.type = page->type();
+      img.image.assign(page->data(), page_size);
+      group.images.push_back(std::move(img));
+    }
     pool_->UnpinPage(id, /*dirty=*/false);
-    group.images.push_back(std::move(img));
   }
   group.table_meta = std::move(table_meta);
   if (catalog_blob != nullptr) {
@@ -163,7 +194,7 @@ Status Durability::CommitGroup(const PageMutationCapture& capture,
   std::string payload = EncodeWalGroup(group);
   std::lock_guard<Latch> lock(mu_);
   MTDB_RETURN_IF_ERROR(AppendLocked(WalRecordType::kGroup, payload));
-  counters_.OnGroupCommit();
+  counters_.OnGroupCommit(group.images.size(), group.deltas.size());
   return Status::OK();
 }
 
@@ -260,7 +291,7 @@ Status Durability::StoreMeta(const CheckpointMeta& meta) {
       buf.append(hint);
     }
   }
-  PutU64(&buf, WalChecksum(buf.data(), buf.size(), kFnvOffset));
+  PutU64(&buf, WalChecksum(buf.data(), buf.size(), kFnv1aBasis));
 
   std::FILE* f = std::fopen(MetaTmpPath().c_str(), "wb");
   if (f == nullptr) return StatusFromErrno("open " + MetaTmpPath());
@@ -307,7 +338,7 @@ Status Durability::LoadMeta(CheckpointMeta* meta, bool* found) {
   if (buf.size() < 8) return Status::DataLoss("checkpoint meta truncated");
   uint64_t stored_sum;
   std::memcpy(&stored_sum, buf.data() + buf.size() - 8, 8);
-  if (WalChecksum(buf.data(), buf.size() - 8, kFnvOffset) != stored_sum) {
+  if (WalChecksum(buf.data(), buf.size() - 8, kFnv1aBasis) != stored_sum) {
     return Status::DataLoss("checkpoint meta checksum mismatch");
   }
   Cursor cur(buf.data(), buf.size() - 8);
@@ -443,6 +474,10 @@ Status Durability::WriteCheckpoint(const std::string& catalog_blob,
   meta.catalog_blob = catalog_blob;
   meta.open_txns = open_txns;
   MTDB_RETURN_IF_ERROR(StoreMeta(meta));
+  // pages.db now matches the log up to ckpt_lsn, so each page's next
+  // change must log a full image again (§10.2): a later checkpoint that
+  // crashes mid-flush leaves pages.db ahead of this meta.
+  store_->ClearImaged();
 
   // Crash site: meta installed, WAL not yet truncated. Replay skips every
   // record at or below ckpt_lsn, so the stale log is harmless.
@@ -527,10 +562,12 @@ Result<RecoveredState> Durability::Recover() {
   // statements on different tables can allocate in one order and reach
   // the log in the other. The scan therefore just *collects* every
   // group's ops (replayed afterwards sorted by their store-assigned
-  // sequence numbers) and, per page, the last after-image — per-page
-  // image order does follow scan order, because a page changes owner
-  // only through a dealloc/alloc pair and the old owner's images are
-  // fully appended before the new owner can even obtain the id.
+  // sequence numbers) and, per page, its content: the last full image,
+  // with every later delta applied in log order. Per-page record order
+  // does follow scan order, because a page changes owner only through a
+  // dealloc/alloc pair, the old owner logs nothing for a page it freed,
+  // and its earlier records are appended before the new owner can even
+  // obtain the id.
   std::vector<WalPageOp> page_ops;
   std::unordered_map<PageId, WalPageImage> last_images;
   uint64_t max_op_seq = 0;
@@ -554,6 +591,18 @@ Result<RecoveredState> Durability::Recover() {
           }
           touched.insert(img.page);
           last_images[img.page] = std::move(img);
+        }
+        for (const WalPageDelta& delta : group.deltas) {
+          // Every page changed since the checkpoint logged a full image
+          // first, so a delta with no image before it means a damaged log.
+          auto it = last_images.find(delta.page);
+          if (it == last_images.end()) {
+            return Status::DataLoss("replay delta for page " +
+                                    std::to_string(delta.page) +
+                                    " has no full image since the checkpoint");
+          }
+          MTDB_RETURN_IF_ERROR(ApplyPageDelta(
+              delta.ops, it->second.image.data(), store_->page_size()));
         }
         if (group.has_catalog_blob) {
           // DDL group: its snapshot supersedes everything recorded so far.
@@ -611,11 +660,12 @@ Result<RecoveredState> Durability::Recover() {
       MTDB_RETURN_IF_ERROR(store_->RecoverDealloc(op.page));
     }
   }
-  // A recovered page's content is its last logged after-image. A page
-  // whose last op left it free is skipped — installing the image would
-  // resurrect it — and if it was later re-allocated, the new owner's
-  // group is guaranteed to carry a fresher image (an allocation always
-  // dirties the page), so last-image-wins is exact.
+  // A recovered page's content is its last logged image plus the deltas
+  // after it. A page whose last op left it free is skipped — installing
+  // the image would resurrect it — and if it was later re-allocated, the
+  // new owner's group is guaranteed to carry a full image (an allocation
+  // always dirties the page and clears its imaged bit), so the base the
+  // deltas apply to is always the final owner's.
   for (auto& [page, img] : last_images) {
     if (!store_->IsAllocated(page)) continue;
     MTDB_RETURN_IF_ERROR(store_->RecoverInstall(

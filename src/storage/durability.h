@@ -56,8 +56,10 @@ struct RecoveredState {
 /// backing store (`pages.db` + `meta`) written by fuzzy checkpoints.
 ///
 /// Contract (DESIGN.md §10): every statement that mutated pages commits
-/// exactly one checksummed group frame — after-images plus ordered
-/// alloc/dealloc ops — while its table latches are still held, so
+/// exactly one checksummed group frame — per dirtied page a delta of
+/// its changed bytes (or a full image on the page's first change since
+/// the checkpoint or its allocation), plus ordered alloc/dealloc ops —
+/// while its table latches are still held, so
 /// "statement reported success" if and only if "statement survives
 /// recovery". Mapping-layer statements spanning several physical
 /// statements bracket them with txn records whose hints let recovery
@@ -85,8 +87,11 @@ class Durability {
   Result<RecoveredState> Recover();
 
   /// Appends the statement's redo group. Called with the statement's
-  /// exclusive table latches still held. An empty capture with no blob
-  /// is a no-op (read-only statement).
+  /// exclusive table latches still held. A page with a before-image in
+  /// the capture is logged as a delta against it, unless it has no full
+  /// image in the log since the last checkpoint (or its allocation) or
+  /// the delta would not be smaller than the page; then as a full image.
+  /// An empty capture with no blob is a no-op (read-only statement).
   Status CommitGroup(const PageMutationCapture& capture,
                      std::vector<WalTableMeta> table_meta,
                      const std::string* catalog_blob);
@@ -108,7 +113,9 @@ class Durability {
   Status EndDetachedTxn(uint64_t txn_id);
 
   /// Writes the checkpoint: FlushAll, dirty store pages into pages.db,
-  /// meta (tmp + atomic rename), then WAL truncation last. The caller
+  /// meta (tmp + atomic rename), then WAL truncation last. Installing the
+  /// meta clears every page's imaged bit, so each page's next change
+  /// logs a full image again. The caller
   /// must have quiesced all statements (engine DDL latch exclusive) and
   /// hold the txn gate exclusively. `open_txns` carries the undo hints of
   /// client transactions still open at this instant; truncation erases

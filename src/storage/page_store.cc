@@ -31,10 +31,12 @@ PageId PageStore::Allocate(PageType type, uint64_t* seq) {
     id = free_list_.back();
     free_list_.pop_back();
     pages_[id].type = type;
+    pages_[id].imaged = false;
     std::memset(pages_[id].image.data(), 0, page_size_);
   } else {
     id = static_cast<PageId>(pages_.size());
-    pages_.push_back(StoredPage{type, std::vector<char>(page_size_, 0), 0});
+    pages_.push_back(
+        StoredPage{type, false, std::vector<char>(page_size_, 0), 0});
   }
   pages_[id].checksum = Checksum(pages_[id].image.data(), page_size_);
   NoteDirtyLocked(id);
@@ -208,6 +210,19 @@ void PageStore::ClearDirty(const std::vector<PageId>& flushed) {
   }
 }
 
+bool PageStore::TestAndSetImaged(PageId id) {
+  std::lock_guard<Latch> lock(mu_);
+  if (id < 0 || static_cast<size_t>(id) >= pages_.size()) return false;
+  const bool was = pages_[id].imaged;
+  pages_[id].imaged = true;
+  return was;
+}
+
+void PageStore::ClearImaged() {
+  std::lock_guard<Latch> lock(mu_);
+  for (StoredPage& page : pages_) page.imaged = false;
+}
+
 std::vector<PageId> PageStore::FreeListSnapshot() const {
   std::lock_guard<Latch> lock(mu_);
   return free_list_;
@@ -263,7 +278,7 @@ Status PageStore::RecoverAlloc(PageId id, PageType type) {
       free_list_.push_back(static_cast<PageId>(gap));
     }
     pages_.resize(static_cast<size_t>(id) + 1,
-                  StoredPage{PageType::kFree,
+                  StoredPage{PageType::kFree, false,
                              std::vector<char>(page_size_, 0), 0});
   }
   if (pages_[id].type != PageType::kFree) {
@@ -274,6 +289,7 @@ Status PageStore::RecoverAlloc(PageId id, PageType type) {
                    free_list_.end());
   stats_.allocations++;
   pages_[id].type = type;
+  pages_[id].imaged = false;
   std::memset(pages_[id].image.data(), 0, page_size_);
   pages_[id].checksum = Checksum(pages_[id].image.data(), page_size_);
   NoteDirtyLocked(id);
@@ -304,8 +320,8 @@ Status PageStore::RecoverInstall(PageId id, PageType type, const char* image,
   if (id < 0) return Status::InvalidArgument("recover install: bad page id");
   if (static_cast<size_t>(id) >= pages_.size()) {
     pages_.resize(id + 1,
-                  StoredPage{PageType::kFree, std::vector<char>(page_size_, 0),
-                             0});
+                  StoredPage{PageType::kFree, false,
+                             std::vector<char>(page_size_, 0), 0});
   }
   pages_[id].type = type;
   std::memcpy(pages_[id].image.data(), image, page_size_);
@@ -326,7 +342,8 @@ void PageStore::RecoverSetFreeList(std::vector<PageId> free_list) {
     if (id >= 0 && static_cast<size_t>(id) >= pages_.size()) {
       pages_.resize(
           static_cast<size_t>(id) + 1,
-          StoredPage{PageType::kFree, std::vector<char>(page_size_, 0), 0});
+          StoredPage{PageType::kFree, false, std::vector<char>(page_size_, 0),
+                     0});
     }
   }
   free_list_ = std::move(free_list);

@@ -135,6 +135,14 @@ class PageStore {
   std::vector<PageId> DirtySinceCheckpoint() const;
   void ClearDirty(const std::vector<PageId>& flushed);
 
+  /// First-touch rule for delta redo (DESIGN.md §10.2): returns whether
+  /// a full image of `id` was already logged since the last checkpoint
+  /// (and since the page's allocation), and marks it logged. The caller
+  /// holds the page's exclusive table latch; the checkpoint clears every
+  /// bit with ClearImaged once its meta is installed.
+  bool TestAndSetImaged(PageId id);
+  void ClearImaged();
+
   /// Free list in pop order (back = next Allocate). Checkpoints persist
   /// it; recovery and the Deallocate regression test compare it.
   std::vector<PageId> FreeListSnapshot() const;
@@ -175,6 +183,9 @@ class PageStore {
  private:
   struct StoredPage {
     PageType type = PageType::kFree;
+    /// A full image of the page is in the WAL since the last checkpoint
+    /// or allocation, so later changes may be logged as deltas.
+    bool imaged = false;
     std::vector<char> image;
     /// Checksum of the image the last writer *intended* to store. For a
     /// torn write this covers the full image even though only a prefix

@@ -41,6 +41,7 @@ Result<Page*> TableHeap::PickPageForInsert(uint32_t need) {
       pool_->DeletePage(page->id());
       return prev_page.status();
     }
+    pool_->WillWrite(*prev_page);
     SlottedPage(*prev_page).set_next_page(page->id());
     pool_->UnpinPage(prev, true);
   }
@@ -58,6 +59,7 @@ Result<Rid> TableHeap::Insert(const std::string& tuple) {
   MTDB_ASSIGN_OR_RETURN(
       Page * page, PickPageForInsert(static_cast<uint32_t>(tuple.size())));
   SlottedPage sp(page);
+  pool_->WillWrite(page);
   int slot = sp.Insert(tuple.data(), static_cast<uint32_t>(tuple.size()));
   assert(slot >= 0);
   free_space_[page->id()] = sp.PotentialFreeSpace();
@@ -85,6 +87,7 @@ Status TableHeap::Update(Rid* rid, const std::string& tuple, bool* moved) {
   if (moved != nullptr) *moved = false;
   MTDB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid->page_id));
   SlottedPage sp(page);
+  pool_->WillWrite(page);
   if (sp.Update(rid->slot, tuple.data(), static_cast<uint32_t>(tuple.size()))) {
     free_space_[page->id()] = sp.PotentialFreeSpace();
     pool_->UnpinPage(rid->page_id, true);
@@ -101,7 +104,9 @@ Status TableHeap::Update(Rid* rid, const std::string& tuple, bool* moved) {
   }
   auto inserted = Insert(tuple);
   if (!inserted.ok()) {
-    pool_->UnpinPage(rid->page_id, false);
+    // The failed in-place attempt may have compacted the page: the row is
+    // intact, but the bytes moved, so the page is logged like any change.
+    pool_->UnpinPage(rid->page_id, true);
     return inserted.status();
   }
   sp.Delete(rid->slot);
@@ -116,6 +121,7 @@ Status TableHeap::Update(Rid* rid, const std::string& tuple, bool* moved) {
 Status TableHeap::Delete(const Rid& rid) {
   MTDB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(rid.page_id));
   SlottedPage sp(page);
+  pool_->WillWrite(page);
   if (!sp.Delete(rid.slot)) {
     pool_->UnpinPage(rid.page_id, false);
     return Status::NotFound("no tuple at rid");

@@ -1,6 +1,7 @@
 #include "storage/wal.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -14,12 +15,16 @@ namespace {
 // Frame layout: magic u32 | lsn u64 | type u8 | pad u8[3] | payload_len
 // u32 | checksum u64, followed by payload_len payload bytes. The
 // checksum covers the header (with the checksum field zeroed) plus the
-// payload, so a tear anywhere in the frame is detected.
-constexpr uint32_t kFrameMagic = 0x4D57414Cu;  // "MWAL"
+// payload, so a tear anywhere in the frame is detected. The magic is the
+// format version: "MWL2" frames carry delta groups; "MWAL" frames (full
+// page images, checksummed from a mistyped FNV basis) are only
+// recognised so recovery can refuse them.
+constexpr uint32_t kFrameMagic = 0x4D574C32u;        // "MWL2"
+constexpr uint32_t kLegacyFrameMagic = 0x4D57414Cu;  // "MWAL"
+constexpr uint64_t kLegacyChecksumSeed = 1469598103934665603ull;
 constexpr size_t kFrameHeaderSize = kWalFrameHeaderSize;
 constexpr size_t kChecksumOffset = 4 + 8 + 1 + 3 + 4;
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 void PutU32(std::string* out, uint32_t v) {
@@ -69,20 +74,21 @@ class Cursor {
   size_t pos_ = 0;
 };
 
-std::string EncodeFrame(uint64_t lsn, WalRecordType type,
-                        const std::string& payload) {
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  PutU32(&frame, kFrameMagic);
-  PutU64(&frame, lsn);
-  PutU8(&frame, static_cast<uint8_t>(type));
-  frame.append(3, '\0');
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU64(&frame, 0);  // checksum placeholder
-  frame.append(payload);
-  uint64_t sum = WalChecksum(frame.data(), frame.size(), kFnvOffset);
-  std::memcpy(frame.data() + kChecksumOffset, &sum, 8);
-  return frame;
+/// The frame header for `payload`, checksum filled in. Appends write it
+/// and the payload back to back, so the payload is never copied.
+std::array<char, kFrameHeaderSize> FrameHeader(uint64_t lsn,
+                                               WalRecordType type,
+                                               const std::string& payload) {
+  std::array<char, kFrameHeaderSize> header{};
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  std::memcpy(header.data(), &kFrameMagic, 4);
+  std::memcpy(header.data() + 4, &lsn, 8);
+  header[12] = static_cast<char>(type);
+  std::memcpy(header.data() + 16, &len, 4);
+  uint64_t sum = WalChecksum(header.data(), header.size(), kFnv1aBasis);
+  sum = WalChecksum(payload.data(), payload.size(), sum);
+  std::memcpy(header.data() + kChecksumOffset, &sum, 8);
+  return header;
 }
 
 Status StatusFromErrno(const std::string& what) {
@@ -116,6 +122,167 @@ uint64_t WalChecksum(const char* data, size_t len, uint64_t seed) {
   return h;
 }
 
+// ---------------------------------------------------------- page deltas
+
+namespace {
+
+enum class DeltaOp : uint8_t { kSet = 1, kMove = 2 };
+
+/// Equal bytes that end a changed span: a set op costs 5 bytes of
+/// framing, so shorter equal gaps are cheaper to re-send than to split.
+constexpr size_t kDeltaGap = 16;
+/// A move op (7 bytes) replaces a run of at least this many set bytes.
+constexpr size_t kMinMoveRun = 24;
+/// Largest shift searched for: a few B-tree entries (12 bytes each).
+constexpr size_t kMaxShift = 64;
+
+void PutU16(std::string* out, size_t v) {
+  const uint16_t u = static_cast<uint16_t>(v);
+  out->append(reinterpret_cast<const char*>(&u), 2);
+}
+
+/// Builds EncodePageDelta's op list. Moves read the before-image, so the
+/// encoder keeps each move's source inside a window no other op writes
+/// before it runs: a span's source window stops at the neighbouring
+/// spans, and a move found inside a span is emitted before the ops that
+/// rewrite the rest of that span, whose window excludes the move's
+/// destination.
+class DeltaEncoder {
+ public:
+  DeltaEncoder(const char* before, const char* after)
+      : before_(before), after_(after) {}
+
+  /// Encodes every difference in [lo, hi); moves may read [win_lo, win_hi).
+  void Encode(size_t lo, size_t hi, size_t win_lo, size_t win_hi) {
+    std::vector<std::pair<size_t, size_t>> spans;
+    for (size_t pos = FirstDiff(lo, hi); pos < hi;) {
+      size_t end = pos + 1;
+      for (size_t next = FirstDiff(end, std::min(hi, end + kDeltaGap));
+           next < std::min(hi, end + kDeltaGap);
+           next = FirstDiff(end, std::min(hi, end + kDeltaGap))) {
+        end = next + 1;
+      }
+      spans.emplace_back(pos, end);
+      pos = FirstDiff(end, hi);
+    }
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const size_t wl = i == 0 ? win_lo : spans[i - 1].second;
+      const size_t wh = i + 1 == spans.size() ? win_hi : spans[i + 1].first;
+      EncodeSpan(spans[i].first, spans[i].second, wl, wh);
+    }
+  }
+
+  std::string Finish() { return moves_ + sets_; }
+
+ private:
+  size_t FirstDiff(size_t from, size_t to) const {
+    while (from + 8 <= to) {
+      uint64_t a, b;
+      std::memcpy(&a, before_ + from, 8);
+      std::memcpy(&b, after_ + from, 8);
+      if (a != b) break;
+      from += 8;
+    }
+    while (from < to && before_[from] == after_[from]) ++from;
+    return from;
+  }
+
+  void EncodeSpan(size_t lo, size_t hi, size_t win_lo, size_t win_hi) {
+    size_t best_run = 0, best_shift = 0;
+    bool best_right = false;
+    if (hi - lo >= kMinMoveRun) {
+      for (size_t d = 1; d <= kMaxShift; ++d) {
+        // Right shift (bytes opened up): after[x] == before[x - d],
+        // anchored at the span's end.
+        size_t x = hi;
+        while (x > lo && x - 1 >= win_lo + d &&
+               after_[x - 1] == before_[x - 1 - d]) {
+          --x;
+        }
+        if (hi - x > best_run) {
+          best_run = hi - x;
+          best_shift = d;
+          best_right = true;
+        }
+        // Left shift (bytes closed up): after[x] == before[x + d],
+        // anchored at the span's start.
+        x = lo;
+        while (x < hi && x + d < win_hi && after_[x] == before_[x + d]) ++x;
+        if (x - lo > best_run) {
+          best_run = x - lo;
+          best_shift = d;
+          best_right = false;
+        }
+      }
+    }
+    if (best_run < kMinMoveRun) {
+      sets_.push_back(static_cast<char>(DeltaOp::kSet));
+      PutU16(&sets_, lo);
+      PutU16(&sets_, hi - lo);
+      sets_.append(after_ + lo, hi - lo);
+      return;
+    }
+    const size_t dst = best_right ? hi - best_run : lo;
+    const size_t src = best_right ? dst - best_shift : dst + best_shift;
+    moves_.push_back(static_cast<char>(DeltaOp::kMove));
+    PutU16(&moves_, dst);
+    PutU16(&moves_, src);
+    PutU16(&moves_, best_run);
+    if (best_right) {
+      Encode(lo, dst, win_lo, dst);
+    } else {
+      Encode(dst + best_run, hi, dst + best_run, win_hi);
+    }
+  }
+
+  const char* before_;
+  const char* after_;
+  std::string moves_;
+  std::string sets_;
+};
+
+}  // namespace
+
+std::string EncodePageDelta(const char* before, const char* after,
+                            size_t page_size) {
+  DeltaEncoder encoder(before, after);
+  encoder.Encode(0, page_size, 0, page_size);
+  return encoder.Finish();
+}
+
+Status ApplyPageDelta(const std::string& ops, char* page, size_t page_size) {
+  size_t pos = 0;
+  auto read_u16 = [&](size_t* v) {
+    if (ops.size() - pos < 2) return false;
+    uint16_t u;
+    std::memcpy(&u, ops.data() + pos, 2);
+    pos += 2;
+    *v = u;
+    return true;
+  };
+  while (pos < ops.size()) {
+    const auto op = static_cast<DeltaOp>(ops[pos++]);
+    size_t dst = 0, len = 0, src = 0;
+    if (op == DeltaOp::kSet) {
+      if (!read_u16(&dst) || !read_u16(&len) || ops.size() - pos < len ||
+          dst + len > page_size) {
+        return Status::DataLoss("wal delta: malformed set");
+      }
+      std::memcpy(page + dst, ops.data() + pos, len);
+      pos += len;
+    } else if (op == DeltaOp::kMove) {
+      if (!read_u16(&dst) || !read_u16(&src) || !read_u16(&len) ||
+          dst + len > page_size || src + len > page_size) {
+        return Status::DataLoss("wal delta: malformed move");
+      }
+      std::memmove(page + dst, page + src, len);
+    } else {
+      return Status::DataLoss("wal delta: unknown op");
+    }
+  }
+  return Status::OK();
+}
+
 // ------------------------------------------------------------- payloads
 
 std::string EncodeWalGroup(const WalGroup& group) {
@@ -132,6 +299,11 @@ std::string EncodeWalGroup(const WalGroup& group) {
     PutI32(&out, img.page);
     PutU8(&out, static_cast<uint8_t>(img.type));
     PutBytes(&out, img.image);
+  }
+  PutU32(&out, static_cast<uint32_t>(group.deltas.size()));
+  for (const WalPageDelta& delta : group.deltas) {
+    PutI32(&out, delta.page);
+    PutBytes(&out, delta.ops);
   }
   PutU32(&out, static_cast<uint32_t>(group.table_meta.size()));
   for (const WalTableMeta& meta : group.table_meta) {
@@ -179,6 +351,18 @@ Result<WalGroup> DecodeWalGroup(const std::string& payload) {
     }
     img.type = static_cast<PageType>(type);
     group.images.push_back(std::move(img));
+  }
+  uint32_t n_deltas;
+  if (!cur.ReadU32(&n_deltas)) {
+    return Status::DataLoss("wal group: delta count");
+  }
+  group.deltas.reserve(n_deltas);
+  for (uint32_t i = 0; i < n_deltas; ++i) {
+    WalPageDelta delta;
+    if (!cur.ReadI32(&delta.page) || !cur.ReadBytes(&delta.ops)) {
+      return Status::DataLoss("wal group: truncated delta");
+    }
+    group.deltas.push_back(std::move(delta));
   }
   uint32_t n_meta;
   if (!cur.ReadU32(&n_meta)) return Status::DataLoss("wal group: meta count");
@@ -278,28 +462,32 @@ Status WalWriter::RotateIfNeeded(size_t next_frame_bytes) {
 
 Status WalWriter::Append(uint64_t lsn, WalRecordType type,
                          const std::string& payload) {
-  const std::string frame = EncodeFrame(lsn, type, payload);
-  MTDB_RETURN_IF_ERROR(RotateIfNeeded(frame.size()));
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
+  const auto header = FrameHeader(lsn, type, payload);
+  const size_t frame_bytes = header.size() + payload.size();
+  MTDB_RETURN_IF_ERROR(RotateIfNeeded(frame_bytes));
+  if (std::fwrite(header.data(), 1, header.size(), file_) != header.size() ||
+      std::fwrite(payload.data(), 1, payload.size(), file_) !=
+          payload.size()) {
     return StatusFromErrno("wal append");
   }
   if (std::fflush(file_) != 0) return StatusFromErrno("wal flush");
-  segment_written_ += frame.size();
-  appended_bytes_ += frame.size();
+  segment_written_ += frame_bytes;
+  appended_bytes_ += frame_bytes;
   return Status::OK();
 }
 
 Status WalWriter::AppendTorn(uint64_t lsn, WalRecordType type,
                              const std::string& payload) {
-  const std::string frame = EncodeFrame(lsn, type, payload);
-  MTDB_RETURN_IF_ERROR(RotateIfNeeded(frame.size()));
-  const size_t torn = kFrameHeaderSize + payload.size() / 2;
-  if (std::fwrite(frame.data(), 1, torn, file_) != torn) {
+  const auto header = FrameHeader(lsn, type, payload);
+  MTDB_RETURN_IF_ERROR(RotateIfNeeded(header.size() + payload.size()));
+  const size_t half = payload.size() / 2;
+  if (std::fwrite(header.data(), 1, header.size(), file_) != header.size() ||
+      std::fwrite(payload.data(), 1, half, file_) != half) {
     return StatusFromErrno("wal torn append");
   }
   if (std::fflush(file_) != 0) return StatusFromErrno("wal flush");
-  segment_written_ += torn;
-  appended_bytes_ += torn;
+  segment_written_ += header.size() + half;
+  appended_bytes_ += header.size() + half;
   return Status::OK();
 }
 
@@ -364,7 +552,8 @@ Result<WalReader::ScanResult> WalReader::ReadAll() {
       type = static_cast<uint8_t>(header[12]);
       std::memcpy(&payload_len, header + 16, 4);
       std::memcpy(&stored_sum, header + kChecksumOffset, 8);
-      if (magic != kFrameMagic || type < 1 || type > 4) {
+      const bool legacy = magic == kLegacyFrameMagic;
+      if ((magic != kFrameMagic && !legacy) || type < 1 || type > 4) {
         torn = true;
         break;
       }
@@ -386,11 +575,22 @@ Result<WalReader::ScanResult> WalReader::ReadAll() {
       char zeroed[kFrameHeaderSize];
       std::memcpy(zeroed, header, kFrameHeaderSize);
       std::memset(zeroed + kChecksumOffset, 0, 8);
-      uint64_t sum = WalChecksum(zeroed, kFrameHeaderSize, kFnvOffset);
+      const uint64_t seed = legacy ? kLegacyChecksumSeed : kFnv1aBasis;
+      uint64_t sum = WalChecksum(zeroed, kFrameHeaderSize, seed);
       sum = WalChecksum(payload.data(), payload.size(), sum);
       if (sum != stored_sum) {
         torn = true;
         break;
+      }
+      if (legacy) {
+        // A whole, valid frame of the full-image format, not a tear:
+        // truncating it would silently drop acknowledged statements.
+        std::fclose(f);
+        return Status::FailedPrecondition(
+            "wal segment " + path.string() + " holds a frame at offset " +
+            std::to_string(offset) +
+            " in the older full-image format (magic MWAL); this build "
+            "cannot replay it and left the log untouched");
       }
       WalRecord rec;
       rec.lsn = lsn;

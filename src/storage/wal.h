@@ -13,8 +13,8 @@
 
 namespace mtdb {
 
-/// Physical log record kinds. Groups carry page-image redo for one
-/// engine statement; the txn records bracket a mapping-layer logical
+/// Physical log record kinds. Groups carry page redo for one engine
+/// statement; the txn records bracket a mapping-layer logical
 /// statement that spans several physical statements, so recovery can
 /// undo a half-applied one (see DESIGN.md §10).
 enum class WalRecordType : uint8_t {
@@ -30,6 +30,10 @@ struct WalRecord {
   WalRecordType type = WalRecordType::kGroup;
   std::string payload;
 };
+
+/// FNV-1a 64-bit offset basis: the seed of every WAL frame and checkpoint
+/// meta checksum, the same basis PageStore::Checksum starts from.
+inline constexpr uint64_t kFnv1aBasis = 14695981039346656037ull;
 
 /// FNV-1a over a byte range; also used by the checkpoint meta file.
 uint64_t WalChecksum(const char* data, size_t len, uint64_t seed);
@@ -55,12 +59,34 @@ struct WalPageOp {
   uint64_t seq = 0;                 // store-assigned global op order
 };
 
-/// After-image of one page the statement left dirty.
+/// Full image of one page the statement left dirty: logged on the
+/// page's first change after a checkpoint or its allocation, and when a
+/// delta would not be smaller.
 struct WalPageImage {
   PageId page = kInvalidPageId;
   PageType type = PageType::kHeap;
   std::string image;
 };
+
+/// The changed bytes of one page, as ops that turn the page's previous
+/// image into its new one (EncodePageDelta / ApplyPageDelta).
+struct WalPageDelta {
+  PageId page = kInvalidPageId;
+  std::string ops;
+};
+
+/// Diffs a page against its before-image. The result is a sequence of
+/// ops applied in order: every kMove (memmove within the page, reading
+/// only bytes no earlier op wrote) first, then every kSet. Shifted runs —
+/// a B-tree entry array opened or closed by one slot — become one move
+/// instead of a copy of every shifted byte. Empty when nothing changed.
+/// Offsets are u16: page sizes stay below 64 KiB engine-wide.
+std::string EncodePageDelta(const char* before, const char* after,
+                            size_t page_size);
+
+/// Applies EncodePageDelta's ops to `page` in place. kDataLoss when an op
+/// is truncated or reaches outside the page.
+Status ApplyPageDelta(const std::string& ops, char* page, size_t page_size);
 
 /// Physical locations the catalog snapshot cannot know about: a heap's
 /// first page is set on first insert and a B-tree root moves on split,
@@ -76,6 +102,7 @@ struct WalTableMeta {
 struct WalGroup {
   std::vector<WalPageOp> ops;
   std::vector<WalPageImage> images;
+  std::vector<WalPageDelta> deltas;
   std::vector<WalTableMeta> table_meta;
   /// Full catalog snapshot; present only for DDL statements.
   bool has_catalog_blob = false;
@@ -145,7 +172,9 @@ class WalWriter {
 /// Scans every segment in order, verifying frame checksums. The first
 /// invalid frame is treated as a torn tail: the file is truncated at
 /// that offset, later segments are deleted, and the scan stops — torn
-/// records are never surfaced, let alone replayed.
+/// records are never surfaced, let alone replayed. A valid frame of the
+/// older full-image format (magic "MWAL") fails the scan with
+/// kFailedPrecondition and leaves every segment as it is.
 class WalReader {
  public:
   explicit WalReader(std::string dir) : dir_(std::move(dir)) {}

@@ -197,6 +197,47 @@ TEST_F(LockdepTest, SeededUnlatchedCommitFires) {
   EXPECT_TRUE(HasRule(violations, "C303")) << RulesOf(violations);
 }
 
+/// Mutates an existing page under a latched capture, declaring write
+/// intent first or not, and commits the capture as the engine does.
+void MutateExistingPage(bool write_intent) {
+  PageStore store;
+  BufferPool pool(&store, 16);
+  // The page predates the statement (created before the checks are on).
+  Page* fresh = pool.NewPage(PageType::kHeap);
+  const PageId id = fresh->id();
+  pool.UnpinPage(id, /*dirty=*/true);
+  pool.set_wal_protocol_checks(true);
+  Latch table(LatchRank::kTableIndex, "c304-table");
+  table.lock();
+  PageMutationCapture capture;
+  {
+    PageCaptureScope scope(&capture);
+    Result<Page*> page = pool.FetchPage(id);
+    ASSERT_TRUE(page.ok());
+    if (write_intent) pool.WillWrite(*page);
+    (*page)->data()[100] = 'x';
+    pool.UnpinPage(id, /*dirty=*/true);
+  }
+  lockdep::OnCaptureCommit(&capture);
+  table.unlock();
+}
+
+TEST_F(LockdepTest, SeededMutationWithoutWriteIntentFires) {
+  // A mutation site that skips BufferPool::WillWrite leaves the capture
+  // without the page's before-image: its delta would be wrong.
+  std::thread t([] { MutateExistingPage(/*write_intent=*/false); });
+  t.join();
+  auto violations = lockdep::Drain();
+  EXPECT_TRUE(HasRule(violations, "C304")) << RulesOf(violations);
+}
+
+TEST_F(LockdepTest, MutationAfterWriteIntentIsClean) {
+  std::thread t([] { MutateExistingPage(/*write_intent=*/true); });
+  t.join();
+  auto violations = lockdep::Drain();
+  EXPECT_TRUE(violations.empty()) << RulesOf(violations);
+}
+
 // ------------------------------------------------- clean concurrent use
 
 TEST_F(LockdepTest, ConcurrentEngineWorkloadIsClean) {

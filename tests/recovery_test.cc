@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -885,6 +887,222 @@ TEST(RecoveryFreeListTest, DroppedPagesStayFreedAcrossRecovery) {
   EXPECT_FALSE(gone.ok()) << "dropped table resurrected by recovery";
 }
 
+// ---- Byte-level replay equivalence --------------------------------------
+//
+// Redo groups log a page's changed bytes (a delta against its
+// before-image) and a full image only on the page's first change after a
+// checkpoint or its allocation. These tests compare recovery with the
+// engine at the page level: after a kill, every page must come back
+// byte-identical to the in-memory image of the committed state.
+
+/// Every allocated page as the engine sees it now (read through the
+/// pool, so unflushed changes count): id -> (type, bytes).
+using PageImages = std::map<PageId, std::pair<PageType, std::string>>;
+
+PageImages SnapshotPages(Database* db) {
+  PageImages out;
+  PageStore* store = db->page_store();
+  for (size_t i = 0; i < store->page_slots(); ++i) {
+    const PageId id = static_cast<PageId>(i);
+    if (!store->IsAllocated(id)) continue;
+    Result<Page*> page = db->buffer_pool()->FetchPage(id);
+    EXPECT_TRUE(page.ok()) << "page " << id << ": "
+                           << page.status().ToString();
+    if (!page.ok()) continue;
+    out[id] = {store->TypeOf(id),
+               std::string((*page)->data(), (*page)->size())};
+    db->buffer_pool()->UnpinPage(id, /*dirty=*/false);
+  }
+  return out;
+}
+
+void ExpectSameImages(const PageImages& want, const PageImages& got) {
+  for (const auto& [id, image] : want) {
+    auto it = got.find(id);
+    if (it == got.end()) {
+      ADD_FAILURE() << "page " << id << " not allocated after recovery";
+      continue;
+    }
+    EXPECT_EQ(it->second.first, image.first) << "page " << id << " type";
+    const std::string& a = image.second;
+    const std::string& b = it->second.second;
+    if (a != b) {
+      size_t at = 0;
+      while (at < a.size() && at < b.size() && a[at] == b[at]) ++at;
+      ADD_FAILURE() << "page " << id << " differs from the committed image "
+                    << "first at byte " << at;
+    }
+  }
+  for (const auto& [id, image] : got) {
+    if (want.count(id) == 0) {
+      ADD_FAILURE() << "page " << id << " allocated only after recovery";
+    }
+  }
+}
+
+Schema KeyValueSchema() {
+  Schema s;
+  s.AddColumn(Column{"id", TypeId::kInt64, true});
+  s.AddColumn(Column{"name", TypeId::kString, false});
+  return s;
+}
+
+/// Param: (layout, crash the last checkpoint mid-flush instead of a plain
+/// kill with the WAL as the only record since the first checkpoint).
+class ReplayEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<LayoutKind, bool>> {};
+
+TEST_P(ReplayEquivalenceTest, RecoveredPagesAreByteIdenticalToCommitted) {
+  const LayoutKind kind = std::get<0>(GetParam());
+  const bool mid_flush = std::get<1>(GetParam());
+  AppSchema app = FigureFourSchema();
+  const std::string dir =
+      FreshDir(std::string("bytes_") + LayoutKindName(kind) +
+               (mid_flush ? "_midflush" : "_kill"));
+  auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  std::unique_ptr<SchemaMapping> layout = MakeLayout(kind, db.get(), &app);
+  ASSERT_TRUE(layout->Bootstrap().ok());
+  ASSERT_TRUE(layout->CreateTenant(0).ok());
+  ASSERT_TRUE(layout->CreateTenant(1).ok());
+  // The Basic layout has no extensions.
+  const bool extended = layout->EnableExtension(0, "healthcare").ok();
+
+  auto exec = [&](TenantId t, const std::string& sql) {
+    Result<int64_t> r = layout->Execute(t, sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+  };
+  // `count` rows with aids first, first + 2, ..., ten per statement.
+  auto insert_rows = [&](TenantId t, int64_t first, int64_t count) {
+    for (int64_t base = 0; base < count; base += 10) {
+      std::string sql = "INSERT INTO account (aid, name) VALUES ";
+      for (int64_t i = base; i < std::min(count, base + 10); ++i) {
+        const std::string aid = std::to_string(first + 2 * i);
+        if (i > base) sql += ", ";
+        sql += "(";
+        sql += aid;
+        sql += ", 'account-";
+        sql += aid;
+        sql += "')";
+      }
+      exec(t, sql);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  };
+  auto engine = [&](const std::string& sql) {
+    Result<QueryResult> r = db->Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+  };
+
+  // Before the checkpoint: the layout's even rows, an engine table whose
+  // pages are freed after it, and one that is compacted after it.
+  for (TenantId t : {0, 1}) insert_rows(t, 0, 200);
+  ASSERT_TRUE(db->CreateTable("doomed", KeyValueSchema()).ok());
+  ASSERT_TRUE(db->CreateIndex("doomed", "ux_doomed", {"id"}, true).ok());
+  ASSERT_TRUE(db->CreateTable("packed", KeyValueSchema()).ok());
+  for (int64_t i = 0; i < 150; ++i) {
+    ASSERT_TRUE(db->InsertRow("doomed", {Value::Int64(i),
+                                         Value::String(std::string(60, 'd'))})
+                    .ok());
+    ASSERT_TRUE(db->InsertRow("packed", {Value::Int64(i),
+                                         Value::String(std::string(60, 'p'))})
+                    .ok());
+  }
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_TRUE(db->Checkpoint().ok());
+  const size_t pages_at_checkpoint = db->page_store()->allocated_pages();
+
+  // After it: first touches log full images, later changes deltas.
+  for (int round = 0; round < 2; ++round) {
+    for (int64_t aid : {4, 100, 202, 398}) {
+      exec(0, "UPDATE account SET name = 'renamed-" + std::to_string(round) +
+                  "' WHERE aid = " + std::to_string(aid));
+      exec(1, "UPDATE account SET name = 'other-" + std::to_string(round) +
+                  "' WHERE aid = " + std::to_string(aid));
+    }
+    if (extended) {
+      exec(0, "UPDATE account SET beds = " + std::to_string(round + 7) +
+                  ", hospital = 'General' WHERE aid = 100");
+    }
+  }
+  // Mid-leaf index removals and insertions (slot-array shifts), then
+  // enough odd rows in between the even ones to split leaves.
+  for (int64_t aid : {10, 12, 150, 152, 300}) {
+    exec(0, "DELETE FROM account WHERE aid = " + std::to_string(aid));
+    exec(1, "DELETE FROM account WHERE aid = " + std::to_string(aid));
+  }
+  for (TenantId t : {0, 1}) insert_rows(t, 1, 300);
+  if (::testing::Test::HasFatalFailure()) return;
+  // A table dropped after the checkpoint hands its pages to another one.
+  ASSERT_TRUE(db->DropTable("doomed").ok());
+  ASSERT_TRUE(db->CreateTable("heir", KeyValueSchema()).ok());
+  for (int64_t i = 0; i < 150; ++i) {
+    ASSERT_TRUE(db->InsertRow("heir", {Value::Int64(i),
+                                       Value::String(std::string(40, 'h'))})
+                    .ok());
+  }
+  engine("UPDATE heir SET name = 'heir-updated' WHERE id = 3");
+  // Deleted space on a full heap page, then a row that only fits once
+  // the page is compacted.
+  for (int64_t i = 0; i < 60; i += 2) {
+    engine("DELETE FROM packed WHERE id = " + std::to_string(i));
+  }
+  engine("UPDATE packed SET name = '" + std::string(200, 'P') +
+         "' WHERE id = 1");
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const DurabilityCountersSnapshot logged = db->Stats().durability;
+  EXPECT_GT(logged.delta_records, 0u) << "workload logged no deltas";
+  EXPECT_GT(logged.full_images, 0u);
+  EXPECT_GT(db->page_store()->allocated_pages(), pages_at_checkpoint)
+      << "no page allocated after the checkpoint (no split, no new page)";
+
+  const PageImages committed = SnapshotPages(db.get());
+  if (mid_flush) {
+    // Kill the second checkpoint halfway through writing pages.db, so it
+    // holds new images for some changed pages and old ones for others.
+    ASSERT_TRUE(db->buffer_pool()->FlushAll().ok());
+    size_t live_dirty = 0;
+    for (PageId id : db->page_store()->DirtySinceCheckpoint()) {
+      if (db->page_store()->IsAllocated(id)) ++live_dirty;
+    }
+    ASSERT_GT(live_dirty, 4u);
+    FaultInjector injector(1);
+    FaultSpec spec;
+    spec.probability = 1.0;
+    spec.skip = 1 + live_dirty / 2;  // checkpoint-begin, then one per page
+    spec.max_fires = 1;
+    injector.Arm(FaultPoint::kCrash, spec);
+    db->page_store()->set_fault_injector(&injector);
+    EXPECT_FALSE(db->Checkpoint().ok());
+    EXPECT_EQ(injector.fires(FaultPoint::kCrash), 1u);
+    ASSERT_TRUE(db->durability()->frozen());
+    db->page_store()->set_fault_injector(nullptr);
+  }
+  layout.reset();
+  db.reset();
+
+  opened = Database::Open(DatabaseOptions::WithPath(dir));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  db = std::move(*opened);
+  ExpectSameImages(committed, SnapshotPages(db.get()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, ReplayEquivalenceTest,
+    ::testing::Combine(
+        ::testing::Values(LayoutKind::kBasic, LayoutKind::kPrivate,
+                          LayoutKind::kExtension, LayoutKind::kUniversal,
+                          LayoutKind::kPivot, LayoutKind::kChunk,
+                          LayoutKind::kVertical, LayoutKind::kChunkFolding),
+        ::testing::Bool()),
+    [](const ::testing::TestParamInfo<ReplayEquivalenceTest::ParamType>&
+           info) {
+      return std::string(LayoutKindName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_midflush" : "_kill");
+    });
+
 // ---- Crafted-WAL replay-ordering regressions --------------------------
 //
 // These write a hand-built WAL into a fresh directory — the disk state a
@@ -962,6 +1180,55 @@ TEST(CraftedWalReplayTest, DeallocReallocRaceKeepsNewOwnersImage) {
   std::unique_ptr<Database> db = std::move(*opened);
   EXPECT_TRUE(db->page_store()->IsAllocated(0));
   EXPECT_EQ(FirstByteOf(db->page_store(), 0), 'B');
+}
+
+/// Delta-only redo group: `text` written at offset 0 of a page that is
+/// all `base_fill`.
+WalGroup DeltaGroup(PageId page, char base_fill, const std::string& text) {
+  const std::string before(kDefaultPageSize, base_fill);
+  std::string after = before;
+  after.replace(0, text.size(), text);
+  WalGroup g;
+  g.deltas.push_back(
+      {page, EncodePageDelta(before.data(), after.data(), before.size())});
+  return g;
+}
+
+/// The delta twin of the race above: both owners log a full image and
+/// then a delta, and A's dealloc group still reaches the log last. The
+/// new owner's deltas must apply to the new owner's image — never to A's.
+TEST(CraftedWalReplayTest, DeallocReallocRaceAppliesNewOwnersDeltas) {
+  const std::string dir = FreshDir("crafted_realloc_delta");
+  CraftWal(dir, {{1, AllocGroup(0, 1, 'A')},
+                 {2, DeltaGroup(0, 'A', "old owner")},
+                 {3, AllocGroup(0, 3, 'B')},
+                 {4, DeltaGroup(0, 'B', "new owner")},
+                 {5, DeallocGroup(0, 2)}});
+  auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  ASSERT_TRUE(db->page_store()->IsAllocated(0));
+  PageType type;
+  std::vector<char> image;
+  uint64_t sum;
+  ASSERT_TRUE(db->page_store()->RawRead(0, &type, &image, &sum).ok());
+  std::string want(kDefaultPageSize, 'B');
+  want.replace(0, 9, "new owner");
+  EXPECT_EQ(std::string(image.begin(), image.end()), want);
+}
+
+/// Every page changed since the checkpoint logs a full image before its
+/// first delta, so a delta with nothing to apply to is a damaged log:
+/// recovery must refuse it rather than patch a stale checkpoint image.
+TEST(CraftedWalReplayTest, DeltaWithoutFullImageFailsRecovery) {
+  const std::string dir = FreshDir("crafted_delta_no_base");
+  WalGroup alloc_only;
+  alloc_only.ops.push_back({WalPageOp::Kind::kAlloc, 0, PageType::kHeap, 1});
+  CraftWal(dir, {{1, alloc_only}, {2, DeltaGroup(0, '\0', "orphan")}});
+  auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
+      << opened.status().ToString();
 }
 
 /// A logged alloc can sit above slots claimed by statements the crash
@@ -1065,6 +1332,71 @@ TEST(WalReaderRobustnessTest, StraySegmentLookalikesAreIgnored) {
   ASSERT_TRUE(writer.Truncate().ok());
   EXPECT_TRUE(fs::exists(stray)) << "truncate deleted a non-segment file";
   EXPECT_FALSE(fs::exists(wal_dir + "/seg-00000001.wal"));
+}
+
+/// A log written in the older full-image frame format ("MWAL" magic,
+/// checksummed from the mistyped FNV basis) is whole and valid, not a
+/// torn tail: recovery must refuse it with an explicit error and leave
+/// every byte on disk, instead of truncating acknowledged statements.
+TEST(WalFormatTest, OldFormatLogFailsOpenAndStaysOnDisk) {
+  const std::string dir = FreshDir("wal_old_format");
+  const std::string wal_dir = dir + "/wal";
+  fs::create_directories(wal_dir);
+  // Old kGroup payload: one alloc op, one full image, no table meta, no
+  // catalog blob.
+  std::string payload;
+  auto put = [&payload](const auto& v) {
+    payload.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(uint32_t{1});
+  put(uint8_t{1});
+  put(int32_t{0});
+  put(uint8_t{1});
+  put(uint64_t{1});
+  put(uint32_t{1});
+  put(int32_t{0});
+  put(uint8_t{1});
+  put(static_cast<uint32_t>(kDefaultPageSize));
+  payload.append(kDefaultPageSize, 'A');
+  put(uint32_t{0});
+  put(uint8_t{0});
+  std::string frame;
+  const uint32_t magic = 0x4D57414Cu;  // "MWAL"
+  const uint64_t lsn = 1;
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  frame.append(reinterpret_cast<const char*>(&magic), 4);
+  frame.append(reinterpret_cast<const char*>(&lsn), 8);
+  frame.push_back(1);  // kGroup
+  frame.append(3, '\0');
+  frame.append(reinterpret_cast<const char*>(&len), 4);
+  frame.append(8, '\0');  // checksum, computed over the zeroed field
+  const uint64_t old_seed = 1469598103934665603ull;  // the mistyped basis
+  uint64_t sum = WalChecksum(frame.data(), frame.size(), old_seed);
+  sum = WalChecksum(payload.data(), payload.size(), sum);
+  std::memcpy(frame.data() + 20, &sum, 8);
+  frame += payload;
+  const std::string segment = wal_dir + "/seg-00000000.wal";
+  {
+    std::ofstream out(segment, std::ios::binary);
+    out << frame;
+  }
+
+  auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+  ASSERT_FALSE(opened.ok()) << "an old-format log was replayed or dropped";
+  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().ToString().find("format"), std::string::npos)
+      << opened.status().ToString();
+  std::ifstream in(segment, std::ios::binary);
+  const std::string on_disk((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(on_disk, frame) << "recovery rewrote the old-format segment";
+  size_t segments = 0;
+  for (const auto& entry : fs::directory_iterator(wal_dir)) {
+    (void)entry;
+    ++segments;
+  }
+  EXPECT_EQ(segments, 1u);
 }
 
 /// Only ENOENT means "fresh database". Any other failure to open the
