@@ -28,20 +28,19 @@ namespace mtdb {
 ///  * kWal sits below kTableIndex: the durability contract appends a
 ///    statement's redo group while its exclusive table latches are still
 ///    held, so the log order matches memory order per table.
-///  * kLockShard/kLockWaitGraph sit BELOW kTxnGate: a multi-row insert
-///    acquires the lock on each fresh row id while the statement undo
-///    log already holds the txn gate shared, so the lock-table latches
-///    must be inner to the gate. They sit ABOVE kMappingCache so a
-///    blocked acquisition (which parks on the shard's condvar with the
-///    shard latch released) can never pin a mapping-layer latch.
-///  * kTxnGate sits ABOVE the mapping-layer cache/row latches: the
-///    statement undo log opens a WAL logical transaction (txn gate held
-///    shared) before the per-source write loop, and later loop
-///    iterations still consult the mapping cache and per-tenant row
-///    latch. The gate is therefore the outer latch on that path; the one
-///    place that nests the other way — auto-checkpoint triggered by a
-///    lazy table provision under the cache latch — defers the checkpoint
-///    instead (see Database::MaybeAutoCheckpoint).
+///  * kLockShard/kLockWaitGraph sit BELOW kTxnGate: the gate is held
+///    only around a txn-record append (and by checkpoints), never across
+///    a lock acquisition, so the lock-table latches stay inner to it.
+///    They sit ABOVE kMappingCache so a blocked acquisition (which parks
+///    on the shard's condvar with the shard latch released) can never
+///    pin a mapping-layer latch.
+///  * kTxnGate sits ABOVE the mapping-layer cache/row latches: an
+///    automatic checkpoint (gate exclusive) fires after any durable
+///    physical statement, including those of a mapped write, so the
+///    gate is the outer latch on that path; the one place that nests
+///    the other way — auto-checkpoint triggered by a lazy table
+///    provision under the cache latch — defers the checkpoint instead
+///    (see Database::MaybeAutoCheckpoint).
 enum class LatchRank : uint8_t {
   kPageStore = 0,        // PageStore::mu_ (innermost)
   kMetricsRegistry = 5,  // MetricsRegistry::mu_ (leaf: never calls out)

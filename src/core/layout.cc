@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
 
 #include "catalog/schema.h"
@@ -455,13 +456,6 @@ Result<std::vector<std::string>> SchemaMapping::TenantExtensions(
   return it->second.state.extensions();
 }
 
-bool SchemaMapping::IsQuarantined(TenantId tenant) const {
-  std::shared_lock<SharedLatch> lock(layer_mu_);
-  auto it = tenants_.find(tenant);
-  return it != tenants_.end() &&
-         it->second.breaker.state() != BreakerState::kClosed;
-}
-
 BreakerState SchemaMapping::TenantBreakerState(TenantId tenant) const {
   std::shared_lock<SharedLatch> lock(layer_mu_);
   auto it = tenants_.find(tenant);
@@ -804,30 +798,21 @@ Result<int64_t> SchemaMapping::GenericInsert(TenantId tenant,
   // A multi-row VALUES list is one logical statement: collect every
   // applied physical insert in one undo log so a failed later row takes
   // the earlier rows back out with it.
-  StatementUndoLog undo(db_);
+  StatementUndoLog undo(db_, &stats_);
   const bool multi_row = stmt.rows.size() > 1;
-  auto fail = [&](const Status& st) -> Status {
-    if (!undo.empty()) {
-      stats_.statement_rollbacks++;
-      (void)undo.Rollback();
-      stats_.undo_statements += undo.executed();
-    }
-    (void)undo.Finish();
-    return st;
-  };
   int64_t inserted = 0;
   for (const auto& row_exprs : stmt.rows) {
     // Deadline checkpoint between logical rows: an expired statement
-    // stops here and fail() takes the applied rows back out.
-    if (Status dl = deadline::Check(); !dl.ok()) return fail(dl);
+    // stops here and Fail() takes the applied rows back out.
+    if (Status dl = deadline::Check(); !dl.ok()) return undo.Fail(dl);
     if (row_exprs.size() != columns.size()) {
-      return fail(Status::InvalidArgument("VALUES arity mismatch"));
+      return undo.Fail(Status::InvalidArgument("VALUES arity mismatch"));
     }
     Row values;
     values.reserve(row_exprs.size());
     for (const auto& e : row_exprs) {
       Result<Value> v = EvalScalar(*e, nullptr, nullptr, params);
-      if (!v.ok()) return fail(v.status());
+      if (!v.ok()) return undo.Fail(v.status());
       values.push_back(*std::move(v));
     }
     // Inside a client transaction (undo.bound()) every row records undo
@@ -836,7 +821,7 @@ Result<int64_t> SchemaMapping::GenericInsert(TenantId tenant,
     Result<int64_t> n =
         InsertMappedRow(tenant, stmt.table, columns, values,
                         (multi_row || undo.bound()) ? &undo : nullptr);
-    if (!n.ok()) return fail(n.status());
+    if (!n.ok()) return undo.Fail(n.status());
     inserted += *n;
   }
   MTDB_RETURN_IF_ERROR(undo.Finish());
@@ -995,8 +980,8 @@ Result<int64_t> SchemaMapping::InsertMappedRow(
   // §15: inserts lock before the first undo Stage(), like updates. With
   // row ids the per-row X lock is on a fresh id — it can never block —
   // and the table intent can only wait on the first row of a statement
-  // (later rows re-probe an owned lock), so a blocked wait never pins
-  // the txn gate. Without row ids the whole-table X is the write lock.
+  // (later rows re-probe an owned lock). Without row ids the whole-table
+  // X is the write lock.
   if (lock::StatementLockContext* locks = lock::StatementLockContext::Current();
       locks != nullptr && locks->enabled() && !Explaining()) {
     if (needs_row) {
@@ -1019,9 +1004,13 @@ Result<int64_t> SchemaMapping::InsertMappedRow(
   // logical row over several physical statements; the undo log reverts
   // the ones already applied if a later one fails, so the logical insert
   // is all-or-nothing (single-source statements are already atomic in
-  // the engine and skip the bookkeeping).
-  StatementUndoLog local_undo(db_);
-  StatementUndoLog* undo = caller_undo != nullptr ? caller_undo : &local_undo;
+  // the engine and skip the bookkeeping). Only one savepoint per
+  // statement may be live on a client context, so the local log exists
+  // only when the caller brought none.
+  std::optional<StatementUndoLog> local_undo;
+  if (caller_undo == nullptr) local_undo.emplace(db_, &stats_);
+  StatementUndoLog* undo =
+      caller_undo != nullptr ? caller_undo : &local_undo.value();
   const bool multi_source = mapping->sources.size() > 1;
   // Every physical insert of a multi-statement logical insert stages its
   // compensation (including the last: a crash before the txn-end record
@@ -1029,43 +1018,31 @@ Result<int64_t> SchemaMapping::InsertMappedRow(
   const bool needs_undo =
       caller_undo != nullptr || multi_source || undo->bound();
   const bool explaining = Explaining();
-  auto fail = [&](const Status& st) -> Status {
-    // With a caller-owned log the caller rolls back the whole statement.
-    if (caller_undo == nullptr) {
-      if (!local_undo.empty()) {
-        stats_.statement_rollbacks++;
-        (void)local_undo.Rollback();
-        stats_.undo_statements += local_undo.executed();
-      }
-      (void)local_undo.Finish();
-    }
-    return st;
-  };
   for (size_t src = 0; src < mapping->sources.size(); ++src) {
     // Deadline checkpoint between the physical statements of one
     // logical insert: the undo log makes the cut all-or-nothing.
     if (!explaining) {
-      if (Status dl = deadline::Check(); !dl.ok()) return fail(dl);
+      if (Status dl = deadline::Check(); !dl.ok()) return undo->Fail(dl);
     }
     const PhysicalSource& source = mapping->sources[src];
     TableInfo* phys = db_->catalog()->GetTable(source.physical_table);
     if (phys == nullptr) {
-      return fail(Status::Internal("physical table missing: " +
-                                   source.physical_table));
+      return undo->Fail(Status::Internal("physical table missing: " +
+                                         source.physical_table));
     }
     Row physical_row(phys->schema.size(), Value());
     // Partition (meta-data) values.
     for (const auto& [col, val] : source.partition) {
       auto pos = phys->schema.Find(col);
       if (!pos.has_value()) {
-        return fail(Status::Internal("partition column missing: " + col));
+        return undo->Fail(Status::Internal("partition column missing: " + col));
       }
       physical_row[*pos] = val;
     }
     if (!source.row_column.empty()) {
       auto pos = phys->schema.Find(source.row_column);
       if (!pos.has_value()) {
-        return fail(
+        return undo->Fail(
             Status::Internal("row column missing: " + source.row_column));
       }
       physical_row[*pos] = Value::Int64(row_id);
@@ -1077,11 +1054,11 @@ Result<int64_t> SchemaMapping::InsertMappedRow(
       if (it == provided.end() || it->second->is_null()) continue;
       auto pos = phys->schema.Find(target.physical_column);
       if (!pos.has_value()) {
-        return fail(Status::Internal("physical column missing: " +
-                                     target.physical_column));
+        return undo->Fail(Status::Internal("physical column missing: " +
+                                           target.physical_column));
       }
       Result<Value> cast = it->second->CastTo(target.physical_type);
-      if (!cast.ok()) return fail(cast.status());
+      if (!cast.ok()) return undo->Fail(cast.status());
       physical_row[*pos] = *std::move(cast);
     }
     if (explaining || observer_.load(std::memory_order_acquire) != nullptr) {
@@ -1106,14 +1083,14 @@ Result<int64_t> SchemaMapping::InsertMappedRow(
     if (needs_undo) {
       Status sst = undo->Stage(
           CompensatingDelete(source, phys->schema, physical_row, row_id));
-      if (!sst.ok()) return fail(sst);
+      if (!sst.ok()) return undo->Fail(sst);
     }
     Status ist = db_->InsertRow(source.physical_table, physical_row);
-    if (!ist.ok()) return fail(ist);
+    if (!ist.ok()) return undo->Fail(ist);
     stats_.physical_statements++;
     if (needs_undo) undo->Commit();
   }
-  if (caller_undo == nullptr) MTDB_RETURN_IF_ERROR(local_undo.Finish());
+  if (local_undo.has_value()) MTDB_RETURN_IF_ERROR(local_undo->Finish());
   return 1;
 }
 
@@ -1329,11 +1306,10 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
       std::vector<AffectedRow> affected,
       CollectAffected(tenant, stmt.table, stmt.where.get(), params));
   // §15: every affected logical row is X-locked between Phase (a) and
-  // Phase (b), before any undo staging (a blocked wait must never pin
-  // the txn gate). If the table's write epoch moved since the snapshot
-  // above, Phase (a) is re-run under the locks, so the statement always
-  // updates the winner's committed image — even when the winner
-  // committed and released without ever blocking us.
+  // Phase (b), before any undo staging. If the table's write epoch moved
+  // since the snapshot above, Phase (a) is re-run under the locks, so the
+  // statement always updates the winner's committed image — even when
+  // the winner committed and released without ever blocking us.
   MTDB_RETURN_IF_ERROR(LockAffectedRows(
       tenant, stmt.table,
       !mapping->sources.empty() && !mapping->sources[0].row_column.empty(),
@@ -1377,16 +1353,7 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
     return out;
   };
 
-  StatementUndoLog undo(db_);
-  auto fail = [&](const Status& st) -> Status {
-    if (!undo.empty()) {
-      stats_.statement_rollbacks++;
-      (void)undo.Rollback();
-      stats_.undo_statements += undo.executed();
-    }
-    (void)undo.Finish();
-    return st;
-  };
+  StatementUndoLog undo(db_, &stats_);
 
   // Under EXPLAIN MAPPING Phase (b) is planned but never run: no undo
   // staging, no ExecuteAst, no stats — NotifyStatement records the plan.
@@ -1419,7 +1386,7 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
       const PhysicalSource& source = mapping->sources[src];
       for (size_t begin = 0; begin < rows.size(); begin += kDmlBatchSize) {
         if (!explaining) {
-          if (Status dl = deadline::Check(); !dl.ok()) return fail(dl);
+          if (Status dl = deadline::Check(); !dl.ok()) return undo.Fail(dl);
         }
         size_t end = std::min(begin + kDmlBatchSize, rows.size());
         sql::Statement phys;
@@ -1434,13 +1401,13 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
           for (size_t i = begin; i < end; ++i) {
             Status sst = undo.Stage(CompensatingUpdate(
                 source, rows[i], old_assigns_for(src, affected[i].logical)));
-            if (!sst.ok()) return fail(sst);
+            if (!sst.ok()) return undo.Fail(sst);
           }
         }
         NotifyStatement(tenant, phys);
         if (explaining) continue;
         Result<int64_t> n = db_->ExecuteAst(phys, {});
-        if (!n.ok()) return fail(n.status());
+        if (!n.ok()) return undo.Fail(n.status());
         stats_.physical_statements++;
         undo.Commit();
       }
@@ -1455,16 +1422,16 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
       affected.size() * touched_sources.size() > 1 || undo.bound();
   for (const AffectedRow& row : affected) {
     if (!explaining) {
-      if (Status dl = deadline::Check(); !dl.ok()) return fail(dl);
+      if (Status dl = deadline::Check(); !dl.ok()) return undo.Fail(dl);
     }
     // Group new values by source.
     std::map<size_t, std::vector<std::pair<std::string, Value>>> by_source;
     for (const ResolvedSet& s : sets) {
       Result<Value> v = EvalScalar(*s.expr, &eff, &row.logical, params);
-      if (!v.ok()) return fail(v.status());
+      if (!v.ok()) return undo.Fail(v.status());
       if (!v->is_null()) {
         v = v->CastTo(s.target.physical_type);
-        if (!v.ok()) return fail(v.status());
+        if (!v.ok()) return undo.Fail(v.status());
       }
       by_source[s.target.source].push_back({s.target.physical_column, *v});
     }
@@ -1481,12 +1448,12 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
       if (record_undo && !explaining) {
         Status sst = undo.Stage(CompensatingUpdate(
             source, row.row_id, old_assigns_for(src, row.logical)));
-        if (!sst.ok()) return fail(sst);
+        if (!sst.ok()) return undo.Fail(sst);
       }
       NotifyStatement(tenant, phys);
       if (explaining) continue;
       Result<int64_t> n = db_->ExecuteAst(phys, {});
-      if (!n.ok()) return fail(n.status());
+      if (!n.ok()) return undo.Fail(n.status());
       stats_.physical_statements++;
       undo.Commit();
     }
@@ -1511,16 +1478,7 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
       !mapping->sources.empty() && !mapping->sources[0].row_column.empty(),
       &affected, stmt.where.get(), params, collect_epoch));
 
-  StatementUndoLog undo(db_);
-  auto fail = [&](const Status& st) -> Status {
-    if (!undo.empty()) {
-      stats_.statement_rollbacks++;
-      (void)undo.Rollback();
-      stats_.undo_statements += undo.executed();
-    }
-    (void)undo.Finish();
-    return st;
-  };
+  StatementUndoLog undo(db_, &stats_);
   // Compensation for one (row, source) removal: re-insert the chunk, or
   // flip it back to visible when the trashcan only marked it. Staged
   // before the forward statement so a crash mid-delete can replay it.
@@ -1548,7 +1506,7 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
       const PhysicalSource& source = mapping->sources[src];
       for (size_t begin = 0; begin < rows.size(); begin += kDmlBatchSize) {
         if (!explaining) {
-          if (Status dl = deadline::Check(); !dl.ok()) return fail(dl);
+          if (Status dl = deadline::Check(); !dl.ok()) return undo.Fail(dl);
         }
         size_t end = std::min(begin + kDmlBatchSize, rows.size());
         sql::Statement phys;
@@ -1568,13 +1526,13 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
         if (record_undo && !explaining) {
           for (size_t i = begin; i < end; ++i) {
             Status sst = stage_removal(src, affected[i]);
-            if (!sst.ok()) return fail(sst);
+            if (!sst.ok()) return undo.Fail(sst);
           }
         }
         NotifyStatement(tenant, phys);
         if (explaining) continue;
         Result<int64_t> n = db_->ExecuteAst(phys, {});
-        if (!n.ok()) return fail(n.status());
+        if (!n.ok()) return undo.Fail(n.status());
         stats_.physical_statements++;
         undo.Commit();
       }
@@ -1589,7 +1547,7 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
       affected.size() * mapping->sources.size() > 1 || undo.bound();
   for (const AffectedRow& row : affected) {
     if (!explaining) {
-      if (Status dl = deadline::Check(); !dl.ok()) return fail(dl);
+      if (Status dl = deadline::Check(); !dl.ok()) return undo.Fail(dl);
     }
     for (size_t src = 0; src < mapping->sources.size(); ++src) {
       const PhysicalSource& source = mapping->sources[src];
@@ -1609,12 +1567,12 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
       }
       if (record_undo && !explaining) {
         Status sst = stage_removal(src, row);
-        if (!sst.ok()) return fail(sst);
+        if (!sst.ok()) return undo.Fail(sst);
       }
       NotifyStatement(tenant, phys);
       if (explaining) continue;
       Result<int64_t> n = db_->ExecuteAst(phys, {});
-      if (!n.ok()) return fail(n.status());
+      if (!n.ok()) return undo.Fail(n.status());
       stats_.physical_statements++;
       undo.Commit();
     }

@@ -219,8 +219,8 @@ class SchemaMapping : public MappingResolver {
   /// backoff one probe statement is let through (half-open); success
   /// closes the breaker, another hard fault re-opens it with a doubled
   /// backoff. The strike counter is consecutive: any completed
-  /// statement (success or logical error) resets it.
-  bool IsQuarantined(TenantId tenant) const;
+  /// statement (success or logical error) resets it. Read the state
+  /// with TenantBreakerState().
 
   /// Force-closes a tenant's breaker and zeroes its fault state
   /// (operator action after the underlying fault is repaired; the
@@ -371,8 +371,8 @@ class SchemaMapping : public MappingResolver {
   /// no caller_undo the row is atomic on its own: applied physical
   /// inserts are rolled back if a later source fails. With caller_undo,
   /// every applied physical insert is instead recorded there (including
-  /// the last), and a failure rolls back nothing locally — the caller
-  /// owns the whole multi-row statement's undo.
+  /// the last), and a failure fails the caller's log — rolling back the
+  /// whole multi-row statement, whose own Fail() then finds it done.
   Result<int64_t> InsertMappedRow(TenantId tenant, const std::string& table,
                                   const std::vector<std::string>& columns,
                                   const Row& values,
@@ -480,10 +480,9 @@ class SchemaMapping : public MappingResolver {
   /// more often than DDL invalidates them. Ranked above the engine's
   /// DDL/table-number latches because BuildMapping may lazily provision
   /// physical tables (extension layouts) while this is held, but below
-  /// the txn gate: a statement already inside a durable txn (undo log)
-  /// may still look mappings up. Mapping() defers automatic checkpoints
-  /// for the same reason — a checkpoint takes the txn gate exclusively,
-  /// which must never nest inside this latch.
+  /// the txn gate. Mapping() defers automatic checkpoints because a
+  /// checkpoint takes the txn gate exclusively, which must never nest
+  /// inside this latch.
   mutable Latch cache_mu_{LatchRank::kMappingCache, "mapping-cache"};
   /// Cache of (tenant, table-lower) -> TableMapping, filled via Mapping().
   std::map<std::pair<TenantId, std::string>, std::unique_ptr<TableMapping>>

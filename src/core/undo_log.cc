@@ -1,91 +1,47 @@
 #include "core/undo_log.h"
 
-#include "common/deadline.h"
-#include "sql/printer.h"
-
 namespace mtdb {
 namespace mapping {
 
-namespace {
-// A compensation that keeps failing transiently is retried this many
-// times on top of the buffer pool's own per-I/O retries.
-constexpr int kRollbackAttempts = 4;
-}  // namespace
-
-StatementUndoLog::~StatementUndoLog() {
-  if (txn_open_) (void)db_->EndDurableTxn(txn_id_);
-  if (joined_) ctx_->Leave();
+StatementUndoLog::StatementUndoLog(Database* db, LayoutStats* stats)
+    : stats_(stats), local_(db) {
+  ctx_ = txn::TransactionContext::Current();
+  if (ctx_ == nullptr) ctx_ = &local_;
+  mark_ = ctx_->undo_size();
 }
+
+StatementUndoLog::~StatementUndoLog() { (void)Fail(Status::OK()); }
 
 Status StatementUndoLog::Stage(sql::Statement compensation) {
-  if (ctx_ != nullptr) {
-    // Bound to a client transaction: hints ride the transaction's WAL
-    // bracket (no statement-scoped kTxnBegin), and the Join tells the
-    // engine DML path underneath not to stage its own value-based
-    // compensations on top of these row-precise ones.
-    if (!joined_) {
-      ctx_->Join();
-      joined_ = true;
-    }
-    MTDB_RETURN_IF_ERROR(ctx_->StageHint(compensation));
-  } else if (db_->durable()) {
-    if (!txn_open_) {
-      MTDB_ASSIGN_OR_RETURN(txn_id_, db_->BeginDurableTxn());
-      txn_open_ = true;
-    }
-    MTDB_RETURN_IF_ERROR(db_->LogTxnHint(txn_id_, sql::ToSql(compensation)));
+  if (bound() && !joined_) {
+    // The Join tells the engine DML path underneath not to stage its own
+    // value-based compensations on top of these row-precise ones.
+    ctx_->Join();
+    joined_ = true;
   }
-  staged_.push_back(std::move(compensation));
-  return Status::OK();
+  return ctx_->Stage(std::move(compensation));
 }
 
-void StatementUndoLog::Commit() {
-  for (auto& s : staged_) entries_.push_back(std::move(s));
-  staged_.clear();
-}
-
-Status StatementUndoLog::Rollback() {
-  // Compensations must run to completion even when the statement being
-  // rolled back was cancelled by its deadline — a half-undone statement
-  // is exactly what this log exists to prevent.
-  deadline::Scope no_deadline(deadline::Deadline::None());
-  staged_.clear();
-  Status first_error = Status::OK();
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    Status st = Status::OK();
-    for (int attempt = 0; attempt < kRollbackAttempts; ++attempt) {
-      Result<int64_t> n = db_->ExecuteAst(*it, {});
-      st = n.status();
-      if (st.ok()) break;
-    }
-    if (st.ok()) {
-      executed_++;
-    } else if (first_error.ok()) {
-      first_error = st;
-    }
+Status StatementUndoLog::Fail(Status st) {
+  if (finished_) return st;
+  // Entries past the mark are this statement's confirmed writes; a
+  // staged entry whose forward statement failed is dropped unreplayed.
+  const bool had_undo = ctx_->undo_size() > mark_;
+  uint64_t executed = 0;
+  (void)ctx_->RollbackTo(mark_, &executed);
+  if (had_undo) {
+    stats_->statement_rollbacks++;
+    stats_->undo_statements += executed;
   }
-  entries_.clear();
-  return first_error;
+  (void)Finish();
+  return st;
 }
 
 Status StatementUndoLog::Finish() {
-  if (ctx_ != nullptr) {
-    // The statement succeeded (or already rolled itself back, leaving
-    // entries_ empty): its confirmed compensations become part of the
-    // client transaction's undo log instead of being discarded.
-    if (!entries_.empty()) {
-      ctx_->Absorb(std::move(entries_));
-      entries_.clear();
-    }
-    if (joined_) {
-      ctx_->Leave();
-      joined_ = false;
-    }
-    return Status::OK();
-  }
-  if (!txn_open_) return Status::OK();
-  txn_open_ = false;
-  return db_->EndDurableTxn(txn_id_);
+  if (finished_) return Status::OK();
+  finished_ = true;
+  if (joined_) ctx_->Leave();
+  return bound() ? Status::OK() : local_.Commit();
 }
 
 }  // namespace mapping

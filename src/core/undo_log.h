@@ -1,8 +1,7 @@
 #ifndef MTDB_CORE_UNDO_LOG_H_
 #define MTDB_CORE_UNDO_LOG_H_
 
-#include <vector>
-
+#include "core/layout.h"
 #include "engine/database.h"
 #include "engine/txn_context.h"
 #include "sql/ast.h"
@@ -20,15 +19,27 @@ namespace mapping {
 /// write fails — so the logical statement as a whole either applies or
 /// leaves no trace.
 ///
-/// Durable engines extend the same protocol across crashes: the first
-/// Stage() opens a WAL logical transaction and every Stage() appends its
-/// compensation (as SQL text) as a txn hint BEFORE the forward statement
-/// runs, and Finish() closes the transaction. If the process dies between
-/// physical statements, recovery finds the transaction open and replays
-/// the hints newest-first — the crash-time equivalent of Rollback().
-/// Hints precede their forward statements in the log, so every
-/// compensation must be idempotent or guarded (recovery probes INSERT
-/// compensations for the row before re-inserting).
+/// The log is a savepoint over a txn::TransactionContext, the one
+/// logical-transaction bracket: the client's context when one is current
+/// (TransactionContext::Current(), set by the session layer), otherwise
+/// a statement-local context owned here. The savepoint marks the
+/// context's undo length at construction; Fail() rolls back the entries
+/// past the mark with the context's rollback loop. On success a client
+/// context keeps the statement's entries, so a later ROLLBACK undoes
+/// this statement too; a statement-local context discards them and
+/// closes its bracket.
+///
+/// Durable engines extend the protocol across crashes through the
+/// context: every Stage() appends its compensation (as SQL text) as a
+/// WAL txn hint BEFORE the forward statement runs, and the bracket's end
+/// record — at Finish() for a statement-local context, at COMMIT for a
+/// client — closes it. If the process dies in between, recovery finds
+/// the transaction open and replays the hints newest-first. A checkpoint
+/// may land between two physical statements: it carries the open
+/// bracket's hints forward in its meta file. Hints precede their forward
+/// statements in the log, so every compensation must be idempotent or
+/// guarded (recovery probes INSERT compensations for the row before
+/// re-inserting).
 ///
 /// Compensations are ordinary physical ASTs (DELETE to undo an INSERT,
 /// UPDATE restoring prior values to undo an UPDATE, INSERT re-creating
@@ -36,28 +47,20 @@ namespace mapping {
 /// front door, so they stay atomic themselves and honour the same latch
 /// order. Rollback is best-effort: each entry is retried a few times
 /// (the engine's buffer pool already absorbs transient faults) and the
-/// log keeps going past a failed entry to restore as much as possible.
+/// replay keeps going past a failed entry to restore as much as
+/// possible.
 ///
 /// Call protocol per physical statement: Stage(compensation) → run the
 /// forward statement → Commit() on success. On logical-statement failure
-/// call Rollback(); always call Finish() before returning (the destructor
-/// closes a leaked transaction best-effort).
-///
-/// Inside a client transaction (txn::TransactionContext::Current() set
-/// by the session layer) the log *binds* to the transaction: Stage()
-/// routes each compensation's WAL hint through the transaction's
-/// bracket instead of opening a statement-scoped one, and Finish()
-/// absorbs the confirmed entries upward into the transaction's undo log
-/// so a later ROLLBACK can undo this statement too. Statement-level
-/// atomicity is unchanged — a failed statement still rolls back its own
-/// entries here, and only what it confirmed survives into the
-/// transaction.
+/// return Fail(status); on success return after Finish(). A log
+/// destroyed without either fails the statement best-effort.
 ///
 /// Not thread-safe: one log per in-flight statement, on the stack.
 class StatementUndoLog {
  public:
-  explicit StatementUndoLog(Database* db)
-      : db_(db), ctx_(txn::TransactionContext::Current()) {}
+  /// `stats` receives the statement_rollbacks / undo_statements counts
+  /// of Fail().
+  StatementUndoLog(Database* db, LayoutStats* stats);
   ~StatementUndoLog();
 
   StatementUndoLog(const StatementUndoLog&) = delete;
@@ -65,48 +68,40 @@ class StatementUndoLog {
 
   /// Stages a compensation for the NEXT forward statement (a batched
   /// forward statement stages one compensation per covered row). On a
-  /// durable engine this opens the WAL transaction (first call) and
-  /// appends the compensation as a txn hint; a failure here means the
-  /// hint is not durable and the caller must not run the forward
-  /// statement.
+  /// durable engine the compensation becomes a WAL txn hint first; a
+  /// failure here means the hint is not durable and the caller must not
+  /// run the forward statement.
   Status Stage(sql::Statement compensation);
 
   /// Confirms all staged compensations: their forward statement
-  /// succeeded, so Rollback() will replay them. No-op if nothing is
+  /// succeeded, so a rollback will replay them. No-op if nothing is
   /// staged.
-  void Commit();
+  void Commit() { ctx_->Confirm(); }
 
-  /// Replays all confirmed compensations in reverse order (discarding any
-  /// un-committed staged entry). Returns the first failure (after
-  /// per-entry retries) but attempts every entry.
-  Status Rollback();
+  /// Logical-statement failure: rolls back to the savepoint (counting
+  /// the rollback in the layout stats when there was anything to undo),
+  /// finishes the log and returns `st`. Idempotent: a second call (an
+  /// outer caller failing on the same log) only returns `st`.
+  Status Fail(Status st);
 
-  /// Closes the WAL transaction, if one was opened. Check the status on
-  /// the success path: a durable engine that cannot write the txn-end
+  /// Success path: closes a statement-local bracket, if one was opened.
+  /// Check the status: a durable engine that cannot write the txn-end
   /// record will re-undo the statement after a crash.
   Status Finish();
-
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
 
   /// True when the log is bound to an ambient client transaction: the
   /// generic DML paths must then record undo for every write (even
   /// single-source ones the statement itself would not need), because
   /// the transaction may roll the statement back later.
-  bool bound() const { return ctx_ != nullptr; }
-
-  /// Compensations successfully executed by Rollback().
-  uint64_t executed() const { return executed_; }
+  bool bound() const { return ctx_ != &local_; }
 
  private:
-  Database* db_;
+  LayoutStats* stats_;
+  txn::TransactionContext local_;
   txn::TransactionContext* ctx_;
-  std::vector<sql::Statement> entries_;
-  std::vector<sql::Statement> staged_;
-  uint64_t txn_id_ = 0;
-  bool txn_open_ = false;
+  size_t mark_;
   bool joined_ = false;
-  uint64_t executed_ = 0;
+  bool finished_ = false;
 };
 
 }  // namespace mapping

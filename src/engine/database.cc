@@ -195,12 +195,6 @@ std::vector<TableInfo*> ResolveInLatchOrder(
   return tables;
 }
 
-// Logical-txn nesting depth of the calling thread. An automatic
-// checkpoint takes the txn gate exclusively; a thread already holding it
-// shared (inside BeginDurableTxn..EndDurableTxn) must never try, or it
-// would deadlock against itself.
-thread_local int tls_txn_depth = 0;
-
 // Threads that hold a latch ranked below the txn gate (the mapping
 // layer's cache latch during lazy DDL) must not start an automatic
 // checkpoint either; see AutoCheckpointDeferral.
@@ -216,13 +210,6 @@ Database::Database(DatabaseOptions options)
     : options_db_(std::move(options)),
       options_(options_db_.engine),
       planner_mode_(options_.planner_mode) {
-  // DatabaseOptions::path is the canonical spelling; the engine-level
-  // field stays for the deprecated Open(path) overload.
-  if (!options_db_.path.empty()) {
-    options_.durable_path = options_db_.path;
-  } else {
-    options_db_.path = options_.durable_path;
-  }
   registry_ = std::make_unique<MetricsRegistry>();
   admission_ = std::make_unique<AdmissionController>(options_db_.admission,
                                                      registry_.get());
@@ -238,7 +225,7 @@ Database::Database(DatabaseOptions options)
   catalog_ = std::make_unique<Catalog>(pool_.get(),
                                        options_.memory_budget_bytes,
                                        options_.metadata_costs);
-  if (!options_.durable_path.empty()) {
+  if (!options_db_.path.empty()) {
     store_->set_dirty_tracking(true);
     // Instrumented builds: from here on, every page mutation must happen
     // inside a PageCaptureScope (C301) — recovery is exempt because WAL
@@ -247,7 +234,7 @@ Database::Database(DatabaseOptions options)
     DurabilityOptions dopts;
     dopts.wal_segment_bytes = options_.wal_segment_bytes;
     dopts.checkpoint_interval_bytes = options_.checkpoint_interval_bytes;
-    durability_ = std::make_unique<Durability>(options_.durable_path, dopts,
+    durability_ = std::make_unique<Durability>(options_db_.path, dopts,
                                               store_.get(), pool_.get());
   }
   RegisterEngineGauges();
@@ -318,14 +305,6 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
   auto db = std::make_unique<Database>(std::move(options));
   if (db->durable()) MTDB_RETURN_IF_ERROR(db->Recover());
   return db;
-}
-
-Result<std::unique_ptr<Database>> Database::Open(const std::string& path,
-                                                 EngineOptions options) {
-  DatabaseOptions opts;
-  opts.path = path;
-  opts.engine = std::move(options);
-  return Open(std::move(opts));
 }
 
 Status Database::Recover() {
@@ -403,18 +382,19 @@ Status Database::Checkpoint() {
   // worse than a late one, so suppress the ambient deadline here.
   deadline::Scope no_deadline(deadline::Deadline::None());
   // Gate before DDL latch (the global order); exclusive on both quiesces
-  // every statement and every open statement-level logical txn. Open
-  // CLIENT transactions hold neither latch between statements — their
-  // undo hints are snapshotted here (race-free: every staging path holds
-  // the gate or the DDL latch shared) and preserved in the meta file so
-  // WAL truncation cannot lose them.
+  // every statement and every txn-record append. Open logical
+  // transactions — client brackets and the statement-local bracket of an
+  // autocommit logical write alike — hold neither latch between physical
+  // statements: their undo hints are snapshotted here (race-free: every
+  // staging path holds the gate or the DDL latch shared) and preserved
+  // in the meta file so WAL truncation cannot lose them.
   std::unique_lock<SharedLatch> gate(durability_->txn_gate());
   std::unique_lock<SharedLatch> ddl(ddl_mu_);
   std::vector<OpenTxnMeta> open;
   {
     std::lock_guard<Latch> reg(txn_registry_mu_);
-    open.reserve(open_client_txns_.size());
-    for (const auto& [id, hints] : open_client_txns_) {
+    open.reserve(open_txns_.size());
+    for (const auto& [id, hints] : open_txns_) {
       OpenTxnMeta t;
       t.txn_id = id;
       t.hints = hints;
@@ -425,114 +405,80 @@ Status Database::Checkpoint() {
 }
 
 void Database::MaybeAutoCheckpoint() {
-  if (durability_ == nullptr || tls_txn_depth != 0 || tls_ckpt_defer != 0) {
-    return;
-  }
+  if (durability_ == nullptr || tls_ckpt_defer != 0) return;
   if (!durability_->NeedsCheckpoint()) return;
   // A failure here (including an injected crash) freezes the subsystem
   // and surfaces on the next durable statement.
   (void)Checkpoint();
 }
 
-Result<uint64_t> Database::BeginDurableTxn() {
+Result<uint64_t> Database::BeginTxn() {
   if (durability_ == nullptr) {
-    return Status::InvalidArgument("not a durable database");
+    return mem_txn_id_.fetch_add(1, std::memory_order_relaxed);
   }
+  if (durability_->frozen()) {
+    return Status::Unavailable("durability frozen after crash");
+  }
+  // Brief shared hold: the begin record and the registry insert must be
+  // one atom w.r.t. a checkpoint's gate-exclusive snapshot, or a
+  // checkpoint could truncate the begin record without carrying the
+  // transaction in meta.
+  std::shared_lock<SharedLatch> gate(durability_->txn_gate());
   MTDB_ASSIGN_OR_RETURN(uint64_t txn_id, durability_->BeginTxn());
-  tls_txn_depth++;
+  std::lock_guard<Latch> reg(txn_registry_mu_);
+  open_txns_[txn_id];
   return txn_id;
 }
 
-Status Database::LogTxnHint(uint64_t txn_id,
-                            const std::string& compensation_sql) {
-  return durability_->LogHint(txn_id, compensation_sql);
-}
-
-Status Database::EndDurableTxn(uint64_t txn_id) {
-  tls_txn_depth--;
-  return durability_->EndTxn(txn_id);
-}
-
-Result<uint64_t> Database::BeginClientTxn(int64_t tenant) {
-  uint64_t txn_id = 0;
-  if (durability_ != nullptr) {
-    if (durability_->frozen()) {
-      return Status::Unavailable("durability frozen after crash");
-    }
-    // Brief shared hold: the begin record and the registry insert must
-    // be one atom w.r.t. a checkpoint's gate-exclusive snapshot, or a
-    // checkpoint could truncate the begin record without carrying the
-    // transaction in meta.
-    std::shared_lock<SharedLatch> gate(durability_->txn_gate());
-    MTDB_ASSIGN_OR_RETURN(txn_id, durability_->BeginDetachedTxn());
-    std::lock_guard<Latch> reg(txn_registry_mu_);
-    open_client_txns_[txn_id];
-  } else {
-    txn_id = mem_txn_id_.fetch_add(1, std::memory_order_relaxed);
+std::atomic<int64_t>* Database::OpenTxnCount(int64_t tenant) {
+  std::lock_guard<Latch> reg(txn_registry_mu_);
+  auto it = txn_open_counts_.find(tenant);
+  if (it == txn_open_counts_.end()) {
+    auto count = std::make_shared<std::atomic<int64_t>>(0);
+    it = txn_open_counts_.emplace(tenant, count).first;
+    // Registered exactly once per tenant (the registry's gauge list is
+    // append-only); the shared_ptr keeps the callback valid for the
+    // registry's lifetime.
+    registry_->RegisterGauge("txn.open.t" + std::to_string(tenant),
+                             [count]() -> uint64_t {
+                               int64_t v =
+                                   count->load(std::memory_order_relaxed);
+                               return v > 0 ? static_cast<uint64_t>(v) : 0;
+                             });
   }
-  {
-    std::lock_guard<Latch> reg(txn_registry_mu_);
-    auto it = txn_open_counts_.find(tenant);
-    if (it == txn_open_counts_.end()) {
-      auto count = std::make_shared<std::atomic<int64_t>>(0);
-      it = txn_open_counts_.emplace(tenant, count).first;
-      // Registered exactly once per tenant (the registry's gauge list is
-      // append-only); the shared_ptr keeps the callback valid for the
-      // registry's lifetime.
-      registry_->RegisterGauge("txn.open.t" + std::to_string(tenant),
-                               [count]() -> uint64_t {
-                                 int64_t v =
-                                     count->load(std::memory_order_relaxed);
-                                 return v > 0 ? static_cast<uint64_t>(v) : 0;
-                               });
-    }
-    it->second->fetch_add(1, std::memory_order_relaxed);
-  }
-  return txn_id;
+  return it->second.get();
 }
 
-Status Database::StageClientHint(uint64_t txn_id,
-                                 const std::string& compensation_sql) {
+Status Database::StageTxnHint(uint64_t txn_id,
+                              const std::string& compensation_sql) {
   if (durability_ == nullptr) return Status::OK();
   std::shared_lock<SharedLatch> gate(durability_->txn_gate());
-  MTDB_RETURN_IF_ERROR(durability_->LogHint(txn_id, compensation_sql));
-  std::lock_guard<Latch> reg(txn_registry_mu_);
-  auto it = open_client_txns_.find(txn_id);
-  if (it != open_client_txns_.end()) it->second.push_back(compensation_sql);
-  return Status::OK();
+  return StageTxnHintUnderStatement(txn_id, compensation_sql);
 }
 
-Status Database::StageClientHintUnderStatement(
+Status Database::StageTxnHintUnderStatement(
     uint64_t txn_id, const std::string& compensation_sql) {
   if (durability_ == nullptr) return Status::OK();
   // No gate here: the caller is inside an engine statement (shared DDL
-  // latch held, rank below the gate). Checkpoints hold the DDL latch
-  // exclusively, so no checkpoint can interleave with this statement.
+  // latch held, rank below the gate) or StageTxnHint holds it. Checkpoints
+  // hold the DDL latch exclusively, so no checkpoint can interleave with
+  // an engine statement.
   MTDB_RETURN_IF_ERROR(durability_->LogHint(txn_id, compensation_sql));
   std::lock_guard<Latch> reg(txn_registry_mu_);
-  auto it = open_client_txns_.find(txn_id);
-  if (it != open_client_txns_.end()) it->second.push_back(compensation_sql);
+  auto it = open_txns_.find(txn_id);
+  if (it != open_txns_.end()) it->second.push_back(compensation_sql);
   return Status::OK();
 }
 
-Status Database::EndClientTxn(uint64_t txn_id, int64_t tenant) {
-  Status st = Status::OK();
-  if (durability_ != nullptr) {
-    std::shared_lock<SharedLatch> gate(durability_->txn_gate());
-    st = durability_->EndDetachedTxn(txn_id);
-    // Deregister even when the end record could not be appended (frozen
-    // durability): recovery resolves the transaction from disk, and a
-    // frozen engine writes no further checkpoints anyway.
-    std::lock_guard<Latch> reg(txn_registry_mu_);
-    open_client_txns_.erase(txn_id);
-  }
-  {
-    std::lock_guard<Latch> reg(txn_registry_mu_);
-    auto it = txn_open_counts_.find(tenant);
-    if (it != txn_open_counts_.end()) {
-      it->second->fetch_sub(1, std::memory_order_relaxed);
-    }
-  }
+Status Database::EndTxn(uint64_t txn_id) {
+  if (durability_ == nullptr) return Status::OK();
+  std::shared_lock<SharedLatch> gate(durability_->txn_gate());
+  Status st = durability_->EndTxn(txn_id);
+  // Deregister even when the end record could not be appended (frozen
+  // durability): recovery resolves the transaction from disk, and a
+  // frozen engine writes no further checkpoints anyway.
+  std::lock_guard<Latch> reg(txn_registry_mu_);
+  open_txns_.erase(txn_id);
   return st;
 }
 
@@ -737,7 +683,7 @@ Result<int64_t> Database::RunMutationInner(const sql::Statement& stmt,
       if (durability_ == nullptr) {
         Result<int64_t> result = dispatch();
         if (result.ok() && stage_txn && !txn_undo.empty()) {
-          txn_ctx->Absorb(std::move(txn_undo));
+          (void)txn_ctx->StageEngineUndo(std::move(txn_undo));
         }
         return result;
       }
@@ -757,16 +703,8 @@ Result<int64_t> Database::RunMutationInner(const sql::Statement& stmt,
         // Hints must reach the log before the redo group: a crash
         // between them loses the statement (no group) and the hints
         // replay harmlessly against the pre-statement state.
-        Status staged = Status::OK();
-        for (const sql::Statement& comp : txn_undo) {
-          staged = txn_ctx->StageEngineHint(comp);
-          if (!staged.ok()) break;
-        }
-        if (staged.ok()) {
-          txn_ctx->Absorb(std::move(txn_undo));
-        } else {
-          result = staged;  // append failure froze durability
-        }
+        Status staged = txn_ctx->StageEngineUndo(std::move(txn_undo));
+        if (!staged.ok()) result = staged;  // append failure froze durability
       }
       Status logged = CommitDmlGroup(capture, table);
       if (!logged.ok() && result.ok()) return logged;

@@ -34,10 +34,6 @@ struct EngineOptions {
   PlannerMode planner_mode = PlannerMode::kAdvanced;
   /// Simulated device latency per physical page read (cold-cache shape).
   uint64_t read_latency_ns = 0;
-  /// Directory for the WAL + checkpoint files. Empty (the default) runs
-  /// the engine purely in memory with zero durability overhead; set it
-  /// via Database::Open(path) rather than by hand.
-  std::string durable_path;
   uint64_t wal_segment_bytes = 4ull * 1024 * 1024;
   /// WAL bytes between automatic checkpoints (durable mode); 0 disables
   /// auto checkpointing — explicit Checkpoint() calls still work.
@@ -199,10 +195,6 @@ class Database {
   /// path the engine is purely in-memory.
   static Result<std::unique_ptr<Database>> Open(DatabaseOptions options);
 
-  [[deprecated("use Open(DatabaseOptions)")]]
-  static Result<std::unique_ptr<Database>> Open(
-      const std::string& path, EngineOptions options = EngineOptions());
-
   bool durable() const { return durability_ != nullptr; }
   Durability* durability() { return durability_.get(); }
 
@@ -211,36 +203,31 @@ class Database {
   /// automatically by WAL volume (EngineOptions::checkpoint_interval_bytes).
   Status Checkpoint();
 
-  /// Logical-transaction bracket used by the mapping layer for logical
-  /// statements spanning several physical statements; see
-  /// StatementUndoLog. Begin/End maintain a per-thread depth so automatic
-  /// checkpoints never self-deadlock on the txn gate.
-  Result<uint64_t> BeginDurableTxn();
-  Status LogTxnHint(uint64_t txn_id, const std::string& compensation_sql);
-  Status EndDurableTxn(uint64_t txn_id);
-
-  /// Client-transaction plumbing (used by txn::TransactionContext, the
-  /// session layer's cross-statement bracket). Unlike BeginDurableTxn,
-  /// the checkpoint gate is held shared only briefly around each WAL
-  /// append — never between statements — so an open client transaction
-  /// cannot stall checkpoints; checkpoints instead carry the open
-  /// transactions' undo hints forward in the meta file (Durability meta
-  /// v2). BeginClientTxn also registers the transaction in the open-txn
-  /// registry and maintains the per-tenant txn.open gauge.
-  Result<uint64_t> BeginClientTxn(int64_t tenant);
+  /// Logical-transaction plumbing, used by txn::TransactionContext for
+  /// both a client's cross-statement bracket and the statement-local
+  /// bracket of an autocommit logical write. The checkpoint gate is held
+  /// shared only briefly around each WAL append — never between
+  /// statements — so an open transaction cannot stall checkpoints;
+  /// checkpoints instead carry the open transactions' undo hints forward
+  /// in the meta file (Durability meta v2). BeginTxn also registers the
+  /// transaction in the open-txn registry that backs that snapshot.
+  Result<uint64_t> BeginTxn();
   /// Appends a compensation hint under a brief shared gate hold and
   /// mirrors it into the open-txn registry (mapping-layer staging path).
-  Status StageClientHint(uint64_t txn_id, const std::string& compensation_sql);
+  Status StageTxnHint(uint64_t txn_id, const std::string& compensation_sql);
   /// Same, from inside an engine statement: the caller holds the shared
   /// DDL latch, which ranks BELOW the gate, so the gate must not be
   /// taken here. Safe without it — checkpoints hold the DDL latch
   /// exclusively, excluding every in-flight engine statement.
-  Status StageClientHintUnderStatement(uint64_t txn_id,
-                                       const std::string& compensation_sql);
+  Status StageTxnHintUnderStatement(uint64_t txn_id,
+                                    const std::string& compensation_sql);
   /// Appends the end record and deregisters atomically w.r.t.
   /// checkpoints. Deregisters even when the append fails (frozen
   /// durability): recovery resolves the transaction from disk.
-  Status EndClientTxn(uint64_t txn_id, int64_t tenant);
+  Status EndTxn(uint64_t txn_id);
+  /// The count behind the per-tenant txn.open gauge, registered on first
+  /// use. Only client brackets move it.
+  std::atomic<int64_t>* OpenTxnCount(int64_t tenant);
 
   // --- SQL front door -----------------------------------------------
 
@@ -409,15 +396,15 @@ class Database {
   /// start cannot be dropped mid-statement.
   mutable SharedLatch ddl_mu_{LatchRank::kDdl, "ddl"};
 
-  /// Open client transactions: txn id → accumulated compensation hints
+  /// Open logical transactions: txn id → accumulated compensation hints
   /// (a registry mirror of the WAL kTxnHint records, so checkpoints can
-  /// preserve open transactions across WAL truncation). Also backs the
-  /// per-tenant txn.open gauges. Guarded by txn_registry_mu_; writers
+  /// preserve open transactions across WAL truncation); beside it the
+  /// per-tenant txn.open gauge counts. Guarded by txn_registry_mu_; writers
   /// additionally hold the txn gate shared (or the DDL latch, for the
   /// under-statement staging path), which is what makes the checkpoint's
   /// gate+DDL-exclusive snapshot race-free.
   mutable Latch txn_registry_mu_{LatchRank::kTxnRegistry, "txn-registry"};
-  std::map<uint64_t, std::vector<std::string>> open_client_txns_;
+  std::map<uint64_t, std::vector<std::string>> open_txns_;
   std::map<int64_t, std::shared_ptr<std::atomic<int64_t>>> txn_open_counts_;
   /// Client-txn ids for in-memory engines (no WAL to assign them).
   std::atomic<uint64_t> mem_txn_id_{1};

@@ -99,8 +99,7 @@ struct LockKeyHash {
 ///
 /// Latch order (DESIGN.md §11): shard latch (kLockShard) > graph latch
 /// (kLockWaitGraph) > metrics registry. Both rank below the txn gate,
-/// because multi-row inserts acquire fresh-row locks while the
-/// statement undo log already holds the gate shared.
+/// which is held only around txn-record appends and by checkpoints.
 class LockManager {
  public:
   /// Opaque per-transaction lock-owner record; defined in the .cc. The

@@ -10,7 +10,7 @@ namespace txn {
 namespace {
 
 // Per-entry retry budget during rollback, on top of the buffer pool's
-// own per-I/O retries (mirrors StatementUndoLog's).
+// own per-I/O retries.
 constexpr int kRollbackAttempts = 4;
 
 thread_local TransactionContext* tls_current = nullptr;
@@ -26,7 +26,10 @@ TransactionContext::Scope::Scope(TransactionContext* ctx) : prev_(tls_current) {
 TransactionContext::Scope::~Scope() { tls_current = prev_; }
 
 TransactionContext::TransactionContext(Database* db, int64_t tenant)
-    : db_(db), tenant_(tenant) {}
+    : db_(db), tenant_(tenant), client_(true) {}
+
+TransactionContext::TransactionContext(Database* db)
+    : db_(db), tenant_(0), client_(false) {}
 
 TransactionContext::~TransactionContext() {
   if (begun_) (void)Rollback(/*is_auto=*/true);
@@ -34,6 +37,7 @@ TransactionContext::~TransactionContext() {
 }
 
 void TransactionContext::BumpCounter(const char* op) {
+  if (!client_) return;
   db_->metrics_registry()
       ->GetCounter(std::string("txn.") + op + ".t" + std::to_string(tenant_))
       ->Add(1);
@@ -56,24 +60,39 @@ void TransactionContext::ReleaseLocks() {
 
 Status TransactionContext::Begin() {
   if (begun_) return Status::FailedPrecondition("transaction already open");
-  MTDB_ASSIGN_OR_RETURN(txn_id_, db_->BeginClientTxn(tenant_));
+  MTDB_ASSIGN_OR_RETURN(txn_id_, db_->BeginTxn());
   begun_ = true;
   state_ = State::kActive;
+  if (client_) {
+    open_count_ = db_->OpenTxnCount(tenant_);
+    open_count_->fetch_add(1, std::memory_order_relaxed);
+  }
   BumpCounter("begin");
   return Status::OK();
 }
 
+Status TransactionContext::Close() {
+  if (!begun_) return Status::OK();
+  begun_ = false;
+  if (open_count_ != nullptr) {
+    open_count_->fetch_sub(1, std::memory_order_relaxed);
+  }
+  return db_->EndTxn(txn_id_);
+}
+
 Status TransactionContext::Commit() {
-  if (!begun_) return Status::FailedPrecondition("no transaction open");
+  if (client_ && !begun_) {
+    return Status::FailedPrecondition("no transaction open");
+  }
   if (state_ != State::kActive) {
     return Status::FailedPrecondition(
         state_ == State::kPoisoned
             ? "transaction is poisoned by a failed statement; ROLLBACK it"
             : "transaction was already aborted; ROLLBACK to acknowledge");
   }
-  begun_ = false;
   entries_.clear();
-  Status st = db_->EndClientTxn(txn_id_, tenant_);
+  pending_.clear();
+  Status st = Close();
   // Row locks drop only once the bracket is fully closed — waiters that
   // proceed now re-run Phase (a) and see the committed image.
   ReleaseLocks();
@@ -84,23 +103,11 @@ Status TransactionContext::Commit() {
 }
 
 Status TransactionContext::Rollback(bool is_auto) {
-  if (!begun_) return Status::FailedPrecondition("no transaction open");
-  begun_ = false;
-  // Compensations must run to completion even when the transaction is
-  // being torn down by a deadline or a cancelled statement.
-  deadline::Scope no_deadline(deadline::Deadline::None());
-  Status first_error = Status::OK();
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    Status st = Status::OK();
-    for (int attempt = 0; attempt < kRollbackAttempts; ++attempt) {
-      Result<int64_t> n = db_->ExecuteAst(*it, {});
-      st = n.status();
-      if (st.ok()) break;
-    }
-    if (!st.ok() && first_error.ok()) first_error = st;
+  if (client_ && !begun_) {
+    return Status::FailedPrecondition("no transaction open");
   }
-  entries_.clear();
-  Status ended = db_->EndClientTxn(txn_id_, tenant_);
+  Status first_error = RollbackTo(0);
+  Status ended = Close();
   // Locks release strictly after the compensations replayed above: the
   // rolled-back rows stay write-isolated until their pre-images are back.
   ReleaseLocks();
@@ -109,18 +116,66 @@ Status TransactionContext::Rollback(bool is_auto) {
   return first_error;
 }
 
-Status TransactionContext::StageHint(const sql::Statement& compensation) {
-  if (!begun_) return Status::FailedPrecondition("no transaction open");
-  return db_->StageClientHint(txn_id_, sql::ToSql(compensation));
+Status TransactionContext::RollbackTo(size_t mark, uint64_t* executed) {
+  // Compensations must run to completion even when the transaction or
+  // statement is being torn down by a deadline or a cancellation — a
+  // half-undone statement is exactly what the undo log exists to prevent.
+  deadline::Scope no_deadline(deadline::Deadline::None());
+  // Joined, so a replayed compensation never stages undo of its own when
+  // this context is the thread's current one (a failing statement).
+  Join();
+  pending_.clear();
+  Status first_error = Status::OK();
+  while (entries_.size() > mark) {
+    sql::Statement comp = std::move(entries_.back());
+    entries_.pop_back();
+    Status st = Status::OK();
+    for (int attempt = 0; attempt < kRollbackAttempts; ++attempt) {
+      st = db_->ExecuteAst(comp, {}).status();
+      if (st.ok()) break;
+    }
+    if (st.ok()) {
+      if (executed != nullptr) ++*executed;
+    } else if (first_error.ok()) {
+      first_error = st;
+    }
+  }
+  Leave();
+  return first_error;
 }
 
-Status TransactionContext::StageEngineHint(const sql::Statement& compensation) {
-  if (!begun_) return Status::FailedPrecondition("no transaction open");
-  return db_->StageClientHintUnderStatement(txn_id_, sql::ToSql(compensation));
+Status TransactionContext::Stage(sql::Statement compensation) {
+  if (!begun_) {
+    if (client_) return Status::FailedPrecondition("no transaction open");
+    // Statement-local bracket: the WAL bracket opens with the first hint.
+    if (db_->durable()) {
+      MTDB_ASSIGN_OR_RETURN(txn_id_, db_->BeginTxn());
+      begun_ = true;
+    }
+  }
+  if (db_->durable()) {
+    MTDB_RETURN_IF_ERROR(db_->StageTxnHint(txn_id_, sql::ToSql(compensation)));
+  }
+  pending_.push_back(std::move(compensation));
+  return Status::OK();
 }
 
-void TransactionContext::Absorb(std::vector<sql::Statement> entries) {
-  for (auto& e : entries) entries_.push_back(std::move(e));
+void TransactionContext::Confirm() {
+  for (auto& s : pending_) entries_.push_back(std::move(s));
+  pending_.clear();
+}
+
+Status TransactionContext::StageEngineUndo(
+    std::vector<sql::Statement> compensations) {
+  if (!begun_) return Status::FailedPrecondition("no transaction open");
+  if (db_->durable()) {
+    for (const sql::Statement& comp : compensations) {
+      MTDB_RETURN_IF_ERROR(
+          db_->StageTxnHintUnderStatement(txn_id_, sql::ToSql(comp)));
+    }
+  }
+  for (auto& comp : compensations) entries_.push_back(std::move(comp));
+  return Status::OK();
 }
 
 }  // namespace txn

@@ -1,6 +1,7 @@
 #ifndef MTDB_ENGINE_TXN_CONTEXT_H_
 #define MTDB_ENGINE_TXN_CONTEXT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -14,25 +15,35 @@ class Database;
 
 namespace txn {
 
-/// Cross-statement client transaction state, owned by a Session or
-/// TenantSession between an explicit BEGIN and the matching COMMIT /
-/// ROLLBACK. It generalizes the mapping layer's StatementUndoLog from
-/// one logical statement to a whole client transaction: every mutating
-/// statement executed inside the bracket contributes its confirmed
-/// compensating statements (in staging order), and Rollback() replays
-/// the accumulated log newest-first through the ordinary SQL front door.
+/// The one logical-transaction bracket: an undo log of compensating
+/// statements plus, on durable engines, the WAL bracket that makes it
+/// survive a crash. Two kinds of owner use it:
 ///
-/// Durability: Begin() opens a detached WAL transaction
-/// (kTxnBegin without pinning the checkpoint gate — see
-/// Database::BeginClientTxn), each staged compensation is appended as a
-/// kTxnHint before its forward statement becomes durable, and
+///   * a client transaction — owned by a Session or TenantSession
+///     between an explicit BEGIN and the matching COMMIT / ROLLBACK.
+///     Every mutating statement inside the bracket contributes its
+///     confirmed compensations (in staging order), and Rollback()
+///     replays the accumulated log newest-first through the ordinary
+///     SQL front door;
+///   * a statement-local bracket — owned by the mapping layer's
+///     StatementUndoLog for one autocommit logical write (§6.3's
+///     multi-statement DML). It opens its WAL bracket lazily on the
+///     first durable Stage(), is never installed as Current(), takes no
+///     lock holder, and is not counted in the txn.* counters or the
+///     txn.open gauge. On an in-memory engine it takes no latch,
+///     registry entry or WAL record.
+///
+/// Durability: the bracket appends kTxnBegin, each staged compensation
+/// is appended as a kTxnHint before its forward statement runs, and
 /// Commit()/Rollback() append kTxnEnd. A crash anywhere in between
 /// leaves the transaction without an end record, so Recover() replays
 /// the hints newest-first — committed transactions survive, open ones
-/// vanish. Checkpoints do NOT wait for open client transactions: they
+/// vanish. The checkpoint gate is held only around each append, never
+/// across statements: checkpoints do NOT wait for open transactions but
 /// carry the accumulated hints forward in the checkpoint meta
-/// (Durability meta v2), so the bracket may stay open indefinitely
-/// without pinning the WAL.
+/// (Durability meta v2), so a bracket may stay open indefinitely — or
+/// see a checkpoint between two of its physical statements — without
+/// pinning the WAL.
 ///
 /// State machine:
 ///   kActive   — statements execute; Commit() and Rollback() accepted.
@@ -50,16 +61,20 @@ namespace txn {
 /// Thread model: a context belongs to one session and is touched by one
 /// thread at a time, like the session itself. The TLS installation
 /// (Scope) makes the context visible to the statement pipeline
-/// underneath — the mapping layer's StatementUndoLog binds to it, and
-/// the engine's DML path stages value-based compensations when no
-/// mapping undo log has joined for the statement.
+/// underneath — the mapping layer's StatementUndoLog takes a savepoint
+/// on it, and the engine's DML path stages value-based compensations
+/// when no mapping undo log has joined for the statement.
 class TransactionContext {
  public:
   enum class State { kActive, kPoisoned, kAborted };
 
-  /// `tenant` labels the txn.* metric series (kEngineTenant for engine
-  /// sessions). The context starts active but unopened; call Begin().
+  /// A client transaction. `tenant` labels the txn.* metric series
+  /// (kEngineTenant for engine sessions). The context starts active but
+  /// unopened; call Begin().
   TransactionContext(Database* db, int64_t tenant);
+  /// A statement-local bracket (see the class comment). Never call
+  /// Begin(): the first durable Stage() opens it, Commit() closes it.
+  explicit TransactionContext(Database* db);
   /// Auto-rolls-back a transaction still open at destruction (session
   /// dropped mid-transaction).
   ~TransactionContext();
@@ -67,13 +82,14 @@ class TransactionContext {
   TransactionContext(const TransactionContext&) = delete;
   TransactionContext& operator=(const TransactionContext&) = delete;
 
-  /// Opens the WAL bracket and registers the transaction with the
-  /// engine's open-transaction registry (checkpoint preservation +
-  /// txn.open gauge).
+  /// Opens a client bracket: the WAL begin record, the engine's
+  /// open-transaction registry (checkpoint preservation) and the
+  /// txn.open gauge.
   Status Begin();
 
-  /// Appends the commit record and discards the undo log. Fails with
-  /// kFailedPrecondition when the transaction is poisoned or aborted.
+  /// Appends the commit record (if the bracket opened) and discards the
+  /// undo log. Fails with kFailedPrecondition when the transaction is
+  /// poisoned or aborted.
   Status Commit();
 
   /// Replays the accumulated compensations newest-first (each entry
@@ -101,26 +117,38 @@ class TransactionContext {
 
   uint64_t txn_id() const { return txn_id_; }
   bool open() const { return begun_; }
+  /// Confirmed undo entries: the savepoint mark of a statement starting
+  /// now.
   size_t undo_size() const { return entries_.size(); }
 
-  // --- statement-pipeline binding (via Scope/Current) -----------------
+  // --- undo staging ---------------------------------------------------
 
-  /// Stages one compensation from the mapping layer's bound
-  /// StatementUndoLog: appends the WAL hint under a brief shared hold of
-  /// the checkpoint gate and mirrors it into the open-txn registry.
-  /// Called before the forward physical statement runs.
-  Status StageHint(const sql::Statement& compensation);
+  /// Stages one compensation from the mapping layer's StatementUndoLog
+  /// before its forward physical statement runs. Durable engines append
+  /// it as a WAL hint under a brief shared hold of the checkpoint gate
+  /// and mirror it into the open-txn registry (a statement-local bracket
+  /// opens on its first hint). A failure means the hint is not durable
+  /// and the forward statement must not run. The entry stays pending
+  /// until Confirm().
+  Status Stage(sql::Statement compensation);
 
-  /// Engine-DML variant: runs under the engine's shared DDL latch, which
-  /// ranks below the checkpoint gate, so it must not take the gate. Safe
-  /// without it — checkpoints hold the DDL latch exclusively, excluding
-  /// any in-flight engine statement.
-  Status StageEngineHint(const sql::Statement& compensation);
+  /// The forward statement succeeded: pending entries join the undo log.
+  void Confirm();
 
-  /// A successful statement's confirmed compensations join the
-  /// transaction-level undo log (the statement's own undo log absorbed
-  /// upward instead of discarded).
-  void Absorb(std::vector<sql::Statement> entries);
+  /// Engine-DML variant: value-based compensations of a statement that
+  /// already applied, confirmed at once. Runs under the engine's shared
+  /// DDL latch, which ranks below the checkpoint gate, so the hints are
+  /// logged without the gate. Safe without it — checkpoints hold the DDL
+  /// latch exclusively, excluding any in-flight engine statement.
+  Status StageEngineUndo(std::vector<sql::Statement> compensations);
+
+  /// Rolls back to a savepoint: drops pending entries, then replays the
+  /// confirmed entries past `mark` newest-first and removes them. Each
+  /// entry is retried a few times and the replay is deadline-suppressed;
+  /// it returns the first failure but attempts every entry. `executed`,
+  /// when set, counts the compensations that ran. The bracket stays
+  /// open.
+  Status RollbackTo(size_t mark, uint64_t* executed = nullptr);
 
   /// Join/Leave bracket a statement whose mapping-layer undo log has
   /// taken over staging; while joined, the engine DML path must not
@@ -151,9 +179,14 @@ class TransactionContext {
  private:
   void BumpCounter(const char* op);
   void ReleaseLocks();
+  /// Appends the end record of an opened bracket.
+  Status Close();
 
   Database* db_;
   int64_t tenant_;
+  /// The per-tenant txn.open count; null for a statement-local bracket.
+  std::atomic<int64_t>* open_count_ = nullptr;
+  const bool client_;
   State state_ = State::kActive;
   uint64_t txn_id_ = 0;
   uint64_t lock_holder_ = 0;
@@ -161,6 +194,8 @@ class TransactionContext {
   int join_depth_ = 0;
   /// Confirmed compensations in staging order, across statements.
   std::vector<sql::Statement> entries_;
+  /// Staged compensations whose forward statement has not yet succeeded.
+  std::vector<sql::Statement> pending_;
 };
 
 }  // namespace txn

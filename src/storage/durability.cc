@@ -198,22 +198,6 @@ Status Durability::CommitGroup(const PageMutationCapture& capture,
   return Status::OK();
 }
 
-Result<uint64_t> Durability::BeginTxn() {
-  txn_gate_.lock_shared();
-  uint64_t txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  WalTxnRecord rec;
-  rec.txn_id = txn_id;
-  std::string payload = EncodeWalTxn(rec);
-  std::lock_guard<Latch> lock(mu_);
-  Status st = AppendLocked(WalRecordType::kTxnBegin, payload);
-  if (!st.ok()) {
-    txn_gate_.unlock_shared();
-    return st;
-  }
-  counters_.OnTxnBegin();
-  return txn_id;
-}
-
 Status Durability::LogHint(uint64_t txn_id, const std::string& compensation_sql) {
   WalTxnRecord rec;
   rec.txn_id = txn_id;
@@ -223,7 +207,7 @@ Status Durability::LogHint(uint64_t txn_id, const std::string& compensation_sql)
   return AppendLocked(WalRecordType::kTxnHint, payload);
 }
 
-Result<uint64_t> Durability::BeginDetachedTxn() {
+Result<uint64_t> Durability::BeginTxn() {
   uint64_t txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   WalTxnRecord rec;
   rec.txn_id = txn_id;
@@ -234,7 +218,7 @@ Result<uint64_t> Durability::BeginDetachedTxn() {
   return txn_id;
 }
 
-Status Durability::EndDetachedTxn(uint64_t txn_id) {
+Status Durability::EndTxn(uint64_t txn_id) {
   WalTxnRecord rec;
   rec.txn_id = txn_id;
   std::string payload = EncodeWalTxn(rec);
@@ -242,22 +226,6 @@ Status Durability::EndDetachedTxn(uint64_t txn_id) {
   MTDB_RETURN_IF_ERROR(AppendLocked(WalRecordType::kTxnEnd, payload));
   counters_.OnTxnEnd();
   return Status::OK();
-}
-
-Status Durability::EndTxn(uint64_t txn_id) {
-  WalTxnRecord rec;
-  rec.txn_id = txn_id;
-  std::string payload = EncodeWalTxn(rec);
-  Status st;
-  {
-    std::lock_guard<Latch> lock(mu_);
-    st = AppendLocked(WalRecordType::kTxnEnd, payload);
-  }
-  if (st.ok()) counters_.OnTxnEnd();
-  // The gate is released even when the end record could not be appended
-  // (frozen): recovery treats the txn as open and undoes it.
-  txn_gate_.unlock_shared();
-  return st;
 }
 
 bool Durability::NeedsCheckpoint() const {

@@ -96,21 +96,14 @@ class Durability {
                      std::vector<WalTableMeta> table_meta,
                      const std::string* catalog_blob);
 
-  /// Logical transaction bracket for multi-physical-statement logical
-  /// statements. BeginTxn takes the checkpoint gate shared (held until
-  /// EndTxn) so a checkpoint can never truncate an open txn's records.
+  /// Logical transaction bracket: appends the begin/end record. It does
+  /// not touch the txn gate — the caller (Database's open-txn registry)
+  /// takes the gate shared only around each append, never across
+  /// statements, and checkpoints carry open transactions forward in the
+  /// meta file instead of waiting for them.
   Result<uint64_t> BeginTxn();
   Status LogHint(uint64_t txn_id, const std::string& compensation_sql);
   Status EndTxn(uint64_t txn_id);
-
-  /// Detached variant of the bracket for *client* transactions that span
-  /// statements: appends the begin/end record without touching the txn
-  /// gate. The caller (Database's client-txn registry) owns gate
-  /// discipline — it takes the gate shared only around each append, never
-  /// across statements, and checkpoints instead carry open client
-  /// transactions forward in the meta file.
-  Result<uint64_t> BeginDetachedTxn();
-  Status EndDetachedTxn(uint64_t txn_id);
 
   /// Writes the checkpoint: FlushAll, dirty store pages into pages.db,
   /// meta (tmp + atomic rename), then WAL truncation last. Installing the
@@ -118,13 +111,15 @@ class Durability {
   /// logs a full image again. The caller
   /// must have quiesced all statements (engine DDL latch exclusive) and
   /// hold the txn gate exclusively. `open_txns` carries the undo hints of
-  /// client transactions still open at this instant; truncation erases
+  /// logical transactions still open at this instant; truncation erases
   /// their WAL records, so the meta copy is what recovery replays.
   Status WriteCheckpoint(const std::string& catalog_blob,
                          const std::vector<OpenTxnMeta>& open_txns = {});
 
-  /// The gate ordered above the engine's DDL latch: statements inside a
-  /// logical txn hold it shared; checkpoints take it exclusively.
+  /// The gate ordered above the engine's DDL latch: each txn record
+  /// append and its open-txn registry update hold it shared, so a
+  /// checkpoint (which takes it exclusively) snapshots the registry and
+  /// the log at one consistent point. Nothing holds it across statements.
   SharedLatch& txn_gate() { return txn_gate_; }
 
   bool frozen() const { return frozen_.load(std::memory_order_acquire); }

@@ -303,7 +303,6 @@ TEST(DeadlineTest, MidStatementExpiryRollsBackAppliedWrites) {
       db.metrics_registry()->GetCounter("deadline.exceeded.t1")->value(),
       static_cast<uint64_t>(expired));
   // Cancellation is service, not a fault.
-  EXPECT_FALSE(layout->IsQuarantined(1));
   EXPECT_EQ(layout->TenantBreakerState(1), BreakerState::kClosed);
   AuditClean(layout.get(), "after deadline sweep");
   db.page_store()->set_fault_injector(nullptr);
@@ -435,7 +434,9 @@ TEST(CircuitBreakerTest, AbortedProbeStatementsDoNotWedgeTheBreaker) {
   FaultSpec spec;
   spec.probability = 1.0;
   injector.Arm(FaultPoint::kPageRead, spec);
-  for (int i = 0; i < 4 && !layout->IsQuarantined(1); ++i) {
+  for (int i = 0;
+       i < 4 && layout->TenantBreakerState(1) == BreakerState::kClosed;
+       ++i) {
     ASSERT_TRUE(db.buffer_pool()->EvictAll().ok());
     EXPECT_FALSE(layout->Query(1, "SELECT * FROM account").ok());
   }
@@ -494,7 +495,9 @@ TEST(CircuitBreakerTest, QuarantineSelfHealsAfterDeviceRecovers) {
   spec.probability = 1.0;  // the device stays broken
   injector.Arm(FaultPoint::kPageRead, spec);
 
-  for (int i = 0; i < 4 && !layout->IsQuarantined(1); ++i) {
+  for (int i = 0;
+       i < 4 && layout->TenantBreakerState(1) == BreakerState::kClosed;
+       ++i) {
     ASSERT_TRUE(db.buffer_pool()->EvictAll().ok());  // force real I/O
     EXPECT_FALSE(layout->Query(1, "SELECT * FROM account").ok());
   }
@@ -520,7 +523,6 @@ TEST(CircuitBreakerTest, QuarantineSelfHealsAfterDeviceRecovers) {
   }
   EXPECT_TRUE(healed) << "breaker never self-healed after device recovery";
   EXPECT_EQ(layout->TenantBreakerState(1), BreakerState::kClosed);
-  EXPECT_FALSE(layout->IsQuarantined(1));
   EXPECT_GE(db.metrics_registry()->GetCounter("breaker.half_open.t1")->value(),
             1u);
   EXPECT_GE(db.metrics_registry()->GetCounter("breaker.close.t1")->value(),

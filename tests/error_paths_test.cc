@@ -327,11 +327,13 @@ TEST_F(MappingErrorTest, RepeatedHardFaultsQuarantineOnlyThatTenant) {
   spec.probability = 1.0;  // the device stays broken
   injector.Arm(FaultPoint::kPageRead, spec);
 
-  for (int i = 0; i < 4 && !layout_.IsQuarantined(1); ++i) {
+  for (int i = 0;
+       i < 4 && layout_.TenantBreakerState(1) == BreakerState::kClosed;
+       ++i) {
     ASSERT_TRUE(db_.buffer_pool()->EvictAll().ok());  // force real I/O
     EXPECT_FALSE(layout_.Query(1, "SELECT * FROM account").ok());
   }
-  EXPECT_TRUE(layout_.IsQuarantined(1));
+  EXPECT_NE(layout_.TenantBreakerState(1), BreakerState::kClosed);
   EXPECT_GE(layout_.stats().quarantine_trips.load(), 1u);
 
   // Fail-fast with the exact code, even after the device recovers: the
@@ -343,11 +345,11 @@ TEST_F(MappingErrorTest, RepeatedHardFaultsQuarantineOnlyThatTenant) {
             StatusCode::kUnavailable);
 
   // The blast radius is one tenant: others keep serving.
-  EXPECT_FALSE(layout_.IsQuarantined(2));
+  EXPECT_EQ(layout_.TenantBreakerState(2), BreakerState::kClosed);
   EXPECT_TRUE(layout_.Query(2, "SELECT * FROM account").ok());
 
   ASSERT_TRUE(layout_.ClearQuarantine(1).ok());
-  EXPECT_FALSE(layout_.IsQuarantined(1));
+  EXPECT_EQ(layout_.TenantBreakerState(1), BreakerState::kClosed);
   auto r = layout_.Query(1, "SELECT * FROM account");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows.size(), 1u);

@@ -947,19 +947,97 @@ Schema KeyValueSchema() {
   return s;
 }
 
-/// Param: (layout, crash the last checkpoint mid-flush instead of a plain
-/// kill with the WAL as the only record since the first checkpoint).
+/// How a ReplayEquivalenceTest run ends.
+enum class KillMode {
+  /// Plain kill: the WAL is the only record since the first checkpoint.
+  kKill,
+  /// Crash the last checkpoint halfway through writing pages.db.
+  kMidFlush,
+  /// A small checkpoint interval, then a kill right after an automatic
+  /// checkpoint landed between two physical statements of one logical
+  /// write. The checkpoint meta carries the open statement's undo hints,
+  /// so recovery must restore the pre-statement logical rows.
+  kMidStatement,
+};
+
+const char* KillModeName(KillMode mode) {
+  switch (mode) {
+    case KillMode::kKill:
+      return "kill";
+    case KillMode::kMidFlush:
+      return "midflush";
+    case KillMode::kMidStatement:
+      return "midstatement";
+  }
+  return "?";
+}
+
+/// Arms an immediate kill once an automatic checkpoint has landed inside
+/// the current logical write: at a physical statement whose
+/// notification sees more checkpoints than the write's first one did.
+/// The kill then hits that statement's redo-group append.
+class MidStatementKill : public PhysicalStatementObserver {
+ public:
+  MidStatementKill(Database* db, FaultInjector* injector)
+      : db_(db), injector_(injector) {}
+
+  /// Call before each logical write.
+  void StartStatement() { first_ = true; }
+  bool armed() const { return armed_; }
+
+  void OnSelect(TenantId, const sql::SelectStmt&) override {}
+  void OnStatement(TenantId, const sql::Statement&) override {
+    if (armed_) return;
+    const uint64_t checkpoints = db_->Stats().durability.checkpoints;
+    if (first_) {
+      first_ = false;
+      at_first_ = checkpoints;
+      return;
+    }
+    if (checkpoints == at_first_) return;
+    FaultSpec spec;
+    spec.probability = 1.0;
+    spec.max_fires = 1;
+    injector_->Arm(FaultPoint::kCrash, spec);
+    armed_ = true;
+  }
+
+ private:
+  Database* db_;
+  FaultInjector* injector_;
+  bool first_ = true;
+  bool armed_ = false;
+  uint64_t at_first_ = 0;
+};
+
+std::vector<std::string> AccountRows(SchemaMapping* layout, TenantId t) {
+  std::vector<std::string> out;
+  auto r = layout->Query(t, "SELECT * FROM account ORDER BY aid");
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return out;
+  for (const Row& row : r->rows) out.push_back(FormatRow(row));
+  return out;
+}
+
+/// Param: (layout, how the run ends).
 class ReplayEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<LayoutKind, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<LayoutKind, KillMode>> {};
 
 TEST_P(ReplayEquivalenceTest, RecoveredPagesAreByteIdenticalToCommitted) {
   const LayoutKind kind = std::get<0>(GetParam());
-  const bool mid_flush = std::get<1>(GetParam());
+  const KillMode mode = std::get<1>(GetParam());
   AppSchema app = FigureFourSchema();
-  const std::string dir =
-      FreshDir(std::string("bytes_") + LayoutKindName(kind) +
-               (mid_flush ? "_midflush" : "_kill"));
-  auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+  const std::string dir = FreshDir(std::string("bytes_") +
+                                   LayoutKindName(kind) + "_" +
+                                   KillModeName(mode));
+  EngineOptions options;
+  if (mode == KillMode::kMidStatement) {
+    // Small enough that automatic checkpoints fire during the run, large
+    // enough not to thrash: each checkpoint makes every page's next
+    // change log a full image again.
+    options.checkpoint_interval_bytes = 256 * 1024;
+  }
+  auto opened = Database::Open(DatabaseOptions::WithPath(dir, options));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
   std::unique_ptr<SchemaMapping> layout = MakeLayout(kind, db.get(), &app);
@@ -1058,8 +1136,67 @@ TEST_P(ReplayEquivalenceTest, RecoveredPagesAreByteIdenticalToCommitted) {
   EXPECT_GT(db->page_store()->allocated_pages(), pages_at_checkpoint)
       << "no page allocated after the checkpoint (no split, no new page)";
 
+  if (mode == KillMode::kMidStatement) {
+    // Logical writes that span dozens of physical statements: per-row
+    // Phase (b) UPDATEs (one per affected row and touched source)
+    // alternate with 30-row INSERTs (one physical insert per row and
+    // source — the only fan-out the single-table layouts have, whose
+    // UPDATE is one physical statement).
+    layout->set_dml_mode(DmlMode::kPerRow);
+    const std::vector<std::string> other_tenant = AccountRows(layout.get(), 1);
+    FaultInjector injector(1);
+    MidStatementKill killer(db.get(), &injector);
+    layout->set_statement_observer(&killer);
+    db->page_store()->set_fault_injector(&injector);
+    const uint64_t checkpoints_before = db->Stats().durability.checkpoints;
+    std::vector<std::string> before;
+    for (int round = 0; round < 200 && !killer.armed(); ++round) {
+      before = AccountRows(layout.get(), 0);
+      std::string sql;
+      if (round % 2 == 0) {
+        sql = "UPDATE account SET name = 'round-" + std::to_string(round) +
+              "' WHERE aid < 60";
+      } else {
+        sql = "INSERT INTO account (aid, name) VALUES ";
+        for (int i = 0; i < 30; ++i) {
+          const std::string aid = std::to_string(10'000 + round * 30 + i);
+          if (i > 0) sql += ", ";
+          sql += "(" + aid + ", 'new-" + aid + "')";
+        }
+      }
+      killer.StartStatement();
+      Result<int64_t> r = layout->Execute(0, sql);
+      if (killer.armed()) {
+        EXPECT_FALSE(r.ok()) << "the kill did not fail the statement";
+      } else {
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      }
+    }
+    // Mapped writes alone honour checkpoint_interval_bytes.
+    EXPECT_GT(db->Stats().durability.checkpoints, checkpoints_before)
+        << "no automatic checkpoint during a run of mapped writes";
+    ASSERT_TRUE(killer.armed())
+        << "no automatic checkpoint landed inside a logical write";
+    ASSERT_TRUE(db->durability()->frozen());
+    layout->set_statement_observer(nullptr);
+    db->page_store()->set_fault_injector(nullptr);
+    layout.reset();
+    db.reset();
+
+    opened = Database::Open(DatabaseOptions::WithPath(dir, options));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    db = std::move(*opened);
+    layout = MakeLayout(kind, db.get(), &app);
+    Status rec = layout->Recover();
+    ASSERT_TRUE(rec.ok()) << rec.ToString();
+    EXPECT_EQ(AccountRows(layout.get(), 0), before)
+        << "the killed logical write was not undone to its pre-image";
+    EXPECT_EQ(AccountRows(layout.get(), 1), other_tenant);
+    return;
+  }
+
   const PageImages committed = SnapshotPages(db.get());
-  if (mid_flush) {
+  if (mode == KillMode::kMidFlush) {
     // Kill the second checkpoint halfway through writing pages.db, so it
     // holds new images for some changed pages and old ones for others.
     ASSERT_TRUE(db->buffer_pool()->FlushAll().ok());
@@ -1096,11 +1233,12 @@ INSTANTIATE_TEST_SUITE_P(
                           LayoutKind::kExtension, LayoutKind::kUniversal,
                           LayoutKind::kPivot, LayoutKind::kChunk,
                           LayoutKind::kVertical, LayoutKind::kChunkFolding),
-        ::testing::Bool()),
+        ::testing::Values(KillMode::kKill, KillMode::kMidFlush,
+                          KillMode::kMidStatement)),
     [](const ::testing::TestParamInfo<ReplayEquivalenceTest::ParamType>&
            info) {
-      return std::string(LayoutKindName(std::get<0>(info.param))) +
-             (std::get<1>(info.param) ? "_midflush" : "_kill");
+      return std::string(LayoutKindName(std::get<0>(info.param))) + "_" +
+             KillModeName(std::get<1>(info.param));
     });
 
 // ---- Crafted-WAL replay-ordering regressions --------------------------

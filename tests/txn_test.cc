@@ -468,21 +468,21 @@ TEST(TxnDurabilityTest, OpenBracketIsUndoneOnReopenCommittedOneSurvives) {
     // ride the checkpoint meta while the WAL is truncated underneath.
     uint64_t open_txn = 0;
     {
-      auto begun = db->BeginClientTxn(/*tenant=*/0);
+      auto begun = db->BeginTxn();
       ASSERT_TRUE(begun.ok()) << begun.status().ToString();
       open_txn = *begun;
     }
     ASSERT_TRUE(
-        db->StageClientHint(open_txn, "DELETE FROM t WHERE id = 3").ok());
+        db->StageTxnHint(open_txn, "DELETE FROM t WHERE id = 3").ok());
     ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (3, 'undo me')").ok());
     ASSERT_TRUE(db->Checkpoint().ok());
     ASSERT_TRUE(
-        db->StageClientHint(open_txn,
+        db->StageTxnHint(open_txn,
                             "UPDATE t SET name = 'keep' WHERE id = 1")
             .ok());
     ASSERT_TRUE(
         db->Execute("UPDATE t SET name = 'dirty' WHERE id = 1").ok());
-    // Process stops here with the bracket still open: no EndClientTxn.
+    // Process stops here with the bracket still open: no EndTxn.
   }
   auto reopened = Database::Open(DatabaseOptions::WithPath(dir));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
