@@ -113,9 +113,9 @@ Status LoadData(BasicLayout* layout, const BenchConfig& config) {
 }
 
 Result<RunResult> RunSweepPoint(int workers, const BenchConfig& config) {
-  EngineOptions options;
-  options.memory_budget_bytes = config.memory_budget_bytes;
-  options.read_latency_ns = 0;  // load fast, dial latency up afterwards
+  DatabaseOptions options;
+  options.engine.memory_budget_bytes = config.memory_budget_bytes;
+  options.engine.read_latency_ns = 0;  // load fast, dial latency up afterwards
   Database db(options);
   AppSchema app = BenchSchema();
   BasicLayout layout(&db, &app);

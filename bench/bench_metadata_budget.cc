@@ -19,8 +19,8 @@ int Main() {
               "meta(KB)", "lookup(us)", "idx hit(%)", "data hit(%)");
 
   for (int tables : {10, 50, 100, 200, 400, 800}) {
-    EngineOptions options;
-    options.memory_budget_bytes = 8ull * 1024 * 1024;
+    DatabaseOptions options;
+    options.engine.memory_budget_bytes = 8ull * 1024 * 1024;
     Database db(options);
     Rng rng(1);
     for (int t = 0; t < tables; ++t) {

@@ -70,8 +70,8 @@ Result<std::unique_ptr<Deployment>> MakeDeployment(
   d->label = width == 0 ? "conventional"
                         : (vertical ? "vertical" : "chunk") +
                               std::to_string(width);
-  EngineOptions options;
-  options.memory_budget_bytes = 256ull * 1024 * 1024;
+  DatabaseOptions options;
+  options.engine.memory_budget_bytes = 256ull * 1024 * 1024;
   d->db = std::make_unique<Database>(options);
   d->app = std::make_unique<mapping::AppSchema>(ParentChildSchema());
   if (width == 0) {

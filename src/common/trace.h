@@ -175,8 +175,8 @@ extern thread_local StatementTracer* tls_tracer;
 }  // namespace internal
 
 /// Installs a tracer on the current thread for one statement's
-/// execution. The session front door holds one of these across
-/// ExecuteParsed so storage-layer hooks attribute I/O to the statement.
+/// execution. The session pipeline holds one of these around the
+/// statement so storage-layer hooks attribute I/O to it.
 class TracerScope {
  public:
   explicit TracerScope(StatementTracer* tracer)

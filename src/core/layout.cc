@@ -96,6 +96,15 @@ Result<Value> EvalScalar(const sql::ParsedExpr& e, const EffectiveTable* table,
   }
 }
 
+CircuitBreaker::Options BreakerOptionsOf(const Database* db) {
+  CircuitBreaker::Options o;
+  if (db == nullptr) return o;
+  o.threshold = db->options().breaker_threshold;
+  o.initial_backoff_ns = db->options().breaker_backoff_initial_ms * 1'000'000;
+  o.max_backoff_ns = db->options().breaker_backoff_max_ms * 1'000'000;
+  return o;
+}
+
 }  // namespace
 
 Schema PhysicalSchemaFromColumns(const std::vector<Column>& cols) {
@@ -105,17 +114,7 @@ Schema PhysicalSchemaFromColumns(const std::vector<Column>& cols) {
 }
 
 SchemaMapping::SchemaMapping(Database* db, const AppSchema* app)
-    : db_(db), app_(app) {
-  if (db_ != nullptr) {
-    quarantine_threshold_.store(db_->default_quarantine_threshold(),
-                                std::memory_order_relaxed);
-    breaker_backoff_initial_ns_.store(
-        db_->breaker_backoff_initial_ms() * 1'000'000,
-        std::memory_order_relaxed);
-    breaker_backoff_max_ns_.store(db_->breaker_backoff_max_ms() * 1'000'000,
-                                  std::memory_order_relaxed);
-  }
-}
+    : db_(db), app_(app), breaker_options_(BreakerOptionsOf(db)) {}
 
 namespace {
 
@@ -145,7 +144,7 @@ SchemaMapping::ExplainSink* SchemaMapping::CurrentExplainSink() {
 }
 
 TenantSession SchemaMapping::OpenSession(TenantId tenant) {
-  return TenantSession(this, tenant);
+  return TenantSession(this, &executor_, tenant);
 }
 
 // Admin template methods: take the layer latch exclusively (draining
@@ -473,20 +472,11 @@ Status SchemaMapping::ClearQuarantine(TenantId tenant) {
   return Status::OK();
 }
 
-CircuitBreaker::Options SchemaMapping::BreakerOptions() const {
-  CircuitBreaker::Options o;
-  o.threshold = quarantine_threshold_.load(std::memory_order_relaxed);
-  o.initial_backoff_ns =
-      breaker_backoff_initial_ns_.load(std::memory_order_relaxed);
-  o.max_backoff_ns = breaker_backoff_max_ns_.load(std::memory_order_relaxed);
-  return o;
-}
-
 Status SchemaMapping::CheckTenantAvailable(TenantId tenant, ProbeGuard* probe) {
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) return Status::OK();
   uint64_t retry_after_ns = 0;
-  switch (it->second.breaker.Admit(NowNs(), BreakerOptions(),
+  switch (it->second.breaker.Admit(NowNs(), breaker_options_,
                                    &retry_after_ns)) {
     case CircuitBreaker::Decision::kAllow:
       return Status::OK();
@@ -520,12 +510,6 @@ void SchemaMapping::NoteTenantOutcome(TenantId tenant, const Status& status) {
   auto it = tenants_.find(tenant);
   if (it == tenants_.end()) return;
   TenantEntry& entry = it->second;
-  if (!status.ok() && status.code() == StatusCode::kDeadlineExceeded &&
-      db_ != nullptr) {
-    db_->metrics_registry()
-        ->GetCounter("deadline.exceeded.t" + std::to_string(tenant))
-        ->Add(1);
-  }
   // Only hard I/O faults strike the breaker: logical errors (NotFound,
   // constraint violations, deadline expiry, ...) say nothing about the
   // tenant's pages, so they count as proof of service — they reset the
@@ -533,9 +517,8 @@ void SchemaMapping::NoteTenantOutcome(TenantId tenant, const Status& status) {
   const bool hard_fault = !status.ok() &&
                           (status.code() == StatusCode::kIOError ||
                            status.code() == StatusCode::kDataLoss);
-  switch (entry.breaker.OnResult(hard_fault, NowNs(), BreakerOptions())) {
+  switch (entry.breaker.OnResult(hard_fault, NowNs(), breaker_options_)) {
     case CircuitBreaker::Transition::kOpened:
-      stats_.quarantine_trips++;
       if (db_ != nullptr) {
         db_->metrics_registry()
             ->GetCounter("breaker.open.t" + std::to_string(tenant))
@@ -643,22 +626,108 @@ int32_t SchemaMapping::TableNumber(TenantId tenant, const std::string& table) {
   return id;
 }
 
-Result<QueryResult> SchemaMapping::Query(TenantId tenant,
-                                         const std::string& sql,
-                                         const std::vector<Value>& params) {
+template <typename Fn>
+Result<int64_t> SchemaMapping::RunWrite(TenantId tenant, Fn&& body) {
   std::shared_lock<SharedLatch> lock(layer_mu_);
   ProbeGuard probe;
   MTDB_RETURN_IF_ERROR(CheckTenantAvailable(tenant, &probe));
-  MTDB_ASSIGN_OR_RETURN(auto stmt, sql::ParseSelect(sql));
-  QueryTransformer transformer(this, transform_options_, &heat_);
-  MTDB_ASSIGN_OR_RETURN(auto physical,
-                        transformer.TransformSelect(tenant, *stmt));
-  stats_.queries_transformed++;
-  NotifySelect(tenant, *physical);
-  Result<QueryResult> out = db_->QueryAst(*physical, params);
+  // Row-lock scope for this write statement (DESIGN.md §15). Inside a
+  // client bracket the locks join the transaction's holder and survive
+  // until COMMIT/ROLLBACK; otherwise they are statement-duration and the
+  // scope's destructor — which runs after the body has rolled back or
+  // finished its undo log — releases them.
+  txn::TransactionContext* txn = txn::TransactionContext::Current();
+  lock::StatementLockContext locks(
+      db_->lock_manager(), tenant,
+      txn != nullptr ? txn->EnsureLockHolder() : 0);
+  Result<int64_t> out = body();
   probe.Disarm();
   NoteTenantOutcome(tenant, out.status());
   return out;
+}
+
+Result<StatementResult> SchemaMapping::Run(TenantId tenant,
+                                           const sql::Statement& stmt,
+                                           const std::vector<Value>& params) {
+  switch (stmt.kind) {
+    case sql::StatementKind::kSelect:
+      break;
+    case sql::StatementKind::kInsert:
+    case sql::StatementKind::kUpdate:
+    case sql::StatementKind::kDelete: {
+      MTDB_ASSIGN_OR_RETURN(int64_t affected, RunWrite(tenant, [&] {
+        stats_.statements_transformed++;
+        switch (stmt.kind) {
+          case sql::StatementKind::kInsert:
+            return GenericInsert(tenant, *stmt.insert, params);
+          case sql::StatementKind::kUpdate:
+            return GenericUpdate(tenant, *stmt.update, params);
+          default:
+            return GenericDelete(tenant, *stmt.del, params);
+        }
+      }));
+      return StatementResult(affected);
+    }
+    case sql::StatementKind::kExplainMapping: {
+      MTDB_ASSIGN_OR_RETURN(MappingExplanation out,
+                            ExplainMapping(tenant, stmt, params));
+      return StatementResult(std::move(out));
+    }
+    default:
+      return Status::InvalidArgument(
+          "a logical statement is SELECT, INSERT, UPDATE, DELETE or "
+          "EXPLAIN MAPPING");
+  }
+  std::shared_lock<SharedLatch> lock(layer_mu_);
+  ProbeGuard probe;
+  MTDB_RETURN_IF_ERROR(CheckTenantAvailable(tenant, &probe));
+  QueryTransformer transformer(this, transform_options_, &heat_);
+  MTDB_ASSIGN_OR_RETURN(auto physical,
+                        transformer.TransformSelect(tenant, *stmt.select));
+  stats_.queries_transformed++;
+  NotifySelect(tenant, *physical);
+  Result<QueryResult> rows = db_->QueryAst(*physical, params);
+  probe.Disarm();
+  NoteTenantOutcome(tenant, rows.status());
+  if (!rows.ok()) return rows.status();
+  return StatementResult(*std::move(rows));
+}
+
+Result<QueryResult> SchemaMapping::Query(TenantId tenant,
+                                         const std::string& sql,
+                                         const std::vector<Value>& params) {
+  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
+  if (stmt.kind != sql::StatementKind::kSelect) {
+    return Status::InvalidArgument("logical Query() handles SELECT");
+  }
+  MTDB_ASSIGN_OR_RETURN(StatementResult res, Run(tenant, stmt, params));
+  return std::move(std::get<QueryResult>(res));
+}
+
+Result<int64_t> SchemaMapping::Execute(TenantId tenant, const std::string& sql,
+                                       const std::vector<Value>& params) {
+  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
+  if (stmt.kind != sql::StatementKind::kInsert &&
+      stmt.kind != sql::StatementKind::kUpdate &&
+      stmt.kind != sql::StatementKind::kDelete) {
+    return Status::InvalidArgument(
+        "logical Execute() handles INSERT/UPDATE/DELETE");
+  }
+  MTDB_ASSIGN_OR_RETURN(StatementResult res, Run(tenant, stmt, params));
+  return AffectedOf(res);
+}
+
+Result<int64_t> SchemaMapping::InsertRow(TenantId tenant,
+                                         const std::string& table,
+                                         const Row& row) {
+  return RunWrite(tenant, [&]() -> Result<int64_t> {
+    MTDB_ASSIGN_OR_RETURN(EffectiveTable eff, GetEffective(tenant, table));
+    std::vector<std::string> columns;
+    for (size_t i = 0; i < row.size() && i < eff.columns.size(); ++i) {
+      columns.push_back(eff.columns[i].name);
+    }
+    return InsertMappedRow(tenant, table, columns, row);
+  });
 }
 
 Result<std::string> SchemaMapping::ShowTransformed(TenantId tenant,
@@ -728,62 +797,6 @@ Result<MappingExplanation> SchemaMapping::ExplainMapping(
       return Status::InvalidArgument(
           "EXPLAIN MAPPING supports SELECT/INSERT/UPDATE/DELETE");
   }
-  return out;
-}
-
-Result<int64_t> SchemaMapping::Execute(TenantId tenant, const std::string& sql,
-                                       const std::vector<Value>& params) {
-  std::shared_lock<SharedLatch> lock(layer_mu_);
-  ProbeGuard probe;
-  MTDB_RETURN_IF_ERROR(CheckTenantAvailable(tenant, &probe));
-  // Row-lock scope for this write statement (DESIGN.md §15). Inside a
-  // client bracket the locks join the transaction's holder and survive
-  // until COMMIT/ROLLBACK; otherwise they are statement-duration and the
-  // scope's destructor — which runs after the Generic* bodies have
-  // rolled back or finished their undo log — releases them.
-  txn::TransactionContext* txn = txn::TransactionContext::Current();
-  lock::StatementLockContext locks(
-      db_->lock_manager(), tenant,
-      txn != nullptr ? txn->EnsureLockHolder() : 0);
-  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
-  stats_.statements_transformed++;
-  Result<int64_t> out = [&]() -> Result<int64_t> {
-    switch (stmt.kind) {
-      case sql::StatementKind::kInsert:
-        return GenericInsert(tenant, *stmt.insert, params);
-      case sql::StatementKind::kUpdate:
-        return GenericUpdate(tenant, *stmt.update, params);
-      case sql::StatementKind::kDelete:
-        return GenericDelete(tenant, *stmt.del, params);
-      default:
-        return Status::InvalidArgument(
-            "logical Execute() handles INSERT/UPDATE/DELETE");
-    }
-  }();
-  probe.Disarm();
-  NoteTenantOutcome(tenant, out.status());
-  return out;
-}
-
-Result<int64_t> SchemaMapping::InsertRow(TenantId tenant,
-                                         const std::string& table,
-                                         const Row& row) {
-  std::shared_lock<SharedLatch> lock(layer_mu_);
-  ProbeGuard probe;
-  MTDB_RETURN_IF_ERROR(CheckTenantAvailable(tenant, &probe));
-  // See Execute(): same row-lock scope around the structured insert.
-  txn::TransactionContext* txn = txn::TransactionContext::Current();
-  lock::StatementLockContext locks(
-      db_->lock_manager(), tenant,
-      txn != nullptr ? txn->EnsureLockHolder() : 0);
-  MTDB_ASSIGN_OR_RETURN(EffectiveTable eff, GetEffective(tenant, table));
-  std::vector<std::string> columns;
-  for (size_t i = 0; i < row.size() && i < eff.columns.size(); ++i) {
-    columns.push_back(eff.columns[i].name);
-  }
-  Result<int64_t> out = InsertMappedRow(tenant, table, columns, row);
-  probe.Disarm();
-  NoteTenantOutcome(tenant, out.status());
   return out;
 }
 

@@ -46,9 +46,6 @@ struct LayoutStats {
   Counter statement_rollbacks;
   /// Compensating physical statements executed during those rollbacks.
   Counter undo_statements;
-  /// Times a tenant crossed the consecutive-hard-fault threshold and was
-  /// quarantined.
-  Counter quarantine_trips;
 };
 
 /// Observes every physical statement the mapping layer emits against the
@@ -79,7 +76,7 @@ class StatementUndoLog;
 ///
 /// Thread-safety: tenant sessions from an application server's
 /// connection pool share one layout object and run in parallel.
-/// Statement entry points (Query/Execute/InsertRow/...) hold the layer
+/// Statement entry points (Run/InsertRow/ExplainMapping/...) hold the layer
 /// latch shared; admin operations (CreateTenant/EnableExtension/
 /// DropTenant) hold it exclusive, so DDL drains in-flight statements and
 /// statements never observe half-switched mappings. The mapping cache
@@ -100,8 +97,9 @@ class SchemaMapping : public MappingResolver {
   /// Creates layout-global physical structures (generic tables etc.).
   virtual Status Bootstrap() = 0;
 
-  /// Opens a per-worker tenant session (the front door mirroring
-  /// Database::OpenSession). Cheap value handle, one per thread.
+  /// Opens a per-worker tenant session: an engine Session whose executor
+  /// is this layout (Run, InsertRow). Cheap value handle, one per
+  /// thread.
   TenantSession OpenSession(TenantId tenant);
 
   // Admin operations: non-virtual template methods that take the layer
@@ -133,11 +131,20 @@ class SchemaMapping : public MappingResolver {
 
   // --- logical statement execution -----------------------------------
 
-  /// Runs a logical SELECT for `tenant`.
+  /// The tenant session's executor: runs one parsed logical SELECT,
+  /// INSERT, UPDATE, DELETE or EXPLAIN MAPPING for `tenant`, yielding
+  /// rows, the affected logical rows, or the explanation. Takes no
+  /// admission and no transaction gate itself — the Session pipeline in
+  /// front of it does.
+  Result<StatementResult> Run(TenantId tenant, const sql::Statement& stmt,
+                              const std::vector<Value>& params);
+
+  /// Parse + Run for a logical SELECT (setup, tools and tests; clients
+  /// go through a TenantSession).
   Result<QueryResult> Query(TenantId tenant, const std::string& sql,
                             const std::vector<Value>& params = {});
 
-  /// Runs logical INSERT/UPDATE/DELETE for `tenant`; returns affected
+  /// Parse + Run for a logical INSERT/UPDATE/DELETE; returns affected
   /// logical rows.
   Result<int64_t> Execute(TenantId tenant, const std::string& sql,
                           const std::vector<Value>& params = {});
@@ -162,8 +169,8 @@ class SchemaMapping : public MappingResolver {
 
   /// Direct structured insert (used by bulk loaders): values in the
   /// tenant's effective column order; missing trailing columns NULL.
-  virtual Result<int64_t> InsertRow(TenantId tenant, const std::string& table,
-                                    const Row& row);
+  Result<int64_t> InsertRow(TenantId tenant, const std::string& table,
+                            const Row& row);
 
   // --- configuration ----------------------------------------------------
 
@@ -219,32 +226,15 @@ class SchemaMapping : public MappingResolver {
   /// backoff one probe statement is let through (half-open); success
   /// closes the breaker, another hard fault re-opens it with a doubled
   /// backoff. The strike counter is consecutive: any completed
-  /// statement (success or logical error) resets it. Read the state
-  /// with TenantBreakerState().
+  /// statement (success or logical error) resets it. The threshold and
+  /// backoff window come from DatabaseOptions (breaker_threshold,
+  /// breaker_backoff_*_ms). Read the state with TenantBreakerState();
+  /// every trip bumps breaker.open.t<id>.
 
   /// Force-closes a tenant's breaker and zeroes its fault state
   /// (operator action after the underlying fault is repaired; the
   /// breaker also heals itself via half-open probes).
   Status ClearQuarantine(TenantId tenant);
-
-  /// Consecutive hard-faulted statements before the breaker opens.
-  void set_quarantine_threshold(uint64_t n) {
-    quarantine_threshold_.store(n, std::memory_order_relaxed);
-  }
-  uint64_t quarantine_threshold() const {
-    return quarantine_threshold_.load(std::memory_order_relaxed);
-  }
-
-  /// Breaker backoff window before a tripped tenant's first half-open
-  /// probe, doubling per consecutive trip up to the max. Defaults come
-  /// from DatabaseOptions (breaker_backoff_*_ms); tests shrink them to
-  /// exercise the open → half-open → closed cycle quickly.
-  void set_breaker_backoff_ms(uint64_t initial_ms, uint64_t max_ms) {
-    breaker_backoff_initial_ns_.store(initial_ms * 1'000'000,
-                                      std::memory_order_relaxed);
-    breaker_backoff_max_ns_.store(max_ms * 1'000'000,
-                                  std::memory_order_relaxed);
-  }
 
   /// The tenant's breaker state (tests/operators; kClosed for unknown
   /// tenants).
@@ -348,12 +338,13 @@ class SchemaMapping : public MappingResolver {
   /// Feeds a statement outcome into the tenant's breaker: hard faults
   /// (kIOError/kDataLoss) accumulate strikes and open the breaker at
   /// the threshold; any completed statement (success or logical error)
-  /// resets the strikes and closes a half-open probe. Also tallies
-  /// deadline.exceeded.t<id>.
+  /// resets the strikes and closes a half-open probe.
   void NoteTenantOutcome(TenantId tenant, const Status& status);
 
-  /// Snapshot of the breaker tunables (threshold + backoff window).
-  CircuitBreaker::Options BreakerOptions() const;
+  /// Runs one logical write under the layer latch (shared), the tenant's
+  /// breaker and a row-lock scope, and feeds its outcome to the breaker.
+  template <typename Fn>
+  Result<int64_t> RunWrite(TenantId tenant, Fn&& body);
 
   /// Generic DML implementations driven by the TableMapping (used by all
   /// generic layouts; Private/Basic override with direct rewrites).
@@ -467,13 +458,29 @@ class SchemaMapping : public MappingResolver {
   std::atomic<PhysicalStatementObserver*> observer_{nullptr};
   /// See SetPostCollectHookForTest.
   std::function<void()> post_collect_hook_for_test_;
+  /// The layout as a Session executor. A member rather than a second base
+  /// class: GCC 12 devirtualizes calls on a final layout with two
+  /// polymorphic bases to __cxa_pure_virtual.
+  class Executor final : public StatementExecutor {
+   public:
+    explicit Executor(SchemaMapping* layout) : layout_(layout) {}
+    Result<StatementResult> Run(TenantId tenant, const sql::Statement& stmt,
+                                const std::vector<Value>& params) override {
+      return layout_->Run(tenant, stmt, params);
+    }
+    Result<int64_t> InsertRow(TenantId tenant, const std::string& table,
+                              const Row& row) override {
+      return layout_->InsertRow(tenant, table, row);
+    }
+
+   private:
+    SchemaMapping* layout_;
+  };
+  Executor executor_{this};
   /// Set by layouts that provision `del` visibility columns.
   bool trashcan_deletes_ = false;
-  /// Consecutive hard faults before a tenant's breaker opens.
-  std::atomic<uint64_t> quarantine_threshold_{8};
-  /// Breaker backoff window (config knobs, not statistics).
-  std::atomic<uint64_t> breaker_backoff_initial_ns_{100'000'000};
-  std::atomic<uint64_t> breaker_backoff_max_ns_{5'000'000'000};
+  /// Breaker threshold and backoff window, from DatabaseOptions.
+  const CircuitBreaker::Options breaker_options_;
   std::map<TenantId, TenantEntry> tenants_;
 
   /// Guards mapping_cache_. Read-mostly: statements look mappings up far

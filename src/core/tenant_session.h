@@ -1,26 +1,30 @@
 #ifndef MTDB_CORE_TENANT_SESSION_H_
 #define MTDB_CORE_TENANT_SESSION_H_
 
-#include <cctype>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/deadline.h"
 #include "common/trace.h"
 #include "core/layout.h"
-#include "engine/admission.h"
-#include "engine/txn_context.h"
+#include "engine/session.h"
+#include "sql/parser.h"
 
 namespace mtdb {
 namespace mapping {
 
-/// The mapping layer's client front door, mirroring the engine's
-/// Session: a lightweight per-worker handle bound to one tenant of one
-/// layout. Testbed workers and examples hold one per thread; any number
-/// may execute concurrently against the shared layout.
+/// The mapping layer's client front door: a lightweight per-worker
+/// handle bound to one tenant of one layout. Testbed workers and
+/// examples hold one per thread; any number may execute concurrently
+/// against the shared layout.
+///
+/// It holds an engine Session whose executor is the layout, so every
+/// statement takes the one Session pipeline (transaction control,
+/// deadline, tracing, transaction gate, admission under this tenant's
+/// id) and only the execution step differs: the layout rewrites the
+/// logical statement onto its physical tables. The Session is held, not
+/// inherited — a tenant session never accepts physical SQL.
 ///
 /// Like an engine Session, a TenantSession is NOT itself thread-safe —
 /// it belongs to one worker thread at a time.
@@ -28,31 +32,18 @@ class TenantSession {
  public:
   TenantSession() = default;
 
-  TenantSession(const TenantSession&) = delete;
-  TenantSession& operator=(const TenantSession&) = delete;
-  TenantSession(TenantSession&&) = default;
-  TenantSession& operator=(TenantSession&&) = default;
-
-  /// Runs a logical SELECT for this session's tenant. An active
-  /// `deadline` bounds the statement: it is cancelled cooperatively and
-  /// returns kDeadlineExceeded once the deadline passes (an inactive
-  /// deadline inherits any ambient one). Every statement also passes
-  /// through the engine's admission controller under this tenant's id —
-  /// rate-limited or overloaded tenants get kResourceExhausted with a
-  /// retry_after_ms hint instead of executing.
+  /// Runs a logical SELECT for this session's tenant; any other
+  /// statement is rejected with kInvalidArgument before it runs. An
+  /// active `deadline` bounds the statement: it is cancelled
+  /// cooperatively and returns kDeadlineExceeded once the deadline
+  /// passes (an inactive deadline inherits any ambient one). Every
+  /// statement also passes through the engine's admission controller
+  /// under this tenant's id — rate-limited or overloaded tenants get
+  /// kResourceExhausted with a retry_after_ms hint instead of executing.
   Result<QueryResult> Query(const std::string& sql,
                             const std::vector<Value>& params = {},
                             deadline::Deadline deadline = {}) {
-    if (layout_ == nullptr) return Status::InvalidArgument("session is closed");
-    statements_++;
-    deadline::Scope scope(deadline.active ? deadline : deadline::Current());
-    return Traced("select", [&]() -> Result<QueryResult> {
-      return GateTxn([&]() -> Result<QueryResult> {
-        AdmissionTicket ticket;
-        MTDB_RETURN_IF_ERROR(AdmitSelf(&ticket));
-        return layout_->Query(tenant_, sql, params);
-      });
-    });
+    return session_.Query(sql, params, deadline);
   }
 
   /// Runs logical INSERT/UPDATE/DELETE; returns affected logical rows.
@@ -63,109 +54,38 @@ class TenantSession {
   Result<int64_t> Execute(const std::string& sql,
                           const std::vector<Value>& params = {},
                           deadline::Deadline deadline = {}) {
-    if (layout_ == nullptr) return Status::InvalidArgument("session is closed");
-    switch (TxnControlOf(sql)) {
-      case 'B':
-        statements_++;
-        MTDB_RETURN_IF_ERROR(Begin());
-        return int64_t{0};
-      case 'C':
-        statements_++;
-        MTDB_RETURN_IF_ERROR(Commit());
-        return int64_t{0};
-      case 'R':
-        statements_++;
-        MTDB_RETURN_IF_ERROR(Rollback());
-        return int64_t{0};
-      default:
-        break;
+    if (!session_) return Status::InvalidArgument("session is closed");
+    MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
+    if (stmt.kind == sql::StatementKind::kSelect ||
+        stmt.kind == sql::StatementKind::kExplainMapping) {
+      return Status::InvalidArgument(
+          "Execute() returns no rows; use Query() or Explain()");
     }
-    statements_++;
-    deadline::Scope scope(deadline.active ? deadline : deadline::Current());
-    return Traced(GuessKind(sql), [&]() -> Result<int64_t> {
-      return GateTxn([&]() -> Result<int64_t> {
-        AdmissionTicket ticket;
-        MTDB_RETURN_IF_ERROR(AdmitSelf(&ticket));
-        return layout_->Execute(tenant_, sql, params);
-      });
-    });
+    MTDB_ASSIGN_OR_RETURN(StatementResult res,
+                          session_.Execute(stmt, params, deadline));
+    return AffectedOf(res);
   }
 
   /// Direct structured insert (bulk loaders): values in the tenant's
   /// effective column order; missing trailing columns NULL.
   Result<int64_t> InsertRow(const std::string& table, const Row& row,
                             deadline::Deadline deadline = {}) {
-    if (layout_ == nullptr) return Status::InvalidArgument("session is closed");
-    statements_++;
-    deadline::Scope scope(deadline.active ? deadline : deadline::Current());
-    return Traced("insert", [&]() -> Result<int64_t> {
-      return GateTxn([&]() -> Result<int64_t> {
-        AdmissionTicket ticket;
-        MTDB_RETURN_IF_ERROR(AdmitSelf(&ticket));
-        return layout_->InsertRow(tenant_, table, row);
-      });
-    });
+    return session_.InsertRow(table, row, deadline);
   }
 
-  /// Client transaction control: between Begin() and Commit()/Rollback()
-  /// every logical statement's compensations accumulate in one
-  /// cross-statement undo log, Rollback() replays them newest-first,
-  /// and a crash before COMMIT's end record undoes the transaction on
-  /// recovery. Statements are still admitted one by one — an open
-  /// transaction holds no admission slot or latch between statements. A
-  /// failed statement poisons the transaction (only ROLLBACK accepted
-  /// afterwards); deadline expiry, admission rejection, or a breaker
-  /// trip rolls it back automatically (ROLLBACK then acknowledges). An
-  /// open transaction is rolled back when the session is destroyed.
-  Status Begin() {
-    if (layout_ == nullptr) return Status::InvalidArgument("session is closed");
-    if (txn_ != nullptr) {
-      return Status::FailedPrecondition("transaction already open");
-    }
-    auto ctx =
-        std::make_unique<txn::TransactionContext>(layout_->db(), tenant_);
-    MTDB_RETURN_IF_ERROR(ctx->Begin());
-    txn_ = std::move(ctx);
-    if (tracer_ != nullptr) {
-      tracer_->BeginTransaction(tenant_, layout_->name());
-    }
-    return Status::OK();
-  }
-
-  Status Commit() {
-    if (layout_ == nullptr) return Status::InvalidArgument("session is closed");
-    if (txn_ == nullptr) {
-      return Status::FailedPrecondition("no transaction open");
-    }
-    Status st = txn_->Commit();
-    if (st.code() == StatusCode::kFailedPrecondition) {
-      // Poisoned or aborted: stays open until the client ROLLBACKs.
-      return st;
-    }
-    txn_.reset();
-    if (tracer_ != nullptr) tracer_->EndTransaction(st.ok());
-    return st;
-  }
-
-  Status Rollback() {
-    if (layout_ == nullptr) return Status::InvalidArgument("session is closed");
-    if (txn_ == nullptr) {
-      return Status::FailedPrecondition("no transaction open");
-    }
-    Status st = Status::OK();
-    // An aborted transaction was already rolled back; acknowledge only.
-    if (txn_->open()) st = txn_->Rollback();
-    txn_.reset();
-    if (tracer_ != nullptr) tracer_->EndTransaction(false);
-    return st;
-  }
-
-  bool in_transaction() const { return txn_ != nullptr; }
+  /// Client transaction control (see Session::Begin): between Begin()
+  /// and Commit()/Rollback() every logical statement's compensations
+  /// accumulate in one cross-statement undo log, and a crash before
+  /// COMMIT's end record undoes the transaction on recovery.
+  Status Begin() { return session_.Begin(); }
+  Status Commit() { return session_.Commit(); }
+  Status Rollback() { return session_.Rollback(); }
+  bool in_transaction() const { return session_.in_transaction(); }
 
   /// Returns the transformed physical SQL (for inspection/examples).
   Result<std::string> ShowTransformed(const std::string& sql) {
     if (layout_ == nullptr) return Status::InvalidArgument("session is closed");
-    return layout_->ShowTransformed(tenant_, sql);
+    return layout_->ShowTransformed(tenant(), sql);
   }
 
   /// EXPLAIN MAPPING front door: reports the physical statements the
@@ -174,141 +94,34 @@ class TenantSession {
   Result<MappingExplanation> Explain(const std::string& sql,
                                      const std::vector<Value>& params = {}) {
     if (layout_ == nullptr) return Status::InvalidArgument("session is closed");
-    return layout_->ExplainMapping(tenant_, sql, params);
+    return layout_->ExplainMapping(tenant(), sql, params);
   }
 
   /// Per-session statement tracing (see common/trace.h): spans and I/O
   /// attribution aggregate into the engine's metrics registry under
   /// (tenant, layout, statement-kind). Off by default; MTDB_TRACE=1
   /// forces it on for every new session.
-  void EnableTracing(bool on = true) {
-    if (on && tracer_ == nullptr && layout_ != nullptr) {
-      tracer_ = std::make_unique<trace::StatementTracer>(
-          layout_->db()->metrics_registry());
-    }
-    if (tracer_ != nullptr) tracer_->set_enabled(on);
-  }
-  trace::StatementTracer* tracer() { return tracer_.get(); }
+  void EnableTracing(bool on = true) { session_.EnableTracing(on); }
+  trace::StatementTracer* tracer() { return session_.tracer(); }
 
-  TenantId tenant() const { return tenant_; }
+  TenantId tenant() const { return session_.tenant(); }
   SchemaMapping* layout() const { return layout_; }
   explicit operator bool() const { return layout_ != nullptr; }
 
   /// Statements this session has executed.
-  uint64_t statements_executed() const { return statements_; }
+  uint64_t statements_executed() const {
+    return session_.statements_executed();
+  }
 
  private:
   friend class SchemaMapping;
-  TenantSession(SchemaMapping* layout, TenantId tenant)
-      : layout_(layout), tenant_(tenant) {
-    if (trace::TracingForced()) EnableTracing();
-  }
-
-  /// Wraps one statement in a root span when tracing is enabled; the
-  /// disabled path is a null check.
-  template <typename Fn>
-  auto Traced(const char* kind, Fn&& fn) -> decltype(fn()) {
-    if (tracer_ == nullptr || !tracer_->enabled()) return fn();
-    tracer_->BeginStatement(tenant_, layout_->name(), kind);
-    auto out = [&] {
-      trace::TracerScope scope(tracer_.get());
-      return fn();
-    }();
-    tracer_->EndStatement(out.ok());
-    return out;
-  }
-
-  /// Admits one statement under this tenant's id; the wait (if any)
-  /// shows up as an "admit" span in traced sessions.
-  Status AdmitSelf(AdmissionTicket* ticket) {
-    trace::SpanScope admit("admit", layout_->name());
-    return layout_->db()->admission()->Admit(tenant_, deadline::Current(),
-                                             ticket);
-  }
-
-  /// Gates one statement against the open transaction (if any): rejects
-  /// statements in a poisoned/aborted transaction, installs the context
-  /// on the thread for the statement pipeline, and classifies failures —
-  /// deadline/admission/breaker failures abort the transaction on the
-  /// spot, ordinary failures poison it. The TLS scope never covers the
-  /// auto-rollback, so compensation replay cannot re-enter staging.
-  template <typename Fn>
-  auto GateTxn(Fn&& fn) -> decltype(fn()) {
-    if (txn_ == nullptr) return fn();
-    switch (txn_->state()) {
-      case txn::TransactionContext::State::kActive:
-        break;
-      case txn::TransactionContext::State::kPoisoned:
-        return Status::FailedPrecondition(
-            "transaction is poisoned by a failed statement; ROLLBACK it");
-      case txn::TransactionContext::State::kAborted:
-        return Status::FailedPrecondition(
-            "transaction was aborted; ROLLBACK to acknowledge");
-    }
-    auto out = [&] {
-      txn::TransactionContext::Scope in_txn(txn_.get());
-      return fn();
-    }();
-    if (!out.ok()) {
-      const StatusCode code = out.status().code();
-      if (code == StatusCode::kDeadlineExceeded ||
-          code == StatusCode::kResourceExhausted ||
-          code == StatusCode::kUnavailable ||
-          code == StatusCode::kAborted) {
-        // kAborted: this bracket lost a deadlock and must release its
-        // locks NOW — the cycle partner is still parked waiting for
-        // them. Rollback replays compensation, then drops the lock set.
-        (void)txn_->Rollback(/*is_auto=*/true);
-        txn_->MarkAborted();
-      } else {
-        txn_->Poison();
-      }
-    }
-    return out;
-  }
-
-  /// First-word sniff for transaction control in Execute's SQL string:
-  /// 'B'/'C'/'R' for BEGIN/COMMIT/ROLLBACK, 0 otherwise.
-  static char TxnControlOf(const std::string& sql) {
-    size_t i = sql.find_first_not_of(" \t\r\n");
-    if (i == std::string::npos) return 0;
-    size_t e = i;
-    while (e < sql.size() &&
-           std::isalpha(static_cast<unsigned char>(sql[e]))) {
-      e++;
-    }
-    std::string word = sql.substr(i, e - i);
-    for (char& c : word) {
-      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    }
-    if (word == "BEGIN") return 'B';
-    if (word == "COMMIT") return 'C';
-    if (word == "ROLLBACK") return 'R';
-    return 0;
-  }
-
-  /// Cheap statement-kind label for trace series without a parse: the
-  /// layer's Execute only accepts INSERT/UPDATE/DELETE.
-  static const char* GuessKind(const std::string& sql) {
-    size_t i = sql.find_first_not_of(" \t\r\n");
-    if (i == std::string::npos) return "execute";
-    switch (std::toupper(static_cast<unsigned char>(sql[i]))) {
-      case 'I':
-        return "insert";
-      case 'U':
-        return "update";
-      case 'D':
-        return "delete";
-      default:
-        return "execute";
-    }
-  }
+  TenantSession(SchemaMapping* layout, StatementExecutor* executor,
+                TenantId tenant)
+      : layout_(layout),
+        session_(layout->db(), executor, tenant, layout->name()) {}
 
   SchemaMapping* layout_ = nullptr;
-  TenantId tenant_ = -1;
-  uint64_t statements_ = 0;
-  std::unique_ptr<trace::StatementTracer> tracer_;
-  std::unique_ptr<txn::TransactionContext> txn_;
+  Session session_;
 };
 
 }  // namespace mapping

@@ -240,12 +240,6 @@ Database::Database(DatabaseOptions options)
   RegisterEngineGauges();
 }
 
-Database::Database(EngineOptions options)
-    : Database(DatabaseOptions{/*path=*/{}, /*engine=*/std::move(options),
-                               /*retry_policy=*/{},
-                               /*quarantine_threshold=*/8,
-                               /*admission=*/{}}) {}
-
 void Database::RegisterEngineGauges() {
   // Adapt the pre-existing counter structs into the registry namespace.
   // Gauges are evaluated at Snapshot() time, outside the registry latch,
@@ -430,20 +424,21 @@ Result<uint64_t> Database::BeginTxn() {
   return txn_id;
 }
 
-std::atomic<int64_t>* Database::OpenTxnCount(int64_t tenant) {
+OpenTxnCounters* Database::OpenTxnCount(int64_t tenant) {
   std::lock_guard<Latch> reg(txn_registry_mu_);
   auto it = txn_open_counts_.find(tenant);
   if (it == txn_open_counts_.end()) {
-    auto count = std::make_shared<std::atomic<int64_t>>(0);
-    it = txn_open_counts_.emplace(tenant, count).first;
+    auto counts = std::make_shared<OpenTxnCounters>();
+    it = txn_open_counts_.emplace(tenant, counts).first;
     // Registered exactly once per tenant (the registry's gauge list is
     // append-only); the shared_ptr keeps the callback valid for the
-    // registry's lifetime.
+    // registry's lifetime. Reading `closed` first keeps the difference
+    // non-negative while brackets open and close concurrently.
     registry_->RegisterGauge("txn.open.t" + std::to_string(tenant),
-                             [count]() -> uint64_t {
-                               int64_t v =
-                                   count->load(std::memory_order_relaxed);
-                               return v > 0 ? static_cast<uint64_t>(v) : 0;
+                             [counts]() -> uint64_t {
+                               uint64_t closed = counts->closed.value();
+                               uint64_t opened = counts->opened.value();
+                               return opened > closed ? opened - closed : 0;
                              });
   }
   return it->second.get();
@@ -514,9 +509,30 @@ Status Database::CommitDdlGroup(const PageMutationCapture& capture,
   return durability_->CommitGroup(capture, {}, blob_ptr);
 }
 
-Session Database::OpenSession() { return Session(this); }
+Session Database::OpenSession() {
+  return Session(this, this, kEngineTenant, "engine");
+}
 
-// --- string/AST front doors: thin wrappers over the one pipeline -------
+Result<StatementResult> Database::Run(TenantId /*tenant*/,
+                                      const sql::Statement& stmt,
+                                      const std::vector<Value>& params) {
+  return RunStatement(stmt, params);
+}
+
+Result<int64_t> Database::InsertRow(TenantId /*tenant*/,
+                                    const std::string& table, const Row& row) {
+  sql::Statement stmt;
+  stmt.kind = sql::StatementKind::kInsert;
+  stmt.insert = std::make_unique<sql::InsertStmt>();
+  stmt.insert->table = table;
+  std::vector<sql::ParsedExprPtr> values;
+  values.reserve(row.size());
+  for (const Value& v : row) values.push_back(sql::MakeLiteral(v));
+  stmt.insert->rows.push_back(std::move(values));
+  return RunMutation(stmt, {});
+}
+
+// --- direct front doors: no admission, deadline or transaction gate ----
 
 Result<QueryResult> Database::Execute(const std::string& sql,
                                       const std::vector<Value>& params) {

@@ -89,6 +89,32 @@ inline const MappingExplanation& ExplanationOf(const StatementResult& r) {
   return std::get<MappingExplanation>(r);
 }
 
+/// The one step of the Session statement pipeline that differs between
+/// front doors: runs a statement that has already been gated against the
+/// session's transaction, admitted and traced. The engine (Database)
+/// runs physical SQL as written; a SchemaMapping rewrites the tenant's
+/// logical statement onto its physical schema first (§6.1/§6.3).
+class StatementExecutor {
+ public:
+  virtual ~StatementExecutor() = default;
+
+  virtual Result<StatementResult> Run(TenantId tenant,
+                                      const sql::Statement& stmt,
+                                      const std::vector<Value>& params) = 0;
+
+  /// Direct row insert (bulk loaders): values in the table's column
+  /// order as `tenant` sees it; returns the rows inserted.
+  virtual Result<int64_t> InsertRow(TenantId tenant, const std::string& table,
+                                    const Row& row) = 0;
+};
+
+/// The two counts behind a tenant's txn.open gauge, which reads
+/// opened - closed. Only client brackets move them.
+struct OpenTxnCounters {
+  Counter opened;
+  Counter closed;
+};
+
 /// Aggregate engine counters (logical/physical I/O, buffer hit ratios).
 /// One composed snapshot from Database::Stats() — the single public
 /// accessor for every counter the engine keeps.
@@ -135,10 +161,9 @@ struct DatabaseOptions {
   EngineOptions engine;
   /// I/O retry/backoff policy installed on the buffer pool.
   RetryPolicy retry_policy;
-  /// Default consecutive-hard-fault threshold mapping layers use before
-  /// tripping a tenant's circuit breaker open (SchemaMapping can still
-  /// override per-layer).
-  uint64_t quarantine_threshold = 8;
+  /// Consecutive hard-faulted statements before a mapping layer trips a
+  /// tenant's circuit breaker open.
+  uint64_t breaker_threshold = 8;
   /// Per-tenant admission control (token buckets + global in-flight cap
   /// with a fair wait queue). Disabled by default.
   AdmissionOptions admission;
@@ -179,11 +204,9 @@ class AutoCheckpointDeferral {
   AutoCheckpointDeferral& operator=(const AutoCheckpointDeferral&) = delete;
 };
 
-class Database {
+class Database : public StatementExecutor {
  public:
-  explicit Database(DatabaseOptions options);
-  /// Convenience: in-memory engine from bare EngineOptions.
-  explicit Database(EngineOptions options = EngineOptions());
+  explicit Database(DatabaseOptions options = {});
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -225,9 +248,9 @@ class Database {
   /// checkpoints. Deregisters even when the append fails (frozen
   /// durability): recovery resolves the transaction from disk.
   Status EndTxn(uint64_t txn_id);
-  /// The count behind the per-tenant txn.open gauge, registered on first
-  /// use. Only client brackets move it.
-  std::atomic<int64_t>* OpenTxnCount(int64_t tenant);
+  /// The counts behind the per-tenant txn.open gauge, registered on
+  /// first use.
+  OpenTxnCounters* OpenTxnCount(int64_t tenant);
 
   // --- SQL front door -----------------------------------------------
 
@@ -235,10 +258,11 @@ class Database {
   /// per worker thread. Any number may be open concurrently.
   Session OpenSession();
 
-  /// Executes any SQL statement. SELECTs return rows; DML returns the
+  /// Executes any SQL statement directly on the engine: no admission,
+  /// deadline, transaction gate or tracing (setup, tools and tests;
+  /// clients go through a Session). SELECTs return rows; DML returns the
   /// affected-row count as a single pseudo-row ("affected"); DDL returns
-  /// zero affected. Thin wrapper over the Session path, kept for
-  /// single-statement convenience.
+  /// zero affected.
   Result<QueryResult> Execute(const std::string& sql,
                               const std::vector<Value>& params = {});
 
@@ -283,19 +307,11 @@ class Database {
   /// it; gauges adapt the struct counters).
   MetricsRegistry* metrics_registry() { return registry_.get(); }
 
-  uint64_t default_quarantine_threshold() const {
-    return options_db_.quarantine_threshold;
-  }
-  uint64_t breaker_backoff_initial_ms() const {
-    return options_db_.breaker_backoff_initial_ms;
-  }
-  uint64_t breaker_backoff_max_ms() const {
-    return options_db_.breaker_backoff_max_ms;
-  }
+  const DatabaseOptions& options() const { return options_db_; }
 
   /// The engine's admission controller (never null; disabled unless
-  /// DatabaseOptions::admission.enabled). Session/TenantSession front
-  /// doors pass every statement through it.
+  /// DatabaseOptions::admission.enabled). The Session pipeline passes
+  /// every statement through it.
   AdmissionController* admission() { return admission_.get(); }
 
   /// The logical-row lock manager (DESIGN.md §15), or nullptr when
@@ -315,15 +331,20 @@ class Database {
   }
 
  private:
-  friend class Session;
 
   /// Registers gauges adapting the I/O-fault, buffer-pool, page-store
   /// and durability counters into the metrics registry.
   void RegisterEngineGauges();
 
-  /// The single parsed-statement pipeline every front door funnels into:
-  /// takes the DDL latch (shared or exclusive), latches the touched
-  /// tables in canonical order, and dispatches.
+  // StatementExecutor: a Session's statements run here unchanged.
+  Result<StatementResult> Run(TenantId tenant, const sql::Statement& stmt,
+                              const std::vector<Value>& params) override;
+  Result<int64_t> InsertRow(TenantId tenant, const std::string& table,
+                            const Row& row) override;
+
+  /// Runs one parsed statement: takes the DDL latch (shared or
+  /// exclusive), latches the touched tables in canonical order, and
+  /// dispatches.
   Result<StatementResult> RunStatement(const sql::Statement& stmt,
                                        const std::vector<Value>& params);
   Result<QueryResult> RunSelect(const sql::SelectStmt& stmt,
@@ -405,7 +426,7 @@ class Database {
   /// gate+DDL-exclusive snapshot race-free.
   mutable Latch txn_registry_mu_{LatchRank::kTxnRegistry, "txn-registry"};
   std::map<uint64_t, std::vector<std::string>> open_txns_;
-  std::map<int64_t, std::shared_ptr<std::atomic<int64_t>>> txn_open_counts_;
+  std::map<int64_t, std::shared_ptr<OpenTxnCounters>> txn_open_counts_;
   /// Client-txn ids for in-memory engines (no WAL to assign them).
   std::atomic<uint64_t> mem_txn_id_{1};
 };

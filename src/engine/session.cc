@@ -1,5 +1,7 @@
 #include "engine/session.h"
 
+#include <optional>
+
 #include "sql/ast_util.h"
 #include "sql/parser.h"
 
@@ -22,36 +24,40 @@ bool IsDdl(sql::StatementKind kind) {
 // Failures after which the transaction cannot make progress and the
 // session aborts it on the spot (as opposed to ordinary statement
 // failures, which poison it and wait for the client's ROLLBACK):
-// deadline expiry, admission rejection, breaker-open quarantine.
+// deadline expiry, admission rejection, breaker-open quarantine, and
+// deadlock victims (kAborted), whose bracket must roll back and release
+// its lock set immediately so the cycle partner can proceed.
 bool AbortsTransaction(StatusCode code) {
-  // kAborted = deadlock victim: the bracket must roll back and release
-  // its lock set immediately so the cycle partner can proceed.
   return code == StatusCode::kDeadlineExceeded ||
          code == StatusCode::kResourceExhausted ||
          code == StatusCode::kUnavailable ||
          code == StatusCode::kAborted;
 }
 
+Status SessionClosed() { return Status::InvalidArgument("session is closed"); }
+
 }  // namespace
 
-Session::Session(Database* db) : db_(db) {
+Session::Session(Database* db, StatementExecutor* executor, TenantId tenant,
+                 std::string label)
+    : db_(db), executor_(executor), tenant_(tenant), label_(std::move(label)) {
   if (trace::TracingForced()) EnableTracing();
 }
 
 Status Session::Begin() {
-  if (db_ == nullptr) return Status::InvalidArgument("session is closed");
+  if (db_ == nullptr) return SessionClosed();
   if (txn_ != nullptr) {
     return Status::FailedPrecondition("transaction already open");
   }
-  auto ctx = std::make_unique<txn::TransactionContext>(db_, kEngineTenant);
+  auto ctx = std::make_unique<txn::TransactionContext>(db_, tenant_);
   MTDB_RETURN_IF_ERROR(ctx->Begin());
   txn_ = std::move(ctx);
-  if (tracer_ != nullptr) tracer_->BeginTransaction(kEngineTenant, "engine");
+  if (tracer_ != nullptr) tracer_->BeginTransaction(tenant_, label_);
   return Status::OK();
 }
 
 Status Session::Commit() {
-  if (db_ == nullptr) return Status::InvalidArgument("session is closed");
+  if (db_ == nullptr) return SessionClosed();
   if (txn_ == nullptr) {
     return Status::FailedPrecondition("no transaction open");
   }
@@ -70,7 +76,7 @@ Status Session::Commit() {
 }
 
 Status Session::Rollback() {
-  if (db_ == nullptr) return Status::InvalidArgument("session is closed");
+  if (db_ == nullptr) return SessionClosed();
   if (txn_ == nullptr) {
     return Status::FailedPrecondition("no transaction open");
   }
@@ -91,86 +97,98 @@ void Session::EnableTracing(bool on) {
   if (tracer_ != nullptr) tracer_->set_enabled(on);
 }
 
-Result<StatementResult> Session::Execute(const std::string& sql,
-                                         const Params& params) {
-  if (db_ == nullptr) return Status::InvalidArgument("session is closed");
-  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
-  return ExecuteParsed(stmt, params);
-}
-
-Result<StatementResult> Session::Execute(const sql::Statement& stmt,
-                                         const Params& params) {
-  return ExecuteParsed(stmt, params);
-}
-
-Result<StatementResult> Session::Execute(const PreparedStatement& prepared,
-                                         const Params& params) {
-  return ExecuteParsed(prepared.statement(), params);
-}
-
-Result<StatementResult> Session::Execute(const std::string& sql,
-                                         const Params& params,
-                                         deadline::Deadline deadline) {
-  if (db_ == nullptr) return Status::InvalidArgument("session is closed");
-  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
-  return ExecuteParsed(stmt, params, deadline);
-}
-
-Result<StatementResult> Session::Execute(const sql::Statement& stmt,
-                                         const Params& params,
-                                         deadline::Deadline deadline) {
-  return ExecuteParsed(stmt, params, deadline);
-}
-
-Result<StatementResult> Session::Execute(const PreparedStatement& prepared,
-                                         const Params& params,
-                                         deadline::Deadline deadline) {
-  return ExecuteParsed(prepared.statement(), params, deadline);
-}
-
-Result<QueryResult> Session::Query(const std::string& sql,
-                                   const Params& params,
-                                   deadline::Deadline deadline) {
-  MTDB_ASSIGN_OR_RETURN(StatementResult res, Execute(sql, params, deadline));
-  if (!HasRows(res)) {
-    return Status::InvalidArgument("Query() requires a SELECT statement");
+template <typename Fn>
+auto Session::Pipeline(sql::StatementKind kind, deadline::Deadline deadline,
+                       Fn&& run) -> decltype(run()) {
+  // An explicit deadline shadows any ambient one for this statement; an
+  // inactive argument re-installs the ambient deadline (no-op).
+  deadline::Scope in_deadline(deadline.active ? deadline
+                                              : deadline::Current());
+  const bool traced = tracer_ != nullptr && tracer_->enabled();
+  std::optional<trace::TracerScope> in_trace;
+  if (traced) {
+    tracer_->BeginStatement(tenant_, label_, sql::KindLabel(kind));
+    in_trace.emplace(tracer_.get());
   }
-  return std::move(std::get<QueryResult>(res));
+  auto res = [&]() -> decltype(run()) {
+    if (txn_ != nullptr) {
+      switch (txn_->state()) {
+        case txn::TransactionContext::State::kActive:
+          break;
+        case txn::TransactionContext::State::kPoisoned:
+          return Status::FailedPrecondition(
+              "transaction is poisoned by a failed statement; ROLLBACK it");
+        case txn::TransactionContext::State::kAborted:
+          return Status::FailedPrecondition(
+              "transaction was aborted; ROLLBACK to acknowledge");
+      }
+      if (IsDdl(kind)) {
+        return Status::FailedPrecondition(
+            "DDL is not allowed inside a transaction");
+      }
+    }
+    auto out = [&]() -> decltype(run()) {
+      // The Scope makes the open transaction visible to the executor
+      // (undo binding + engine compensation staging). It must NOT cover
+      // the rollback below: compensation replay goes through the engine
+      // and must not re-enter the staging paths.
+      std::optional<txn::TransactionContext::Scope> in_txn;
+      if (txn_ != nullptr) in_txn.emplace(txn_.get());
+      AdmissionTicket ticket;
+      {
+        trace::SpanScope admit("admit", label_);
+        MTDB_RETURN_IF_ERROR(
+            db_->admission()->Admit(tenant_, deadline::Current(), &ticket));
+      }
+      return run();
+    }();
+    if (txn_ != nullptr && !out.ok()) {
+      if (AbortsTransaction(out.status().code())) {
+        (void)txn_->Rollback(/*is_auto=*/true);
+        txn_->MarkAborted();
+      } else {
+        txn_->Poison();
+      }
+    }
+    return out;
+  }();
+  if (traced) {
+    in_trace.reset();
+    tracer_->EndStatement(res.ok());
+  }
+  if (!res.ok() && res.status().code() == StatusCode::kDeadlineExceeded) {
+    MetricsRegistry* registry = db_->metrics_registry();
+    registry->GetCounter("deadline.exceeded")->Add(1);
+    registry->GetCounter("deadline.exceeded.t" + std::to_string(tenant_))
+        ->Add(1);
+  }
+  return res;
 }
 
 Result<PreparedStatement> Session::Prepare(const std::string& sql) const {
-  if (db_ == nullptr) return Status::InvalidArgument("session is closed");
+  if (db_ == nullptr) return SessionClosed();
   MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
   return PreparedStatement(std::move(stmt));
 }
 
-Result<QueryResult> Session::Query(const std::string& sql,
-                                   const Params& params) {
-  MTDB_ASSIGN_OR_RETURN(StatementResult res, Execute(sql, params));
-  if (!HasRows(res)) {
-    return Status::InvalidArgument("Query() requires a SELECT statement");
-  }
-  return std::move(std::get<QueryResult>(res));
+Result<StatementResult> Session::Execute(const std::string& sql,
+                                         const Params& params,
+                                         deadline::Deadline deadline) {
+  if (db_ == nullptr) return SessionClosed();
+  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
+  return Execute(stmt, params, deadline);
 }
 
-Status Session::InsertRow(const std::string& table, const Row& row) {
-  sql::Statement stmt;
-  stmt.kind = sql::StatementKind::kInsert;
-  stmt.insert = std::make_unique<sql::InsertStmt>();
-  stmt.insert->table = table;
-  std::vector<sql::ParsedExprPtr> values;
-  values.reserve(row.size());
-  for (const Value& v : row) values.push_back(sql::MakeLiteral(v));
-  stmt.insert->rows.push_back(std::move(values));
-  MTDB_ASSIGN_OR_RETURN(StatementResult res, ExecuteParsed(stmt, {}));
-  (void)res;
-  return Status::OK();
+Result<StatementResult> Session::Execute(const PreparedStatement& prepared,
+                                         const Params& params,
+                                         deadline::Deadline deadline) {
+  return Execute(prepared.statement(), params, deadline);
 }
 
-Result<StatementResult> Session::ExecuteParsed(const sql::Statement& stmt,
-                                               const Params& params,
-                                               deadline::Deadline deadline) {
-  if (db_ == nullptr) return Status::InvalidArgument("session is closed");
+Result<StatementResult> Session::Execute(const sql::Statement& stmt,
+                                         const Params& params,
+                                         deadline::Deadline deadline) {
+  if (db_ == nullptr) return SessionClosed();
   statements_++;
   // Transaction control bypasses admission and deadlines: BEGIN holds
   // no resources, and COMMIT/ROLLBACK must stay executable under
@@ -188,73 +206,29 @@ Result<StatementResult> Session::ExecuteParsed(const sql::Statement& stmt,
     default:
       break;
   }
-  // An explicit deadline shadows any ambient one for this statement; an
-  // inactive argument re-installs the ambient deadline (no-op).
-  deadline::Scope scope(deadline.active ? deadline : deadline::Current());
-  Result<StatementResult> res = txn_ != nullptr ? ExecuteInTxn(stmt, params)
-                                                : ExecuteAdmitted(stmt, params);
-  if (!res.ok() && res.status().code() == StatusCode::kDeadlineExceeded) {
-    db_->metrics_registry()->GetCounter("deadline.exceeded")->Add(1);
-  }
-  return res;
+  return Pipeline(stmt.kind, deadline,
+                  [&] { return executor_->Run(tenant_, stmt, params); });
 }
 
-Result<StatementResult> Session::ExecuteInTxn(const sql::Statement& stmt,
-                                              const Params& params) {
-  switch (txn_->state()) {
-    case txn::TransactionContext::State::kActive:
-      break;
-    case txn::TransactionContext::State::kPoisoned:
-      return Status::FailedPrecondition(
-          "transaction is poisoned by a failed statement; ROLLBACK it");
-    case txn::TransactionContext::State::kAborted:
-      return Status::FailedPrecondition(
-          "transaction was aborted; ROLLBACK to acknowledge");
+Result<QueryResult> Session::Query(const std::string& sql,
+                                   const Params& params,
+                                   deadline::Deadline deadline) {
+  if (db_ == nullptr) return SessionClosed();
+  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
+  if (stmt.kind != sql::StatementKind::kSelect) {
+    return Status::InvalidArgument("Query() requires a SELECT statement");
   }
-  if (IsDdl(stmt.kind)) {
-    return Status::FailedPrecondition(
-        "DDL is not allowed inside a transaction");
-  }
-  // The Scope makes the context visible to the statement pipeline (undo
-  // binding + engine compensation staging). It must NOT cover the
-  // rollback below: compensation replay goes through the same SQL front
-  // door and must not re-enter the staging paths.
-  Result<StatementResult> res = [&] {
-    txn::TransactionContext::Scope in_txn(txn_.get());
-    return ExecuteAdmitted(stmt, params);
-  }();
-  if (!res.ok()) {
-    if (AbortsTransaction(res.status().code())) {
-      (void)txn_->Rollback(/*is_auto=*/true);
-      txn_->MarkAborted();
-    } else {
-      txn_->Poison();
-    }
-  }
-  return res;
+  MTDB_ASSIGN_OR_RETURN(StatementResult res, Execute(stmt, params, deadline));
+  return std::move(std::get<QueryResult>(res));
 }
 
-Result<StatementResult> Session::ExecuteAdmitted(const sql::Statement& stmt,
-                                                 const Params& params) {
-  if (tracer_ == nullptr || !tracer_->enabled()) {
-    AdmissionTicket ticket;
-    MTDB_RETURN_IF_ERROR(db_->admission()->Admit(
-        kEngineTenant, deadline::Current(), &ticket));
-    return db_->RunStatement(stmt, params);
-  }
-  tracer_->BeginStatement(/*tenant=*/-1, "engine", sql::KindLabel(stmt.kind));
-  Result<StatementResult> res = [&]() -> Result<StatementResult> {
-    trace::TracerScope scope(tracer_.get());
-    AdmissionTicket ticket;
-    {
-      trace::SpanScope admit("admit", "engine");
-      MTDB_RETURN_IF_ERROR(db_->admission()->Admit(
-          kEngineTenant, deadline::Current(), &ticket));
-    }
-    return db_->RunStatement(stmt, params);
-  }();
-  tracer_->EndStatement(res.ok());
-  return res;
+Result<int64_t> Session::InsertRow(const std::string& table, const Row& row,
+                                   deadline::Deadline deadline) {
+  if (db_ == nullptr) return SessionClosed();
+  statements_++;
+  return Pipeline(sql::StatementKind::kInsert, deadline, [&] {
+    return executor_->InsertRow(tenant_, table, row);
+  });
 }
 
 }  // namespace mtdb

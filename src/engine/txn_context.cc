@@ -64,8 +64,8 @@ Status TransactionContext::Begin() {
   begun_ = true;
   state_ = State::kActive;
   if (client_) {
-    open_count_ = db_->OpenTxnCount(tenant_);
-    open_count_->fetch_add(1, std::memory_order_relaxed);
+    open_counts_ = db_->OpenTxnCount(tenant_);
+    open_counts_->opened.Add(1);
   }
   BumpCounter("begin");
   return Status::OK();
@@ -74,9 +74,7 @@ Status TransactionContext::Begin() {
 Status TransactionContext::Close() {
   if (!begun_) return Status::OK();
   begun_ = false;
-  if (open_count_ != nullptr) {
-    open_count_->fetch_sub(1, std::memory_order_relaxed);
-  }
+  if (open_counts_ != nullptr) open_counts_->closed.Add(1);
   return db_->EndTxn(txn_id_);
 }
 

@@ -1,7 +1,6 @@
 #ifndef MTDB_ENGINE_TXN_CONTEXT_H_
 #define MTDB_ENGINE_TXN_CONTEXT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,6 +11,7 @@
 namespace mtdb {
 
 class Database;
+struct OpenTxnCounters;
 
 namespace txn {
 
@@ -19,8 +19,8 @@ namespace txn {
 /// statements plus, on durable engines, the WAL bracket that makes it
 /// survive a crash. Two kinds of owner use it:
 ///
-///   * a client transaction — owned by a Session or TenantSession
-///     between an explicit BEGIN and the matching COMMIT / ROLLBACK.
+///   * a client transaction — owned by a Session (a TenantSession holds
+///     one) between an explicit BEGIN and the matching COMMIT / ROLLBACK.
 ///     Every mutating statement inside the bracket contributes its
 ///     confirmed compensations (in staging order), and Rollback()
 ///     replays the accumulated log newest-first through the ordinary
@@ -184,8 +184,8 @@ class TransactionContext {
 
   Database* db_;
   int64_t tenant_;
-  /// The per-tenant txn.open count; null for a statement-local bracket.
-  std::atomic<int64_t>* open_count_ = nullptr;
+  /// The per-tenant txn.open counts; null for a statement-local bracket.
+  OpenTxnCounters* open_counts_ = nullptr;
   const bool client_;
   State state_ = State::kActive;
   uint64_t txn_id_ = 0;

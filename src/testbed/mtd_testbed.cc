@@ -17,9 +17,9 @@ int InstancesFor(double variability, int num_tenants) {
 }
 
 MtdTestbed::MtdTestbed(TestbedConfig config) : config_(config) {
-  EngineOptions options;
-  options.memory_budget_bytes = config_.memory_budget_bytes;
-  options.read_latency_ns = config_.read_latency_ns;
+  DatabaseOptions options;
+  options.engine.memory_budget_bytes = config_.memory_budget_bytes;
+  options.engine.read_latency_ns = config_.read_latency_ns;
   db_ = std::make_unique<Database>(options);
 }
 

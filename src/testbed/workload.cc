@@ -214,7 +214,8 @@ Status Worker::InsertLight(TenantId tenant) {
   const CrmTable& t = CrmTables()[gen_.rng().Uniform(0, 9)];
   int64_t id = 1000000 + gen_.rng().Uniform(0, 100000000);
   Row row = gen_.CrmRow(t, tenant, id, rows_);
-  return session_.InsertRow(CrmTableName(t.name, InstanceOf(tenant)), row);
+  return session_.InsertRow(CrmTableName(t.name, InstanceOf(tenant)), row)
+      .status();
 }
 
 Status Worker::InsertHeavy(TenantId tenant) {
@@ -224,7 +225,7 @@ Status Worker::InsertHeavy(TenantId tenant) {
   for (int i = 0; i < 200; ++i) {
     int64_t id = 2000000 + gen_.rng().Uniform(0, 100000000);
     Row row = gen_.CrmRow(t, tenant, id, rows_);
-    MTDB_RETURN_IF_ERROR(session_.InsertRow(name, row));
+    MTDB_RETURN_IF_ERROR(session_.InsertRow(name, row).status());
   }
   return Status::OK();
 }

@@ -234,7 +234,11 @@ TEST(AdmissionTest, NoisyTenantCannotStarveWellBehavedTenant) {
 // NOT a hard fault: the tenant's breaker must stay closed throughout.
 TEST(DeadlineTest, MidStatementExpiryRollsBackAppliedWrites) {
   mapping::AppSchema app = mapping::FigureFourSchema();
-  Database db;
+  // Deliberately hair-trigger: if deadline expiry ever counted as a hard
+  // fault the breaker would trip within one iteration.
+  DatabaseOptions dopts;
+  dopts.breaker_threshold = 2;
+  Database db(dopts);
   std::unique_ptr<mapping::SchemaMapping> layout =
       mapping::MakeLayout(mapping::LayoutKind::kPivot, &db, &app);
   ASSERT_TRUE(layout->Bootstrap().ok());
@@ -247,9 +251,6 @@ TEST(DeadlineTest, MidStatementExpiryRollsBackAppliedWrites) {
                             {Value::Int64(1), Value::String("init"),
                              Value::String("mercy"), Value::Int32(10)})
                   .ok());
-  // Deliberately hair-trigger: if deadline expiry ever counted as a hard
-  // fault the breaker would trip within one iteration.
-  layout->set_quarantine_threshold(2);
 
   FaultInjector injector(23);
   db.page_store()->set_fault_injector(&injector);
@@ -322,6 +323,50 @@ TEST(DeadlineTest, ExpiredDeadlineCancelsUpFront) {
             1u);
   // The same statement without a deadline is untouched.
   EXPECT_TRUE(session.Execute("SELECT a FROM t").ok());
+}
+
+// A deadline that expires while the statement waits in the admission
+// queue counts like any other expiry, through either front door: once
+// engine-wide (deadline.exceeded) and once for the session's tenant
+// (deadline.exceeded.t<id>; engine sessions run as tenant -1).
+TEST(DeadlineTest, ExpiryWhileQueuedCountsForEveryFrontDoor) {
+  DatabaseOptions dopts;
+  dopts.admission.enabled = true;
+  dopts.admission.max_in_flight = 1;
+  Database db(dopts);
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT)").ok());
+  mapping::AppSchema app = mapping::FigureFourSchema();
+  std::unique_ptr<mapping::SchemaMapping> layout =
+      mapping::MakeLayout(mapping::LayoutKind::kBasic, &db, &app);
+  ASSERT_TRUE(layout->Bootstrap().ok());
+  ASSERT_TRUE(layout->CreateTenant(1).ok());
+
+  // The one in-flight slot is taken: every statement queues.
+  AdmissionTicket holder;
+  ASSERT_TRUE(
+      db.admission()->Admit(99, deadline::Deadline::None(), &holder).ok());
+  auto counter = [&](const std::string& name) {
+    return db.metrics_registry()->GetCounter(name)->value();
+  };
+
+  mapping::TenantSession tenant = layout->OpenSession(1);
+  auto r = tenant.Query("SELECT * FROM account", {},
+                        deadline::Deadline::AfterMillis(20));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(r.status().ToString().find("queued for admission"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_EQ(counter("deadline.exceeded"), 1u);
+  EXPECT_EQ(counter("deadline.exceeded.t1"), 1u);
+
+  Session engine = db.OpenSession();
+  auto e = engine.Query("SELECT a FROM t", {},
+                        deadline::Deadline::AfterMillis(20));
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(counter("deadline.exceeded"), 2u);
+  EXPECT_EQ(counter("deadline.exceeded.t-1"), 1u);
 }
 
 // ------------------------------------------------------ circuit breaker
@@ -417,7 +462,11 @@ TEST(CircuitBreakerTest, AbandonedProbeFreesTheHalfOpenSlot) {
 // hand the probe slot back, so the tenant still self-heals afterwards.
 TEST(CircuitBreakerTest, AbortedProbeStatementsDoNotWedgeTheBreaker) {
   mapping::AppSchema app = mapping::FigureFourSchema();
-  Database db;
+  DatabaseOptions dopts;
+  dopts.breaker_threshold = 1;
+  dopts.breaker_backoff_initial_ms = 50;
+  dopts.breaker_backoff_max_ms = 50;
+  Database db(dopts);
   std::unique_ptr<mapping::SchemaMapping> layout =
       mapping::MakeLayout(mapping::LayoutKind::kBasic, &db, &app);
   ASSERT_TRUE(layout->Bootstrap().ok());
@@ -426,8 +475,6 @@ TEST(CircuitBreakerTest, AbortedProbeStatementsDoNotWedgeTheBreaker) {
                   ->Execute(1, "INSERT INTO account (aid, name) VALUES (?, ?)",
                             {Value::Int64(1), Value::String("alpha")})
                   .ok());
-  layout->set_quarantine_threshold(1);
-  layout->set_breaker_backoff_ms(50, 50);
 
   FaultInjector injector(7);
   db.page_store()->set_fault_injector(&injector);
@@ -444,16 +491,16 @@ TEST(CircuitBreakerTest, AbortedProbeStatementsDoNotWedgeTheBreaker) {
   injector.DisarmAll();
 
   // Burn the probe slot with statements that never reach
-  // NoteTenantOutcome. First a parse error (aborts right after winning
-  // the probe); kUnavailable means the backoff window hadn't elapsed
-  // yet, so keep trying.
-  bool burned_parse = false;
-  for (int i = 0; i < 40 && !burned_parse; ++i) {
+  // NoteTenantOutcome. First a transform error (an unknown column aborts
+  // right after winning the probe); kUnavailable means the backoff
+  // window hadn't elapsed yet, so keep trying.
+  bool burned_transform = false;
+  for (int i = 0; i < 40 && !burned_transform; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    Status st = layout->Query(1, "SELEKT nonsense").status();
-    burned_parse = st.code() != StatusCode::kUnavailable;
+    Status st = layout->Query(1, "SELECT nonsense FROM account").status();
+    burned_transform = st.code() != StatusCode::kUnavailable;
   }
-  ASSERT_TRUE(burned_parse);
+  ASSERT_TRUE(burned_transform);
   EXPECT_EQ(layout->TenantBreakerState(1), BreakerState::kHalfOpen);
   // Then an explain, which completes without feeding the breaker — it
   // must hand the slot straight back rather than consume it.
@@ -476,7 +523,11 @@ TEST(CircuitBreakerTest, AbortedProbeStatementsDoNotWedgeTheBreaker) {
 // the backoff closes it again — no ClearQuarantine required.
 TEST(CircuitBreakerTest, QuarantineSelfHealsAfterDeviceRecovers) {
   mapping::AppSchema app = mapping::FigureFourSchema();
-  Database db;
+  DatabaseOptions dopts;
+  dopts.breaker_threshold = 2;
+  dopts.breaker_backoff_initial_ms = 250;
+  dopts.breaker_backoff_max_ms = 250;
+  Database db(dopts);
   std::unique_ptr<mapping::SchemaMapping> layout =
       mapping::MakeLayout(mapping::LayoutKind::kBasic, &db, &app);
   ASSERT_TRUE(layout->Bootstrap().ok());
@@ -486,8 +537,6 @@ TEST(CircuitBreakerTest, QuarantineSelfHealsAfterDeviceRecovers) {
                   ->Execute(1, "INSERT INTO account (aid, name) VALUES (?, ?)",
                             {Value::Int64(1), Value::String("alpha")})
                   .ok());
-  layout->set_quarantine_threshold(2);
-  layout->set_breaker_backoff_ms(250, 250);
 
   FaultInjector injector(7);
   db.page_store()->set_fault_injector(&injector);
@@ -527,7 +576,6 @@ TEST(CircuitBreakerTest, QuarantineSelfHealsAfterDeviceRecovers) {
             1u);
   EXPECT_GE(db.metrics_registry()->GetCounter("breaker.close.t1")->value(),
             1u);
-  EXPECT_GE(layout->stats().quarantine_trips.load(), 1u);
 
   auto r = layout->Query(1, "SELECT * FROM account");
   ASSERT_TRUE(r.ok());

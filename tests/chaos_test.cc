@@ -53,7 +53,11 @@ TEST_P(ChaosTest, FaultScheduleLeavesNoPartialStatements) {
   const int64_t deadline_ms = dl_env != nullptr ? std::atoll(dl_env) : 0;
 
   AppSchema app = FigureFourSchema();
-  Database db;
+  // Chaos exercises statement atomicity, not containment: push the
+  // breaker threshold out of reach so faulted tenants keep serving.
+  DatabaseOptions dopts;
+  dopts.breaker_threshold = 1'000'000;
+  Database db(dopts);
   std::unique_ptr<SchemaMapping> layout = MakeLayout(kind, &db, &app);
   ASSERT_TRUE(layout->Bootstrap().ok());
 
@@ -64,9 +68,6 @@ TEST_P(ChaosTest, FaultScheduleLeavesNoPartialStatements) {
   // Tenant 0 runs extended (4 logical columns) where the layout supports
   // extensibility; Basic does not — the paper's point — and stays at 2.
   const bool extended = layout->EnableExtension(0, "healthcare").ok();
-  // Chaos exercises statement atomicity, not containment: push the
-  // quarantine threshold out of reach so faulted tenants keep serving.
-  layout->set_quarantine_threshold(1'000'000);
 
   FaultInjector injector(seed);
   db.page_store()->set_fault_injector(&injector);
@@ -311,7 +312,9 @@ TEST_P(ChaosTxnTest, TransactionalBurstsKeepTheBracketAtomic) {
   const uint64_t seed = std::get<1>(GetParam());
 
   AppSchema app = FigureFourSchema();
-  Database db;
+  DatabaseOptions dopts;
+  dopts.breaker_threshold = 1'000'000;
+  Database db(dopts);
   std::unique_ptr<SchemaMapping> layout = MakeLayout(kind, &db, &app);
   ASSERT_TRUE(layout->Bootstrap().ok());
 
@@ -319,7 +322,6 @@ TEST_P(ChaosTxnTest, TransactionalBurstsKeepTheBracketAtomic) {
   for (TenantId t = 0; t < kTenants; ++t) {
     ASSERT_TRUE(layout->CreateTenant(t).ok());
   }
-  layout->set_quarantine_threshold(1'000'000);
 
   FaultInjector injector(seed);
   db.page_store()->set_fault_injector(&injector);

@@ -7,8 +7,6 @@ namespace {
 
 class EngineTest : public ::testing::Test {
  protected:
-  EngineTest() : db_(EngineOptions()) {}
-
   void SetUpParentChild() {
     ASSERT_TRUE(db_.Execute("CREATE TABLE parent (id BIGINT, name VARCHAR, "
                             "v INT)")

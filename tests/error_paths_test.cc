@@ -103,8 +103,9 @@ TEST_F(EngineErrorTest, ParseErrorsDoNotMutateState) {
 
 class MappingErrorTest : public ::testing::Test {
  protected:
-  MappingErrorTest()
+  explicit MappingErrorTest(DatabaseOptions options = {})
       : app_(mapping::FigureFourSchema()),
+        db_(std::move(options)),
         layout_(&db_, &app_) {
     EXPECT_TRUE(layout_.Bootstrap().ok());
     EXPECT_TRUE(layout_.CreateTenant(1).ok());
@@ -310,16 +311,28 @@ TEST_F(EngineErrorTest, ChecksumMismatchSurfacesThroughSessionExecute) {
 
 // --- tenant quarantine ---------------------------------------------------
 
-TEST_F(MappingErrorTest, RepeatedHardFaultsQuarantineOnlyThatTenant) {
+// Two hard faults open a tenant's breaker, and its backoff is pinned far
+// out so the "stays fenced" assertions cannot race a half-open probe on
+// a slow machine.
+class MappingQuarantineTest : public MappingErrorTest {
+ protected:
+  MappingQuarantineTest() : MappingErrorTest(Options()) {}
+
+  static DatabaseOptions Options() {
+    DatabaseOptions options;
+    options.breaker_threshold = 2;
+    options.breaker_backoff_initial_ms = 60'000;
+    options.breaker_backoff_max_ms = 60'000;
+    return options;
+  }
+};
+
+TEST_F(MappingQuarantineTest, RepeatedHardFaultsQuarantineOnlyThatTenant) {
   ASSERT_TRUE(layout_
                   .Execute(1, "INSERT INTO account (aid, name) VALUES (?, ?)",
                            {Value::Int64(1), Value::String("alpha")})
                   .ok());
   ASSERT_TRUE(layout_.CreateTenant(2).ok());
-  layout_.set_quarantine_threshold(2);
-  // Pin the breaker's backoff far out so the "stays fenced" assertions
-  // below cannot race a half-open probe on a slow machine.
-  layout_.set_breaker_backoff_ms(60'000, 60'000);
 
   FaultInjector injector(5);
   db_.page_store()->set_fault_injector(&injector);
@@ -334,7 +347,8 @@ TEST_F(MappingErrorTest, RepeatedHardFaultsQuarantineOnlyThatTenant) {
     EXPECT_FALSE(layout_.Query(1, "SELECT * FROM account").ok());
   }
   EXPECT_NE(layout_.TenantBreakerState(1), BreakerState::kClosed);
-  EXPECT_GE(layout_.stats().quarantine_trips.load(), 1u);
+  EXPECT_GE(db_.metrics_registry()->GetCounter("breaker.open.t1")->value(),
+            1u);
 
   // Fail-fast with the exact code, even after the device recovers: the
   // tenant stays fenced until an operator clears it.
@@ -367,7 +381,9 @@ TEST_F(MappingErrorTest, RepeatedHardFaultsQuarantineOnlyThatTenant) {
 // either the full old or the full new image.
 TEST(StatementAtomicityTest, MidStatementFaultRollsBackAppliedWrites) {
   mapping::AppSchema app = mapping::FigureFourSchema();
-  Database db;
+  DatabaseOptions dopts;
+  dopts.breaker_threshold = 1'000'000;
+  Database db(dopts);
   std::unique_ptr<mapping::SchemaMapping> layout =
       mapping::MakeLayout(mapping::LayoutKind::kPivot, &db, &app);
   ASSERT_TRUE(layout->Bootstrap().ok());
@@ -380,7 +396,6 @@ TEST(StatementAtomicityTest, MidStatementFaultRollsBackAppliedWrites) {
                             {Value::Int64(1), Value::String("init"),
                              Value::String("mercy"), Value::Int32(10)})
                   .ok());
-  layout->set_quarantine_threshold(1'000'000);
 
   FaultInjector injector(11);
   db.page_store()->set_fault_injector(&injector);

@@ -16,7 +16,7 @@ using mapping::SchemaMapping;
 class CrmOnChunkFoldingTest : public ::testing::Test {
  protected:
   CrmOnChunkFoldingTest()
-      : app_(testbed::BuildCrmAppSchema()), db_(EngineOptions()) {
+      : app_(testbed::BuildCrmAppSchema()) {
     layout_ = std::make_unique<ChunkFoldingLayout>(&db_, &app_);
     EXPECT_TRUE(layout_->Bootstrap().ok());
     for (TenantId t = 1; t <= 3; ++t) {

@@ -193,7 +193,7 @@ class LockInterleavingTest : public ::testing::TestWithParam<LayoutKind> {
                            {"qty", TypeId::kInt32, false}};
       ASSERT_TRUE(app_.AddTable(std::move(inventory)).ok());
     }
-    db_ = std::make_unique<Database>(EngineOptions{});
+    db_ = std::make_unique<Database>();
     layout_ = mapping::MakeLayout(GetParam(), db_.get(), &app_);
     ASSERT_TRUE(layout_->Bootstrap().ok());
     ASSERT_TRUE(layout_->CreateTenant(17).ok());
@@ -477,12 +477,13 @@ TEST(LockChaosTest, FaultsWhileLocksHeldStillReconcile) {
   for (LayoutKind kind : {LayoutKind::kBasic, LayoutKind::kChunkFolding}) {
     SCOPED_TRACE(mapping::LayoutKindName(kind));
     mapping::AppSchema app = mapping::FigureFourSchema();
-    Database db;
+    DatabaseOptions dopts;
+    dopts.breaker_threshold = 1'000'000;
+    Database db(dopts);
     std::unique_ptr<mapping::SchemaMapping> layout =
         mapping::MakeLayout(kind, &db, &app);
     ASSERT_TRUE(layout->Bootstrap().ok());
     ASSERT_TRUE(layout->CreateTenant(17).ok());
-    layout->set_quarantine_threshold(1'000'000);
     ASSERT_TRUE(layout
                     ->Execute(17,
                               "INSERT INTO account (aid, name) VALUES "

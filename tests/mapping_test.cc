@@ -15,7 +15,7 @@ const LayoutKind kExtensibleLayouts[] = {
 
 class MappingLayoutTest : public ::testing::TestWithParam<LayoutKind> {
  protected:
-  MappingLayoutTest() : app_(FigureFourSchema()), db_(EngineOptions()) {
+  MappingLayoutTest() : app_(FigureFourSchema()) {
     layout_ = MakeLayout(GetParam(), &db_, &app_);
   }
 

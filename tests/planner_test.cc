@@ -12,7 +12,7 @@ namespace {
 /// chunked and conventional schemas).
 class PlannerTest : public ::testing::Test {
  protected:
-  PlannerTest() : db_(EngineOptions()) {
+  PlannerTest() {
     // A chunk-table-like physical schema: meta columns + data columns.
     EXPECT_TRUE(db_.Execute("CREATE TABLE chunkdata (tenant INT, tbl INT, "
                             "chunk INT, row BIGINT, int1 BIGINT, str1 VARCHAR)")

@@ -94,12 +94,14 @@ TEST_P(RecoveryTest, CrashKillReopenMatchesShadow) {
   const std::string dir = FreshDir(std::string(LayoutKindName(kind)) +
                                    "_seed" + std::to_string(seed));
 
-  EngineOptions options;
+  DatabaseOptions options = DatabaseOptions::WithPath(dir);
   // Small enough that automatic checkpoints land inside the crash windows,
   // so kills hit checkpoint sites as well as append sites.
-  options.checkpoint_interval_bytes = 96 * 1024;
+  options.engine.checkpoint_interval_bytes = 96 * 1024;
+  // Faulted tenants keep serving: containment is not under test.
+  options.breaker_threshold = 1'000'000;
 
-  auto opened = Database::Open(DatabaseOptions::WithPath(dir, options));
+  auto opened = Database::Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
   std::unique_ptr<SchemaMapping> layout = MakeLayout(kind, db.get(), &app);
@@ -113,7 +115,6 @@ TEST_P(RecoveryTest, CrashKillReopenMatchesShadow) {
     ASSERT_TRUE(layout->CreateTenant(t).ok());
   }
   const bool extended = layout->EnableExtension(0, "healthcare").ok();
-  layout->set_quarantine_threshold(1'000'000);
 
   FaultInjector injector(seed);
   Rng rng(seed * 6151 + 3);
@@ -133,14 +134,13 @@ TEST_P(RecoveryTest, CrashKillReopenMatchesShadow) {
     db->page_store()->set_fault_injector(nullptr);
     layout.reset();
     db.reset();
-    auto r = Database::Open(DatabaseOptions::WithPath(dir, options));
+    auto r = Database::Open(options);
     ASSERT_TRUE(r.ok()) << "reopen: " << r.status().ToString();
     db = std::move(*r);
     layout = MakeLayout(kind, db.get(), &app);
     Status rec = layout->Recover();
     ASSERT_TRUE(rec.ok()) << "layout recover: " << rec.ToString();
-    layout->set_quarantine_threshold(1'000'000);
-  };
+    };
 
   constexpr int kCycles = 4;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
@@ -468,10 +468,12 @@ TEST_P(TxnRecoveryTest, CrashInsideTransactionsRecoversCommittedOnly) {
   const std::string dir = FreshDir(std::string("txn_") +
                                    LayoutKindName(kind) + "_seed" +
                                    std::to_string(seed));
-  EngineOptions options;
-  options.checkpoint_interval_bytes = 96 * 1024;
+  DatabaseOptions options = DatabaseOptions::WithPath(dir);
+  options.engine.checkpoint_interval_bytes = 96 * 1024;
+  // Faulted tenants keep serving: containment is not under test.
+  options.breaker_threshold = 1'000'000;
 
-  auto opened = Database::Open(DatabaseOptions::WithPath(dir, options));
+  auto opened = Database::Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<Database> db = std::move(*opened);
   std::unique_ptr<SchemaMapping> layout = MakeLayout(kind, db.get(), &app);
@@ -481,7 +483,6 @@ TEST_P(TxnRecoveryTest, CrashInsideTransactionsRecoversCommittedOnly) {
   for (TenantId t = 0; t < kTenants; ++t) {
     ASSERT_TRUE(layout->CreateTenant(t).ok());
   }
-  layout->set_quarantine_threshold(1'000'000);
 
   FaultInjector injector(seed);
   Rng rng(seed * 9173 + 29);
@@ -495,14 +496,13 @@ TEST_P(TxnRecoveryTest, CrashInsideTransactionsRecoversCommittedOnly) {
     db->page_store()->set_fault_injector(nullptr);
     layout.reset();
     db.reset();
-    auto r = Database::Open(DatabaseOptions::WithPath(dir, options));
+    auto r = Database::Open(options);
     ASSERT_TRUE(r.ok()) << "reopen: " << r.status().ToString();
     db = std::move(*r);
     layout = MakeLayout(kind, db.get(), &app);
     Status rec = layout->Recover();
     ASSERT_TRUE(rec.ok()) << "layout recover: " << rec.ToString();
-    layout->set_quarantine_threshold(1'000'000);
-  };
+    };
 
   // Even cycles arm a one-shot kill a random number of WAL appends in;
   // odd cycles run clean, guaranteeing committed bursts exist for the

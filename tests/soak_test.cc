@@ -125,7 +125,11 @@ class FaultSoakTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FaultSoakTest, EightThreadsUnderLowRateFaultsReconcile) {
   AppSchema app = FigureFourSchema();
-  Database db;
+  // Low-rate faults are absorbed by retries; the rare statement failure
+  // is legitimate, but it must never trip the tenant fence mid-soak.
+  DatabaseOptions dopts;
+  dopts.breaker_threshold = 1'000'000;
+  Database db(dopts);
   ChunkFoldingLayout layout(&db, &app);
   ASSERT_TRUE(layout.Bootstrap().ok());
 
@@ -136,9 +140,6 @@ TEST_P(FaultSoakTest, EightThreadsUnderLowRateFaultsReconcile) {
     ASSERT_TRUE(layout.CreateTenant(t).ok());
   }
   ASSERT_TRUE(layout.EnableExtension(0, "healthcare").ok());
-  // Low-rate faults are absorbed by retries; the rare statement failure
-  // is legitimate, but it must never trip the tenant fence mid-soak.
-  layout.set_quarantine_threshold(1'000'000);
 
   FaultInjector injector(static_cast<uint64_t>(GetParam()) * 31 + 5);
   db.page_store()->set_fault_injector(&injector);

@@ -13,7 +13,7 @@ namespace {
 /// mappings, without executing queries.
 class TransformerTest : public ::testing::Test {
  protected:
-  TransformerTest() : app_(FigureFourSchema()), db_(EngineOptions()) {
+  TransformerTest() : app_(FigureFourSchema()) {
     layout_ = std::make_unique<ChunkTableLayout>(&db_, &app_);
     EXPECT_TRUE(layout_->Bootstrap().ok());
     EXPECT_TRUE(layout_->CreateTenant(17).ok());

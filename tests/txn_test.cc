@@ -49,179 +49,289 @@ int64_t CountRows(Database* db, const std::string& table) {
   return r->rows[0][0].AsInt64();
 }
 
-// ------------------------------------------------- engine sessions
+// ------------------------------------------------- the front-door contract
 
-class EngineTxnTest : public ::testing::Test {
+// Both front doors run one statement pipeline, so one set of state-machine
+// cases covers both: the engine Session over a physical table, and a
+// TenantSession over the same logical table in a Chunk Folding layout.
+enum class Door { kEngine, kTenant };
+
+// One client connection through the door under test. Reads go through
+// Query, everything else through Execute.
+class Client {
+ public:
+  explicit Client(Session session) : engine_(std::move(session)) {}
+  explicit Client(mapping::TenantSession session)
+      : tenant_(std::move(session)) {}
+
+  Status Execute(const std::string& sql, deadline::Deadline deadline = {}) {
+    if (tenant_) return tenant_.Execute(sql, {}, deadline).status();
+    return engine_.Execute(sql, {}, deadline).status();
+  }
+  Status Query(const std::string& sql) {
+    if (tenant_) return tenant_.Query(sql).status();
+    return engine_.Query(sql).status();
+  }
+  Status Begin() { return tenant_ ? tenant_.Begin() : engine_.Begin(); }
+  Status Commit() { return tenant_ ? tenant_.Commit() : engine_.Commit(); }
+  Status Rollback() {
+    return tenant_ ? tenant_.Rollback() : engine_.Rollback();
+  }
+  bool in_transaction() const {
+    return tenant_ ? tenant_.in_transaction() : engine_.in_transaction();
+  }
+
+ private:
+  Session engine_;
+  mapping::TenantSession tenant_;
+};
+
+class FrontDoorTest : public ::testing::TestWithParam<Door> {
  protected:
   void SetUp() override {
-    db_ = std::make_unique<Database>(EngineOptions{});
-    ASSERT_TRUE(db_->Execute("CREATE TABLE t (id BIGINT, name VARCHAR)").ok());
-    session_ = std::make_unique<Session>(db_->OpenSession());
-    ASSERT_TRUE(
-        session_->Execute("INSERT INTO t VALUES (1, 'keep')", {}).ok());
+    db_ = std::make_unique<Database>();
+    if (GetParam() == Door::kEngine) {
+      ASSERT_TRUE(
+          db_->Execute("CREATE TABLE account (aid BIGINT, name VARCHAR)")
+              .ok());
+      ASSERT_TRUE(db_->Execute("INSERT INTO account VALUES (1, 'keep')").ok());
+    } else {
+      app_ = mapping::FigureFourSchema();
+      layout_ = mapping::MakeLayout(mapping::LayoutKind::kChunkFolding,
+                                    db_.get(), &app_);
+      ASSERT_TRUE(layout_->Bootstrap().ok());
+      ASSERT_TRUE(layout_->CreateTenant(0).ok());
+      ASSERT_TRUE(
+          layout_
+              ->Execute(0, "INSERT INTO account (aid, name) VALUES (1, 'keep')")
+              .ok());
+    }
+    client_ = std::make_unique<Client>(Open());
+  }
+
+  Client Open() {
+    return layout_ == nullptr ? Client(db_->OpenSession())
+                              : Client(layout_->OpenSession(0));
+  }
+
+  /// The account rows (aid, name) in aid order, read outside any session.
+  std::vector<Row> Rows() {
+    const std::string sql = "SELECT aid, name FROM account ORDER BY aid";
+    auto r = layout_ == nullptr ? db_->Query(sql) : layout_->Query(0, sql);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->rows : std::vector<Row>{};
+  }
+
+  /// A per-tenant series of the door's tenant (engine sessions run as
+  /// tenant -1).
+  uint64_t Count(const std::string& series) {
+    const std::string tenant = layout_ == nullptr ? "-1" : "0";
+    return db_->metrics_registry()->GetCounter(series + ".t" + tenant)->value();
+  }
+  uint64_t OpenGauge() {
+    const std::string tenant = layout_ == nullptr ? "-1" : "0";
+    // Gauges are evaluated at Snapshot() time and land in `counters`.
+    return db_->metrics_registry()->Snapshot().CounterValue("txn.open.t" +
+                                                            tenant);
   }
 
   std::unique_ptr<Database> db_;
-  std::unique_ptr<Session> session_;
+  mapping::AppSchema app_;
+  std::unique_ptr<mapping::SchemaMapping> layout_;
+  std::unique_ptr<Client> client_;
 };
 
-TEST_F(EngineTxnTest, CommitMakesAllStatementsVisible) {
-  ASSERT_TRUE(session_->Begin().ok());
-  EXPECT_TRUE(session_->in_transaction());
-  ASSERT_TRUE(session_->Execute("INSERT INTO t VALUES (2, 'a')", {}).ok());
-  ASSERT_TRUE(session_->Execute("INSERT INTO t VALUES (3, 'b')", {}).ok());
+TEST_P(FrontDoorTest, CommitMakesAllStatementsVisible) {
+  ASSERT_TRUE(client_->Begin().ok());
+  EXPECT_TRUE(client_->in_transaction());
   ASSERT_TRUE(
-      session_->Execute("UPDATE t SET name = 'x' WHERE id = 1", {}).ok());
-  ASSERT_TRUE(session_->Commit().ok());
-  EXPECT_FALSE(session_->in_transaction());
-  EXPECT_EQ(CountRows(db_.get(), "t"), 3);
-  auto r = db_->Query("SELECT name FROM t WHERE id = 1");
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->rows.size(), 1u);
-  EXPECT_EQ(r->rows[0][0].AsString(), "x");
-  EXPECT_EQ(db_->metrics_registry()->GetCounter("txn.commit.t-1")->value(),
-            1u);
+      client_->Execute("INSERT INTO account (aid, name) VALUES (2, 'a')").ok());
+  ASSERT_TRUE(
+      client_->Execute("INSERT INTO account (aid, name) VALUES (3, 'b')").ok());
+  ASSERT_TRUE(
+      client_->Execute("UPDATE account SET name = 'x' WHERE aid = 1").ok());
+  ASSERT_TRUE(client_->Commit().ok());
+  EXPECT_FALSE(client_->in_transaction());
+  std::vector<Row> rows = Rows();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0][1].AsString(), "x");
+  EXPECT_EQ(Count("txn.commit"), 1u);
 }
 
-TEST_F(EngineTxnTest, RollbackRestoresPreTransactionState) {
-  ASSERT_TRUE(session_->Begin().ok());
-  ASSERT_TRUE(session_->Execute("INSERT INTO t VALUES (2, 'a')", {}).ok());
+TEST_P(FrontDoorTest, RollbackRestoresPreTransactionState) {
+  ASSERT_TRUE(client_->Begin().ok());
   ASSERT_TRUE(
-      session_->Execute("UPDATE t SET name = 'clobbered' WHERE id = 1", {})
+      client_->Execute("INSERT INTO account (aid, name) VALUES (2, 'a')").ok());
+  ASSERT_TRUE(
+      client_->Execute("UPDATE account SET name = 'clobbered' WHERE aid = 1")
           .ok());
-  ASSERT_TRUE(session_->Execute("DELETE FROM t WHERE id = 2", {}).ok());
-  ASSERT_TRUE(session_->Execute("INSERT INTO t VALUES (4, 'd')", {}).ok());
-  ASSERT_TRUE(session_->Rollback().ok());
-  EXPECT_FALSE(session_->in_transaction());
-  EXPECT_EQ(CountRows(db_.get(), "t"), 1);
-  auto r = db_->Query("SELECT name FROM t WHERE id = 1");
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->rows.size(), 1u);
-  EXPECT_EQ(r->rows[0][0].AsString(), "keep");
-  EXPECT_EQ(db_->metrics_registry()->GetCounter("txn.rollback.t-1")->value(),
-            1u);
+  ASSERT_TRUE(client_->Execute("DELETE FROM account WHERE aid = 2").ok());
+  ASSERT_TRUE(
+      client_->Execute("INSERT INTO account (aid, name) VALUES (4, 'd')").ok());
+  ASSERT_TRUE(client_->Rollback().ok());
+  EXPECT_FALSE(client_->in_transaction());
+  std::vector<Row> rows = Rows();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][1].AsString(), "keep");
+  EXPECT_EQ(Count("txn.rollback"), 1u);
 }
 
-TEST_F(EngineTxnTest, SqlSurfaceRoutesToTransactionControl) {
-  ASSERT_TRUE(session_->Execute("BEGIN", {}).ok());
-  EXPECT_TRUE(session_->in_transaction());
-  ASSERT_TRUE(session_->Execute("INSERT INTO t VALUES (2, 'a')", {}).ok());
-  ASSERT_TRUE(session_->Execute("COMMIT", {}).ok());
-  EXPECT_FALSE(session_->in_transaction());
-  ASSERT_TRUE(session_->Execute("BEGIN TRANSACTION", {}).ok());
-  ASSERT_TRUE(session_->Execute("DELETE FROM t WHERE id = 2", {}).ok());
-  ASSERT_TRUE(session_->Execute("ROLLBACK", {}).ok());
-  EXPECT_EQ(CountRows(db_.get(), "t"), 2);
+TEST_P(FrontDoorTest, SqlSurfaceRoutesToTransactionControl) {
+  ASSERT_TRUE(client_->Execute("BEGIN").ok());
+  EXPECT_TRUE(client_->in_transaction());
+  ASSERT_TRUE(
+      client_->Execute("INSERT INTO account (aid, name) VALUES (2, 'a')").ok());
+  EXPECT_EQ(client_->Execute("  begin  ").code(),
+            StatusCode::kFailedPrecondition)
+      << "nested BEGIN must be rejected";
+  ASSERT_TRUE(client_->Execute("commit").ok());
+  EXPECT_FALSE(client_->in_transaction());
+  ASSERT_TRUE(client_->Execute("BEGIN TRANSACTION").ok());
+  ASSERT_TRUE(client_->Execute("DELETE FROM account WHERE aid = 2").ok());
+  ASSERT_TRUE(client_->Execute("ROLLBACK").ok());
+  EXPECT_EQ(Rows().size(), 2u);
 }
 
-TEST_F(EngineTxnTest, BracketMisuseIsRejected) {
-  auto no_txn = session_->Commit();
-  EXPECT_EQ(no_txn.code(), StatusCode::kFailedPrecondition);
-  no_txn = session_->Rollback();
-  EXPECT_EQ(no_txn.code(), StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(session_->Begin().ok());
-  auto nested = session_->Begin();
-  EXPECT_EQ(nested.code(), StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(session_->Rollback().ok());
+// Transaction control is recognised by parsing the whole statement, not
+// by its first word: trailing text after a transaction keyword is a
+// parse error that neither opens, commits nor rolls back anything, and
+// does not poison an open transaction.
+TEST_P(FrontDoorTest, TransactionKeywordPrefixesAreParseErrors) {
+  EXPECT_EQ(client_->Execute("BEGIN; DELETE FROM account").code(),
+            StatusCode::kParseError);
+  EXPECT_FALSE(client_->in_transaction());
+  EXPECT_EQ(Rows().size(), 1u) << "the DELETE after BEGIN must not run";
+
+  int64_t aid = 2;
+  for (const char* sql : {"ROLLBACK TO SAVEPOINT x", "COMMIT garbage"}) {
+    SCOPED_TRACE(sql);
+    Client client = Open();
+    ASSERT_TRUE(client.Begin().ok());
+    ASSERT_TRUE(client
+                    .Execute("INSERT INTO account (aid, name) VALUES (" +
+                             std::to_string(aid++) + ", 'a')")
+                    .ok());
+    EXPECT_EQ(client.Execute(sql).code(), StatusCode::kParseError);
+    EXPECT_TRUE(client.in_transaction());
+    EXPECT_TRUE(client.Commit().ok());
+  }
+  EXPECT_EQ(Rows().size(), 3u);
+  EXPECT_EQ(Count("txn.commit"), 2u);
 }
 
-TEST_F(EngineTxnTest, FailedStatementPoisonsUntilRollback) {
-  ASSERT_TRUE(session_->Begin().ok());
-  ASSERT_TRUE(session_->Execute("INSERT INTO t VALUES (2, 'a')", {}).ok());
+TEST_P(FrontDoorTest, BracketMisuseIsRejected) {
+  EXPECT_EQ(client_->Commit().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(client_->Rollback().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(client_->Begin().ok());
+  EXPECT_EQ(client_->Begin().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(client_->Rollback().ok());
+}
+
+TEST_P(FrontDoorTest, FailedStatementPoisonsUntilRollback) {
+  ASSERT_TRUE(client_->Begin().ok());
+  ASSERT_TRUE(
+      client_->Execute("INSERT INTO account (aid, name) VALUES (2, 'a')").ok());
   // Parseable but unexecutable: unknown table.
-  auto bad = session_->Execute("INSERT INTO nope VALUES (1, 'x')", {});
-  ASSERT_FALSE(bad.ok());
+  ASSERT_FALSE(client_->Execute("INSERT INTO nope VALUES (1, 'x')").ok());
   // Everything but ROLLBACK is now rejected — including reads.
-  auto blocked = session_->Execute("SELECT * FROM t", {});
-  ASSERT_FALSE(blocked.ok());
-  EXPECT_EQ(blocked.status().code(), StatusCode::kFailedPrecondition);
-  auto commit = session_->Commit();
-  EXPECT_EQ(commit.code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(session_->in_transaction());
-  ASSERT_TRUE(session_->Rollback().ok());
-  EXPECT_EQ(CountRows(db_.get(), "t"), 1);
+  EXPECT_EQ(client_->Query("SELECT * FROM account").code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(client_->Commit().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(client_->in_transaction());
+  ASSERT_TRUE(client_->Rollback().ok());
+  EXPECT_EQ(Rows().size(), 1u);
   // The session is usable again after the acknowledgement.
-  EXPECT_TRUE(session_->Execute("SELECT * FROM t", {}).ok());
+  EXPECT_TRUE(client_->Query("SELECT * FROM account").ok());
 }
 
-TEST_F(EngineTxnTest, DdlIsRejectedInsideATransaction) {
-  ASSERT_TRUE(session_->Begin().ok());
-  ASSERT_TRUE(session_->Execute("INSERT INTO t VALUES (2, 'a')", {}).ok());
-  auto ddl = session_->Execute("CREATE TABLE u (a INT)", {});
-  ASSERT_FALSE(ddl.ok());
-  EXPECT_EQ(ddl.status().code(), StatusCode::kFailedPrecondition);
-  ddl = session_->Execute("DROP TABLE t", {});
-  EXPECT_EQ(ddl.status().code(), StatusCode::kFailedPrecondition);
+TEST_P(FrontDoorTest, DdlIsRejectedInsideATransaction) {
+  ASSERT_TRUE(client_->Begin().ok());
+  ASSERT_TRUE(
+      client_->Execute("INSERT INTO account (aid, name) VALUES (2, 'a')").ok());
+  EXPECT_EQ(client_->Execute("CREATE TABLE u (a INT)").code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(client_->Execute("DROP TABLE account").code(),
+            StatusCode::kFailedPrecondition);
   // The rejection gates the statement up front: the transaction is
   // still active and commits cleanly.
-  ASSERT_TRUE(session_->Commit().ok());
-  EXPECT_EQ(CountRows(db_.get(), "t"), 2);
+  ASSERT_TRUE(client_->Commit().ok());
+  EXPECT_EQ(Rows().size(), 2u);
 }
 
-TEST_F(EngineTxnTest, SelectAndExplainRunInsideATransaction) {
-  ASSERT_TRUE(session_->Begin().ok());
-  ASSERT_TRUE(session_->Execute("INSERT INTO t VALUES (2, 'a')", {}).ok());
-  auto rows = session_->Execute("SELECT * FROM t", {});
+TEST_P(FrontDoorTest, DeadlineExpiryAbortsAndRollsBack) {
+  ASSERT_TRUE(client_->Begin().ok());
+  ASSERT_TRUE(
+      client_->Execute("INSERT INTO account (aid, name) VALUES (2, 'a')").ok());
+  EXPECT_EQ(client_->Execute("INSERT INTO account (aid, name) VALUES (3, 'b')",
+                             deadline::Deadline::AfterMillis(-5))
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  // The session already rolled the transaction back; statements are
+  // rejected until ROLLBACK acknowledges.
+  EXPECT_EQ(
+      client_->Execute("INSERT INTO account (aid, name) VALUES (4, 'c')")
+          .code(),
+      StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Count("txn.auto_rollback"), 1u);
+  // Both doors count the expiry engine-wide and per tenant.
+  EXPECT_EQ(db_->metrics_registry()->GetCounter("deadline.exceeded")->value(),
+            1u);
+  EXPECT_EQ(Count("deadline.exceeded"), 1u);
+  ASSERT_TRUE(client_->Rollback().ok());
+  EXPECT_EQ(Rows().size(), 1u);
+}
+
+TEST_P(FrontDoorTest, SessionDestructionRollsBackOpenTransaction) {
+  {
+    Client doomed = Open();
+    ASSERT_TRUE(doomed.Begin().ok());
+    ASSERT_TRUE(
+        doomed.Execute("INSERT INTO account (aid, name) VALUES (2, 'a')").ok());
+    ASSERT_TRUE(
+        doomed.Execute("UPDATE account SET name = 'gone' WHERE aid = 1").ok());
+  }
+  std::vector<Row> rows = Rows();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][1].AsString(), "keep");
+  EXPECT_EQ(Count("txn.auto_rollback"), 1u);
+}
+
+TEST_P(FrontDoorTest, OpenGaugeTracksTheBracket) {
+  ASSERT_TRUE(client_->Begin().ok());
+  EXPECT_EQ(OpenGauge(), 1u);
+  ASSERT_TRUE(client_->Commit().ok());
+  EXPECT_EQ(OpenGauge(), 0u);
+  ASSERT_TRUE(client_->Begin().ok());
+  ASSERT_TRUE(client_->Rollback().ok());
+  EXPECT_EQ(OpenGauge(), 0u);
+  EXPECT_EQ(Count("txn.begin"), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Doors, FrontDoorTest, ::testing::Values(Door::kEngine, Door::kTenant),
+    [](const ::testing::TestParamInfo<Door>& info) {
+      return std::string(info.param == Door::kEngine ? "engine" : "tenant");
+    });
+
+// Engine-only: EXPLAIN MAPPING through Execute inside a transaction only
+// plans and stages nothing. (A tenant session explains through
+// TenantSession::Explain, outside the statement pipeline.)
+TEST(EngineTxnTest, SelectAndExplainRunInsideATransaction) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (id BIGINT, name VARCHAR)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1, 'keep')").ok());
+  Session session = db.OpenSession();
+  ASSERT_TRUE(session.Begin().ok());
+  ASSERT_TRUE(session.Execute("INSERT INTO t VALUES (2, 'a')").ok());
+  auto rows = session.Execute("SELECT * FROM t");
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(RowsOf(*rows).rows.size(), 2u);
   auto explained =
-      session_->Execute("EXPLAIN MAPPING DELETE FROM t WHERE id = 2", {});
+      session.Execute("EXPLAIN MAPPING DELETE FROM t WHERE id = 2");
   ASSERT_TRUE(explained.ok()) << explained.status().ToString();
   EXPECT_TRUE(HasExplanation(*explained));
-  // EXPLAIN only plans — it must stage nothing into the undo log.
-  ASSERT_TRUE(session_->Rollback().ok());
-  EXPECT_EQ(CountRows(db_.get(), "t"), 1);
-}
-
-TEST_F(EngineTxnTest, DeadlineExpiryAbortsAndRollsBack) {
-  ASSERT_TRUE(session_->Begin().ok());
-  ASSERT_TRUE(session_->Execute("INSERT INTO t VALUES (2, 'a')", {}).ok());
-  auto expired = session_->Execute("INSERT INTO t VALUES (3, 'b')", {},
-                                   deadline::Deadline::AfterMillis(-5));
-  ASSERT_FALSE(expired.ok());
-  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
-  // The session already rolled the transaction back; statements are
-  // rejected until ROLLBACK acknowledges.
-  auto blocked = session_->Execute("INSERT INTO t VALUES (4, 'c')", {});
-  EXPECT_EQ(blocked.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(
-      db_->metrics_registry()->GetCounter("txn.auto_rollback.t-1")->value(),
-      1u);
-  ASSERT_TRUE(session_->Rollback().ok());
-  EXPECT_EQ(CountRows(db_.get(), "t"), 1);
-}
-
-TEST_F(EngineTxnTest, SessionDestructionRollsBackOpenTransaction) {
-  {
-    Session doomed = db_->OpenSession();
-    ASSERT_TRUE(doomed.Begin().ok());
-    ASSERT_TRUE(doomed.Execute("INSERT INTO t VALUES (2, 'a')", {}).ok());
-    ASSERT_TRUE(
-        doomed.Execute("UPDATE t SET name = 'gone' WHERE id = 1", {}).ok());
-  }
-  EXPECT_EQ(CountRows(db_.get(), "t"), 1);
-  auto r = db_->Query("SELECT name FROM t WHERE id = 1");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->rows[0][0].AsString(), "keep");
-  EXPECT_EQ(
-      db_->metrics_registry()->GetCounter("txn.auto_rollback.t-1")->value(),
-      1u);
-}
-
-TEST_F(EngineTxnTest, OpenGaugeTracksTheBracket) {
-  // Gauges are evaluated at Snapshot() time and land in `counters`.
-  auto gauge = [&]() -> uint64_t {
-    return db_->metrics_registry()->Snapshot().CounterValue("txn.open.t-1");
-  };
-  ASSERT_TRUE(session_->Begin().ok());
-  EXPECT_EQ(gauge(), 1u);
-  ASSERT_TRUE(session_->Commit().ok());
-  EXPECT_EQ(gauge(), 0u);
-  ASSERT_TRUE(session_->Begin().ok());
-  ASSERT_TRUE(session_->Rollback().ok());
-  EXPECT_EQ(gauge(), 0u);
-  EXPECT_EQ(db_->metrics_registry()->GetCounter("txn.begin.t-1")->value(),
-            2u);
+  ASSERT_TRUE(session.Rollback().ok());
+  EXPECT_EQ(CountRows(&db, "t"), 1);
 }
 
 // ------------------------------------------------- mapping sessions
@@ -230,7 +340,7 @@ class MappingTxnTest : public ::testing::TestWithParam<mapping::LayoutKind> {
  protected:
   void SetUp() override {
     app_ = mapping::FigureFourSchema();
-    db_ = std::make_unique<Database>(EngineOptions{});
+    db_ = std::make_unique<Database>();
     layout_ = mapping::MakeLayout(GetParam(), db_.get(), &app_);
     ASSERT_TRUE(layout_->Bootstrap().ok());
     ASSERT_TRUE(layout_->CreateTenant(0).ok());
@@ -288,23 +398,6 @@ TEST_P(MappingTxnTest, CommitAndRollbackAcrossLogicalStatements) {
             1u);
   EXPECT_EQ(db_->metrics_registry()->GetCounter("txn.rollback.t0")->value(),
             1u);
-}
-
-TEST_P(MappingTxnTest, SqlFirstWordRoutingControlsTheBracket) {
-  mapping::TenantSession session = layout_->OpenSession(0);
-  ASSERT_TRUE(session.Execute("BEGIN").ok());
-  EXPECT_TRUE(session.in_transaction());
-  ASSERT_TRUE(
-      session.Execute("INSERT INTO account (aid, name) VALUES (2, 'a')")
-          .ok());
-  ASSERT_TRUE(session.Execute("  begin  ").ok() == false)
-      << "nested BEGIN must be rejected";
-  ASSERT_TRUE(session.Execute("commit").ok());
-  EXPECT_FALSE(session.in_transaction());
-  ASSERT_TRUE(session.Execute("BEGIN TRANSACTION").ok());
-  ASSERT_TRUE(session.Execute("DELETE FROM account WHERE aid = 2").ok());
-  ASSERT_TRUE(session.Execute("ROLLBACK").ok());
-  EXPECT_EQ(Rows(0).size(), 2u);
 }
 
 TEST_P(MappingTxnTest, SessionTeardownRollsBackAndAuditsClean) {
@@ -385,7 +478,7 @@ TEST(MappingTxnAdmissionTest, AdmissionRejectionAbortsTheTransaction) {
 // ------------------------------------------------- tracer grouping
 
 TEST(TxnTracerTest, StatementsAttributeToTxnSeriesAndParentSpan) {
-  Database db{EngineOptions{}};
+  Database db;
   mapping::AppSchema app = mapping::FigureFourSchema();
   std::unique_ptr<mapping::SchemaMapping> layout =
       mapping::MakeLayout(mapping::LayoutKind::kBasic, &db, &app);
