@@ -7,9 +7,9 @@
 // replay, and the sealing checkpoint included.
 //
 // A last point runs mapped writes instead: Chunk Folding UPDATEs that
-// each touch the base table and a folded chunk (two physical statements
-// under one logical-transaction bracket) at the tightest interval, and
-// gates that automatic checkpoints fire during them.
+// each touch the base table and a folded chunk (two physical writes in
+// one engine write batch, logged as one redo group) at the tightest
+// interval, and gates that automatic checkpoints fire during them.
 //
 // Emits BENCH_recovery.json: recovery time, replayed-group counts and
 // what each statement logged (WAL bytes, full page images and delta

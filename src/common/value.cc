@@ -1,5 +1,7 @@
 #include "common/value.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -77,6 +79,20 @@ std::string Value::ToSqlLiteral() const {
     }
     out += "'";
     return out;
+  }
+  if (type_ == TypeId::kDouble && std::isfinite(AsDouble())) {
+    // The shortest fixed-point text that parses back to the same double:
+    // compensations and recovery hints find rows by exact value, and the
+    // lexer reads no exponent. A trailing ".0" keeps an integral value a
+    // DOUBLE literal (and out of the integer parser's range limits).
+    char buf[400];  // the longest fixed-point double is ~330 characters
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), AsDouble(),
+                                   std::chars_format::fixed);
+    if (ec == std::errc()) {
+      std::string out(buf, end);
+      if (out.find('.') == std::string::npos) out += ".0";
+      return out;
+    }
   }
   return ToString();
 }

@@ -45,7 +45,8 @@ class Value {
   int32_t AsDate() const { return static_cast<int32_t>(std::get<int64_t>(data_)); }
   const std::string& AsString() const { return std::get<std::string>(data_); }
 
-  /// SQL literal rendering ('quoted' strings, NULL, etc.).
+  /// SQL literal rendering ('quoted' strings, NULL, etc.); a DOUBLE
+  /// renders so that it parses back to exactly the same value.
   std::string ToSqlLiteral() const;
   /// Unquoted display rendering.
   std::string ToString() const;

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <set>
 
 #include "catalog/schema.h"
-#include "common/deadline.h"
 #include "core/tenant_session.h"
-#include "core/undo_log.h"
 #include "engine/lock_manager.h"
 #include "engine/txn_context.h"
 #include "sql/ast_util.h"
@@ -246,6 +243,7 @@ Status SchemaMapping::EnableExtensionImpl(TenantId tenant,
     return new_mapping.status();
   }
   const TableMapping* mapping = *new_mapping;
+  std::vector<PhysicalWrite> writes;
   for (const PhysicalSource& source : mapping->sources) {
     if (old_keys.count(SourceKey(source)) != 0) continue;
     if (source.row_column.empty()) continue;
@@ -268,10 +266,11 @@ Status SchemaMapping::EnableExtensionImpl(TenantId tenant,
         return Status::Internal("row column missing: " + source.row_column);
       }
       physical_row[*pos] = Value::Int64(row_id);
-      MTDB_RETURN_IF_ERROR(db_->InsertRow(source.physical_table, physical_row));
-      stats_.physical_statements++;
+      writes.push_back(PhysicalWrite::RowInsert(source.physical_table,
+                                                std::move(physical_row)));
     }
   }
+  MTDB_RETURN_IF_ERROR(ApplyWrites(writes).status());
   return RecordExtensionEnabled(
       tenant, ext,
       static_cast<int64_t>(entry->state.extensions().size()) - 1);
@@ -634,8 +633,8 @@ Result<int64_t> SchemaMapping::RunWrite(TenantId tenant, Fn&& body) {
   // Row-lock scope for this write statement (DESIGN.md §15). Inside a
   // client bracket the locks join the transaction's holder and survive
   // until COMMIT/ROLLBACK; otherwise they are statement-duration and the
-  // scope's destructor — which runs after the body has rolled back or
-  // finished its undo log — releases them.
+  // scope's destructor — which runs after the body's write batch has
+  // committed or reverted — releases them.
   txn::TransactionContext* txn = txn::TransactionContext::Current();
   lock::StatementLockContext locks(
       db_->lock_manager(), tenant,
@@ -726,7 +725,10 @@ Result<int64_t> SchemaMapping::InsertRow(TenantId tenant,
     for (size_t i = 0; i < row.size() && i < eff.columns.size(); ++i) {
       columns.push_back(eff.columns[i].name);
     }
-    return InsertMappedRow(tenant, table, columns, row);
+    std::vector<PhysicalWrite> writes;
+    MTDB_RETURN_IF_ERROR(InsertMappedRow(tenant, table, columns, row, &writes));
+    MTDB_RETURN_IF_ERROR(ApplyWrites(writes).status());
+    return 1;
   });
 }
 
@@ -808,49 +810,51 @@ Result<int64_t> SchemaMapping::GenericInsert(TenantId tenant,
   if (columns.empty()) {
     for (const LogicalColumn& c : eff.columns) columns.push_back(c.name);
   }
-  // A multi-row VALUES list is one logical statement: collect every
-  // applied physical insert in one undo log so a failed later row takes
-  // the earlier rows back out with it.
-  StatementUndoLog undo(db_, &stats_);
-  const bool multi_row = stmt.rows.size() > 1;
-  int64_t inserted = 0;
+  // A multi-row VALUES list is one logical statement: every row's
+  // physical inserts go into one engine batch.
+  std::vector<PhysicalWrite> writes;
   for (const auto& row_exprs : stmt.rows) {
-    // Deadline checkpoint between logical rows: an expired statement
-    // stops here and Fail() takes the applied rows back out.
-    if (Status dl = deadline::Check(); !dl.ok()) return undo.Fail(dl);
     if (row_exprs.size() != columns.size()) {
-      return undo.Fail(Status::InvalidArgument("VALUES arity mismatch"));
+      return Status::InvalidArgument("VALUES arity mismatch");
     }
     Row values;
     values.reserve(row_exprs.size());
     for (const auto& e : row_exprs) {
-      Result<Value> v = EvalScalar(*e, nullptr, nullptr, params);
-      if (!v.ok()) return undo.Fail(v.status());
-      values.push_back(*std::move(v));
+      MTDB_ASSIGN_OR_RETURN(Value v, EvalScalar(*e, nullptr, nullptr, params));
+      values.push_back(std::move(v));
     }
-    // Inside a client transaction (undo.bound()) every row records undo
-    // even for a single-row statement: the transaction may roll this
-    // statement back long after it succeeded.
-    Result<int64_t> n =
-        InsertMappedRow(tenant, stmt.table, columns, values,
-                        (multi_row || undo.bound()) ? &undo : nullptr);
-    if (!n.ok()) return undo.Fail(n.status());
-    inserted += *n;
+    MTDB_RETURN_IF_ERROR(
+        InsertMappedRow(tenant, stmt.table, columns, values, &writes));
   }
-  MTDB_RETURN_IF_ERROR(undo.Finish());
-  return inserted;
+  MTDB_RETURN_IF_ERROR(ApplyWrites(writes).status());
+  return static_cast<int64_t>(stmt.rows.size());
+}
+
+Result<int64_t> SchemaMapping::ApplyWrites(
+    const std::vector<PhysicalWrite>& writes) {
+  // Under EXPLAIN MAPPING Phase (b) is planned (NotifyStatement recorded
+  // it) but never run.
+  if (Explaining() || writes.empty()) return 0;
+  const uint64_t count = writes.size();
+  uint64_t reverted = 0;
+  Result<int64_t> out = db_->ExecuteBatch(writes, &reverted);
+  if (out.ok()) {
+    stats_.physical_statements += count;
+  } else if (reverted > 0) {
+    stats_.statement_rollbacks++;
+    stats_.undo_statements += reverted;
+  }
+  return out;
 }
 
 namespace {
 
 /// partition AND row = row_id: the locality predicate addressing one
-/// logical row's chunk in one physical source. `skip_del` drops `del`
-/// partition entries (trashcan compensations flip visibility themselves).
+/// logical row's chunk in one physical source.
 sql::ParsedExprPtr RowLocalPredicate(const PhysicalSource& source,
-                                     int64_t row_id, bool skip_del = false) {
+                                     int64_t row_id) {
   sql::ParsedExprPtr where;
   for (const auto& p : source.partition) {
-    if (skip_del && IdentEquals(p.first, "del")) continue;
     where = sql::AndTogether(
         std::move(where),
         sql::MakeBinary(sql::BinaryOp::kEq, sql::MakeColumnRef("", p.first),
@@ -866,104 +870,22 @@ sql::ParsedExprPtr RowLocalPredicate(const PhysicalSource& source,
   return where;
 }
 
-/// Compensation for a physical INSERT: a DELETE addressing exactly the
-/// inserted chunk. Sources without a row column (single-source layouts)
-/// fall back to matching every value the insert wrote.
-sql::Statement CompensatingDelete(const PhysicalSource& source,
-                                  const Schema& schema,
-                                  const Row& physical_row, int64_t row_id) {
-  sql::Statement s;
-  s.kind = sql::StatementKind::kDelete;
-  s.del = std::make_unique<sql::DeleteStmt>();
-  s.del->table = source.physical_table;
-  if (!source.row_column.empty()) {
-    s.del->where = RowLocalPredicate(source, row_id);
-  } else {
-    sql::ParsedExprPtr where;
-    for (size_t i = 0; i < physical_row.size() && i < schema.size(); ++i) {
-      if (physical_row[i].is_null()) continue;
-      where = sql::AndTogether(
-          std::move(where),
-          sql::MakeBinary(sql::BinaryOp::kEq,
-                          sql::MakeColumnRef("", schema.at(i).name),
-                          sql::MakeLiteral(physical_row[i])));
-    }
-    s.del->where = std::move(where);
+/// The Phase (b) batch running `stmts`, which must outlive it.
+std::vector<PhysicalWrite> DmlWrites(const std::vector<sql::Statement>& stmts) {
+  std::vector<PhysicalWrite> writes;
+  writes.reserve(stmts.size());
+  for (const sql::Statement& s : stmts) {
+    writes.push_back(PhysicalWrite::Dml(s));
   }
-  return s;
-}
-
-/// Compensation for a physical UPDATE: an UPDATE writing the prior
-/// values back into the same chunk.
-sql::Statement CompensatingUpdate(
-    const PhysicalSource& source, int64_t row_id,
-    std::vector<std::pair<std::string, Value>> old_assigns) {
-  sql::Statement s;
-  s.kind = sql::StatementKind::kUpdate;
-  s.update = std::make_unique<sql::UpdateStmt>();
-  s.update->table = source.physical_table;
-  for (auto& [col, val] : old_assigns) {
-    s.update->assignments.emplace_back(col, sql::MakeLiteral(val));
-  }
-  s.update->where = RowLocalPredicate(source, row_id);
-  return s;
-}
-
-/// Compensation for a trashcan DELETE (an UPDATE del=1): flip the row
-/// back to visible.
-sql::Statement CompensatingRestore(const PhysicalSource& source,
-                                   int64_t row_id) {
-  sql::Statement s;
-  s.kind = sql::StatementKind::kUpdate;
-  s.update = std::make_unique<sql::UpdateStmt>();
-  s.update->table = source.physical_table;
-  s.update->assignments.emplace_back("del",
-                                     sql::MakeLiteral(Value::Int32(0)));
-  s.update->where = RowLocalPredicate(source, row_id, /*skip_del=*/true);
-  return s;
-}
-
-/// Compensation for a physical DELETE: re-INSERT the chunk image this
-/// source held for the logical row (reconstructed from the Phase (a)
-/// logical row exactly the way InsertMappedRow would have written it).
-sql::Statement CompensatingInsert(const TableMapping& mapping, size_t src,
-                                  const EffectiveTable& eff,
-                                  const Row& logical, int64_t row_id) {
-  const PhysicalSource& source = mapping.sources[src];
-  sql::Statement s;
-  s.kind = sql::StatementKind::kInsert;
-  s.insert = std::make_unique<sql::InsertStmt>();
-  s.insert->table = source.physical_table;
-  std::vector<sql::ParsedExprPtr> vals;
-  for (const auto& [col, val] : source.partition) {
-    s.insert->columns.push_back(col);
-    vals.push_back(sql::MakeLiteral(val));
-  }
-  if (!source.row_column.empty()) {
-    s.insert->columns.push_back(source.row_column);
-    vals.push_back(sql::MakeLiteral(Value::Int64(row_id)));
-  }
-  for (const auto& [lname, target] : mapping.columns) {
-    if (target.source != src) continue;
-    auto pos = eff.Find(lname);
-    if (!pos.has_value() || *pos >= logical.size()) continue;
-    Value v = logical[*pos];
-    if (v.is_null()) continue;
-    Result<Value> cast = v.CastTo(target.physical_type);
-    if (cast.ok()) v = *std::move(cast);
-    s.insert->columns.push_back(target.physical_column);
-    vals.push_back(sql::MakeLiteral(std::move(v)));
-  }
-  s.insert->rows.push_back(std::move(vals));
-  return s;
+  return writes;
 }
 
 }  // namespace
 
-Result<int64_t> SchemaMapping::InsertMappedRow(
-    TenantId tenant, const std::string& table,
-    const std::vector<std::string>& columns, const Row& values,
-    StatementUndoLog* caller_undo) {
+Status SchemaMapping::InsertMappedRow(TenantId tenant, const std::string& table,
+                                      const std::vector<std::string>& columns,
+                                      const Row& values,
+                                      std::vector<PhysicalWrite>* writes) {
   if (columns.size() != values.size()) {
     return Status::InvalidArgument("column/value count mismatch");
   }
@@ -990,11 +912,11 @@ Result<int64_t> SchemaMapping::InsertMappedRow(
     }
   }
 
-  // §15: inserts lock before the first undo Stage(), like updates. With
-  // row ids the per-row X lock is on a fresh id — it can never block —
-  // and the table intent can only wait on the first row of a statement
-  // (later rows re-probe an owned lock). Without row ids the whole-table
-  // X is the write lock.
+  // §15: inserts lock before Phase (b), like updates. With row ids the
+  // per-row X lock is on a fresh id — it can never block — and the table
+  // intent can only wait on the first row of a statement (later rows
+  // re-probe an owned lock). Without row ids the whole-table X is the
+  // write lock.
   if (lock::StatementLockContext* locks = lock::StatementLockContext::Current();
       locks != nullptr && locks->enabled() && !Explaining()) {
     if (needs_row) {
@@ -1013,50 +935,28 @@ Result<int64_t> SchemaMapping::InsertMappedRow(
     provided[IdentLower(columns[i])] = &values[i];
   }
 
-  // One physical insert per source. A multi-source mapping spreads the
-  // logical row over several physical statements; the undo log reverts
-  // the ones already applied if a later one fails, so the logical insert
-  // is all-or-nothing (single-source statements are already atomic in
-  // the engine and skip the bookkeeping). Only one savepoint per
-  // statement may be live on a client context, so the local log exists
-  // only when the caller brought none.
-  std::optional<StatementUndoLog> local_undo;
-  if (caller_undo == nullptr) local_undo.emplace(db_, &stats_);
-  StatementUndoLog* undo =
-      caller_undo != nullptr ? caller_undo : &local_undo.value();
-  const bool multi_source = mapping->sources.size() > 1;
-  // Every physical insert of a multi-statement logical insert stages its
-  // compensation (including the last: a crash before the txn-end record
-  // must roll the WHOLE logical insert back, not strand its last chunk).
-  const bool needs_undo =
-      caller_undo != nullptr || multi_source || undo->bound();
-  const bool explaining = Explaining();
+  // One physical insert per source: a multi-source mapping spreads the
+  // logical row over several writes of the caller's batch.
   for (size_t src = 0; src < mapping->sources.size(); ++src) {
-    // Deadline checkpoint between the physical statements of one
-    // logical insert: the undo log makes the cut all-or-nothing.
-    if (!explaining) {
-      if (Status dl = deadline::Check(); !dl.ok()) return undo->Fail(dl);
-    }
     const PhysicalSource& source = mapping->sources[src];
     TableInfo* phys = db_->catalog()->GetTable(source.physical_table);
     if (phys == nullptr) {
-      return undo->Fail(Status::Internal("physical table missing: " +
-                                         source.physical_table));
+      return Status::Internal("physical table missing: " +
+                              source.physical_table);
     }
     Row physical_row(phys->schema.size(), Value());
     // Partition (meta-data) values.
     for (const auto& [col, val] : source.partition) {
       auto pos = phys->schema.Find(col);
       if (!pos.has_value()) {
-        return undo->Fail(Status::Internal("partition column missing: " + col));
+        return Status::Internal("partition column missing: " + col);
       }
       physical_row[*pos] = val;
     }
     if (!source.row_column.empty()) {
       auto pos = phys->schema.Find(source.row_column);
       if (!pos.has_value()) {
-        return undo->Fail(
-            Status::Internal("row column missing: " + source.row_column));
+        return Status::Internal("row column missing: " + source.row_column);
       }
       physical_row[*pos] = Value::Int64(row_id);
     }
@@ -1067,14 +967,13 @@ Result<int64_t> SchemaMapping::InsertMappedRow(
       if (it == provided.end() || it->second->is_null()) continue;
       auto pos = phys->schema.Find(target.physical_column);
       if (!pos.has_value()) {
-        return undo->Fail(Status::Internal("physical column missing: " +
-                                           target.physical_column));
+        return Status::Internal("physical column missing: " +
+                                target.physical_column);
       }
-      Result<Value> cast = it->second->CastTo(target.physical_type);
-      if (!cast.ok()) return undo->Fail(cast.status());
-      physical_row[*pos] = *std::move(cast);
+      MTDB_ASSIGN_OR_RETURN(physical_row[*pos],
+                            it->second->CastTo(target.physical_type));
     }
-    if (explaining || observer_.load(std::memory_order_acquire) != nullptr) {
+    if (Explaining() || observer_.load(std::memory_order_acquire) != nullptr) {
       // Physical inserts go through the engine's row API, so the INSERT
       // the engine would otherwise parse is synthesized here for the
       // observer / EXPLAIN MAPPING sink (built only when someone looks).
@@ -1092,19 +991,10 @@ Result<int64_t> SchemaMapping::InsertMappedRow(
       ins.insert->rows.push_back(std::move(vals));
       NotifyStatement(tenant, ins);
     }
-    if (explaining) continue;  // never execute under EXPLAIN MAPPING
-    if (needs_undo) {
-      Status sst = undo->Stage(
-          CompensatingDelete(source, phys->schema, physical_row, row_id));
-      if (!sst.ok()) return undo->Fail(sst);
-    }
-    Status ist = db_->InsertRow(source.physical_table, physical_row);
-    if (!ist.ok()) return undo->Fail(ist);
-    stats_.physical_statements++;
-    if (needs_undo) undo->Commit();
+    writes->push_back(
+        PhysicalWrite::RowInsert(source.physical_table, std::move(physical_row)));
   }
-  if (local_undo.has_value()) MTDB_RETURN_IF_ERROR(local_undo->Finish());
-  return 1;
+  return Status::OK();
 }
 
 Result<std::vector<SchemaMapping::AffectedRow>> SchemaMapping::CollectAffected(
@@ -1183,9 +1073,9 @@ Status SchemaMapping::LockAffectedRows(TenantId tenant,
   };
   // Freshness protocol: collect and acquire are not atomic, so a winner
   // can write, commit and RELEASE entirely inside the gap — this
-  // statement's acquisitions then never block, yet its images and the
-  // compensations staged from them are stale (a silent lost update on
-  // the winner's committed values). Every X release bumps the shard's
+  // statement's acquisitions then never block, yet the images its
+  // Phase (b) is built from are stale (a silent lost update on the
+  // winner's committed values). Every X release bumps the shard's
   // write epoch before any waiter is granted, so "epoch still equals
   // the pre-collect snapshot once the locks are held" proves no such
   // window existed; any movement (a superset of waited()) re-runs
@@ -1319,166 +1209,96 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
       std::vector<AffectedRow> affected,
       CollectAffected(tenant, stmt.table, stmt.where.get(), params));
   // §15: every affected logical row is X-locked between Phase (a) and
-  // Phase (b), before any undo staging. If the table's write epoch moved
-  // since the snapshot above, Phase (a) is re-run under the locks, so the
-  // statement always updates the winner's committed image — even when
-  // the winner committed and released without ever blocking us.
+  // Phase (b). If the table's write epoch moved since the snapshot above,
+  // Phase (a) is re-run under the locks, so the statement always updates
+  // the winner's committed image — even when the winner committed and
+  // released without ever blocking us.
   MTDB_RETURN_IF_ERROR(LockAffectedRows(
       tenant, stmt.table,
       !mapping->sources.empty() && !mapping->sources[0].row_column.empty(),
       &affected, stmt.where.get(), params, collect_epoch));
 
-  // Resolve assignment targets once (including each target's position in
-  // the logical row, which the undo log needs to recover prior values).
-  struct ResolvedSet {
-    const sql::ParsedExpr* expr;
-    ColumnTarget target;
-    size_t logical_pos;
-  };
-  std::vector<ResolvedSet> sets;
+  // Resolve assignment targets once.
+  std::vector<std::pair<const sql::ParsedExpr*, ColumnTarget>> sets;
   for (const auto& [col, expr] : stmt.assignments) {
     auto it = mapping->columns.find(IdentLower(col));
     if (it == mapping->columns.end()) {
       return Status::NotFound("no logical column " + col + " in " + stmt.table);
     }
-    auto lpos = eff.Find(col);
-    if (!lpos.has_value()) {
-      return Status::NotFound("no logical column " + col + " in " + stmt.table);
-    }
-    sets.push_back({expr.get(), it->second, *lpos});
+    sets.emplace_back(expr.get(), it->second);
   }
-  std::set<size_t> touched_sources;
-  for (const ResolvedSet& rs : sets) touched_sources.insert(rs.target.source);
-
-  // Prior physical values of one source's touched chunk, read from the
-  // Phase (a) logical row — the undo image for that physical UPDATE.
-  auto old_assigns_for = [&](size_t src, const Row& logical) {
-    std::vector<std::pair<std::string, Value>> out;
-    for (const ResolvedSet& rs : sets) {
-      if (rs.target.source != src) continue;
-      Value old = logical[rs.logical_pos];
-      if (!old.is_null()) {
-        Result<Value> cast = old.CastTo(rs.target.physical_type);
-        if (cast.ok()) old = *std::move(cast);
-      }
-      out.emplace_back(rs.target.physical_column, std::move(old));
+  // One physical UPDATE of `src` with local conditions on the meta-data
+  // columns and row only.
+  std::vector<sql::Statement> stmts;
+  auto add_update = [&](size_t src,
+                        std::vector<std::pair<std::string, Value>>& assigns,
+                        sql::ParsedExprPtr where) {
+    sql::Statement phys;
+    phys.kind = sql::StatementKind::kUpdate;
+    phys.update = std::make_unique<sql::UpdateStmt>();
+    phys.update->table = mapping->sources[src].physical_table;
+    for (auto& [col, val] : assigns) {
+      phys.update->assignments.emplace_back(col, sql::MakeLiteral(val));
     }
-    return out;
+    phys.update->where = std::move(where);
+    NotifyStatement(tenant, phys);
+    stmts.push_back(std::move(phys));
   };
-
-  StatementUndoLog undo(db_, &stats_);
-
-  // Under EXPLAIN MAPPING Phase (b) is planned but never run: no undo
-  // staging, no ExecuteAst, no stats — NotifyStatement records the plan.
-  const bool explaining = Explaining();
 
   // Batched Phase (b) (§6.3's IN-predicate option): only when every
   // assignment is a constant (all affected rows get the same values).
-  bool batchable = dml_mode_ == DmlMode::kBatched;
-  for (const ResolvedSet& rs : sets) {
-    if (!IsConstantAssignment(*rs.expr)) batchable = false;
+  bool batchable = dml_mode_ == DmlMode::kBatched && !affected.empty() &&
+                   !mapping->sources[0].row_column.empty();
+  for (const auto& [expr, target] : sets) {
+    if (!IsConstantAssignment(*expr)) batchable = false;
   }
-  if (batchable && !affected.empty() &&
-      !mapping->sources[0].row_column.empty()) {
+  if (batchable) {
     std::vector<int64_t> rows;
     rows.reserve(affected.size());
     for (const AffectedRow& r : affected) rows.push_back(r.row_id);
     // Group constant assignments by source.
     std::map<size_t, std::vector<std::pair<std::string, Value>>> by_source;
-    for (const ResolvedSet& rs : sets) {
-      MTDB_ASSIGN_OR_RETURN(Value v, EvalScalar(*rs.expr, nullptr, nullptr,
+    for (const auto& [expr, target] : sets) {
+      MTDB_ASSIGN_OR_RETURN(Value v, EvalScalar(*expr, nullptr, nullptr,
                                                 params));
       if (!v.is_null()) {
-        MTDB_ASSIGN_OR_RETURN(v, v.CastTo(rs.target.physical_type));
+        MTDB_ASSIGN_OR_RETURN(v, v.CastTo(target.physical_type));
       }
-      by_source[rs.target.source].push_back({rs.target.physical_column, v});
+      by_source[target.source].push_back({target.physical_column, v});
     }
-    const size_t batches = (rows.size() + kDmlBatchSize - 1) / kDmlBatchSize;
-    const bool record_undo = by_source.size() * batches > 1 || undo.bound();
     for (auto& [src, assigns] : by_source) {
-      const PhysicalSource& source = mapping->sources[src];
       for (size_t begin = 0; begin < rows.size(); begin += kDmlBatchSize) {
-        if (!explaining) {
-          if (Status dl = deadline::Check(); !dl.ok()) return undo.Fail(dl);
-        }
         size_t end = std::min(begin + kDmlBatchSize, rows.size());
-        sql::Statement phys;
-        phys.kind = sql::StatementKind::kUpdate;
-        phys.update = std::make_unique<sql::UpdateStmt>();
-        phys.update->table = source.physical_table;
-        for (auto& [col, val] : assigns) {
-          phys.update->assignments.emplace_back(col, sql::MakeLiteral(val));
+        add_update(src, assigns,
+                   RowBatchPredicate(mapping->sources[src], rows, begin, end));
+      }
+    }
+  } else {
+    // Per affected row, one physical UPDATE per touched chunk.
+    for (const AffectedRow& row : affected) {
+      // Group new values by source.
+      std::map<size_t, std::vector<std::pair<std::string, Value>>> by_source;
+      for (const auto& [expr, target] : sets) {
+        MTDB_ASSIGN_OR_RETURN(Value v,
+                              EvalScalar(*expr, &eff, &row.logical, params));
+        if (!v.is_null()) {
+          MTDB_ASSIGN_OR_RETURN(v, v.CastTo(target.physical_type));
         }
-        phys.update->where = RowBatchPredicate(source, rows, begin, end);
-        if (record_undo && !explaining) {
-          for (size_t i = begin; i < end; ++i) {
-            Status sst = undo.Stage(CompensatingUpdate(
-                source, rows[i], old_assigns_for(src, affected[i].logical)));
-            if (!sst.ok()) return undo.Fail(sst);
-          }
-        }
-        NotifyStatement(tenant, phys);
-        if (explaining) continue;
-        Result<int64_t> n = db_->ExecuteAst(phys, {});
-        if (!n.ok()) return undo.Fail(n.status());
-        stats_.physical_statements++;
-        undo.Commit();
+        by_source[target.source].push_back({target.physical_column, v});
       }
-    }
-    MTDB_RETURN_IF_ERROR(undo.Finish());
-    return static_cast<int64_t>(affected.size());
-  }
-
-  // Phase (b): per affected row, one physical UPDATE per touched chunk
-  // with local conditions on the meta-data columns and row only.
-  const bool record_undo =
-      affected.size() * touched_sources.size() > 1 || undo.bound();
-  for (const AffectedRow& row : affected) {
-    if (!explaining) {
-      if (Status dl = deadline::Check(); !dl.ok()) return undo.Fail(dl);
-    }
-    // Group new values by source.
-    std::map<size_t, std::vector<std::pair<std::string, Value>>> by_source;
-    for (const ResolvedSet& s : sets) {
-      Result<Value> v = EvalScalar(*s.expr, &eff, &row.logical, params);
-      if (!v.ok()) return undo.Fail(v.status());
-      if (!v->is_null()) {
-        v = v->CastTo(s.target.physical_type);
-        if (!v.ok()) return undo.Fail(v.status());
+      for (auto& [src, assigns] : by_source) {
+        add_update(src, assigns,
+                   RowLocalPredicate(mapping->sources[src], row.row_id));
       }
-      by_source[s.target.source].push_back({s.target.physical_column, *v});
-    }
-    for (auto& [src, assigns] : by_source) {
-      const PhysicalSource& source = mapping->sources[src];
-      sql::Statement phys;
-      phys.kind = sql::StatementKind::kUpdate;
-      phys.update = std::make_unique<sql::UpdateStmt>();
-      phys.update->table = source.physical_table;
-      for (auto& [col, val] : assigns) {
-        phys.update->assignments.emplace_back(col, sql::MakeLiteral(val));
-      }
-      phys.update->where = RowLocalPredicate(source, row.row_id);
-      if (record_undo && !explaining) {
-        Status sst = undo.Stage(CompensatingUpdate(
-            source, row.row_id, old_assigns_for(src, row.logical)));
-        if (!sst.ok()) return undo.Fail(sst);
-      }
-      NotifyStatement(tenant, phys);
-      if (explaining) continue;
-      Result<int64_t> n = db_->ExecuteAst(phys, {});
-      if (!n.ok()) return undo.Fail(n.status());
-      stats_.physical_statements++;
-      undo.Commit();
     }
   }
-  MTDB_RETURN_IF_ERROR(undo.Finish());
+  MTDB_RETURN_IF_ERROR(ApplyWrites(DmlWrites(stmts)).status());
   return static_cast<int64_t>(affected.size());
 }
 
 Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
                                              const sql::DeleteStmt& stmt,
                                              const std::vector<Value>& params) {
-  MTDB_ASSIGN_OR_RETURN(EffectiveTable eff, GetEffective(tenant, stmt.table));
   MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, stmt.table));
   const uint64_t collect_epoch = PreCollectLockEpoch(stmt.table);
   MTDB_ASSIGN_OR_RETURN(
@@ -1491,106 +1311,48 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
       !mapping->sources.empty() && !mapping->sources[0].row_column.empty(),
       &affected, stmt.where.get(), params, collect_epoch));
 
-  StatementUndoLog undo(db_, &stats_);
-  // Compensation for one (row, source) removal: re-insert the chunk, or
-  // flip it back to visible when the trashcan only marked it. Staged
-  // before the forward statement so a crash mid-delete can replay it.
-  auto stage_removal = [&](size_t src, const AffectedRow& row) -> Status {
+  // Deletes must touch every chunk of the row (§6.3). With the trashcan
+  // enabled they become updates that mark the rows invisible instead.
+  std::vector<sql::Statement> stmts;
+  auto add_removal = [&](const PhysicalSource& source,
+                         sql::ParsedExprPtr where) {
+    sql::Statement phys;
     if (trashcan_deletes_) {
-      return undo.Stage(CompensatingRestore(mapping->sources[src], row.row_id));
+      phys.kind = sql::StatementKind::kUpdate;
+      phys.update = std::make_unique<sql::UpdateStmt>();
+      phys.update->table = source.physical_table;
+      phys.update->assignments.emplace_back("del",
+                                            sql::MakeLiteral(Value::Int32(1)));
+      phys.update->where = std::move(where);
+    } else {
+      phys.kind = sql::StatementKind::kDelete;
+      phys.del = std::make_unique<sql::DeleteStmt>();
+      phys.del->table = source.physical_table;
+      phys.del->where = std::move(where);
     }
-    return undo.Stage(
-        CompensatingInsert(*mapping, src, eff, row.logical, row.row_id));
+    NotifyStatement(tenant, phys);
+    stmts.push_back(std::move(phys));
   };
-
-  // See GenericUpdate: EXPLAIN MAPPING plans Phase (b) without running it.
-  const bool explaining = Explaining();
-
-  // Batched Phase (b): one statement per chunk per batch of rows.
   if (dml_mode_ == DmlMode::kBatched && !affected.empty() &&
       !mapping->sources[0].row_column.empty()) {
+    // Batched Phase (b): one statement per chunk per batch of rows.
     std::vector<int64_t> rows;
     rows.reserve(affected.size());
     for (const AffectedRow& r : affected) rows.push_back(r.row_id);
-    const size_t batches = (rows.size() + kDmlBatchSize - 1) / kDmlBatchSize;
-    const bool record_undo =
-        mapping->sources.size() * batches > 1 || undo.bound();
-    for (size_t src = 0; src < mapping->sources.size(); ++src) {
-      const PhysicalSource& source = mapping->sources[src];
+    for (const PhysicalSource& source : mapping->sources) {
       for (size_t begin = 0; begin < rows.size(); begin += kDmlBatchSize) {
-        if (!explaining) {
-          if (Status dl = deadline::Check(); !dl.ok()) return undo.Fail(dl);
-        }
         size_t end = std::min(begin + kDmlBatchSize, rows.size());
-        sql::Statement phys;
-        if (trashcan_deletes_) {
-          phys.kind = sql::StatementKind::kUpdate;
-          phys.update = std::make_unique<sql::UpdateStmt>();
-          phys.update->table = source.physical_table;
-          phys.update->assignments.emplace_back(
-              "del", sql::MakeLiteral(Value::Int32(1)));
-          phys.update->where = RowBatchPredicate(source, rows, begin, end);
-        } else {
-          phys.kind = sql::StatementKind::kDelete;
-          phys.del = std::make_unique<sql::DeleteStmt>();
-          phys.del->table = source.physical_table;
-          phys.del->where = RowBatchPredicate(source, rows, begin, end);
-        }
-        if (record_undo && !explaining) {
-          for (size_t i = begin; i < end; ++i) {
-            Status sst = stage_removal(src, affected[i]);
-            if (!sst.ok()) return undo.Fail(sst);
-          }
-        }
-        NotifyStatement(tenant, phys);
-        if (explaining) continue;
-        Result<int64_t> n = db_->ExecuteAst(phys, {});
-        if (!n.ok()) return undo.Fail(n.status());
-        stats_.physical_statements++;
-        undo.Commit();
+        add_removal(source, RowBatchPredicate(source, rows, begin, end));
       }
     }
-    MTDB_RETURN_IF_ERROR(undo.Finish());
-    return static_cast<int64_t>(affected.size());
-  }
-
-  // Deletes must touch every chunk of the row (§6.3). With the trashcan
-  // enabled they become updates that mark the rows invisible instead.
-  const bool record_undo =
-      affected.size() * mapping->sources.size() > 1 || undo.bound();
-  for (const AffectedRow& row : affected) {
-    if (!explaining) {
-      if (Status dl = deadline::Check(); !dl.ok()) return undo.Fail(dl);
-    }
-    for (size_t src = 0; src < mapping->sources.size(); ++src) {
-      const PhysicalSource& source = mapping->sources[src];
-      sql::Statement phys;
-      if (trashcan_deletes_) {
-        phys.kind = sql::StatementKind::kUpdate;
-        phys.update = std::make_unique<sql::UpdateStmt>();
-        phys.update->table = source.physical_table;
-        phys.update->assignments.emplace_back(
-            "del", sql::MakeLiteral(Value::Int32(1)));
-        phys.update->where = RowLocalPredicate(source, row.row_id);
-      } else {
-        phys.kind = sql::StatementKind::kDelete;
-        phys.del = std::make_unique<sql::DeleteStmt>();
-        phys.del->table = source.physical_table;
-        phys.del->where = RowLocalPredicate(source, row.row_id);
+  } else {
+    for (const AffectedRow& row : affected) {
+      for (const PhysicalSource& source : mapping->sources) {
+        add_removal(source, RowLocalPredicate(source, row.row_id));
       }
-      if (record_undo && !explaining) {
-        Status sst = stage_removal(src, row);
-        if (!sst.ok()) return undo.Fail(sst);
-      }
-      NotifyStatement(tenant, phys);
-      if (explaining) continue;
-      Result<int64_t> n = db_->ExecuteAst(phys, {});
-      if (!n.ok()) return undo.Fail(n.status());
-      stats_.physical_statements++;
-      undo.Commit();
     }
   }
-  MTDB_RETURN_IF_ERROR(undo.Finish());
+  MTDB_RETURN_IF_ERROR(ApplyWrites(DmlWrites(stmts)).status());
   return static_cast<int64_t>(affected.size());
 }
 
@@ -1610,7 +1372,7 @@ Result<int64_t> SchemaMapping::RestoreDeleted(TenantId tenant,
       txn != nullptr ? txn->EnsureLockHolder() : 0);
   MTDB_RETURN_IF_ERROR(locks.LockTable(IdentLower(table), lock::LockMode::kX));
   MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, table));
-  int64_t restored = 0;
+  std::vector<sql::Statement> stmts;
   for (const PhysicalSource& source : mapping->sources) {
     sql::Statement phys;
     phys.kind = sql::StatementKind::kUpdate;
@@ -1635,13 +1397,11 @@ Result<int64_t> SchemaMapping::RestoreDeleted(TenantId tenant,
     }
     phys.update->where = std::move(where);
     NotifyStatement(tenant, phys);
-    Result<int64_t> n = db_->ExecuteAst(phys, {});
-    probe.Disarm();
-    NoteTenantOutcome(tenant, n.status());
-    MTDB_RETURN_IF_ERROR(n.status());
-    restored += *n;
-    stats_.physical_statements++;
+    stmts.push_back(std::move(phys));
   }
+  Result<int64_t> restored = ApplyWrites(DmlWrites(stmts));
+  probe.Disarm();
+  NoteTenantOutcome(tenant, restored.status());
   return restored;
 }
 

@@ -41,10 +41,11 @@ struct LayoutStats {
   /// Physical DDL issued after Bootstrap (table rebuilds, lazy extension
   /// tables); generic layouts keep this at zero — §3's on-line argument.
   Counter ddl_statements;
-  /// Logical statements rolled back mid-flight after a physical write
-  /// failed (see StatementUndoLog).
+  /// Phase (b) write batches the engine reverted after one of their
+  /// physical writes failed or hit the deadline (Database::ExecuteBatch).
   Counter statement_rollbacks;
-  /// Compensating physical statements executed during those rollbacks.
+  /// Physical writes reverted in those batches (writes that had changed
+  /// rows before the failure).
   Counter undo_statements;
 };
 
@@ -67,7 +68,6 @@ class PhysicalStatementObserver {
 };
 
 class TenantSession;
-class StatementUndoLog;
 
 /// A schema-mapping technique: maps the tenants' single-tenant logical
 /// schemas onto one multi-tenant physical schema (§3) and rewrites
@@ -358,16 +358,18 @@ class SchemaMapping : public MappingResolver {
                                         const sql::DeleteStmt& stmt,
                                         const std::vector<Value>& params);
 
-  /// Inserts one logical row (named columns) through the mapping. With
-  /// no caller_undo the row is atomic on its own: applied physical
-  /// inserts are rolled back if a later source fails. With caller_undo,
-  /// every applied physical insert is instead recorded there (including
-  /// the last), and a failure fails the caller's log — rolling back the
-  /// whole multi-row statement, whose own Fail() then finds it done.
-  Result<int64_t> InsertMappedRow(TenantId tenant, const std::string& table,
-                                  const std::vector<std::string>& columns,
-                                  const Row& values,
-                                  StatementUndoLog* caller_undo = nullptr);
+  /// Maps one logical row (named columns) onto its physical inserts, one
+  /// per source, appended to `writes`: assigns the row id, takes the row
+  /// lock and notifies the observer, but executes nothing.
+  Status InsertMappedRow(TenantId tenant, const std::string& table,
+                         const std::vector<std::string>& columns,
+                         const Row& values, std::vector<PhysicalWrite>* writes);
+
+  /// Runs one logical write's Phase (b) as a single engine batch
+  /// (Database::ExecuteBatch): all of it applies, or none of it does.
+  /// A no-op under EXPLAIN MAPPING. Returns the rows the batch affected
+  /// and keeps the physical_statements and rollback counters.
+  Result<int64_t> ApplyWrites(const std::vector<PhysicalWrite>& writes);
 
   /// Phase (a) of §6.3: returns the row ids (and full logical rows) that
   /// a WHERE clause selects.
@@ -396,10 +398,9 @@ class SchemaMapping : public MappingResolver {
   /// statement. Whenever the shard's write epoch moved past the
   /// snapshot — a superset of "an acquisition blocked" — Phase (a) is
   /// re-run under the locks now held and newly matching rows are locked
-  /// too, so the statement always acts on (and stages compensations
-  /// from) current images. No-op unless the statement installed a
-  /// lock::StatementLockContext (admin DDL, EXPLAIN MAPPING, recovery
-  /// and compensation replay never do).
+  /// too, so the statement always acts on current images. No-op unless
+  /// the statement installed a lock::StatementLockContext (admin DDL,
+  /// EXPLAIN MAPPING, recovery and compensation replay never do).
   Status LockAffectedRows(TenantId tenant, const std::string& table,
                           bool rows_lockable,
                           std::vector<AffectedRow>* affected,
@@ -414,8 +415,8 @@ class SchemaMapping : public MappingResolver {
   /// EXPLAIN MAPPING plumbing. While a thread runs ExplainMapping, a
   /// thread-local ExplainSink is installed: NotifySelect/NotifyStatement
   /// record the would-be physical statement into the sink (instead of
-  /// the observer), and every execution site — undo staging, ExecuteAst,
-  /// InsertRow, row-id assignment, stats bumps — is gated on
+  /// the observer), and every execution site — the Phase (b) batch
+  /// (ApplyWrites), row locks, row-id assignment — is gated on
   /// Explaining(). The DML paths therefore run their normal
   /// transformation logic and produce the plan as a side effect. Public
   /// only so the file-local installer can name the type; not client API.

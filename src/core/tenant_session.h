@@ -74,9 +74,9 @@ class TenantSession {
   }
 
   /// Client transaction control (see Session::Begin): between Begin()
-  /// and Commit()/Rollback() every logical statement's compensations
-  /// accumulate in one cross-statement undo log, and a crash before
-  /// COMMIT's end record undoes the transaction on recovery.
+  /// and Commit()/Rollback() the engine's compensations for every
+  /// logical statement accumulate in one cross-statement undo log, and a
+  /// crash before COMMIT's end record undoes the transaction on recovery.
   Status Begin() { return session_.Begin(); }
   Status Commit() { return session_.Commit(); }
   Status Rollback() { return session_.Rollback(); }

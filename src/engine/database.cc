@@ -1,6 +1,7 @@
 #include "engine/database.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/deadline.h"
 #include "common/key_encoding.h"
@@ -309,10 +310,10 @@ Status Database::Recover() {
                                                     tm.index_roots};
   }
   MTDB_RETURN_IF_ERROR(catalog_->Restore(state.catalog_blob, overrides));
-  // Undo logical statements the crash left half-applied, newest hint
-  // first. Each compensation runs through the normal durable statement
-  // path and commits its own group, so a crash mid-undo simply resumes
-  // here on the next open (compensations are idempotent or guarded).
+  // Undo client transactions the crash left open, newest hint first.
+  // Each compensation runs through the normal durable statement path
+  // and commits its own group, so a crash mid-undo simply resumes here
+  // on the next open (compensations are idempotent or guarded).
   for (auto it = state.open_hints.rbegin(); it != state.open_hints.rend();
        ++it) {
     MTDB_RETURN_IF_ERROR(ApplyRecoveryHint(it->sql));
@@ -376,12 +377,12 @@ Status Database::Checkpoint() {
   // worse than a late one, so suppress the ambient deadline here.
   deadline::Scope no_deadline(deadline::Deadline::None());
   // Gate before DDL latch (the global order); exclusive on both quiesces
-  // every statement and every txn-record append. Open logical
-  // transactions — client brackets and the statement-local bracket of an
-  // autocommit logical write alike — hold neither latch between physical
-  // statements: their undo hints are snapshotted here (race-free: every
-  // staging path holds the gate or the DDL latch shared) and preserved
-  // in the meta file so WAL truncation cannot lose them.
+  // every write batch and every txn-record append, so a checkpoint never
+  // lands inside a logical write. Open client transactions hold neither
+  // latch between their statements: their undo hints are snapshotted
+  // here (race-free: every staging path holds the gate or the DDL latch
+  // shared) and preserved in the meta file so WAL truncation cannot
+  // lose them.
   std::unique_lock<SharedLatch> gate(durability_->txn_gate());
   std::unique_lock<SharedLatch> ddl(ddl_mu_);
   std::vector<OpenTxnMeta> open;
@@ -478,19 +479,22 @@ Status Database::EndTxn(uint64_t txn_id) {
 }
 
 Status Database::CommitDmlGroup(const PageMutationCapture& capture,
-                                TableInfo* table) {
+                                const std::vector<TableInfo*>& tables) {
   // WAL-protocol analyzer: the capture is consumed here, while the
-  // statement's exclusive latches are still held (C302/C303).
+  // batch's exclusive latches are still held (C302/C303).
   lockdep::OnCaptureCommit(&capture);
   if (durability_ == nullptr || capture.empty()) return Status::OK();
   std::vector<WalTableMeta> meta;
-  WalTableMeta tm;
-  tm.table_id = table->id;
-  tm.first_page = table->heap->first_page();
-  for (const auto& idx : table->indexes) {
-    tm.index_roots.emplace_back(idx->id, idx->tree->root());
+  meta.reserve(tables.size());
+  for (TableInfo* table : tables) {
+    WalTableMeta tm;
+    tm.table_id = table->id;
+    tm.first_page = table->heap->first_page();
+    for (const auto& idx : table->indexes) {
+      tm.index_roots.emplace_back(idx->id, idx->tree->root());
+    }
+    meta.push_back(std::move(tm));
   }
-  meta.push_back(std::move(tm));
   return durability_->CommitGroup(capture, std::move(meta), nullptr);
 }
 
@@ -521,15 +525,7 @@ Result<StatementResult> Database::Run(TenantId /*tenant*/,
 
 Result<int64_t> Database::InsertRow(TenantId /*tenant*/,
                                     const std::string& table, const Row& row) {
-  sql::Statement stmt;
-  stmt.kind = sql::StatementKind::kInsert;
-  stmt.insert = std::make_unique<sql::InsertStmt>();
-  stmt.insert->table = table;
-  std::vector<sql::ParsedExprPtr> values;
-  values.reserve(row.size());
-  for (const Value& v : row) values.push_back(sql::MakeLiteral(v));
-  stmt.insert->rows.push_back(std::move(values));
-  return RunMutation(stmt, {});
+  return ExecuteBatch({PhysicalWrite::RowInsert(table, row)});
 }
 
 // --- direct front doors: no admission, deadline or transaction gate ----
@@ -654,77 +650,11 @@ Result<int64_t> Database::RunMutation(const sql::Statement& stmt,
 
 Result<int64_t> Database::RunMutationInner(const sql::Statement& stmt,
                                            const std::vector<Value>& params) {
-  ExecContext ctx;
-  ctx.params = params;
-  ctx.deadline = deadline::Current();
   switch (stmt.kind) {
     case sql::StatementKind::kInsert:
     case sql::StatementKind::kUpdate:
     case sql::StatementKind::kDelete: {
-      std::shared_lock<SharedLatch> ddl(ddl_mu_);
-      const std::string& name = stmt.kind == sql::StatementKind::kInsert
-                                    ? stmt.insert->table
-                                    : stmt.kind == sql::StatementKind::kUpdate
-                                          ? stmt.update->table
-                                          : stmt.del->table;
-      TableInfo* table = catalog_->GetTable(name);
-      if (table == nullptr) {
-        return Status::NotFound("no such table: " + name);
-      }
-      trace::SpanScope span(sql::KindLabel(stmt.kind), name);
-      // One target table per DML statement; exclusive latch serializes
-      // writers with each other and with this table's readers. UPDATE's
-      // and DELETE's internal qualifying scan runs on the same table
-      // under the latch already held here.
-      LatchSet latches;
-      latches.LockTable(table, /*exclusive=*/true);
-      // Inside a client transaction whose statement is not already
-      // covered by a mapping-layer undo log, the engine itself stages
-      // value-based compensations for the rows this statement touches.
-      txn::TransactionContext* txn_ctx = txn::TransactionContext::Current();
-      const bool stage_txn =
-          txn_ctx != nullptr && txn_ctx->open() && !txn_ctx->joined();
-      std::vector<sql::Statement> txn_undo;
-      std::vector<sql::Statement>* undo_out = stage_txn ? &txn_undo : nullptr;
-      auto dispatch = [&]() -> Result<int64_t> {
-        switch (stmt.kind) {
-          case sql::StatementKind::kInsert:
-            return ExecuteInsert(*stmt.insert, ctx, undo_out);
-          case sql::StatementKind::kUpdate:
-            return ExecuteUpdate(*stmt.update, ctx, undo_out);
-          default:
-            return ExecuteDelete(*stmt.del, ctx, undo_out);
-        }
-      };
-      if (durability_ == nullptr) {
-        Result<int64_t> result = dispatch();
-        if (result.ok() && stage_txn && !txn_undo.empty()) {
-          (void)txn_ctx->StageEngineUndo(std::move(txn_undo));
-        }
-        return result;
-      }
-      if (durability_->frozen()) {
-        return Status::Unavailable("durability frozen after crash");
-      }
-      // Capture the statement's page mutations and commit them as one
-      // redo group while the exclusive table latches are still held —
-      // a failed-and-compensated statement logs its (restored) pages
-      // too, so the WAL always reproduces exactly what memory holds.
-      PageMutationCapture capture;
-      Result<int64_t> result = [&]() -> Result<int64_t> {
-        PageCaptureScope scope(&capture);
-        return dispatch();
-      }();
-      if (result.ok() && stage_txn && !txn_undo.empty()) {
-        // Hints must reach the log before the redo group: a crash
-        // between them loses the statement (no group) and the hints
-        // replay harmlessly against the pre-statement state.
-        Status staged = txn_ctx->StageEngineUndo(std::move(txn_undo));
-        if (!staged.ok()) result = staged;  // append failure froze durability
-      }
-      Status logged = CommitDmlGroup(capture, table);
-      if (!logged.ok() && result.ok()) return logged;
-      return result;
+      return RunBatch({PhysicalWrite::Dml(stmt)}, params, nullptr);
     }
     case sql::StatementKind::kCreateTable: {
       std::unique_lock<SharedLatch> ddl(ddl_mu_);
@@ -977,11 +907,11 @@ namespace {
 
 /// Conjunction matching every non-null column value of `row` — the
 /// engine's value-based row predicate for client-transaction
-/// compensations. Below the mapping layer there is no row-id column, so
-/// the match is by content: if the table holds duplicate identical rows
-/// the compensation touches all of them (same documented caveat as the
-/// mapping layer's single-source fallback). NULL columns are skipped
-/// because SQL `col = NULL` never matches.
+/// compensations. The engine knows no row-id column, so the match is by
+/// content: every mapped layout writes its tenant, table and row id into
+/// each physical row, but if a table holds duplicate identical rows (the
+/// Basic and Private layouts can) the compensation touches all of them.
+/// NULL columns are skipped because SQL `col = NULL` never matches.
 sql::ParsedExprPtr AllValuesPredicate(const Schema& schema, const Row& row) {
   sql::ParsedExprPtr where;
   for (size_t i = 0; i < row.size() && i < schema.size(); ++i) {
@@ -997,11 +927,174 @@ sql::ParsedExprPtr AllValuesPredicate(const Schema& schema, const Row& row) {
 
 }  // namespace
 
+Result<int64_t> Database::ExecuteBatch(
+    const std::vector<PhysicalWrite>& writes, uint64_t* reverted) {
+  Result<int64_t> result = RunBatch(writes, {}, reverted);
+  MaybeAutoCheckpoint();
+  return result;
+}
+
+Result<int64_t> Database::RunBatch(const std::vector<PhysicalWrite>& writes,
+                                   const std::vector<Value>& params,
+                                   uint64_t* reverted) {
+  ExecContext ctx;
+  ctx.params = params;
+  ctx.deadline = deadline::Current();
+  std::shared_lock<SharedLatch> ddl(ddl_mu_);
+  std::vector<TableInfo*> targets;
+  targets.reserve(writes.size());
+  for (const PhysicalWrite& w : writes) {
+    const std::string& name =
+        !w.table.empty() ? w.table : FirstTableOf(*w.stmt);
+    TableInfo* table = catalog_->GetTable(name);
+    if (table == nullptr) return Status::NotFound("no such table: " + name);
+    targets.push_back(table);
+  }
+  // The union of the targets, X-latched in canonical order for the whole
+  // batch: writers to a table serialize with each other and with its
+  // readers, and a reader's statement sees all of the batch or none.
+  std::vector<TableInfo*> tables = targets;
+  std::sort(tables.begin(), tables.end(),
+            [](const TableInfo* a, const TableInfo* b) { return a->id < b->id; });
+  tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
+  LatchSet latches;
+  for (TableInfo* table : tables) latches.LockTable(table, /*exclusive=*/true);
+  if (durability_ != nullptr && durability_->frozen()) {
+    return Status::Unavailable("durability frozen after crash");
+  }
+  // A durable batch captures its page mutations and commits them as one
+  // redo group while the latches are still held — a failed-and-reverted
+  // batch logs its (restored) pages too, so the WAL always reproduces
+  // exactly what memory holds.
+  PageMutationCapture capture;
+  RowChangeLog log;
+  int64_t affected = 0;
+  Status st;
+  {
+    std::optional<PageCaptureScope> scope;
+    if (durability_ != nullptr) scope.emplace(&capture);
+    uint64_t changed_writes = 0;
+    for (size_t i = 0; i < writes.size() && st.ok(); ++i) {
+      const PhysicalWrite& w = writes[i];
+      const size_t mark = log.size();
+      trace::SpanScope span(
+          w.table.empty() ? sql::KindLabel(w.stmt->kind) : "insert",
+          targets[i]->name);
+      Result<int64_t> n = [&]() -> Result<int64_t> {
+        MTDB_RETURN_IF_ERROR(ctx.CheckDeadline());
+        if (!w.table.empty()) {
+          RowChange c{RowChange::Kind::kInsert, targets[i], {}, {}, {}};
+          MTDB_RETURN_IF_ERROR(
+              InsertRowLatched(targets[i], w.row, &c.rid, &c.after));
+          log.push_back(std::move(c));
+          return 1;
+        }
+        switch (w.stmt->kind) {
+          case sql::StatementKind::kInsert:
+            return ExecuteInsert(*w.stmt->insert, targets[i], ctx, &log);
+          case sql::StatementKind::kUpdate:
+            return ExecuteUpdate(*w.stmt->update, targets[i], ctx, &log);
+          case sql::StatementKind::kDelete:
+            return ExecuteDelete(*w.stmt->del, targets[i], ctx, &log);
+          default:
+            return Status::InvalidArgument("a batch holds only DML");
+        }
+      }();
+      if (log.size() > mark) ++changed_writes;
+      if (n.ok()) {
+        affected += *n;
+      } else {
+        st = n.status();
+      }
+    }
+    if (!st.ok()) {
+      RevertChanges(log);
+      if (reverted != nullptr) *reverted = changed_writes;
+    }
+  }
+  // Inside a client transaction the batch stages the compensations of
+  // its rows. Hints must reach the log before the redo group: a crash
+  // between them loses the batch (no group) and the hints replay
+  // harmlessly against the pre-batch state.
+  txn::TransactionContext* txn_ctx = txn::TransactionContext::Current();
+  if (st.ok() && !log.empty() && txn_ctx != nullptr && txn_ctx->open()) {
+    st = txn_ctx->StageEngineUndo(CompensationsFor(log));
+  }
+  Status logged = CommitDmlGroup(capture, tables);
+  if (st.ok()) st = logged;
+  if (!st.ok()) return st;
+  return affected;
+}
+
+void Database::RevertChanges(const RowChangeLog& log) {
+  for (auto it = log.rbegin(); it != log.rend(); ++it) {
+    switch (it->kind) {
+      case RowChange::Kind::kInsert:
+        RevertInsertedRow(it->table, it->after, it->rid);
+        break;
+      case RowChange::Kind::kUpdate:
+        RevertUpdatedRow(it->table, it->rid, it->after, it->before);
+        break;
+      case RowChange::Kind::kDelete:
+        RestoreDeletedRow(it->table, it->before);
+        break;
+    }
+  }
+}
+
+std::vector<sql::Statement> Database::CompensationsFor(const RowChangeLog& log) {
+  std::vector<sql::Statement> out;
+  out.reserve(log.size());
+  for (const RowChange& c : log) {
+    const Schema& schema = c.table->schema;
+    sql::Statement comp;
+    switch (c.kind) {
+      case RowChange::Kind::kInsert:
+      case RowChange::Kind::kUpdate: {
+        sql::ParsedExprPtr where = AllValuesPredicate(schema, c.after);
+        // An all-NULL image has no value predicate; an unqualified
+        // statement would hit the whole table, so leave that (degenerate)
+        // row uncompensated rather than stage a wrong undo.
+        if (where == nullptr) continue;
+        if (c.kind == RowChange::Kind::kInsert) {
+          comp.kind = sql::StatementKind::kDelete;
+          comp.del = std::make_unique<sql::DeleteStmt>();
+          comp.del->table = c.table->name;
+          comp.del->where = std::move(where);
+        } else {
+          comp.kind = sql::StatementKind::kUpdate;
+          comp.update = std::make_unique<sql::UpdateStmt>();
+          comp.update->table = c.table->name;
+          for (size_t i = 0; i < c.before.size() && i < schema.size(); ++i) {
+            comp.update->assignments.emplace_back(
+                schema.at(i).name, sql::MakeLiteral(c.before[i]));
+          }
+          comp.update->where = std::move(where);
+        }
+        break;
+      }
+      case RowChange::Kind::kDelete: {
+        comp.kind = sql::StatementKind::kInsert;
+        comp.insert = std::make_unique<sql::InsertStmt>();
+        comp.insert->table = c.table->name;
+        std::vector<sql::ParsedExprPtr> vals;
+        for (size_t i = 0; i < c.before.size() && i < schema.size(); ++i) {
+          comp.insert->columns.push_back(schema.at(i).name);
+          vals.push_back(sql::MakeLiteral(c.before[i]));
+        }
+        comp.insert->rows.push_back(std::move(vals));
+        break;
+      }
+    }
+    out.push_back(std::move(comp));
+  }
+  return out;
+}
+
 Result<int64_t> Database::ExecuteInsert(const sql::InsertStmt& stmt,
+                                        TableInfo* table,
                                         const ExecContext& ctx,
-                                        std::vector<sql::Statement>* txn_undo) {
-  TableInfo* table = catalog_->GetTable(stmt.table);
-  if (table == nullptr) return Status::NotFound("no such table: " + stmt.table);
+                                        RowChangeLog* log) {
   std::vector<size_t> positions;
   if (stmt.columns.empty()) {
     for (size_t i = 0; i < table->schema.size(); ++i) positions.push_back(i);
@@ -1014,79 +1107,61 @@ Result<int64_t> Database::ExecuteInsert(const sql::InsertStmt& stmt,
       positions.push_back(*pos);
     }
   }
-  // Statement-level atomicity: a multi-row VALUES list either fully
-  // applies or, on any failure, every row already written is removed.
-  std::vector<std::pair<Rid, Row>> applied;
-  auto rollback = [&](Status st) -> Status {
-    for (auto it = applied.rbegin(); it != applied.rend(); ++it) {
-      RevertInsertedRow(table, it->second, it->first);
-    }
-    return st;
-  };
   for (const auto& row_exprs : stmt.rows) {
-    if (Status dl = ctx.CheckDeadline(); !dl.ok()) return rollback(dl);
+    MTDB_RETURN_IF_ERROR(ctx.CheckDeadline());
     if (row_exprs.size() != positions.size()) {
-      return rollback(Status::InvalidArgument("VALUES arity mismatch"));
+      return Status::InvalidArgument("VALUES arity mismatch");
     }
     Row full(table->schema.size(), Value());
     for (size_t i = 0; i < positions.size(); ++i) {
-      Result<Value> v = EvalParsedScalar(*row_exprs[i], nullptr, nullptr, ctx);
-      if (!v.ok()) return rollback(v.status());
-      full[positions[i]] = std::move(*v);
+      MTDB_ASSIGN_OR_RETURN(
+          full[positions[i]],
+          EvalParsedScalar(*row_exprs[i], nullptr, nullptr, ctx));
     }
-    Rid rid;
-    Row typed;
-    Status st = InsertRowLatched(table, full, &rid, &typed);
-    if (!st.ok()) return rollback(st);
-    applied.emplace_back(rid, std::move(typed));
+    RowChange c{RowChange::Kind::kInsert, table, {}, {}, {}};
+    MTDB_RETURN_IF_ERROR(InsertRowLatched(table, full, &c.rid, &c.after));
+    log->push_back(std::move(c));
   }
-  if (txn_undo != nullptr) {
-    for (const auto& [rid, typed] : applied) {
-      sql::ParsedExprPtr where = AllValuesPredicate(table->schema, typed);
-      // An all-NULL row has no value predicate; an unqualified DELETE
-      // would wipe the table, so leave that (degenerate) insert
-      // uncompensated rather than stage a wrong undo.
-      if (where == nullptr) continue;
-      sql::Statement comp;
-      comp.kind = sql::StatementKind::kDelete;
-      comp.del = std::make_unique<sql::DeleteStmt>();
-      comp.del->table = stmt.table;
-      comp.del->where = std::move(where);
-      txn_undo->push_back(std::move(comp));
-    }
-  }
-  return static_cast<int64_t>(applied.size());
+  return static_cast<int64_t>(stmt.rows.size());
 }
 
-Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
-                                        const ExecContext& ctx,
-                                        std::vector<sql::Statement>* txn_undo) {
-  TableInfo* table = catalog_->GetTable(stmt.table);
-  if (table == nullptr) return Status::NotFound("no such table: " + stmt.table);
-  // Phase (a): plan "SELECT * FROM t WHERE ..." and collect rows + RIDs.
+namespace {
+
+/// Plans "SELECT * FROM table WHERE ..." and collects the qualifying
+/// rows with their RIDs: the qualifying scan of UPDATE and DELETE, run
+/// under the X latches the batch already holds.
+Result<std::vector<std::pair<Rid, Row>>> CollectQualifying(
+    const std::string& table, const sql::ParsedExpr* where, Catalog* catalog,
+    PlannerMode mode, const ExecContext& ctx) {
   sql::SelectStmt select;
   select.select_star = true;
   sql::TableRef ref;
-  ref.table_name = stmt.table;
+  ref.table_name = table;
   select.from.push_back(std::move(ref));
-  if (stmt.where != nullptr) select.where = stmt.where->Clone();
-  MTDB_ASSIGN_OR_RETURN(PlannedQuery plan,
-                        PlanSelect(select, catalog_.get(), planner_mode()));
+  if (where != nullptr) select.where = where->Clone();
+  MTDB_ASSIGN_OR_RETURN(PlannedQuery plan, PlanSelect(select, catalog, mode));
   MTDB_RETURN_IF_ERROR(plan.exec->Init(ctx));
-
-  std::vector<std::pair<Rid, Row>> affected;
+  std::vector<std::pair<Rid, Row>> out;
   Row row;
   while (true) {
-    Result<bool> more = plan.exec->Next(&row, ctx);
-    if (!more.ok()) return more.status();
-    if (!*more) break;
+    MTDB_ASSIGN_OR_RETURN(bool more, plan.exec->Next(&row, ctx));
+    if (!more) break;
     const Rid* rid = plan.exec->current_rid();
-    if (rid == nullptr) {
-      return Status::Internal("update scan lost row identity");
-    }
-    affected.emplace_back(*rid, row);
+    if (rid == nullptr) return Status::Internal("scan lost row identity");
+    out.emplace_back(*rid, row);
   }
+  return out;
+}
 
+}  // namespace
+
+Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
+                                        TableInfo* table,
+                                        const ExecContext& ctx,
+                                        RowChangeLog* log) {
+  MTDB_ASSIGN_OR_RETURN(auto affected,
+                        CollectQualifying(stmt.table, stmt.where.get(),
+                                          catalog_.get(), planner_mode(), ctx));
   std::vector<std::pair<size_t, const sql::ParsedExpr*>> sets;
   for (const auto& [col, expr] : stmt.assignments) {
     auto pos = table->schema.Find(col);
@@ -1095,119 +1170,41 @@ Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
     }
     sets.emplace_back(*pos, expr.get());
   }
-
-  // Phase (b): apply per row; assignments may read old row values. Each
-  // row applies atomically (UpdateRowLatched), and on a mid-statement
-  // failure the rows already updated are reverted — the statement never
-  // leaves a partial result.
-  struct AppliedUpdate {
-    Rid new_rid;
-    Row old_row;
-    Row new_row;
-  };
-  std::vector<AppliedUpdate> applied;
-  auto rollback = [&](Status st) -> Status {
-    for (auto it = applied.rbegin(); it != applied.rend(); ++it) {
-      RevertUpdatedRow(table, it->new_rid, it->new_row, it->old_row);
-    }
-    return st;
-  };
+  // Apply per row; assignments may read old row values. Each row applies
+  // atomically (UpdateRowLatched).
   for (auto& [rid, old_row] : affected) {
-    if (Status dl = ctx.CheckDeadline(); !dl.ok()) return rollback(dl);
+    MTDB_RETURN_IF_ERROR(ctx.CheckDeadline());
     Row new_row = old_row;
     for (const auto& [pos, expr] : sets) {
-      Result<Value> v = EvalParsedScalar(*expr, &old_row, &table->schema, ctx);
-      if (!v.ok()) return rollback(v.status());
-      Value val = std::move(*v);
+      MTDB_ASSIGN_OR_RETURN(
+          Value val, EvalParsedScalar(*expr, &old_row, &table->schema, ctx));
       if (!val.is_null()) {
-        Result<Value> cast = val.CastTo(table->schema.at(pos).type);
-        if (!cast.ok()) return rollback(cast.status());
-        val = std::move(*cast);
+        MTDB_ASSIGN_OR_RETURN(val, val.CastTo(table->schema.at(pos).type));
       }
       new_row[pos] = std::move(val);
     }
-    Rid new_rid;
-    Status st = UpdateRowLatched(table, rid, old_row, new_row, &new_rid);
-    if (!st.ok()) return rollback(st);
-    applied.push_back({new_rid, old_row, std::move(new_row)});
-  }
-  if (txn_undo != nullptr) {
-    for (const AppliedUpdate& u : applied) {
-      sql::ParsedExprPtr where = AllValuesPredicate(table->schema, u.new_row);
-      if (where == nullptr) continue;  // all-NULL image: cannot address it
-      sql::Statement comp;
-      comp.kind = sql::StatementKind::kUpdate;
-      comp.update = std::make_unique<sql::UpdateStmt>();
-      comp.update->table = stmt.table;
-      // Restore every column, not just the assigned ones: the hint must
-      // reproduce the old image without access to in-memory state.
-      for (size_t i = 0; i < u.old_row.size() && i < table->schema.size();
-           ++i) {
-        comp.update->assignments.emplace_back(
-            table->schema.at(i).name, sql::MakeLiteral(u.old_row[i]));
-      }
-      comp.update->where = std::move(where);
-      txn_undo->push_back(std::move(comp));
-    }
+    RowChange c{RowChange::Kind::kUpdate, table, {}, std::move(old_row),
+                std::move(new_row)};
+    MTDB_RETURN_IF_ERROR(
+        UpdateRowLatched(table, rid, c.before, c.after, &c.rid));
+    log->push_back(std::move(c));
   }
   return static_cast<int64_t>(affected.size());
 }
 
 Result<int64_t> Database::ExecuteDelete(const sql::DeleteStmt& stmt,
+                                        TableInfo* table,
                                         const ExecContext& ctx,
-                                        std::vector<sql::Statement>* txn_undo) {
-  TableInfo* table = catalog_->GetTable(stmt.table);
-  if (table == nullptr) return Status::NotFound("no such table: " + stmt.table);
-  sql::SelectStmt select;
-  select.select_star = true;
-  sql::TableRef ref;
-  ref.table_name = stmt.table;
-  select.from.push_back(std::move(ref));
-  if (stmt.where != nullptr) select.where = stmt.where->Clone();
-  MTDB_ASSIGN_OR_RETURN(PlannedQuery plan,
-                        PlanSelect(select, catalog_.get(), planner_mode()));
-  MTDB_RETURN_IF_ERROR(plan.exec->Init(ctx));
-  std::vector<std::pair<Rid, Row>> affected;
-  Row row;
-  while (true) {
-    Result<bool> more = plan.exec->Next(&row, ctx);
-    if (!more.ok()) return more.status();
-    if (!*more) break;
-    const Rid* rid = plan.exec->current_rid();
-    if (rid == nullptr) {
-      return Status::Internal("delete scan lost row identity");
-    }
-    affected.emplace_back(*rid, row);
-  }
-  // Each row deletes atomically; on a later failure the rows already
-  // deleted are re-inserted (at fresh rids) so the statement is all-or-
-  // nothing.
-  std::vector<Row> deleted;
-  for (const auto& [rid, old_row] : affected) {
-    Status st = ctx.CheckDeadline();
-    if (st.ok()) st = DeleteRowLatched(table, old_row, rid);
-    if (!st.ok()) {
-      for (auto it = deleted.rbegin(); it != deleted.rend(); ++it) {
-        RestoreDeletedRow(table, *it);
-      }
-      return st;
-    }
-    deleted.push_back(old_row);
-  }
-  if (txn_undo != nullptr) {
-    for (const Row& old_row : deleted) {
-      sql::Statement comp;
-      comp.kind = sql::StatementKind::kInsert;
-      comp.insert = std::make_unique<sql::InsertStmt>();
-      comp.insert->table = stmt.table;
-      std::vector<sql::ParsedExprPtr> vals;
-      for (size_t i = 0; i < old_row.size() && i < table->schema.size(); ++i) {
-        comp.insert->columns.push_back(table->schema.at(i).name);
-        vals.push_back(sql::MakeLiteral(old_row[i]));
-      }
-      comp.insert->rows.push_back(std::move(vals));
-      txn_undo->push_back(std::move(comp));
-    }
+                                        RowChangeLog* log) {
+  MTDB_ASSIGN_OR_RETURN(auto affected,
+                        CollectQualifying(stmt.table, stmt.where.get(),
+                                          catalog_.get(), planner_mode(), ctx));
+  // Each row deletes atomically; a revert re-inserts it at a fresh rid.
+  for (auto& [rid, old_row] : affected) {
+    MTDB_RETURN_IF_ERROR(ctx.CheckDeadline());
+    MTDB_RETURN_IF_ERROR(DeleteRowLatched(table, old_row, rid));
+    log->push_back({RowChange::Kind::kDelete, table, rid, std::move(old_row),
+                    {}});
   }
   return static_cast<int64_t>(affected.size());
 }
@@ -1267,28 +1264,7 @@ Status Database::CreateIndex(const std::string& table, const std::string& index,
 }
 
 Status Database::InsertRow(const std::string& table, const Row& row) {
-  trace::SpanScope span("insert", table);
-  Status st = [&]() -> Status {
-    std::shared_lock<SharedLatch> ddl(ddl_mu_);
-    TableInfo* info = catalog_->GetTable(table);
-    if (info == nullptr) return Status::NotFound("no such table: " + table);
-    LatchSet latches;
-    latches.LockTable(info, /*exclusive=*/true);
-    if (durability_ == nullptr) return InsertRowLatched(info, row);
-    if (durability_->frozen()) {
-      return Status::Unavailable("durability frozen after crash");
-    }
-    PageMutationCapture capture;
-    Status inserted = [&]() -> Status {
-      PageCaptureScope scope(&capture);
-      return InsertRowLatched(info, row);
-    }();
-    Status logged = CommitDmlGroup(capture, info);
-    if (!logged.ok() && inserted.ok()) return logged;
-    return inserted;
-  }();
-  MaybeAutoCheckpoint();
-  return st;
+  return InsertRow(kEngineTenant, table, row).status();
 }
 
 // --- observability -----------------------------------------------------

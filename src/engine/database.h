@@ -108,6 +108,28 @@ class StatementExecutor {
                                     const Row& row) = 0;
 };
 
+/// One physical write of a Database::ExecuteBatch: an INSERT, UPDATE or
+/// DELETE statement, which the caller keeps alive for the call, or —
+/// when `table` is set — a typed insert of `row` (full width, in
+/// `table`'s schema order) that skips SQL evaluation.
+struct PhysicalWrite {
+  const sql::Statement* stmt = nullptr;
+  std::string table;
+  Row row;
+
+  static PhysicalWrite Dml(const sql::Statement& stmt) {
+    PhysicalWrite w;
+    w.stmt = &stmt;
+    return w;
+  }
+  static PhysicalWrite RowInsert(std::string table, Row row) {
+    PhysicalWrite w;
+    w.table = std::move(table);
+    w.row = std::move(row);
+    return w;
+  }
+};
+
 /// The two counts behind a tenant's txn.open gauge, which reads
 /// opened - closed. Only client brackets move them.
 struct OpenTxnCounters {
@@ -147,10 +169,10 @@ struct EngineStats {
 ///                                  heap before its indexes
 ///   4. buffer-pool shard latch   — inside BufferPool calls only
 ///   5. page-store latch          — inside PageStore calls only
-/// Queries take table latches shared; DML takes its one target table
-/// exclusively (coarse per-table granularity: writers to a table
-/// serialize with each other and with that table's readers, everything
-/// else proceeds in parallel).
+/// Queries take table latches shared; a write batch (ExecuteBatch, one
+/// per logical write) takes all its target tables exclusively (coarse
+/// per-table granularity: writers to a table serialize with each other
+/// and with that table's readers, everything else proceeds in parallel).
 class Database;
 
 /// Everything configurable about a Database in one struct — the single
@@ -213,7 +235,7 @@ class Database : public StatementExecutor {
 
   /// Opens (or creates) a database per `options`: when options.path is
   /// non-empty, loads the last checkpoint, replays the WAL (truncating a
-  /// torn tail), undoes logical statements left open by a crash, and
+  /// torn tail), undoes client transactions left open by a crash, and
   /// checkpoints. The returned engine logs every mutation; with an empty
   /// path the engine is purely in-memory.
   static Result<std::unique_ptr<Database>> Open(DatabaseOptions options);
@@ -222,26 +244,28 @@ class Database : public StatementExecutor {
   Durability* durability() { return durability_.get(); }
 
   /// Quiesces all statements and writes a checkpoint: dirty pages into
-  /// the page file, catalog snapshot into meta, WAL truncated. Also runs
-  /// automatically by WAL volume (EngineOptions::checkpoint_interval_bytes).
+  /// the page file, catalog snapshot and open client transactions' undo
+  /// hints into meta, WAL truncated. Also runs automatically by WAL
+  /// volume (EngineOptions::checkpoint_interval_bytes), after a write
+  /// batch has released its latches — never inside one.
   Status Checkpoint();
 
-  /// Logical-transaction plumbing, used by txn::TransactionContext for
-  /// both a client's cross-statement bracket and the statement-local
-  /// bracket of an autocommit logical write. The checkpoint gate is held
-  /// shared only briefly around each WAL append — never between
-  /// statements — so an open transaction cannot stall checkpoints;
-  /// checkpoints instead carry the open transactions' undo hints forward
-  /// in the meta file (Durability meta v2). BeginTxn also registers the
-  /// transaction in the open-txn registry that backs that snapshot.
+  /// Client-transaction plumbing, used by txn::TransactionContext. Only
+  /// client brackets write txn records: an autocommit write is one
+  /// ExecuteBatch and needs none. The checkpoint gate is held shared only
+  /// briefly around each WAL append — never between statements — so an
+  /// open transaction cannot stall checkpoints; checkpoints instead carry
+  /// the open transactions' undo hints forward in the meta file
+  /// (Durability meta v2). BeginTxn also registers the transaction in the
+  /// open-txn registry that backs that snapshot.
   Result<uint64_t> BeginTxn();
   /// Appends a compensation hint under a brief shared gate hold and
-  /// mirrors it into the open-txn registry (mapping-layer staging path).
+  /// mirrors it into the open-txn registry.
   Status StageTxnHint(uint64_t txn_id, const std::string& compensation_sql);
-  /// Same, from inside an engine statement: the caller holds the shared
-  /// DDL latch, which ranks BELOW the gate, so the gate must not be
-  /// taken here. Safe without it — checkpoints hold the DDL latch
-  /// exclusively, excluding every in-flight engine statement.
+  /// Same, from inside a write batch: the caller holds the shared DDL
+  /// latch, which ranks BELOW the gate, so the gate must not be taken
+  /// here. Safe without it — checkpoints hold the DDL latch exclusively,
+  /// excluding every in-flight batch.
   Status StageTxnHintUnderStatement(uint64_t txn_id,
                                     const std::string& compensation_sql);
   /// Appends the end record and deregisters atomically w.r.t.
@@ -278,6 +302,21 @@ class Database : public StatementExecutor {
   /// Executes a parsed non-SELECT statement; returns affected rows.
   Result<int64_t> ExecuteAst(const sql::Statement& stmt,
                              const std::vector<Value>& params = {});
+
+  /// The engine's one write path: runs `writes` as a single atomic unit
+  /// and returns the rows they affected. It takes the shared DDL latch
+  /// once and X-latches the union of the target tables in TableId order
+  /// for the whole batch, so no reader sees part of it. On any failure
+  /// or deadline it reverts every row the batch changed and returns the
+  /// error; `reverted`, when set, then receives the number of physical
+  /// writes that had changed rows. Inside a client transaction it stages
+  /// value-based compensations for the changed rows. A durable engine
+  /// logs the batch as exactly one redo group while the latches are
+  /// held; an automatic checkpoint can only run after it. A batch
+  /// touches each physical row at most once (revert is by row image).
+  /// Every DML statement is a batch of one, as is InsertRow.
+  Result<int64_t> ExecuteBatch(const std::vector<PhysicalWrite>& writes,
+                               uint64_t* reverted = nullptr);
 
   /// Compiles a SELECT and renders the plan (the explain facility).
   Result<std::string> Explain(const std::string& sql);
@@ -353,12 +392,17 @@ class Database : public StatementExecutor {
                               const std::vector<Value>& params);
   Result<int64_t> RunMutationInner(const sql::Statement& stmt,
                                    const std::vector<Value>& params);
+  /// ExecuteBatch without the automatic checkpoint after it.
+  Result<int64_t> RunBatch(const std::vector<PhysicalWrite>& writes,
+                           const std::vector<Value>& params,
+                           uint64_t* reverted);
 
-  /// Durable-mode plumbing. CommitDmlGroup appends the statement's redo
-  /// group (with `table`'s physical anchors) while its latches are still
-  /// held; it runs for failed-and-compensated statements too, so the log
+  /// Durable-mode plumbing. CommitDmlGroup appends a batch's redo group
+  /// (with every target table's physical anchors) while its latches are
+  /// still held; it runs for failed-and-reverted batches too, so the log
   /// always matches memory. CommitDdlGroup adds the full catalog snapshot.
-  Status CommitDmlGroup(const PageMutationCapture& capture, TableInfo* table);
+  Status CommitDmlGroup(const PageMutationCapture& capture,
+                        const std::vector<TableInfo*>& tables);
   Status CommitDdlGroup(const PageMutationCapture& capture, bool snapshot);
   void MaybeAutoCheckpoint();
   Status Recover();
@@ -367,28 +411,44 @@ class Database : public StatementExecutor {
   /// log, so the delete being compensated may never have run).
   Status ApplyRecoveryHint(const std::string& sql_text);
 
-  /// `txn_undo`, when non-null, receives one value-based compensating
-  /// statement per applied row (client-transaction undo; only filled on
-  /// success — a failed statement reverts itself internally).
-  Result<int64_t> ExecuteInsert(const sql::InsertStmt& stmt,
-                                const ExecContext& ctx,
-                                std::vector<sql::Statement>* txn_undo = nullptr);
-  Result<int64_t> ExecuteUpdate(const sql::UpdateStmt& stmt,
-                                const ExecContext& ctx,
-                                std::vector<sql::Statement>* txn_undo = nullptr);
-  Result<int64_t> ExecuteDelete(const sql::DeleteStmt& stmt,
-                                const ExecContext& ctx,
-                                std::vector<sql::Statement>* txn_undo = nullptr);
+  /// One row a batch changed: enough to revert it in memory and to
+  /// build its client-transaction compensation.
+  struct RowChange {
+    enum class Kind { kInsert, kUpdate, kDelete };
+    Kind kind;
+    TableInfo* table;
+    Rid rid;     // insert: the new row; update: its (possibly moved) rid
+    Row before;  // update, delete
+    Row after;   // insert, update (typed)
+  };
+  using RowChangeLog = std::vector<RowChange>;
+
+  /// The statement drivers of a batch: each appends every row it fully
+  /// applies to `log` and leaves reverting to the batch.
+  Result<int64_t> ExecuteInsert(const sql::InsertStmt& stmt, TableInfo* table,
+                                const ExecContext& ctx, RowChangeLog* log);
+  Result<int64_t> ExecuteUpdate(const sql::UpdateStmt& stmt, TableInfo* table,
+                                const ExecContext& ctx, RowChangeLog* log);
+  Result<int64_t> ExecuteDelete(const sql::DeleteStmt& stmt, TableInfo* table,
+                                const ExecContext& ctx, RowChangeLog* log);
+  /// Reverts `log` newest-first (best effort, each step retried).
+  void RevertChanges(const RowChangeLog& log);
+  /// Value-based compensations undoing `log`, in log order (a client
+  /// rollback replays them newest-first): a DELETE of each inserted row,
+  /// an UPDATE restoring every column of each updated row, an INSERT of
+  /// each deleted row. Whole rows, so a WAL hint reproduces the old image
+  /// without access to in-memory state.
+  static std::vector<sql::Statement> CompensationsFor(const RowChangeLog& log);
 
   // Every physical mutation below is atomic at the row level: if any of
   // its heap/index writes fails, the ones already applied are compensated
   // (with retries) before the error is returned, so a statement never
-  // leaves a half-written row. The Execute* drivers extend this to the
-  // whole statement by reverting fully-applied rows on a later failure.
+  // leaves a half-written row. The batch extends this to all its writes
+  // by reverting the fully-applied rows of its log on a later failure.
 
   /// Inserts one row plus its index entries. On success reports the rid
   /// and the typed (cast) row via the optional out params, which the
-  /// statement drivers record for statement-level rollback.
+  /// batch records in its row-change log.
   Status InsertRowLatched(TableInfo* table, const Row& row,
                           Rid* out_rid = nullptr, Row* out_typed = nullptr);
   Status DeleteRowLatched(TableInfo* table, const Row& row, const Rid& rid);
@@ -396,7 +456,7 @@ class Database : public StatementExecutor {
   Status UpdateRowLatched(TableInfo* table, const Rid& old_rid,
                           const Row& old_row, const Row& new_row,
                           Rid* out_new_rid);
-  /// Best-effort inverses used for statement-level rollback.
+  /// Best-effort inverses used by RevertChanges.
   void RevertInsertedRow(TableInfo* table, const Row& typed, const Rid& rid);
   void RevertUpdatedRow(TableInfo* table, const Rid& new_rid,
                         const Row& new_row, const Row& old_row);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <set>
 
@@ -619,24 +618,15 @@ LockManager::Holder* StatementLockContext::EnsureResolved() {
   return resolved_;
 }
 
-namespace {
-// Diagnostic kill switch for overhead attribution: skips the actual
-// acquisitions while keeping the context install. Not for production.
-bool LockNoop() {
-  static const bool noop = std::getenv("MTDB_LOCK_NOOP") != nullptr;
-  return noop;
-}
-}  // namespace
-
 uint64_t StatementLockContext::TableWriteEpoch(
     const std::string& table_lower) const {
-  if (lm_ == nullptr || LockNoop()) return 0;
+  if (lm_ == nullptr) return 0;
   return lm_->WriteEpoch(tenant_, table_lower);
 }
 
 Status StatementLockContext::LockRow(const std::string& table_lower,
                                      int64_t row_id) {
-  if (lm_ == nullptr || LockNoop()) return Status::OK();
+  if (lm_ == nullptr) return Status::OK();
   if (row_id < 0) {
     // A NULL row column maps to -1 == kTableRowId: locking it would
     // silently collapse distinct rows onto the table lock. Callers
@@ -657,7 +647,7 @@ Status StatementLockContext::LockRow(const std::string& table_lower,
 
 Status StatementLockContext::LockRowWithIntent(const std::string& table_lower,
                                                int64_t row_id) {
-  if (lm_ == nullptr || LockNoop()) return Status::OK();
+  if (lm_ == nullptr) return Status::OK();
   if (row_id < 0) {
     return Status::Internal("row lock on negative row id " +
                             std::to_string(row_id) + " in " + table_lower);
@@ -676,7 +666,7 @@ Status StatementLockContext::LockRowWithIntent(const std::string& table_lower,
 
 Status StatementLockContext::LockTable(const std::string& table_lower,
                                        LockMode mode) {
-  if (lm_ == nullptr || LockNoop()) return Status::OK();
+  if (lm_ == nullptr) return Status::OK();
   LockManager::Holder* h = EnsureResolved();
   if (h == nullptr) {
     return Status::Internal("lock holder vanished mid-statement");

@@ -26,10 +26,7 @@ TransactionContext::Scope::Scope(TransactionContext* ctx) : prev_(tls_current) {
 TransactionContext::Scope::~Scope() { tls_current = prev_; }
 
 TransactionContext::TransactionContext(Database* db, int64_t tenant)
-    : db_(db), tenant_(tenant), client_(true) {}
-
-TransactionContext::TransactionContext(Database* db)
-    : db_(db), tenant_(0), client_(false) {}
+    : db_(db), tenant_(tenant) {}
 
 TransactionContext::~TransactionContext() {
   if (begun_) (void)Rollback(/*is_auto=*/true);
@@ -37,7 +34,6 @@ TransactionContext::~TransactionContext() {
 }
 
 void TransactionContext::BumpCounter(const char* op) {
-  if (!client_) return;
   db_->metrics_registry()
       ->GetCounter(std::string("txn.") + op + ".t" + std::to_string(tenant_))
       ->Add(1);
@@ -63,25 +59,20 @@ Status TransactionContext::Begin() {
   MTDB_ASSIGN_OR_RETURN(txn_id_, db_->BeginTxn());
   begun_ = true;
   state_ = State::kActive;
-  if (client_) {
-    open_counts_ = db_->OpenTxnCount(tenant_);
-    open_counts_->opened.Add(1);
-  }
+  open_counts_ = db_->OpenTxnCount(tenant_);
+  open_counts_->opened.Add(1);
   BumpCounter("begin");
   return Status::OK();
 }
 
 Status TransactionContext::Close() {
-  if (!begun_) return Status::OK();
   begun_ = false;
-  if (open_counts_ != nullptr) open_counts_->closed.Add(1);
+  open_counts_->closed.Add(1);
   return db_->EndTxn(txn_id_);
 }
 
 Status TransactionContext::Commit() {
-  if (client_ && !begun_) {
-    return Status::FailedPrecondition("no transaction open");
-  }
+  if (!begun_) return Status::FailedPrecondition("no transaction open");
   if (state_ != State::kActive) {
     return Status::FailedPrecondition(
         state_ == State::kPoisoned
@@ -89,7 +80,6 @@ Status TransactionContext::Commit() {
             : "transaction was already aborted; ROLLBACK to acknowledge");
   }
   entries_.clear();
-  pending_.clear();
   Status st = Close();
   // Row locks drop only once the bracket is fully closed — waiters that
   // proceed now re-run Phase (a) and see the committed image.
@@ -101,10 +91,25 @@ Status TransactionContext::Commit() {
 }
 
 Status TransactionContext::Rollback(bool is_auto) {
-  if (client_ && !begun_) {
-    return Status::FailedPrecondition("no transaction open");
+  if (!begun_) return Status::FailedPrecondition("no transaction open");
+  Status first_error = Status::OK();
+  {
+    // Compensations must run to completion even when the transaction is
+    // being torn down by a deadline or a cancellation, and must not
+    // stage undo of their own.
+    deadline::Scope no_deadline(deadline::Deadline::None());
+    Scope detached(nullptr);
+    while (!entries_.empty()) {
+      sql::Statement comp = std::move(entries_.back());
+      entries_.pop_back();
+      Status st = Status::OK();
+      for (int attempt = 0; attempt < kRollbackAttempts; ++attempt) {
+        st = db_->ExecuteAst(comp, {}).status();
+        if (st.ok()) break;
+      }
+      if (!st.ok() && first_error.ok()) first_error = st;
+    }
   }
-  Status first_error = RollbackTo(0);
   Status ended = Close();
   // Locks release strictly after the compensations replayed above: the
   // rolled-back rows stay write-isolated until their pre-images are back.
@@ -112,55 +117,6 @@ Status TransactionContext::Rollback(bool is_auto) {
   if (first_error.ok()) first_error = ended;
   BumpCounter(is_auto ? "auto_rollback" : "rollback");
   return first_error;
-}
-
-Status TransactionContext::RollbackTo(size_t mark, uint64_t* executed) {
-  // Compensations must run to completion even when the transaction or
-  // statement is being torn down by a deadline or a cancellation — a
-  // half-undone statement is exactly what the undo log exists to prevent.
-  deadline::Scope no_deadline(deadline::Deadline::None());
-  // Joined, so a replayed compensation never stages undo of its own when
-  // this context is the thread's current one (a failing statement).
-  Join();
-  pending_.clear();
-  Status first_error = Status::OK();
-  while (entries_.size() > mark) {
-    sql::Statement comp = std::move(entries_.back());
-    entries_.pop_back();
-    Status st = Status::OK();
-    for (int attempt = 0; attempt < kRollbackAttempts; ++attempt) {
-      st = db_->ExecuteAst(comp, {}).status();
-      if (st.ok()) break;
-    }
-    if (st.ok()) {
-      if (executed != nullptr) ++*executed;
-    } else if (first_error.ok()) {
-      first_error = st;
-    }
-  }
-  Leave();
-  return first_error;
-}
-
-Status TransactionContext::Stage(sql::Statement compensation) {
-  if (!begun_) {
-    if (client_) return Status::FailedPrecondition("no transaction open");
-    // Statement-local bracket: the WAL bracket opens with the first hint.
-    if (db_->durable()) {
-      MTDB_ASSIGN_OR_RETURN(txn_id_, db_->BeginTxn());
-      begun_ = true;
-    }
-  }
-  if (db_->durable()) {
-    MTDB_RETURN_IF_ERROR(db_->StageTxnHint(txn_id_, sql::ToSql(compensation)));
-  }
-  pending_.push_back(std::move(compensation));
-  return Status::OK();
-}
-
-void TransactionContext::Confirm() {
-  for (auto& s : pending_) entries_.push_back(std::move(s));
-  pending_.clear();
 }
 
 Status TransactionContext::StageEngineUndo(

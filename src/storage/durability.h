@@ -55,15 +55,15 @@ struct RecoveredState {
 /// The durability subsystem: a segmented physical WAL plus a page-file
 /// backing store (`pages.db` + `meta`) written by fuzzy checkpoints.
 ///
-/// Contract (DESIGN.md §10): every statement that mutated pages commits
-/// exactly one checksummed group frame — per dirtied page a delta of
-/// its changed bytes (or a full image on the page's first change since
-/// the checkpoint or its allocation), plus ordered alloc/dealloc ops —
-/// while its table latches are still held, so
-/// "statement reported success" if and only if "statement survives
-/// recovery". Mapping-layer statements spanning several physical
-/// statements bracket them with txn records whose hints let recovery
-/// undo a half-applied logical statement.
+/// Contract (DESIGN.md §10): every write batch that mutated pages — one
+/// per logical write, however many physical writes it fans out to, or
+/// one DDL statement — commits exactly one checksummed group frame (per
+/// dirtied page a delta of its changed bytes, or a full image on the
+/// page's first change since the checkpoint or its allocation, plus
+/// ordered alloc/dealloc ops) while its table latches are still held,
+/// so "statement reported success" if and only if "statement survives
+/// recovery". Txn records bracket client transactions only; their hints
+/// let recovery undo a transaction that never committed.
 ///
 /// Failure model: freeze-on-crash. An injected kCrash (or a real append
 /// failure) freezes the subsystem; every later durable operation returns
@@ -86,7 +86,7 @@ class Durability {
   /// called exactly once, before any other method.
   Result<RecoveredState> Recover();
 
-  /// Appends the statement's redo group. Called with the statement's
+  /// Appends a write batch's redo group. Called with the batch's
   /// exclusive table latches still held. A page with a before-image in
   /// the capture is logged as a delta against it, unless it has no full
   /// image in the log since the last checkpoint (or its allocation) or
@@ -96,7 +96,7 @@ class Durability {
                      std::vector<WalTableMeta> table_meta,
                      const std::string* catalog_blob);
 
-  /// Logical transaction bracket: appends the begin/end record. It does
+  /// Client transaction bracket: appends the begin/end record. It does
   /// not touch the txn gate — the caller (Database's open-txn registry)
   /// takes the gate shared only around each append, never across
   /// statements, and checkpoints carry open transactions forward in the

@@ -14,9 +14,9 @@
 namespace mtdb {
 
 /// Physical log record kinds. Groups carry page redo for one engine
-/// statement; the txn records bracket a mapping-layer logical
-/// statement that spans several physical statements, so recovery can
-/// undo a half-applied one (see DESIGN.md §10).
+/// write batch (a whole logical write); the txn records bracket a
+/// client transaction, so recovery can undo one that never committed
+/// (see DESIGN.md §10 and §14).
 enum class WalRecordType : uint8_t {
   kGroup = 1,
   kTxnBegin = 2,

@@ -810,6 +810,123 @@ INSTANTIATE_TEST_SUITE_P(Layouts, TxnRecoverySiteSweepTest,
                            return LayoutKindName(info.param);
                          });
 
+/// Recovery replays an open transaction's compensations from their SQL
+/// text, and a compensation finds its physical row by the row's whole
+/// image. Every literal in that text must therefore parse back to the
+/// exact stored value: a DOUBLE rendered short (1234.5678 as 1234.57)
+/// matches nothing, and the uncommitted writes would survive the crash.
+/// Non-round doubles sit in a base column and in an extension column, so
+/// the mapped layouts keep them in chunk, pivot and extension tables; the
+/// Chunk Table layouts get a shape with typed dbl columns for them.
+class TxnRecoveryDoubleTest : public ::testing::TestWithParam<LayoutKind> {};
+
+TEST_P(TxnRecoveryDoubleTest, OpenTransactionOverDoublesVanishesOnRecovery) {
+  const LayoutKind kind = GetParam();
+  AppSchema app;
+  {
+    LogicalTable account;
+    account.name = "account";
+    account.columns = {{"aid", TypeId::kInt64, true},
+                       {"name", TypeId::kString, false},
+                       {"balance", TypeId::kDouble, false}};
+    ASSERT_TRUE(app.AddTable(std::move(account)).ok());
+    ExtensionDef finance;
+    finance.name = "finance";
+    finance.base_table = "account";
+    finance.columns = {{"rate", TypeId::kDouble, false}};
+    ASSERT_TRUE(app.AddExtension(std::move(finance)).ok());
+  }
+  const std::string dir =
+      FreshDir(std::string("txn_double_") + LayoutKindName(kind));
+  auto make_layout = [&](Database* db) -> std::unique_ptr<SchemaMapping> {
+    if (kind != LayoutKind::kChunk && kind != LayoutKind::kVertical) {
+      return MakeLayout(kind, db, &app);
+    }
+    ChunkLayoutOptions options;
+    options.shape.doubles = 2;
+    options.fold = kind == LayoutKind::kChunk;
+    return std::make_unique<ChunkTableLayout>(db, &app, options);
+  };
+  auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  std::unique_ptr<SchemaMapping> layout = make_layout(db.get());
+  ASSERT_TRUE(layout->Bootstrap().ok());
+  ASSERT_TRUE(layout->CreateTenant(0).ok());
+  ASSERT_TRUE(layout->EnableExtension(0, "finance").ok());
+  auto seeded = layout->Execute(
+      0,
+      "INSERT INTO account (aid, name, balance, rate) VALUES "
+      "(1, 'a', 1234.5678, 0.30000000000000004), "
+      "(2, 'b', 98765.4321, 0.000123456789)");
+  ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
+  const std::string kScan = "SELECT aid, name, balance, rate FROM account "
+                            "ORDER BY aid";
+  auto before = layout->Query(0, kScan);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->rows.size(), 2u);
+
+  {
+    TenantSession s = layout->OpenSession(0);
+    ASSERT_TRUE(s.Begin().ok());
+    for (const char* sql :
+         {"UPDATE account SET name = 'a2', balance = 2.718281828459045, "
+          "rate = 1.0000001 WHERE aid = 1",
+          "INSERT INTO account (aid, name, balance, rate) VALUES "
+          "(3, 'c', 3.141592653589793, 0.1)",
+          "DELETE FROM account WHERE aid = 2"}) {
+      auto r = s.Execute(sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    }
+    // Kill the durability layer at the COMMIT record: the transaction
+    // has no end record, so recovery must undo it from its hints.
+    FaultInjector injector(7);
+    FaultSpec spec;
+    spec.probability = 1.0;
+    spec.max_fires = 1;
+    injector.Arm(FaultPoint::kCrash, spec);
+    db->page_store()->set_fault_injector(&injector);
+    EXPECT_FALSE(s.Commit().ok());
+    EXPECT_TRUE(db->durability()->frozen());
+    db->page_store()->set_fault_injector(nullptr);
+  }  // Session teardown's rollback is best-effort on the frozen engine.
+
+  layout.reset();
+  db.reset();
+  auto reopened = Database::Open(DatabaseOptions::WithPath(dir));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  db = std::move(*reopened);
+  layout = make_layout(db.get());
+  Status rec = layout->Recover();
+  ASSERT_TRUE(rec.ok()) << rec.ToString();
+
+  auto after = layout->Query(0, kScan);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_EQ(after->rows.size(), before->rows.size())
+      << "the open transaction's insert or delete survived recovery";
+  for (size_t i = 0; i < before->rows.size(); ++i) {
+    for (size_t c = 0; c < before->rows[i].size(); ++c) {
+      EXPECT_EQ(after->rows[i][c].Compare(before->rows[i][c]), 0)
+          << "row " << i << " col " << c << ": got "
+          << FormatRow(after->rows[i]) << " want "
+          << FormatRow(before->rows[i]);
+    }
+  }
+  AuditLayout(layout.get(), "double txn recovery audit");
+}
+
+// Every layout that supports extensions (Basic has none; its base
+// table holds doubles the way Private's does).
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, TxnRecoveryDoubleTest,
+    ::testing::Values(LayoutKind::kPrivate,
+                      LayoutKind::kExtension, LayoutKind::kUniversal,
+                      LayoutKind::kPivot, LayoutKind::kChunk,
+                      LayoutKind::kVertical, LayoutKind::kChunkFolding),
+    [](const ::testing::TestParamInfo<LayoutKind>& info) {
+      return LayoutKindName(info.param);
+    });
+
 /// Deallocation regression: DROP TABLE frees pages through the logged
 /// free list. Recovery must replay those deallocations byte-exactly —
 /// the reopened store's free list equals the pre-crash one in pop order,
@@ -953,10 +1070,11 @@ enum class KillMode {
   kKill,
   /// Crash the last checkpoint halfway through writing pages.db.
   kMidFlush,
-  /// A small checkpoint interval, then a kill right after an automatic
-  /// checkpoint landed between two physical statements of one logical
-  /// write. The checkpoint meta carries the open statement's undo hints,
-  /// so recovery must restore the pre-statement logical rows.
+  /// A small checkpoint interval and a run of mapped logical writes, each
+  /// of which must commit as one redo group (so no automatic checkpoint
+  /// can land between its physical writes), then a kill at the redo-group
+  /// append of a multi-write logical write. Recovery must restore the
+  /// pre-statement logical rows.
   kMidStatement,
 };
 
@@ -972,42 +1090,12 @@ const char* KillModeName(KillMode mode) {
   return "?";
 }
 
-/// Arms an immediate kill once an automatic checkpoint has landed inside
-/// the current logical write: at a physical statement whose
-/// notification sees more checkpoints than the write's first one did.
-/// The kill then hits that statement's redo-group append.
-class MidStatementKill : public PhysicalStatementObserver {
+/// Counts the physical writes the mapping layer emits.
+class PhysicalWriteCounter : public PhysicalStatementObserver {
  public:
-  MidStatementKill(Database* db, FaultInjector* injector)
-      : db_(db), injector_(injector) {}
-
-  /// Call before each logical write.
-  void StartStatement() { first_ = true; }
-  bool armed() const { return armed_; }
-
   void OnSelect(TenantId, const sql::SelectStmt&) override {}
-  void OnStatement(TenantId, const sql::Statement&) override {
-    if (armed_) return;
-    const uint64_t checkpoints = db_->Stats().durability.checkpoints;
-    if (first_) {
-      first_ = false;
-      at_first_ = checkpoints;
-      return;
-    }
-    if (checkpoints == at_first_) return;
-    FaultSpec spec;
-    spec.probability = 1.0;
-    spec.max_fires = 1;
-    injector_->Arm(FaultPoint::kCrash, spec);
-    armed_ = true;
-  }
-
- private:
-  Database* db_;
-  FaultInjector* injector_;
-  bool first_ = true;
-  bool armed_ = false;
-  uint64_t at_first_ = 0;
+  void OnStatement(TenantId, const sql::Statement&) override { ++writes; }
+  uint64_t writes = 0;
 };
 
 std::vector<std::string> AccountRows(SchemaMapping* layout, TenantId t) {
@@ -1137,46 +1225,64 @@ TEST_P(ReplayEquivalenceTest, RecoveredPagesAreByteIdenticalToCommitted) {
       << "no page allocated after the checkpoint (no split, no new page)";
 
   if (mode == KillMode::kMidStatement) {
-    // Logical writes that span dozens of physical statements: per-row
-    // Phase (b) UPDATEs (one per affected row and touched source)
-    // alternate with 30-row INSERTs (one physical insert per row and
-    // source — the only fan-out the single-table layouts have, whose
-    // UPDATE is one physical statement).
+    // Logical writes that span dozens of physical writes: per-row Phase
+    // (b) UPDATEs (one per affected row and touched source) alternate
+    // with 30-row INSERTs (one physical insert per row and source — the
+    // only fan-out the single-table layouts have, whose UPDATE is one
+    // physical statement).
     layout->set_dml_mode(DmlMode::kPerRow);
     const std::vector<std::string> other_tenant = AccountRows(layout.get(), 1);
-    FaultInjector injector(1);
-    MidStatementKill killer(db.get(), &injector);
-    layout->set_statement_observer(&killer);
-    db->page_store()->set_fault_injector(&injector);
-    const uint64_t checkpoints_before = db->Stats().durability.checkpoints;
-    std::vector<std::string> before;
-    for (int round = 0; round < 200 && !killer.armed(); ++round) {
-      before = AccountRows(layout.get(), 0);
-      std::string sql;
+    PhysicalWriteCounter counter;
+    layout->set_statement_observer(&counter);
+    auto write_sql = [](int round) {
       if (round % 2 == 0) {
-        sql = "UPDATE account SET name = 'round-" + std::to_string(round) +
-              "' WHERE aid < 60";
-      } else {
-        sql = "INSERT INTO account (aid, name) VALUES ";
-        for (int i = 0; i < 30; ++i) {
-          const std::string aid = std::to_string(10'000 + round * 30 + i);
-          if (i > 0) sql += ", ";
-          sql += "(" + aid + ", 'new-" + aid + "')";
-        }
+        return "UPDATE account SET name = 'round-" + std::to_string(round) +
+               "' WHERE aid < 60";
       }
-      killer.StartStatement();
-      Result<int64_t> r = layout->Execute(0, sql);
-      if (killer.armed()) {
-        EXPECT_FALSE(r.ok()) << "the kill did not fail the statement";
-      } else {
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      std::string sql = "INSERT INTO account (aid, name) VALUES ";
+      for (int i = 0; i < 30; ++i) {
+        const std::string aid = std::to_string(10'000 + round * 30 + i);
+        if (i > 0) sql += ", ";
+        sql += "(" + aid + ", 'new-" + aid + "')";
       }
+      return sql;
+    };
+    const DurabilityCountersSnapshot run_start = db->Stats().durability;
+    int round = 0;
+    for (; round < 200; ++round) {
+      const DurabilityCountersSnapshot before = db->Stats().durability;
+      if (before.checkpoints >= run_start.checkpoints + 2) break;
+      exec(0, write_sql(round));
+      if (::testing::Test::HasFatalFailure()) return;
+      // All physical writes of the logical write share one redo group,
+      // so an automatic checkpoint can only land before or after them.
+      const DurabilityCountersSnapshot after = db->Stats().durability;
+      ASSERT_EQ(after.group_commits, before.group_commits + 1)
+          << "round " << round << ": a logical write spans redo groups";
     }
+    const DurabilityCountersSnapshot run_end = db->Stats().durability;
     // Mapped writes alone honour checkpoint_interval_bytes.
-    EXPECT_GT(db->Stats().durability.checkpoints, checkpoints_before)
-        << "no automatic checkpoint during a run of mapped writes";
-    ASSERT_TRUE(killer.armed())
-        << "no automatic checkpoint landed inside a logical write";
+    EXPECT_GE(run_end.checkpoints, run_start.checkpoints + 2)
+        << "no automatic checkpoints during a run of mapped writes";
+    EXPECT_EQ(run_end.txn_begins, run_start.txn_begins)
+        << "an autocommit logical write opened a txn bracket";
+
+    // Kill the next multi-write logical write at its redo-group append:
+    // the batch's group is the first durable operation the write makes.
+    const std::vector<std::string> before = AccountRows(layout.get(), 0);
+    FaultInjector injector(1);
+    FaultSpec spec;
+    spec.probability = 1.0;
+    spec.max_fires = 1;
+    injector.Arm(FaultPoint::kCrash, spec);
+    db->page_store()->set_fault_injector(&injector);
+    const uint64_t writes_before = counter.writes;
+    const uint64_t groups_before = db->Stats().durability.group_commits;
+    Result<int64_t> killed = layout->Execute(0, write_sql(round | 1));
+    EXPECT_FALSE(killed.ok()) << "the kill did not fail the statement";
+    EXPECT_EQ(injector.fires(FaultPoint::kCrash), 1u);
+    EXPECT_GE(counter.writes, writes_before + 30) << "not a multi-write batch";
+    EXPECT_EQ(db->Stats().durability.group_commits, groups_before);
     ASSERT_TRUE(db->durability()->frozen());
     layout->set_statement_observer(nullptr);
     db->page_store()->set_fault_injector(nullptr);

@@ -257,6 +257,23 @@ TEST(PrinterTest, LikeRoundTrip) {
   EXPECT_EQ(ToSql(**again), printed);
 }
 
+TEST(PrinterTest, DoubleLiteralsParseBackExactly) {
+  // Compensations and recovery hints find rows by exact value through
+  // printed SQL, so a printed DOUBLE must parse back bit for bit.
+  for (double v : {1234.5678, 0.1 + 0.2, 1e-7, 1e20, 3.0, 2.718281828459045,
+                   5e-324, 1.7976931348623157e308}) {
+    const std::string literal = Value::Double(v).ToSqlLiteral();
+    auto stmt = ParseSelect("SELECT a FROM t WHERE b = " + literal);
+    ASSERT_TRUE(stmt.ok()) << literal;
+    const ParsedExpr& rhs = *(*stmt)->where->right;
+    ASSERT_EQ(rhs.kind, PExprKind::kLiteral) << literal;
+    EXPECT_EQ(rhs.literal.type(), TypeId::kDouble) << literal;
+    EXPECT_EQ(rhs.literal.AsDouble(), v) << literal;
+  }
+  EXPECT_EQ(Value::Double(-2.5).ToSqlLiteral(), "-2.5");
+  EXPECT_EQ(Value::Double(3.0).ToSqlLiteral(), "3.0");
+}
+
 TEST(AstTest, CloneIsDeep) {
   auto stmt = ParseSelect("SELECT a FROM t WHERE b = 1");
   ASSERT_TRUE(stmt.ok());
