@@ -41,8 +41,6 @@ const char* LatchRankName(LatchRank rank) {
       return "LockWaitGraph";
     case LatchRank::kLockShard:
       return "LockShard";
-    case LatchRank::kTxnGate:
-      return "TxnGate";
     case LatchRank::kMappingTableNum:
       return "MappingTableNum";
     case LatchRank::kMappingCache:

@@ -19,7 +19,7 @@ namespace mtdb {
 /// graph, whose cycle detection catches cross-thread ABBA patterns.
 ///
 /// The numeric gaps leave room for future layers. The full table, with
-/// who owns each rank, is documented in DESIGN.md §11. Note three
+/// who owns each rank, is documented in DESIGN.md §11. Note the
 /// deliberate deviations from a naive reading of the module layering:
 ///  * kCatalog sits BELOW kTableIndex: the planner and the statement
 ///    executors resolve tables through the catalog while already holding
@@ -28,19 +28,13 @@ namespace mtdb {
 ///  * kWal sits below kTableIndex: the durability contract appends a
 ///    statement's redo group while its exclusive table latches are still
 ///    held, so the log order matches memory order per table.
-///  * kLockShard/kLockWaitGraph sit BELOW kTxnGate: the gate is held
-///    only around a txn-record append (and by checkpoints), never across
-///    a lock acquisition, so the lock-table latches stay inner to it.
-///    They sit ABOVE kMappingCache so a blocked acquisition (which parks
-///    on the shard's condvar with the shard latch released) can never
-///    pin a mapping-layer latch.
-///  * kTxnGate sits ABOVE the mapping-layer cache/row latches: an
-///    automatic checkpoint (gate exclusive) fires after any durable
-///    physical statement, including those of a mapped write, so the
-///    gate is the outer latch on that path; the one place that nests
-///    the other way — auto-checkpoint triggered by a lazy table
-///    provision under the cache latch — defers the checkpoint instead
-///    (see Database::MaybeAutoCheckpoint).
+///  * kLockShard/kLockWaitGraph sit ABOVE kMappingCache so a blocked
+///    acquisition (which parks on the shard's condvar with the shard
+///    latch released) can never pin a mapping-layer latch.
+///  * kDdl is the one checkpoint exclusion: a checkpoint takes it
+///    exclusively, and txn-record appends take it shared. An automatic
+///    checkpoint fired by lazy DDL under the mapping cache latch nests
+///    kDdl below kMappingCache, as that DDL itself does.
 enum class LatchRank : uint8_t {
   kPageStore = 0,        // PageStore::mu_ (innermost)
   kMetricsRegistry = 5,  // MetricsRegistry::mu_ (leaf: never calls out)
@@ -58,7 +52,6 @@ enum class LatchRank : uint8_t {
   kTenantRow = 100,        // TenantEntry::row_mu; ordered by TenantId
   kLockWaitGraph = 103,    // LockManager::graph_mu_ (holders + wait-for graph)
   kLockShard = 106,        // LockManager shard latches (hash-partitioned)
-  kTxnGate = 110,          // Durability::txn_gate_
   kMappingLayer = 120,     // SchemaMapping::layer_mu_
   kAdmission = 125,        // AdmissionController::mu_ (outermost)
 };

@@ -150,6 +150,15 @@ Result<Value> Value::CastTo(TypeId target) const {
       }
       break;
     case TypeId::kString:
+      if (type_ == TypeId::kDouble) {
+        // A DOUBLE stored in a VARCHAR slot (Universal, Chunk Table) must
+        // read back bit for bit, so store the shortest text that the
+        // atof above parses back to the same double (exponents
+        // included). ToString's %g keeps six digits: display only.
+        char buf[32];
+        auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), AsDouble());
+        if (ec == std::errc()) return Value::String(std::string(buf, end));
+      }
       return Value::String(ToString());
     case TypeId::kNull:
       break;

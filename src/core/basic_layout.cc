@@ -1,7 +1,5 @@
 #include "core/basic_layout.h"
 
-#include "engine/lock_manager.h"
-
 namespace mtdb {
 namespace mapping {
 
@@ -56,71 +54,6 @@ Result<std::unique_ptr<TableMapping>> BasicLayout::BuildMapping(
     mapping->column_order.push_back(c.name);
   }
   return mapping;
-}
-
-namespace {
-
-/// tenant = <id> conjunct for direct DML pass-through.
-sql::ParsedExprPtr TenantConjunct(TenantId tenant) {
-  return sql::MakeBinary(sql::BinaryOp::kEq, sql::MakeColumnRef("", "tenant"),
-                         sql::MakeLiteral(Value::Int32(tenant)));
-}
-
-}  // namespace
-
-Result<int64_t> BasicLayout::GenericUpdate(TenantId tenant,
-                                           const sql::UpdateStmt& stmt,
-                                           const std::vector<Value>& params) {
-  sql::Statement phys;
-  phys.kind = sql::StatementKind::kUpdate;
-  phys.update = std::make_unique<sql::UpdateStmt>();
-  phys.update->table = stmt.table;
-  for (const auto& [col, expr] : stmt.assignments) {
-    phys.update->assignments.emplace_back(col, expr->Clone());
-  }
-  phys.update->where = sql::AndTogether(
-      TenantConjunct(tenant),
-      stmt.where == nullptr ? nullptr : stmt.where->Clone());
-  NotifyStatement(tenant, phys);
-  if (Explaining()) return 0;
-  // §15: pass-through DML has no Phase (a) row set, so the whole-table
-  // X fallback serializes this tenant's logical writers up front; the
-  // physical statement then runs after the winner commits and sees its
-  // post-commit image by construction.
-  if (lock::StatementLockContext* locks =
-          lock::StatementLockContext::Current();
-      locks != nullptr && locks->enabled()) {
-    MTDB_RETURN_IF_ERROR(
-        locks->LockTable(IdentLower(stmt.table), lock::LockMode::kX));
-  }
-  stats_.physical_statements++;
-  return db_->ExecuteAst(phys, params);
-}
-
-Result<int64_t> BasicLayout::GenericDelete(TenantId tenant,
-                                           const sql::DeleteStmt& stmt,
-                                           const std::vector<Value>& params) {
-  sql::Statement phys;
-  phys.kind = sql::StatementKind::kDelete;
-  phys.del = std::make_unique<sql::DeleteStmt>();
-  phys.del->table = stmt.table;
-  phys.del->where = sql::AndTogether(
-      TenantConjunct(tenant),
-      stmt.where == nullptr ? nullptr : stmt.where->Clone());
-  NotifyStatement(tenant, phys);
-  if (Explaining()) return 0;
-  // §15: pass-through DML has no Phase (a) row set, so the whole-table
-  // X fallback serializes this tenant's logical writers up front; the
-  // physical statement then runs after the winner commits and sees its
-  // post-commit image by construction.
-  if (lock::StatementLockContext* locks =
-          lock::StatementLockContext::Current();
-      locks != nullptr && locks->enabled()) {
-    MTDB_RETURN_IF_ERROR(
-        locks->LockTable(IdentLower(stmt.table), lock::LockMode::kX));
-  }
-  stats_.physical_statements++;
-  return db_->ExecuteAst(phys, params);
 }
 
 }  // namespace mapping

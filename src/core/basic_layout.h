@@ -24,10 +24,6 @@ class BasicLayout final : public SchemaMapping {
   Status EnableExtensionImpl(TenantId tenant, const std::string& ext) override;
   Result<std::unique_ptr<TableMapping>> BuildMapping(
       TenantId tenant, const std::string& table) override;
-  Result<int64_t> GenericUpdate(TenantId tenant, const sql::UpdateStmt& stmt,
-                                const std::vector<Value>& params) override;
-  Result<int64_t> GenericDelete(TenantId tenant, const sql::DeleteStmt& stmt,
-                                const std::vector<Value>& params) override;
 };
 
 }  // namespace mapping

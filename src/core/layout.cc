@@ -270,7 +270,7 @@ Status SchemaMapping::EnableExtensionImpl(TenantId tenant,
                                                 std::move(physical_row)));
     }
   }
-  MTDB_RETURN_IF_ERROR(ApplyWrites(writes).status());
+  MTDB_RETURN_IF_ERROR(ApplyWrites(tenant, writes).status());
   return RecordExtensionEnabled(
       tenant, ext,
       static_cast<int64_t>(entry->state.extensions().size()) - 1);
@@ -569,10 +569,6 @@ Result<const TableMapping*> SchemaMapping::Mapping(TenantId tenant,
   auto key = std::make_pair(tenant, IdentLower(table));
   auto it = mapping_cache_.find(key);
   if (it != mapping_cache_.end()) return it->second.get();
-  // BuildMapping may lazily run physical DDL; an automatic checkpoint
-  // inside that DDL would take the txn gate exclusively while this
-  // latch is held — a rank inversion — so defer it.
-  AutoCheckpointDeferral no_ckpt;
   MTDB_ASSIGN_OR_RETURN(std::unique_ptr<TableMapping> m,
                         BuildMapping(tenant, table));
   const TableMapping* raw = m.get();
@@ -727,7 +723,7 @@ Result<int64_t> SchemaMapping::InsertRow(TenantId tenant,
     }
     std::vector<PhysicalWrite> writes;
     MTDB_RETURN_IF_ERROR(InsertMappedRow(tenant, table, columns, row, &writes));
-    MTDB_RETURN_IF_ERROR(ApplyWrites(writes).status());
+    MTDB_RETURN_IF_ERROR(ApplyWrites(tenant, writes).status());
     return 1;
   });
 }
@@ -826,18 +822,45 @@ Result<int64_t> SchemaMapping::GenericInsert(TenantId tenant,
     MTDB_RETURN_IF_ERROR(
         InsertMappedRow(tenant, stmt.table, columns, values, &writes));
   }
-  MTDB_RETURN_IF_ERROR(ApplyWrites(writes).status());
+  MTDB_RETURN_IF_ERROR(ApplyWrites(tenant, writes).status());
   return static_cast<int64_t>(stmt.rows.size());
 }
 
 Result<int64_t> SchemaMapping::ApplyWrites(
-    const std::vector<PhysicalWrite>& writes) {
-  // Under EXPLAIN MAPPING Phase (b) is planned (NotifyStatement recorded
-  // it) but never run.
+    TenantId tenant, const std::vector<PhysicalWrite>& writes,
+    const std::vector<Value>& params) {
+  for (const PhysicalWrite& w : writes) {
+    if (w.stmt != nullptr) {
+      NotifyStatement(tenant, *w.stmt);
+    } else if (Explaining() ||
+               observer_.load(std::memory_order_acquire) != nullptr) {
+      // Row inserts go through the engine's row API, so the INSERT the
+      // engine would otherwise parse is synthesized here for the
+      // observer / EXPLAIN MAPPING sink (built only when someone looks).
+      TableInfo* phys = db_->catalog()->GetTable(w.table);
+      if (phys == nullptr) {
+        return Status::Internal("physical table missing: " + w.table);
+      }
+      sql::Statement ins;
+      ins.kind = sql::StatementKind::kInsert;
+      ins.insert = std::make_unique<sql::InsertStmt>();
+      ins.insert->table = w.table;
+      std::vector<sql::ParsedExprPtr> vals;
+      for (size_t i = 0; i < w.row.size() && i < phys->schema.size(); ++i) {
+        if (w.row[i].is_null()) continue;
+        ins.insert->columns.push_back(phys->schema.at(i).name);
+        vals.push_back(sql::MakeLiteral(w.row[i]));
+      }
+      ins.insert->rows.push_back(std::move(vals));
+      NotifyStatement(tenant, ins);
+    }
+  }
+  // Under EXPLAIN MAPPING Phase (b) is planned (recorded above) but never
+  // run.
   if (Explaining() || writes.empty()) return 0;
   const uint64_t count = writes.size();
   uint64_t reverted = 0;
-  Result<int64_t> out = db_->ExecuteBatch(writes, &reverted);
+  Result<int64_t> out = db_->ExecuteBatch(writes, params, &reverted);
   if (out.ok()) {
     stats_.physical_statements += count;
   } else if (reverted > 0) {
@@ -849,10 +872,9 @@ Result<int64_t> SchemaMapping::ApplyWrites(
 
 namespace {
 
-/// partition AND row = row_id: the locality predicate addressing one
-/// logical row's chunk in one physical source.
-sql::ParsedExprPtr RowLocalPredicate(const PhysicalSource& source,
-                                     int64_t row_id) {
+/// The conjunction of a source's partition (meta-data) columns: tenant,
+/// table number, chunk — whatever the source shares its table by.
+sql::ParsedExprPtr PartitionPredicate(const PhysicalSource& source) {
   sql::ParsedExprPtr where;
   for (const auto& p : source.partition) {
     where = sql::AndTogether(
@@ -860,14 +882,33 @@ sql::ParsedExprPtr RowLocalPredicate(const PhysicalSource& source,
         sql::MakeBinary(sql::BinaryOp::kEq, sql::MakeColumnRef("", p.first),
                         sql::MakeLiteral(p.second)));
   }
-  if (!source.row_column.empty()) {
-    where = sql::AndTogether(
-        std::move(where),
-        sql::MakeBinary(sql::BinaryOp::kEq,
-                        sql::MakeColumnRef("", source.row_column),
-                        sql::MakeLiteral(Value::Int64(row_id))));
-  }
   return where;
+}
+
+/// partition AND row = row_id: the locality predicate addressing one
+/// logical row's chunk in one physical source.
+sql::ParsedExprPtr RowLocalPredicate(const PhysicalSource& source,
+                                     int64_t row_id) {
+  return sql::AndTogether(
+      PartitionPredicate(source),
+      sql::MakeBinary(sql::BinaryOp::kEq,
+                      sql::MakeColumnRef("", source.row_column),
+                      sql::MakeLiteral(Value::Int64(row_id))));
+}
+
+/// §15's whole-table X on (tenant, table) for a write that has no row
+/// set to lock; a no-op outside a locking statement.
+Status LockWholeTable(const std::string& table) {
+  lock::StatementLockContext* locks = lock::StatementLockContext::Current();
+  if (locks == nullptr || !locks->enabled()) return Status::OK();
+  return locks->LockTable(IdentLower(table), lock::LockMode::kX);
+}
+
+/// True when the mapping is one source without a row column (Basic,
+/// Private): the logical UPDATE/DELETE maps to exactly one physical
+/// statement, §6.3's two phases degenerating to Phase (b) alone.
+bool IsPassThrough(const TableMapping& mapping) {
+  return mapping.sources.size() == 1 && mapping.sources[0].row_column.empty();
 }
 
 /// The Phase (b) batch running `stmts`, which must outlive it.
@@ -918,7 +959,7 @@ Status SchemaMapping::InsertMappedRow(TenantId tenant, const std::string& table,
   // re-probe an owned lock). Without row ids the whole-table X is the
   // write lock.
   if (lock::StatementLockContext* locks = lock::StatementLockContext::Current();
-      locks != nullptr && locks->enabled() && !Explaining()) {
+      locks != nullptr && locks->enabled()) {
     if (needs_row) {
       MTDB_RETURN_IF_ERROR(
           locks->LockTable(IdentLower(table), lock::LockMode::kIntentX));
@@ -972,24 +1013,6 @@ Status SchemaMapping::InsertMappedRow(TenantId tenant, const std::string& table,
       }
       MTDB_ASSIGN_OR_RETURN(physical_row[*pos],
                             it->second->CastTo(target.physical_type));
-    }
-    if (Explaining() || observer_.load(std::memory_order_acquire) != nullptr) {
-      // Physical inserts go through the engine's row API, so the INSERT
-      // the engine would otherwise parse is synthesized here for the
-      // observer / EXPLAIN MAPPING sink (built only when someone looks).
-      sql::Statement ins;
-      ins.kind = sql::StatementKind::kInsert;
-      ins.insert = std::make_unique<sql::InsertStmt>();
-      ins.insert->table = source.physical_table;
-      std::vector<sql::ParsedExprPtr> vals;
-      for (size_t i = 0; i < physical_row.size() && i < phys->schema.size();
-           ++i) {
-        if (physical_row[i].is_null()) continue;
-        ins.insert->columns.push_back(phys->schema.at(i).name);
-        vals.push_back(sql::MakeLiteral(physical_row[i]));
-      }
-      ins.insert->rows.push_back(std::move(vals));
-      NotifyStatement(tenant, ins);
     }
     writes->push_back(
         PhysicalWrite::RowInsert(source.physical_table, std::move(physical_row)));
@@ -1046,21 +1069,18 @@ Result<std::vector<SchemaMapping::AffectedRow>> SchemaMapping::CollectAffected(
 
 uint64_t SchemaMapping::PreCollectLockEpoch(const std::string& table) const {
   lock::StatementLockContext* locks = lock::StatementLockContext::Current();
-  if (locks == nullptr || !locks->enabled() || Explaining()) return 0;
+  if (locks == nullptr || !locks->enabled()) return 0;
   return locks->TableWriteEpoch(IdentLower(table));
 }
 
 Status SchemaMapping::LockAffectedRows(TenantId tenant,
                                        const std::string& table,
-                                       bool rows_lockable,
                                        std::vector<AffectedRow>* affected,
                                        const sql::ParsedExpr* where,
                                        const std::vector<Value>& params,
                                        uint64_t collect_epoch) {
   lock::StatementLockContext* locks = lock::StatementLockContext::Current();
-  if (locks == nullptr || !locks->enabled() || Explaining()) {
-    return Status::OK();
-  }
+  if (locks == nullptr || !locks->enabled()) return Status::OK();
   const std::string key = IdentLower(table);
   // A NULL row column maps to row_id -1 (== lock::kTableRowId): such
   // rows have no lockable identity, so their presence degrades the set
@@ -1080,10 +1100,10 @@ Status SchemaMapping::LockAffectedRows(TenantId tenant,
   // the pre-collect snapshot once the locks are held" proves no such
   // window existed; any movement (a superset of waited()) re-runs
   // Phase (a) under the locks now held.
-  if (!rows_lockable || has_null_row_ids(*affected)) {
-    // No row ids: rows are addressed by value, so the honest lock
-    // granularity is the whole (tenant, table). Still per tenant —
-    // co-located tenants in shared physical tables never contend.
+  if (has_null_row_ids(*affected)) {
+    // No lockable row ids: the honest lock granularity is the whole
+    // (tenant, table). Still per tenant — co-located tenants in shared
+    // physical tables never contend.
     locks->clear_waited();
     MTDB_RETURN_IF_ERROR(locks->LockTable(key, lock::LockMode::kX));
     if (locks->waited() || locks->TableWriteEpoch(key) != collect_epoch) {
@@ -1164,13 +1184,6 @@ namespace {
 sql::ParsedExprPtr RowBatchPredicate(const PhysicalSource& source,
                                      const std::vector<int64_t>& rows,
                                      size_t begin, size_t end) {
-  sql::ParsedExprPtr where;
-  for (const auto& p : source.partition) {
-    where = sql::AndTogether(
-        std::move(where),
-        sql::MakeBinary(sql::BinaryOp::kEq, sql::MakeColumnRef("", p.first),
-                        sql::MakeLiteral(p.second)));
-  }
   sql::ParsedExprPtr row_set;
   for (size_t i = begin; i < end; ++i) {
     sql::ParsedExprPtr eq = sql::MakeBinary(
@@ -1181,7 +1194,7 @@ sql::ParsedExprPtr RowBatchPredicate(const PhysicalSource& source,
                   : sql::MakeBinary(sql::BinaryOp::kOr, std::move(row_set),
                                     std::move(eq));
   }
-  return sql::AndTogether(std::move(where), std::move(row_set));
+  return sql::AndTogether(PartitionPredicate(source), std::move(row_set));
 }
 
 /// True when the expression never reads the old row (safe to batch).
@@ -1199,11 +1212,51 @@ constexpr size_t kDmlBatchSize = 64;
 
 }  // namespace
 
+Result<int64_t> SchemaMapping::PassThrough(TenantId tenant,
+                                           const std::string& table,
+                                           const TableMapping& mapping,
+                                           sql::Statement phys,
+                                           const sql::ParsedExpr* where,
+                                           const std::vector<Value>& params) {
+  // The statement keeps its logical column names, so the source must too.
+  for (const auto& [lname, target] : mapping.columns) {
+    if (!IdentEquals(lname, target.physical_column)) {
+      return Status::Internal("pass-through mapping renames column " + lname +
+                              " to " + target.physical_column);
+    }
+  }
+  const PhysicalSource& source = mapping.sources[0];
+  sql::ParsedExprPtr pred = sql::AndTogether(
+      PartitionPredicate(source), where == nullptr ? nullptr : where->Clone());
+  if (phys.kind == sql::StatementKind::kUpdate) {
+    phys.update->table = source.physical_table;
+    phys.update->where = std::move(pred);
+  } else {
+    phys.del->table = source.physical_table;
+    phys.del->where = std::move(pred);
+  }
+  // No Phase (a) row set: the whole-table X serializes this tenant's
+  // logical writers up front; the physical statement then runs after the
+  // winner commits and sees its post-commit image by construction.
+  MTDB_RETURN_IF_ERROR(LockWholeTable(table));
+  return ApplyWrites(tenant, {PhysicalWrite::Dml(phys)}, params);
+}
+
 Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
                                              const sql::UpdateStmt& stmt,
                                              const std::vector<Value>& params) {
-  MTDB_ASSIGN_OR_RETURN(EffectiveTable eff, GetEffective(tenant, stmt.table));
   MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, stmt.table));
+  if (IsPassThrough(*mapping)) {
+    sql::Statement phys;
+    phys.kind = sql::StatementKind::kUpdate;
+    phys.update = std::make_unique<sql::UpdateStmt>();
+    for (const auto& [col, expr] : stmt.assignments) {
+      phys.update->assignments.emplace_back(col, expr->Clone());
+    }
+    return PassThrough(tenant, stmt.table, *mapping, std::move(phys),
+                       stmt.where.get(), params);
+  }
+  MTDB_ASSIGN_OR_RETURN(EffectiveTable eff, GetEffective(tenant, stmt.table));
   const uint64_t collect_epoch = PreCollectLockEpoch(stmt.table);
   MTDB_ASSIGN_OR_RETURN(
       std::vector<AffectedRow> affected,
@@ -1213,10 +1266,9 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
   // Phase (a) is re-run under the locks, so the statement always updates
   // the winner's committed image — even when the winner committed and
   // released without ever blocking us.
-  MTDB_RETURN_IF_ERROR(LockAffectedRows(
-      tenant, stmt.table,
-      !mapping->sources.empty() && !mapping->sources[0].row_column.empty(),
-      &affected, stmt.where.get(), params, collect_epoch));
+  MTDB_RETURN_IF_ERROR(LockAffectedRows(tenant, stmt.table, &affected,
+                                        stmt.where.get(), params,
+                                        collect_epoch));
 
   // Resolve assignment targets once.
   std::vector<std::pair<const sql::ParsedExpr*, ColumnTarget>> sets;
@@ -1241,14 +1293,12 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
       phys.update->assignments.emplace_back(col, sql::MakeLiteral(val));
     }
     phys.update->where = std::move(where);
-    NotifyStatement(tenant, phys);
     stmts.push_back(std::move(phys));
   };
 
   // Batched Phase (b) (§6.3's IN-predicate option): only when every
   // assignment is a constant (all affected rows get the same values).
-  bool batchable = dml_mode_ == DmlMode::kBatched && !affected.empty() &&
-                   !mapping->sources[0].row_column.empty();
+  bool batchable = dml_mode_ == DmlMode::kBatched && !affected.empty();
   for (const auto& [expr, target] : sets) {
     if (!IsConstantAssignment(*expr)) batchable = false;
   }
@@ -1292,7 +1342,7 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
       }
     }
   }
-  MTDB_RETURN_IF_ERROR(ApplyWrites(DmlWrites(stmts)).status());
+  MTDB_RETURN_IF_ERROR(ApplyWrites(tenant, DmlWrites(stmts)).status());
   return static_cast<int64_t>(affected.size());
 }
 
@@ -1300,16 +1350,22 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
                                              const sql::DeleteStmt& stmt,
                                              const std::vector<Value>& params) {
   MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, stmt.table));
+  if (IsPassThrough(*mapping)) {
+    sql::Statement phys;
+    phys.kind = sql::StatementKind::kDelete;
+    phys.del = std::make_unique<sql::DeleteStmt>();
+    return PassThrough(tenant, stmt.table, *mapping, std::move(phys),
+                       stmt.where.get(), params);
+  }
   const uint64_t collect_epoch = PreCollectLockEpoch(stmt.table);
   MTDB_ASSIGN_OR_RETURN(
       std::vector<AffectedRow> affected,
       CollectAffected(tenant, stmt.table, stmt.where.get(), params));
   // §15: see GenericUpdate — lock the affected rows before Phase (b),
   // re-collecting whenever the write epoch moved past the snapshot.
-  MTDB_RETURN_IF_ERROR(LockAffectedRows(
-      tenant, stmt.table,
-      !mapping->sources.empty() && !mapping->sources[0].row_column.empty(),
-      &affected, stmt.where.get(), params, collect_epoch));
+  MTDB_RETURN_IF_ERROR(LockAffectedRows(tenant, stmt.table, &affected,
+                                        stmt.where.get(), params,
+                                        collect_epoch));
 
   // Deletes must touch every chunk of the row (§6.3). With the trashcan
   // enabled they become updates that mark the rows invisible instead.
@@ -1330,11 +1386,9 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
       phys.del->table = source.physical_table;
       phys.del->where = std::move(where);
     }
-    NotifyStatement(tenant, phys);
     stmts.push_back(std::move(phys));
   };
-  if (dml_mode_ == DmlMode::kBatched && !affected.empty() &&
-      !mapping->sources[0].row_column.empty()) {
+  if (dml_mode_ == DmlMode::kBatched && !affected.empty()) {
     // Batched Phase (b): one statement per chunk per batch of rows.
     std::vector<int64_t> rows;
     rows.reserve(affected.size());
@@ -1352,57 +1406,43 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
       }
     }
   }
-  MTDB_RETURN_IF_ERROR(ApplyWrites(DmlWrites(stmts)).status());
+  MTDB_RETURN_IF_ERROR(ApplyWrites(tenant, DmlWrites(stmts)).status());
   return static_cast<int64_t>(affected.size());
 }
 
 Result<int64_t> SchemaMapping::RestoreDeleted(TenantId tenant,
                                               const std::string& table) {
-  std::shared_lock<SharedLatch> lock(layer_mu_);
-  ProbeGuard probe;
-  MTDB_RETURN_IF_ERROR(CheckTenantAvailable(tenant, &probe));
   if (!trashcan_deletes_) {
     return Status::InvalidArgument("layout does not use trashcan deletes");
   }
-  // §15: a restore rewrites every trashcan-deleted row of the table at
-  // once — whole-table X is the honest granularity.
-  txn::TransactionContext* txn = txn::TransactionContext::Current();
-  lock::StatementLockContext locks(
-      db_->lock_manager(), tenant,
-      txn != nullptr ? txn->EnsureLockHolder() : 0);
-  MTDB_RETURN_IF_ERROR(locks.LockTable(IdentLower(table), lock::LockMode::kX));
-  MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, table));
-  std::vector<sql::Statement> stmts;
-  for (const PhysicalSource& source : mapping->sources) {
-    sql::Statement phys;
-    phys.kind = sql::StatementKind::kUpdate;
-    phys.update = std::make_unique<sql::UpdateStmt>();
-    phys.update->table = source.physical_table;
-    phys.update->assignments.emplace_back("del",
-                                          sql::MakeLiteral(Value::Int32(0)));
-    sql::ParsedExprPtr where;
-    for (const auto& p : source.partition) {
-      if (IdentEquals(p.first, "del")) {
+  return RunWrite(tenant, [&]() -> Result<int64_t> {
+    // A restore rewrites every trashcan-deleted row of the table at
+    // once — whole-table X is the honest granularity.
+    MTDB_RETURN_IF_ERROR(LockWholeTable(table));
+    MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, table));
+    std::vector<sql::Statement> stmts;
+    for (const PhysicalSource& source : mapping->sources) {
+      sql::Statement phys;
+      phys.kind = sql::StatementKind::kUpdate;
+      phys.update = std::make_unique<sql::UpdateStmt>();
+      phys.update->table = source.physical_table;
+      phys.update->assignments.emplace_back("del",
+                                            sql::MakeLiteral(Value::Int32(0)));
+      sql::ParsedExprPtr where;
+      for (const auto& p : source.partition) {
         // Flip the visibility predicate: restore rows marked deleted.
+        const Value& val =
+            IdentEquals(p.first, "del") ? Value::Int32(1) : p.second;
         where = sql::AndTogether(
             std::move(where),
-            sql::MakeBinary(sql::BinaryOp::kEq, sql::MakeColumnRef("", "del"),
-                            sql::MakeLiteral(Value::Int32(1))));
-        continue;
+            sql::MakeBinary(sql::BinaryOp::kEq, sql::MakeColumnRef("", p.first),
+                            sql::MakeLiteral(val)));
       }
-      where = sql::AndTogether(
-          std::move(where),
-          sql::MakeBinary(sql::BinaryOp::kEq, sql::MakeColumnRef("", p.first),
-                          sql::MakeLiteral(p.second)));
+      phys.update->where = std::move(where);
+      stmts.push_back(std::move(phys));
     }
-    phys.update->where = std::move(where);
-    NotifyStatement(tenant, phys);
-    stmts.push_back(std::move(phys));
-  }
-  Result<int64_t> restored = ApplyWrites(DmlWrites(stmts));
-  probe.Disarm();
-  NoteTenantOutcome(tenant, restored.status());
-  return restored;
+    return ApplyWrites(tenant, DmlWrites(stmts));
+  });
 }
 
 }  // namespace mapping

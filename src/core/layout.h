@@ -51,7 +51,8 @@ struct LayoutStats {
 
 /// Observes every physical statement the mapping layer emits against the
 /// underlying Database: the transformed SELECTs (§6.1), the Phase (a)
-/// reconstruction queries and the Phase (b) DML statements (§6.3).
+/// reconstruction queries and the Phase (b) writes (§6.3) — DML and row
+/// inserts alike, including an extension's backfill.
 /// Installed by the static mapping verifier (src/analysis) to capture or
 /// replay emitted ASTs. Callbacks run synchronously while the layer lock
 /// is held; observers must not call back into the layout and should copy
@@ -346,30 +347,43 @@ class SchemaMapping : public MappingResolver {
   template <typename Fn>
   Result<int64_t> RunWrite(TenantId tenant, Fn&& body);
 
-  /// Generic DML implementations driven by the TableMapping (used by all
-  /// generic layouts; Private/Basic override with direct rewrites).
-  virtual Result<int64_t> GenericInsert(TenantId tenant,
-                                        const sql::InsertStmt& stmt,
-                                        const std::vector<Value>& params);
-  virtual Result<int64_t> GenericUpdate(TenantId tenant,
-                                        const sql::UpdateStmt& stmt,
-                                        const std::vector<Value>& params);
-  virtual Result<int64_t> GenericDelete(TenantId tenant,
-                                        const sql::DeleteStmt& stmt,
-                                        const std::vector<Value>& params);
+  /// The DML mapping of every layout, driven by the TableMapping (§6.3).
+  /// A mapping of one source without a row column (Basic, Private) takes
+  /// the PassThrough branch of GenericUpdate/GenericDelete.
+  Result<int64_t> GenericInsert(TenantId tenant, const sql::InsertStmt& stmt,
+                                const std::vector<Value>& params);
+  Result<int64_t> GenericUpdate(TenantId tenant, const sql::UpdateStmt& stmt,
+                                const std::vector<Value>& params);
+  Result<int64_t> GenericDelete(TenantId tenant, const sql::DeleteStmt& stmt,
+                                const std::vector<Value>& params);
+
+  /// The one-source, row-less case of GenericUpdate/GenericDelete: `phys`
+  /// (the logical UPDATE's assignments, or an empty DELETE) is aimed at
+  /// the source's table with its partition conjuncts ANDed in front of
+  /// `where`, the (tenant, table) is X-locked — there is no Phase (a) row
+  /// set to lock — and the one write runs through ApplyWrites. The
+  /// source must keep the logical column names (kInternal otherwise).
+  Result<int64_t> PassThrough(TenantId tenant, const std::string& table,
+                              const TableMapping& mapping, sql::Statement phys,
+                              const sql::ParsedExpr* where,
+                              const std::vector<Value>& params);
 
   /// Maps one logical row (named columns) onto its physical inserts, one
-  /// per source, appended to `writes`: assigns the row id, takes the row
-  /// lock and notifies the observer, but executes nothing.
+  /// per source, appended to `writes`: assigns the row id and takes the
+  /// row lock, but emits and executes nothing.
   Status InsertMappedRow(TenantId tenant, const std::string& table,
                          const std::vector<std::string>& columns,
                          const Row& values, std::vector<PhysicalWrite>* writes);
 
-  /// Runs one logical write's Phase (b) as a single engine batch
-  /// (Database::ExecuteBatch): all of it applies, or none of it does.
-  /// A no-op under EXPLAIN MAPPING. Returns the rows the batch affected
+  /// The one place a Phase (b) write is emitted and run. Hands every write
+  /// to the observer / EXPLAIN MAPPING sink (a row insert as a synthesized
+  /// INSERT), then — unless explaining — runs them as a single engine
+  /// batch (Database::ExecuteBatch, with `params` for their `?`): all of
+  /// it applies, or none of it does. Returns the rows the batch affected
   /// and keeps the physical_statements and rollback counters.
-  Result<int64_t> ApplyWrites(const std::vector<PhysicalWrite>& writes);
+  Result<int64_t> ApplyWrites(TenantId tenant,
+                              const std::vector<PhysicalWrite>& writes,
+                              const std::vector<Value>& params = {});
 
   /// Phase (a) of §6.3: returns the row ids (and full logical rows) that
   /// a WHERE clause selects.
@@ -388,11 +402,10 @@ class SchemaMapping : public MappingResolver {
 
   /// Write-lock acquisition between Phase (a) and Phase (b) (DESIGN.md
   /// §15): takes the table intent plus an X lock on every affected
-  /// logical row — or one whole-table X lock for layouts whose sources
-  /// carry no row column (Basic/Private address rows by value) and for
-  /// affected sets containing NULL row ids (which have no lockable
-  /// identity). `collect_epoch` is the PreCollectLockEpoch snapshot
-  /// taken just before the Phase (a) run that produced `affected`:
+  /// logical row — or one whole-table X lock for affected sets containing
+  /// NULL row ids (which have no lockable identity). `collect_epoch` is
+  /// the PreCollectLockEpoch snapshot taken just before the Phase (a) run
+  /// that produced `affected`:
   /// collect and acquire are not atomic, so a winner may write, commit
   /// and release entirely inside the gap without ever blocking this
   /// statement. Whenever the shard's write epoch moved past the
@@ -402,7 +415,6 @@ class SchemaMapping : public MappingResolver {
   /// the statement installed a lock::StatementLockContext (admin DDL,
   /// EXPLAIN MAPPING, recovery and compensation replay never do).
   Status LockAffectedRows(TenantId tenant, const std::string& table,
-                          bool rows_lockable,
                           std::vector<AffectedRow>* affected,
                           const sql::ParsedExpr* where,
                           const std::vector<Value>& params,
@@ -415,11 +427,12 @@ class SchemaMapping : public MappingResolver {
   /// EXPLAIN MAPPING plumbing. While a thread runs ExplainMapping, a
   /// thread-local ExplainSink is installed: NotifySelect/NotifyStatement
   /// record the would-be physical statement into the sink (instead of
-  /// the observer), and every execution site — the Phase (b) batch
-  /// (ApplyWrites), row locks, row-id assignment — is gated on
-  /// Explaining(). The DML paths therefore run their normal
-  /// transformation logic and produce the plan as a side effect. Public
-  /// only so the file-local installer can name the type; not client API.
+  /// the observer), and the two execution sites — the Phase (b) batch
+  /// (ApplyWrites) and row-id assignment — are gated on Explaining(). Row
+  /// locks need no gate: an explain installs no StatementLockContext. The
+  /// DML paths therefore run their normal transformation logic and
+  /// produce the plan as a side effect. Public only so the file-local
+  /// installer can name the type; not client API.
   struct ExplainSink {
     std::vector<PhysicalStatementPlan>* out = nullptr;
     /// Offset added to each table's peeked next_row counter so a
@@ -434,8 +447,9 @@ class SchemaMapping : public MappingResolver {
   static ExplainSink* CurrentExplainSink();
 
  protected:
-  /// Forwards an emitted physical statement to the observer, if any.
-  /// Layouts must call these immediately before handing an AST to db_.
+  /// Forward an emitted physical statement to the observer, if any:
+  /// NotifySelect right before a SELECT runs, NotifyStatement only from
+  /// ApplyWrites.
   void NotifySelect(TenantId tenant, const sql::SelectStmt& stmt);
   void NotifyStatement(TenantId tenant, const sql::Statement& stmt);
 
@@ -487,10 +501,8 @@ class SchemaMapping : public MappingResolver {
   /// Guards mapping_cache_. Read-mostly: statements look mappings up far
   /// more often than DDL invalidates them. Ranked above the engine's
   /// DDL/table-number latches because BuildMapping may lazily provision
-  /// physical tables (extension layouts) while this is held, but below
-  /// the txn gate. Mapping() defers automatic checkpoints because a
-  /// checkpoint takes the txn gate exclusively, which must never nest
-  /// inside this latch.
+  /// physical tables (extension layouts) while this is held — and an
+  /// automatic checkpoint after that DDL takes the DDL latch below it.
   mutable Latch cache_mu_{LatchRank::kMappingCache, "mapping-cache"};
   /// Cache of (tenant, table-lower) -> TableMapping, filled via Mapping().
   std::map<std::pair<TenantId, std::string>, std::unique_ptr<TableMapping>>

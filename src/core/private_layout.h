@@ -34,10 +34,6 @@ class PrivateTableLayout final : public SchemaMapping {
   Status RecoverDerivedState() override;
   Result<std::unique_ptr<TableMapping>> BuildMapping(
       TenantId tenant, const std::string& table) override;
-  Result<int64_t> GenericUpdate(TenantId tenant, const sql::UpdateStmt& stmt,
-                                const std::vector<Value>& params) override;
-  Result<int64_t> GenericDelete(TenantId tenant, const sql::DeleteStmt& stmt,
-                                const std::vector<Value>& params) override;
 
  private:
   /// (Re)creates the tenant's physical table for `table` using the

@@ -196,16 +196,7 @@ std::vector<TableInfo*> ResolveInLatchOrder(
   return tables;
 }
 
-// Threads that hold a latch ranked below the txn gate (the mapping
-// layer's cache latch during lazy DDL) must not start an automatic
-// checkpoint either; see AutoCheckpointDeferral.
-thread_local int tls_ckpt_defer = 0;
-
 }  // namespace
-
-AutoCheckpointDeferral::AutoCheckpointDeferral() { tls_ckpt_defer++; }
-
-AutoCheckpointDeferral::~AutoCheckpointDeferral() { tls_ckpt_defer--; }
 
 Database::Database(DatabaseOptions options)
     : options_db_(std::move(options)),
@@ -376,14 +367,12 @@ Status Database::Checkpoint() {
   // whose statement deadline has expired: a half-written checkpoint is
   // worse than a late one, so suppress the ambient deadline here.
   deadline::Scope no_deadline(deadline::Deadline::None());
-  // Gate before DDL latch (the global order); exclusive on both quiesces
-  // every write batch and every txn-record append, so a checkpoint never
-  // lands inside a logical write. Open client transactions hold neither
-  // latch between their statements: their undo hints are snapshotted
-  // here (race-free: every staging path holds the gate or the DDL latch
-  // shared) and preserved in the meta file so WAL truncation cannot
-  // lose them.
-  std::unique_lock<SharedLatch> gate(durability_->txn_gate());
+  // The DDL latch exclusive quiesces every write batch and every
+  // txn-record append, so a checkpoint never lands inside a logical
+  // write. Open client transactions hold no latch between their
+  // statements: their undo hints are snapshotted here (race-free: every
+  // staging path holds the DDL latch shared) and preserved in the meta
+  // file so WAL truncation cannot lose them.
   std::unique_lock<SharedLatch> ddl(ddl_mu_);
   std::vector<OpenTxnMeta> open;
   {
@@ -400,8 +389,7 @@ Status Database::Checkpoint() {
 }
 
 void Database::MaybeAutoCheckpoint() {
-  if (durability_ == nullptr || tls_ckpt_defer != 0) return;
-  if (!durability_->NeedsCheckpoint()) return;
+  if (durability_ == nullptr || !durability_->NeedsCheckpoint()) return;
   // A failure here (including an injected crash) freezes the subsystem
   // and surfaces on the next durable statement.
   (void)Checkpoint();
@@ -415,10 +403,10 @@ Result<uint64_t> Database::BeginTxn() {
     return Status::Unavailable("durability frozen after crash");
   }
   // Brief shared hold: the begin record and the registry insert must be
-  // one atom w.r.t. a checkpoint's gate-exclusive snapshot, or a
+  // one atom w.r.t. a checkpoint's DDL-exclusive snapshot, or a
   // checkpoint could truncate the begin record without carrying the
   // transaction in meta.
-  std::shared_lock<SharedLatch> gate(durability_->txn_gate());
+  std::shared_lock<SharedLatch> ddl(ddl_mu_);
   MTDB_ASSIGN_OR_RETURN(uint64_t txn_id, durability_->BeginTxn());
   std::lock_guard<Latch> reg(txn_registry_mu_);
   open_txns_[txn_id];
@@ -448,17 +436,16 @@ OpenTxnCounters* Database::OpenTxnCount(int64_t tenant) {
 Status Database::StageTxnHint(uint64_t txn_id,
                               const std::string& compensation_sql) {
   if (durability_ == nullptr) return Status::OK();
-  std::shared_lock<SharedLatch> gate(durability_->txn_gate());
+  std::shared_lock<SharedLatch> ddl(ddl_mu_);
   return StageTxnHintUnderStatement(txn_id, compensation_sql);
 }
 
 Status Database::StageTxnHintUnderStatement(
     uint64_t txn_id, const std::string& compensation_sql) {
   if (durability_ == nullptr) return Status::OK();
-  // No gate here: the caller is inside an engine statement (shared DDL
-  // latch held, rank below the gate) or StageTxnHint holds it. Checkpoints
-  // hold the DDL latch exclusively, so no checkpoint can interleave with
-  // an engine statement.
+  // The caller holds the DDL latch shared: it is inside a write batch, or
+  // it is StageTxnHint. Checkpoints hold the DDL latch exclusively, so no
+  // checkpoint can interleave with the append and the registry update.
   MTDB_RETURN_IF_ERROR(durability_->LogHint(txn_id, compensation_sql));
   std::lock_guard<Latch> reg(txn_registry_mu_);
   auto it = open_txns_.find(txn_id);
@@ -468,7 +455,7 @@ Status Database::StageTxnHintUnderStatement(
 
 Status Database::EndTxn(uint64_t txn_id) {
   if (durability_ == nullptr) return Status::OK();
-  std::shared_lock<SharedLatch> gate(durability_->txn_gate());
+  std::shared_lock<SharedLatch> ddl(ddl_mu_);
   Status st = durability_->EndTxn(txn_id);
   // Deregister even when the end record could not be appended (frozen
   // durability): recovery resolves the transaction from disk, and a
@@ -657,57 +644,34 @@ Result<int64_t> Database::RunMutationInner(const sql::Statement& stmt,
       return RunBatch({PhysicalWrite::Dml(stmt)}, params, nullptr);
     }
     case sql::StatementKind::kCreateTable: {
-      std::unique_lock<SharedLatch> ddl(ddl_mu_);
       Schema schema;
       for (const sql::ColumnDef& def : stmt.create_table->columns) {
         schema.AddColumn(Column{def.name, def.type, def.not_null});
       }
-      PageMutationCapture capture;
-      Result<TableInfo*> created = [&]() -> Result<TableInfo*> {
-        PageCaptureScope scope(&capture);
+      MTDB_RETURN_IF_ERROR(RunDdl([&] {
         return catalog_->CreateTable(stmt.create_table->table,
-                                     std::move(schema));
-      }();
-      MTDB_RETURN_IF_ERROR(CommitDdlGroup(capture, created.ok()));
-      if (!created.ok()) return created.status();
+                                     std::move(schema))
+            .status();
+      }));
       return 0;
     }
-    case sql::StatementKind::kCreateIndex: {
-      std::unique_lock<SharedLatch> ddl(ddl_mu_);
-      PageMutationCapture capture;
-      Result<IndexInfo*> created = [&]() -> Result<IndexInfo*> {
-        PageCaptureScope scope(&capture);
-        return catalog_->CreateIndex(stmt.create_index->table,
-                                     stmt.create_index->index,
-                                     stmt.create_index->columns,
-                                     stmt.create_index->unique);
-      }();
-      MTDB_RETURN_IF_ERROR(CommitDdlGroup(capture, created.ok()));
-      if (!created.ok()) return created.status();
+    case sql::StatementKind::kCreateIndex:
+      MTDB_RETURN_IF_ERROR(RunDdl([&] {
+        return catalog_
+            ->CreateIndex(stmt.create_index->table, stmt.create_index->index,
+                          stmt.create_index->columns,
+                          stmt.create_index->unique)
+            .status();
+      }));
       return 0;
-    }
-    case sql::StatementKind::kDropTable: {
-      std::unique_lock<SharedLatch> ddl(ddl_mu_);
-      PageMutationCapture capture;
-      Status dropped = [&]() -> Status {
-        PageCaptureScope scope(&capture);
-        return catalog_->DropTable(stmt.drop_table->table);
-      }();
-      MTDB_RETURN_IF_ERROR(CommitDdlGroup(capture, dropped.ok()));
-      MTDB_RETURN_IF_ERROR(dropped);
+    case sql::StatementKind::kDropTable:
+      MTDB_RETURN_IF_ERROR(
+          RunDdl([&] { return catalog_->DropTable(stmt.drop_table->table); }));
       return 0;
-    }
-    case sql::StatementKind::kDropIndex: {
-      std::unique_lock<SharedLatch> ddl(ddl_mu_);
-      PageMutationCapture capture;
-      Status dropped = [&]() -> Status {
-        PageCaptureScope scope(&capture);
-        return catalog_->DropIndex(stmt.drop_index->index);
-      }();
-      MTDB_RETURN_IF_ERROR(CommitDdlGroup(capture, dropped.ok()));
-      MTDB_RETURN_IF_ERROR(dropped);
+    case sql::StatementKind::kDropIndex:
+      MTDB_RETURN_IF_ERROR(
+          RunDdl([&] { return catalog_->DropIndex(stmt.drop_index->index); }));
       return 0;
-    }
     case sql::StatementKind::kSelect:
       return Status::InvalidArgument("use Query() for SELECT");
     case sql::StatementKind::kExplainMapping:
@@ -928,8 +892,9 @@ sql::ParsedExprPtr AllValuesPredicate(const Schema& schema, const Row& row) {
 }  // namespace
 
 Result<int64_t> Database::ExecuteBatch(
-    const std::vector<PhysicalWrite>& writes, uint64_t* reverted) {
-  Result<int64_t> result = RunBatch(writes, {}, reverted);
+    const std::vector<PhysicalWrite>& writes, const std::vector<Value>& params,
+    uint64_t* reverted) {
+  Result<int64_t> result = RunBatch(writes, params, reverted);
   MaybeAutoCheckpoint();
   return result;
 }
@@ -1211,37 +1176,33 @@ Result<int64_t> Database::ExecuteDelete(const sql::DeleteStmt& stmt,
 
 // --- direct helpers ----------------------------------------------------
 
-// The direct helpers below mirror RunMutation's shape: an inner scope
-// holds the latches and commits the WAL group, then MaybeAutoCheckpoint
-// runs with everything released (Checkpoint takes the txn gate and
-// ddl_mu_ exclusively, so it must never nest inside either).
+Status Database::RunDdl(const std::function<Status()>& op) {
+  std::unique_lock<SharedLatch> ddl(ddl_mu_);
+  PageMutationCapture capture;
+  Status st;
+  {
+    PageCaptureScope scope(&capture);
+    st = op();
+  }
+  MTDB_RETURN_IF_ERROR(CommitDdlGroup(capture, st.ok()));
+  return st;
+}
+
+// The direct helpers below mirror RunMutation's shape: RunDdl holds the
+// DDL latch and commits the WAL group, then MaybeAutoCheckpoint runs with
+// everything released (Checkpoint takes ddl_mu_ exclusively, so it must
+// never nest inside it).
 
 Status Database::CreateTable(const std::string& name, Schema schema) {
-  Status st = [&]() -> Status {
-    std::unique_lock<SharedLatch> ddl(ddl_mu_);
-    PageMutationCapture capture;
-    Result<TableInfo*> created = [&]() -> Result<TableInfo*> {
-      PageCaptureScope scope(&capture);
-      return catalog_->CreateTable(name, std::move(schema));
-    }();
-    MTDB_RETURN_IF_ERROR(CommitDdlGroup(capture, created.ok()));
-    return created.ok() ? Status::OK() : created.status();
-  }();
+  Status st = RunDdl([&] {
+    return catalog_->CreateTable(name, std::move(schema)).status();
+  });
   MaybeAutoCheckpoint();
   return st;
 }
 
 Status Database::DropTable(const std::string& name) {
-  Status st = [&]() -> Status {
-    std::unique_lock<SharedLatch> ddl(ddl_mu_);
-    PageMutationCapture capture;
-    Status dropped = [&]() -> Status {
-      PageCaptureScope scope(&capture);
-      return catalog_->DropTable(name);
-    }();
-    MTDB_RETURN_IF_ERROR(CommitDdlGroup(capture, dropped.ok()));
-    return dropped;
-  }();
+  Status st = RunDdl([&] { return catalog_->DropTable(name); });
   MaybeAutoCheckpoint();
   return st;
 }
@@ -1249,16 +1210,9 @@ Status Database::DropTable(const std::string& name) {
 Status Database::CreateIndex(const std::string& table, const std::string& index,
                              const std::vector<std::string>& columns,
                              bool unique) {
-  Status st = [&]() -> Status {
-    std::unique_lock<SharedLatch> ddl(ddl_mu_);
-    PageMutationCapture capture;
-    Result<IndexInfo*> created = [&]() -> Result<IndexInfo*> {
-      PageCaptureScope scope(&capture);
-      return catalog_->CreateIndex(table, index, columns, unique);
-    }();
-    MTDB_RETURN_IF_ERROR(CommitDdlGroup(capture, created.ok()));
-    return created.ok() ? Status::OK() : created.status();
-  }();
+  Status st = RunDdl([&] {
+    return catalog_->CreateIndex(table, index, columns, unique).status();
+  });
   MaybeAutoCheckpoint();
   return st;
 }

@@ -2,6 +2,7 @@
 #define MTDB_ENGINE_DATABASE_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -212,20 +213,6 @@ struct DatabaseOptions {
   }
 };
 
-/// Suppresses automatic checkpoints on the current thread while alive.
-/// An automatic checkpoint takes the txn gate exclusively (rank above
-/// the mapping layer's internal latches), so code that may execute a
-/// statement while holding such a latch — the mapping layer's lazy DDL
-/// under its cache latch — installs one of these to defer the
-/// checkpoint to the next unencumbered statement.
-class AutoCheckpointDeferral {
- public:
-  AutoCheckpointDeferral();
-  ~AutoCheckpointDeferral();
-  AutoCheckpointDeferral(const AutoCheckpointDeferral&) = delete;
-  AutoCheckpointDeferral& operator=(const AutoCheckpointDeferral&) = delete;
-};
-
 class Database : public StatementExecutor {
  public:
   explicit Database(DatabaseOptions options = {});
@@ -252,20 +239,19 @@ class Database : public StatementExecutor {
 
   /// Client-transaction plumbing, used by txn::TransactionContext. Only
   /// client brackets write txn records: an autocommit write is one
-  /// ExecuteBatch and needs none. The checkpoint gate is held shared only
-  /// briefly around each WAL append — never between statements — so an
-  /// open transaction cannot stall checkpoints; checkpoints instead carry
-  /// the open transactions' undo hints forward in the meta file
-  /// (Durability meta v2). BeginTxn also registers the transaction in the
-  /// open-txn registry that backs that snapshot.
+  /// ExecuteBatch and needs none. Each txn-record append and its registry
+  /// update hold the DDL latch shared — briefly, never between
+  /// statements — so an open transaction cannot stall checkpoints (which
+  /// take it exclusively); checkpoints instead carry the open
+  /// transactions' undo hints forward in the meta file (Durability meta
+  /// v2). BeginTxn also registers the transaction in the open-txn
+  /// registry that backs that snapshot.
   Result<uint64_t> BeginTxn();
-  /// Appends a compensation hint under a brief shared gate hold and
+  /// Appends a compensation hint under a brief shared DDL-latch hold and
   /// mirrors it into the open-txn registry.
   Status StageTxnHint(uint64_t txn_id, const std::string& compensation_sql);
-  /// Same, from inside a write batch: the caller holds the shared DDL
-  /// latch, which ranks BELOW the gate, so the gate must not be taken
-  /// here. Safe without it — checkpoints hold the DDL latch exclusively,
-  /// excluding every in-flight batch.
+  /// Same, from inside a write batch, which already holds the DDL latch
+  /// shared.
   Status StageTxnHintUnderStatement(uint64_t txn_id,
                                     const std::string& compensation_sql);
   /// Appends the end record and deregisters atomically w.r.t.
@@ -304,9 +290,10 @@ class Database : public StatementExecutor {
                              const std::vector<Value>& params = {});
 
   /// The engine's one write path: runs `writes` as a single atomic unit
-  /// and returns the rows they affected. It takes the shared DDL latch
-  /// once and X-latches the union of the target tables in TableId order
-  /// for the whole batch, so no reader sees part of it. On any failure
+  /// and returns the rows they affected; `params` bind the `?` of their
+  /// DML statements. It takes the shared DDL latch once and X-latches the
+  /// union of the target tables in TableId order for the whole batch, so
+  /// no reader sees part of it. On any failure
   /// or deadline it reverts every row the batch changed and returns the
   /// error; `reverted`, when set, then receives the number of physical
   /// writes that had changed rows. Inside a client transaction it stages
@@ -316,6 +303,7 @@ class Database : public StatementExecutor {
   /// touches each physical row at most once (revert is by row image).
   /// Every DML statement is a batch of one, as is InsertRow.
   Result<int64_t> ExecuteBatch(const std::vector<PhysicalWrite>& writes,
+                               const std::vector<Value>& params = {},
                                uint64_t* reverted = nullptr);
 
   /// Compiles a SELECT and renders the plan (the explain facility).
@@ -404,6 +392,10 @@ class Database : public StatementExecutor {
   Status CommitDmlGroup(const PageMutationCapture& capture,
                         const std::vector<TableInfo*>& tables);
   Status CommitDdlGroup(const PageMutationCapture& capture, bool snapshot);
+  /// Runs one catalog operation as DDL: DDL latch exclusive, its page
+  /// mutations captured and committed as one group (with the catalog
+  /// snapshot when `op` succeeded). Returns the group's error, else op's.
+  Status RunDdl(const std::function<Status()>& op);
   void MaybeAutoCheckpoint();
   Status Recover();
   /// Executes one recovery-undo compensation; INSERT compensations probe
@@ -481,9 +473,8 @@ class Database : public StatementExecutor {
   /// (a registry mirror of the WAL kTxnHint records, so checkpoints can
   /// preserve open transactions across WAL truncation); beside it the
   /// per-tenant txn.open gauge counts. Guarded by txn_registry_mu_; writers
-  /// additionally hold the txn gate shared (or the DDL latch, for the
-  /// under-statement staging path), which is what makes the checkpoint's
-  /// gate+DDL-exclusive snapshot race-free.
+  /// additionally hold the DDL latch shared, which is what makes the
+  /// checkpoint's DDL-exclusive snapshot race-free.
   mutable Latch txn_registry_mu_{LatchRank::kTxnRegistry, "txn-registry"};
   std::map<uint64_t, std::vector<std::string>> open_txns_;
   std::map<int64_t, std::shared_ptr<OpenTxnCounters>> txn_open_counts_;

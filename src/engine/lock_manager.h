@@ -98,8 +98,8 @@ struct LockKeyHash {
 /// returns kAborted, and its session auto-rolls the bracket back).
 ///
 /// Latch order (DESIGN.md §11): shard latch (kLockShard) > graph latch
-/// (kLockWaitGraph) > metrics registry. Both rank below the txn gate,
-/// which is held only around txn-record appends and by checkpoints.
+/// (kLockWaitGraph) > metrics registry. Both rank below the mapping
+/// layer latch and above every mapping-internal and engine latch.
 class LockManager {
  public:
   /// Opaque per-transaction lock-owner record; defined in the .cc. The

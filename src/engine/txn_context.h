@@ -33,11 +33,12 @@ namespace txn {
 /// as a kTxnHint before its batch's redo group, and Commit()/Rollback()
 /// append kTxnEnd. A crash anywhere in between leaves the transaction
 /// without an end record, so Recover() replays the hints newest-first —
-/// committed transactions survive, open ones vanish. The checkpoint gate
-/// is held only around each append, never across statements:
-/// checkpoints do NOT wait for open transactions but carry the
-/// accumulated hints forward in the checkpoint meta (Durability meta
-/// v2), so a bracket may stay open indefinitely without pinning the WAL.
+/// committed transactions survive, open ones vanish. The engine DDL
+/// latch, the one checkpoint exclusion, is held shared only around each
+/// append, never across statements: checkpoints do NOT wait for open
+/// transactions but carry the accumulated hints forward in the
+/// checkpoint meta (Durability meta v2), so a bracket may stay open
+/// indefinitely without pinning the WAL.
 ///
 /// State machine:
 ///   kActive   — statements execute; Commit() and Rollback() accepted.
@@ -108,10 +109,9 @@ class TransactionContext {
   bool open() const { return begun_; }
 
   /// Value-based compensations of a write batch that already applied,
-  /// appended to the undo log. Runs under the engine's shared DDL latch,
-  /// which ranks below the checkpoint gate, so the hints are logged
-  /// without the gate. Safe without it — checkpoints hold the DDL latch
-  /// exclusively, excluding any in-flight batch.
+  /// appended to the undo log. Runs under the batch's shared DDL latch,
+  /// so no checkpoint (DDL latch exclusive) can interleave with the
+  /// hints' appends.
   Status StageEngineUndo(std::vector<sql::Statement> compensations);
 
   /// The context installed on this thread by the innermost live Scope,

@@ -96,11 +96,11 @@ class Durability {
                      std::vector<WalTableMeta> table_meta,
                      const std::string* catalog_blob);
 
-  /// Client transaction bracket: appends the begin/end record. It does
-  /// not touch the txn gate — the caller (Database's open-txn registry)
-  /// takes the gate shared only around each append, never across
-  /// statements, and checkpoints carry open transactions forward in the
-  /// meta file instead of waiting for them.
+  /// Client transaction bracket: appends the begin/end record. The
+  /// caller (Database's open-txn registry) holds the engine DDL latch
+  /// shared around each append, never across statements, and checkpoints
+  /// carry open transactions forward in the meta file instead of waiting
+  /// for them.
   Result<uint64_t> BeginTxn();
   Status LogHint(uint64_t txn_id, const std::string& compensation_sql);
   Status EndTxn(uint64_t txn_id);
@@ -109,18 +109,12 @@ class Durability {
   /// meta (tmp + atomic rename), then WAL truncation last. Installing the
   /// meta clears every page's imaged bit, so each page's next change
   /// logs a full image again. The caller
-  /// must have quiesced all statements (engine DDL latch exclusive) and
-  /// hold the txn gate exclusively. `open_txns` carries the undo hints of
+  /// must have quiesced all statements and txn-record appends (engine DDL
+  /// latch exclusive). `open_txns` carries the undo hints of
   /// logical transactions still open at this instant; truncation erases
   /// their WAL records, so the meta copy is what recovery replays.
   Status WriteCheckpoint(const std::string& catalog_blob,
                          const std::vector<OpenTxnMeta>& open_txns = {});
-
-  /// The gate ordered above the engine's DDL latch: each txn record
-  /// append and its open-txn registry update hold it shared, so a
-  /// checkpoint (which takes it exclusively) snapshots the registry and
-  /// the log at one consistent point. Nothing holds it across statements.
-  SharedLatch& txn_gate() { return txn_gate_; }
 
   bool frozen() const { return frozen_.load(std::memory_order_acquire); }
   void Freeze() { frozen_.store(true, std::memory_order_release); }
@@ -172,7 +166,6 @@ class Durability {
   std::atomic<uint64_t> next_txn_id_{1};
   std::atomic<uint64_t> bytes_since_ckpt_{0};
   std::atomic<bool> frozen_{false};
-  SharedLatch txn_gate_{LatchRank::kTxnGate, "txn-gate"};
   DurabilityCounters counters_;
 };
 

@@ -372,69 +372,91 @@ TEST_F(MappingQuarantineTest, RepeatedHardFaultsQuarantineOnlyThatTenant) {
 
 // --- mid-statement undo --------------------------------------------------
 
-// A logical UPDATE touching base and extension columns maps to one
-// physical statement per pivot table; a fault between them must roll the
-// applied half back. Sweeping the injector's skip window walks the
-// failure point through every I/O of the statement, so some iterations
-// fail before any write (nothing to undo), some fail mid-statement
-// (undo runs), and some succeed — in every case the row must read as
-// either the full old or the full new image.
-TEST(StatementAtomicityTest, MidStatementFaultRollsBackAppliedWrites) {
-  mapping::AppSchema app = mapping::FigureFourSchema();
+// A multi-row logical UPDATE of two base columns is one engine write
+// batch on every layout: one physical statement on Basic and Private,
+// one per touched source and row on the others. A fault inside it must
+// revert the rows it already changed. Sweeping the injector's skip
+// window walks the failure point through every I/O of the statement, so
+// some iterations fail before any write (nothing to undo), some fail
+// mid-statement (the batch reverts), and some succeed — in every case
+// every row must read as the full old or the full new image, and the
+// layout counts the reverted batches the same way everywhere.
+class StatementAtomicityTest
+    : public ::testing::TestWithParam<mapping::LayoutKind> {};
+
+TEST_P(StatementAtomicityTest, MidStatementFaultRollsBackAppliedWrites) {
+  mapping::AppSchema app;
+  {
+    mapping::LogicalTable item;
+    item.name = "item";
+    item.columns = {{"id", TypeId::kInt64, true},
+                    {"a", TypeId::kString, false},
+                    {"b", TypeId::kInt32, false}};
+    ASSERT_TRUE(app.AddTable(std::move(item)).ok());
+  }
   DatabaseOptions dopts;
   dopts.breaker_threshold = 1'000'000;
   Database db(dopts);
   std::unique_ptr<mapping::SchemaMapping> layout =
-      mapping::MakeLayout(mapping::LayoutKind::kPivot, &db, &app);
+      mapping::MakeLayout(GetParam(), &db, &app);
   ASSERT_TRUE(layout->Bootstrap().ok());
   ASSERT_TRUE(layout->CreateTenant(1).ok());
-  ASSERT_TRUE(layout->EnableExtension(1, "healthcare").ok());
-  ASSERT_TRUE(layout
-                  ->Execute(1,
-                            "INSERT INTO account (aid, name, hospital, beds) "
-                            "VALUES (?, ?, ?, ?)",
-                            {Value::Int64(1), Value::String("init"),
-                             Value::String("mercy"), Value::Int32(10)})
-                  .ok());
+  // Wide rows spread the table over several pages, so the statement
+  // does physical I/O between its row writes.
+  constexpr int kRows = 64;
+  auto wide = [](const std::string& tag) {
+    return tag + std::string(1000, '.');
+  };
+  std::string a = wide("init");
+  int32_t b = 10;
+  for (int id = 1; id <= kRows; ++id) {
+    auto ins =
+        layout->Execute(1, "INSERT INTO item (id, a, b) VALUES (?, ?, ?)",
+                        {Value::Int64(id), Value::String(a), Value::Int32(b)});
+    ASSERT_TRUE(ins.ok()) << ins.status().ToString();
+  }
 
   FaultInjector injector(11);
   db.page_store()->set_fault_injector(&injector);
   db.buffer_pool()->SetCapacity(4);  // physical I/O inside the statement
 
-  std::string name = "init";
-  int32_t beds = 10;
   int failed = 0, succeeded = 0;
-  for (uint64_t skip = 0; skip < 80; ++skip) {
+  // Dense over the first I/Os, then geometric: the last write of a
+  // statement on a many-source layout is thousands of reads in.
+  for (uint64_t skip = 0; skip < 1'000'000 && succeeded < 3;
+       skip += 1 + skip / 8) {
     FaultSpec spec;
     spec.probability = 1.0;
     spec.skip = skip;
     // Exactly the retry budget: the faulted read fails for good, and the
-    // burst is spent by the time the undo log replays compensations.
+    // burst is spent by the time the batch reverts its rows.
     spec.max_fires = 4;
     injector.Arm(FaultPoint::kPageRead, spec);
 
-    std::string new_name = "name" + std::to_string(skip);
-    int32_t new_beds = static_cast<int32_t>(100 + skip);
-    auto r = layout->Execute(
-        1, "UPDATE account SET name = ?, beds = ? WHERE aid = ?",
-        {Value::String(new_name), Value::Int32(new_beds), Value::Int64(1)});
+    const std::string new_a = wide("a" + std::to_string(skip));
+    const int32_t new_b = static_cast<int32_t>(100 + skip);
+    auto r = layout->Execute(1, "UPDATE item SET a = ?, b = ?",
+                             {Value::String(new_a), Value::Int32(new_b)});
     if (r.ok()) {
       ++succeeded;
-      name = new_name;
-      beds = new_beds;
+      a = new_a;
+      b = new_b;
     } else {
       ++failed;
     }
 
     FaultInjectorPause pause(&injector);
-    auto row = layout->Query(1, "SELECT * FROM account");
-    ASSERT_TRUE(row.ok()) << row.status().ToString();
-    ASSERT_EQ(row->rows.size(), 1u);
-    // Columns: aid, name, hospital, beds.
-    EXPECT_EQ(row->rows[0][1].Compare(Value::String(name)), 0)
-        << "skip=" << skip << ": partial statement visible";
-    EXPECT_EQ(row->rows[0][3].Compare(Value::Int32(beds)), 0)
-        << "skip=" << skip << ": partial statement visible";
+    auto rows = layout->Query(1, "SELECT id, a, b FROM item");
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->rows.size(), static_cast<size_t>(kRows));
+    for (const Row& row : rows->rows) {
+      ASSERT_EQ(row[1].Compare(Value::String(a)), 0)
+          << "skip=" << skip << " id=" << row[0].ToString()
+          << ": partial statement visible";
+      ASSERT_EQ(row[2].Compare(Value::Int32(b)), 0)
+          << "skip=" << skip << " id=" << row[0].ToString()
+          << ": partial statement visible";
+    }
   }
   // The sweep must have produced both outcomes and real rollbacks, or it
   // proved nothing.
@@ -444,6 +466,19 @@ TEST(StatementAtomicityTest, MidStatementFaultRollsBackAppliedWrites) {
   EXPECT_GT(layout->stats().undo_statements.load(), 0u);
   db.page_store()->set_fault_injector(nullptr);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLayouts, StatementAtomicityTest,
+    ::testing::Values(mapping::LayoutKind::kBasic,
+                      mapping::LayoutKind::kPrivate,
+                      mapping::LayoutKind::kExtension,
+                      mapping::LayoutKind::kUniversal,
+                      mapping::LayoutKind::kPivot, mapping::LayoutKind::kChunk,
+                      mapping::LayoutKind::kVertical,
+                      mapping::LayoutKind::kChunkFolding),
+    [](const ::testing::TestParamInfo<mapping::LayoutKind>& info) {
+      return mapping::LayoutKindName(info.param);
+    });
 
 TEST(AppSchemaErrorTest, RejectsCollidingDefinitions) {
   mapping::AppSchema app = mapping::FigureFourSchema();

@@ -282,8 +282,10 @@ TEST_F(LockdepTest, DurableMultiRowInsertThroughMappingIsClean) {
   {
     mapping::AppSchema app = mapping::FigureFourSchema();
     EngineOptions options;
-    // Make every WAL append tempt an automatic checkpoint, so one lands
-    // inside the lazy DDL that Mapping() runs under its cache latch.
+    // Make every WAL append tempt an automatic checkpoint, so one runs
+    // inside the lazy DDL that Mapping() runs under its cache latch: it
+    // takes the DDL latch (kDdl) below the cache latch (kMappingCache),
+    // the same nesting as that DDL itself, which lockdep must accept.
     options.checkpoint_interval_bytes = 1;
     auto opened = Database::Open(DatabaseOptions::WithPath(dir, options));
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "mapping_test_util.h"
 
 namespace mtdb {
@@ -145,6 +149,105 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::ValuesIn(kExtensibleLayouts),
     [](const ::testing::TestParamInfo<LayoutKind>& info) {
       return LayoutKindName(info.param);
+    });
+
+// --- DOUBLE values survive every layout bit for bit ----------------------
+
+/// `meas` has a DOUBLE base column `v`; the `precise` extension adds a
+/// DOUBLE column `w`. Universal and Chunk Table (whose uniform shapes
+/// have no DOUBLE slots) store both in VARCHAR slots.
+AppSchema DoubleSchema() {
+  AppSchema app;
+  LogicalTable meas;
+  meas.name = "meas";
+  meas.columns = {{"id", TypeId::kInt64, true}, {"v", TypeId::kDouble, false}};
+  EXPECT_TRUE(app.AddTable(std::move(meas)).ok());
+  ExtensionDef precise;
+  precise.name = "precise";
+  precise.base_table = "meas";
+  precise.columns = {{"w", TypeId::kDouble, false}};
+  EXPECT_TRUE(app.AddExtension(std::move(precise)).ok());
+  return app;
+}
+
+/// Param: (layout, Chunk Table width); the width applies to kChunk only.
+using DoubleParam = std::tuple<LayoutKind, int>;
+
+class DoubleRoundTripTest : public ::testing::TestWithParam<DoubleParam> {};
+
+TEST_P(DoubleRoundTripTest, NonRoundDoublesReadBackExactly) {
+  const auto [kind, width] = GetParam();
+  AppSchema app = DoubleSchema();
+  Database db;
+  std::unique_ptr<SchemaMapping> layout;
+  if (kind == LayoutKind::kChunk) {
+    ChunkLayoutOptions options;
+    options.shape = ChunkShape::Uniform(width);
+    layout = std::make_unique<ChunkTableLayout>(&db, &app, options);
+  } else {
+    layout = MakeLayout(kind, &db, &app);
+  }
+  ASSERT_TRUE(layout->Bootstrap().ok());
+  ASSERT_TRUE(layout->CreateTenant(1).ok());
+  const bool extended = layout->EnableExtension(1, "precise").ok();
+  ASSERT_EQ(extended, kind != LayoutKind::kBasic);
+
+  // Each needs more than %g's six significant digits.
+  const double values[] = {0.1 + 0.2, 1234.56789012345, -2.718281828459045e-7,
+                           1e300 / 3};
+  std::vector<std::string> columns = {"v"};
+  if (extended) columns.push_back("w");
+  int64_t id = 0;
+  for (double value : values) {
+    ++id;
+    std::vector<Value> params = {Value::Int64(id), Value::Double(value)};
+    std::string sql = "INSERT INTO meas (id, v";
+    if (extended) {
+      sql += ", w) VALUES (?, ?, ?)";
+      params.push_back(Value::Double(-value));
+    } else {
+      sql += ") VALUES (?, ?)";
+    }
+    ASSERT_TRUE(layout->Execute(1, sql, params).ok());
+  }
+  id = 0;
+  for (double value : values) {
+    ++id;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      const double want = c == 0 ? value : -value;
+      const std::string& col = columns[c];
+      auto r = layout->Query(1, "SELECT " + col + " FROM meas WHERE id = ?",
+                             {Value::Int64(id)});
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r->rows.size(), 1u);
+      EXPECT_EQ(r->rows[0][0].AsDouble(), want)
+          << col << " read back as " << r->rows[0][0].ToSqlLiteral();
+      auto found = layout->Query(1, "SELECT id FROM meas WHERE " + col + " = ?",
+                                 {Value::Double(want)});
+      ASSERT_TRUE(found.ok()) << found.status().ToString();
+      ASSERT_EQ(found->rows.size(), 1u) << col << " = " << want;
+      EXPECT_EQ(found->rows[0][0].AsInt64(), id);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLayouts, DoubleRoundTripTest,
+    ::testing::Values(DoubleParam{LayoutKind::kBasic, 0},
+                      DoubleParam{LayoutKind::kPrivate, 0},
+                      DoubleParam{LayoutKind::kExtension, 0},
+                      DoubleParam{LayoutKind::kUniversal, 0},
+                      DoubleParam{LayoutKind::kPivot, 0},
+                      DoubleParam{LayoutKind::kChunk, 3},
+                      DoubleParam{LayoutKind::kChunk, 6},
+                      DoubleParam{LayoutKind::kVertical, 0},
+                      DoubleParam{LayoutKind::kChunkFolding, 0}),
+    [](const ::testing::TestParamInfo<DoubleParam>& info) {
+      std::string name = LayoutKindName(std::get<0>(info.param));
+      if (std::get<0>(info.param) == LayoutKind::kChunk) {
+        name += std::to_string(std::get<1>(info.param));
+      }
+      return name;
     });
 
 // --- layout-specific behaviours --------------------------------------
