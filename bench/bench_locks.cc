@@ -12,10 +12,11 @@
 // the same workload runs with row locks ON and OFF
 // (DatabaseOptions::row_locks); the fast-path cost — one holder probe
 // and one map insert per written row — must stay within 2% of the
-// unlocked engine. The gate statistic is the median over PAIRED ~1 ms
+// unlocked engine. The gate statistic is the median over PAIRED ~2 ms
 // batches on one long-lived thread: each ON batch is compared only
-// against its adjacent OFF batch, so machine drift and descheduling
-// bursts become discarded outlier pairs instead of skew.
+// against its adjacent OFF batch over the same rows, so machine drift
+// and descheduling bursts become discarded outlier pairs instead of
+// skew.
 // MTDB_BENCH_LOCK_GATE_PCT / _OPS override. Emits BENCH_locks.json;
 // exits 1 when the gate fails.
 #include <algorithm>
@@ -48,9 +49,12 @@ struct BenchConfig {
   int64_t rows = 512;
   /// Statements per sweep point, split across the writers.
   int total_ops = 1600;
-  /// Total gate statements per arm, run as interleaved 100-statement
-  /// batches so machine drift hits both sample pools equally.
-  int gate_ops = 16000;
+  /// Total gate statements per arm, run as interleaved 50-statement
+  /// batches so machine drift hits both sample pools equally. On a
+  /// shared 4-core host the pair ratios spread over an interquartile
+  /// range of ~9%, so the median of 1,280 pairs has a standard error of
+  /// ~0.25% (~0.5% at 320 pairs).
+  int gate_ops = 64000;
   double gate_pct = 2.0;
   uint64_t seed = 42;
 };
@@ -265,7 +269,7 @@ int Main() {
                      .c_str());
     return 1;
   }
-  // One long-lived thread, one session per arm, alternating ~1 ms
+  // One long-lived thread, one session per arm, alternating ~2 ms
   // batches: no per-batch thread spawn, warm thread caches for both
   // arms. The gate statistic is PAIRED — each ON batch is compared
   // only against its temporally adjacent OFF batch (median latency of
@@ -285,13 +289,16 @@ int Main() {
     Status gate_error = Status::OK();
     // Pair -1 is unrecorded warmup.
     for (int b = -1; b < pairs && gate_error.ok(); ++b) {
+      // Both halves of a pair update the same rows in the same order, so
+      // row-to-row cost differences cancel within the pair.
+      std::vector<int64_t> rows(kBatch);
+      for (int64_t& row : rows) row = rng.Uniform(0, config.rows - 1);
       double batch_med[2] = {0, 0};  // [0]=off, [1]=on
       for (int half = 0; half < 2; ++half) {
         const bool on = (half == 0) == (b % 2 == 0);
         TenantSession& session = on ? session_on : session_off;
         SampleSet batch;
-        for (int i = 0; i < kBatch; ++i) {
-          int64_t row = rng.Uniform(0, config.rows - 1);
+        for (int64_t row : rows) {
           auto t0 = std::chrono::steady_clock::now();
           auto st = session.Execute(
               "UPDATE account SET name = ? WHERE aid = ?",
@@ -327,9 +334,12 @@ int Main() {
   const double overhead_pct = 100.0 * (med_ratio - 1.0);
   std::printf(
       "# uncontended gate: median %.1f us/stmt with locks, %.1f without "
-      "(%zu paired batches, median-pair overhead %.2f%%, limit %.1f%%)\n",
+      "(%zu paired batches, median-pair overhead %.2f%%, pair quartiles "
+      "%+.1f%%/%+.1f%%, limit %.1f%%)\n",
       med_on_ms * 1000.0, med_off_ms * 1000.0, pair_ratios.size(),
-      overhead_pct, config.gate_pct);
+      overhead_pct, 100.0 * (pair_ratios[pair_ratios.size() / 4] - 1.0),
+      100.0 * (pair_ratios[pair_ratios.size() * 3 / 4] - 1.0),
+      config.gate_pct);
 
   const char* out_path = std::getenv("MTDB_BENCH_OUT");
   if (out_path == nullptr) out_path = "BENCH_locks.json";

@@ -36,15 +36,14 @@ Status BasicLayout::EnableExtensionImpl(TenantId, const std::string& ext) {
 
 Result<std::unique_ptr<TableMapping>> BasicLayout::BuildMapping(
     TenantId tenant, const std::string& table) {
-  const LogicalTable* t = app_->FindTable(table);
-  if (t == nullptr) return Status::NotFound("no logical table: " + table);
+  MTDB_ASSIGN_OR_RETURN(EffectiveTable eff, GetEffective(tenant, table));
   auto mapping = std::make_unique<TableMapping>();
   PhysicalSource source;
-  source.physical_table = t->name;
+  source.physical_table = eff.name;
   source.partition.emplace_back("tenant", Value::Int32(tenant));
   source.row_column.clear();  // rows are addressed by entity columns
   mapping->sources.push_back(std::move(source));
-  for (const LogicalColumn& c : t->columns) {
+  for (const LogicalColumn& c : eff.columns) {
     ColumnTarget target;
     target.source = 0;
     target.physical_column = c.name;

@@ -26,8 +26,11 @@ uint64_t NowNs() {
 }
 
 /// Evaluates a constant (or logical-row-referencing) scalar expression
-/// used in INSERT VALUES / UPDATE SET position.
-Result<Value> EvalScalar(const sql::ParsedExpr& e, const EffectiveTable* table,
+/// used in INSERT VALUES / UPDATE SET position. Column references bind to
+/// `row`, whose values are those of `columns` in order (Phase (a)'s
+/// projection).
+Result<Value> EvalScalar(const sql::ParsedExpr& e,
+                         const std::vector<std::string>* columns,
                          const Row* row, const std::vector<Value>& params) {
   using sql::PExprKind;
   switch (e.kind) {
@@ -39,18 +42,17 @@ Result<Value> EvalScalar(const sql::ParsedExpr& e, const EffectiveTable* table,
       }
       return params[e.param_ordinal];
     case PExprKind::kColumnRef: {
-      if (table == nullptr || row == nullptr) {
+      if (columns == nullptr || row == nullptr) {
         return Status::InvalidArgument("column reference not allowed here: " +
                                        e.column);
       }
-      auto pos = table->Find(e.column);
-      if (!pos.has_value()) {
-        return Status::NotFound("no logical column " + e.column);
+      for (size_t i = 0; i < columns->size(); ++i) {
+        if (IdentEquals((*columns)[i], e.column)) return (*row)[i];
       }
-      return (*row)[*pos];
+      return Status::NotFound("no logical column " + e.column);
     }
     case PExprKind::kUnary: {
-      MTDB_ASSIGN_OR_RETURN(Value c, EvalScalar(*e.left, table, row, params));
+      MTDB_ASSIGN_OR_RETURN(Value c, EvalScalar(*e.left, columns, row, params));
       if (e.unary_op == sql::UnaryOp::kNeg) {
         if (c.is_null()) return c;
         if (c.type() == TypeId::kDouble) return Value::Double(-c.AsDouble());
@@ -60,8 +62,8 @@ Result<Value> EvalScalar(const sql::ParsedExpr& e, const EffectiveTable* table,
       return Value::Bool(!c.AsBool());
     }
     case PExprKind::kBinary: {
-      MTDB_ASSIGN_OR_RETURN(Value l, EvalScalar(*e.left, table, row, params));
-      MTDB_ASSIGN_OR_RETURN(Value r, EvalScalar(*e.right, table, row, params));
+      MTDB_ASSIGN_OR_RETURN(Value l, EvalScalar(*e.left, columns, row, params));
+      MTDB_ASSIGN_OR_RETURN(Value r, EvalScalar(*e.right, columns, row, params));
       if (l.is_null() || r.is_null()) return Value();
       const bool dbl =
           l.type() == TypeId::kDouble || r.type() == TypeId::kDouble;
@@ -221,9 +223,13 @@ Status SchemaMapping::EnableExtensionImpl(TenantId tenant,
       }
       if (!(*old_mapping)->sources.empty() &&
           !(*old_mapping)->sources[0].row_column.empty()) {
-        std::vector<AffectedRow> rows;
-        MTDB_ASSIGN_OR_RETURN(
-            rows, CollectAffected(tenant, def->base_table, nullptr, {}));
+        // No WHERE and no SET: Phase (a) reads row ids alone.
+        const std::vector<Value> no_params;
+        MTDB_ASSIGN_OR_RETURN(AffectedQuery all_rows,
+                              ResolveWrite(**old_mapping, def->base_table,
+                                           nullptr, {}, no_params));
+        MTDB_ASSIGN_OR_RETURN(std::vector<AffectedRow> rows,
+                              CollectAffected(tenant, all_rows));
         for (const AffectedRow& r : rows) existing_rows.push_back(r.row_id);
       }
     }
@@ -1020,68 +1026,136 @@ Status SchemaMapping::InsertMappedRow(TenantId tenant, const std::string& table,
   return Status::OK();
 }
 
-Result<std::vector<SchemaMapping::AffectedRow>> SchemaMapping::CollectAffected(
-    TenantId tenant, const std::string& table, const sql::ParsedExpr* where,
-    const std::vector<Value>& params) {
-  MTDB_ASSIGN_OR_RETURN(EffectiveTable eff, GetEffective(tenant, table));
-  MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, table));
+namespace {
 
-  std::vector<std::string> cols;
-  std::vector<TypeId> types;
-  for (const LogicalColumn& c : eff.columns) {
-    cols.push_back(c.name);
-    types.push_back(c.type);
+/// Adds the lower-cased names of the columns `e` reads to `reads`; every
+/// one must be a logical column of `table` in `mapping`.
+Status CollectReads(const sql::ParsedExpr& e, const TableMapping& mapping,
+                    const std::string& table, std::set<std::string>* reads) {
+  if (e.kind == sql::PExprKind::kColumnRef) {
+    std::string lower = IdentLower(e.column);
+    if ((!e.table.empty() && !IdentEquals(e.table, table)) ||
+        !mapping.columns.contains(lower)) {
+      return Status::NotFound(
+          "no logical column " +
+          (e.table.empty() ? e.column : e.table + "." + e.column) + " in " +
+          table);
+    }
+    reads->insert(std::move(lower));
+    return Status::OK();
   }
-  // Phase (a): a reconstruction query exposing the row id plus the full
-  // logical row, filtered by the (logical) WHERE clause.
+  if (e.left != nullptr) {
+    MTDB_RETURN_IF_ERROR(CollectReads(*e.left, mapping, table, reads));
+  }
+  if (e.right != nullptr) {
+    MTDB_RETURN_IF_ERROR(CollectReads(*e.right, mapping, table, reads));
+  }
+  for (const auto& arg : e.args) {
+    MTDB_RETURN_IF_ERROR(CollectReads(*arg, mapping, table, reads));
+  }
+  return Status::OK();
+}
+
+/// The table's write epoch, snapshotted immediately before a Phase (a)
+/// read whose result feeds LockAffectedRows; 0 when the statement
+/// acquires no locks (the check then compares 0 == 0).
+uint64_t PreCollectLockEpoch(const std::string& table) {
+  lock::StatementLockContext* locks = lock::StatementLockContext::Current();
+  if (locks == nullptr || !locks->enabled()) return 0;
+  return locks->TableWriteEpoch(IdentLower(table));
+}
+
+}  // namespace
+
+Result<SchemaMapping::AffectedQuery> SchemaMapping::ResolveWrite(
+    const TableMapping& mapping, const std::string& table,
+    const sql::ParsedExpr* where, const Assignments& sets,
+    const std::vector<Value>& params) {
+  AffectedQuery query;
+  query.table = table;
+  query.mapping = &mapping;
+  query.where = where;
+  query.params = &params;
+  std::set<std::string> reads;
+  if (where != nullptr) {
+    MTDB_RETURN_IF_ERROR(CollectReads(*where, mapping, table, &reads));
+  }
+  for (const auto& [col, expr] : sets) {
+    auto it = mapping.columns.find(IdentLower(col));
+    if (it == mapping.columns.end()) {
+      return Status::NotFound("no logical column " + col + " in " + table);
+    }
+    MTDB_RETURN_IF_ERROR(CollectReads(*expr, mapping, table, &reads));
+    query.sets.emplace_back(expr.get(), &it->second);
+  }
+  for (const std::string& col : mapping.column_order) {
+    if (reads.contains(IdentLower(col))) query.columns.push_back(col);
+  }
+  return query;
+}
+
+Result<std::vector<SchemaMapping::AffectedRow>> SchemaMapping::CollectAffected(
+    TenantId tenant, const AffectedQuery& query) {
+  const uint64_t collect_epoch = PreCollectLockEpoch(query.table);
+  MTDB_ASSIGN_OR_RETURN(std::vector<AffectedRow> affected,
+                        ReadAffected(tenant, query));
+  // §15: every affected logical row is X-locked between Phase (a) and
+  // Phase (b). If the table's write epoch moved since the snapshot above,
+  // Phase (a) is re-read under the locks, so the statement always writes
+  // over the winner's committed image — even when the winner committed
+  // and released without ever blocking us.
+  MTDB_RETURN_IF_ERROR(
+      LockAffectedRows(tenant, query, &affected, collect_epoch));
+  return affected;
+}
+
+Result<std::vector<SchemaMapping::AffectedRow>> SchemaMapping::ReadAffected(
+    TenantId tenant, const AffectedQuery& query) {
+  // Phase (a): a reconstruction query exposing the row id plus the
+  // projected columns, filtered by the (logical) WHERE clause. It joins
+  // only the sources those columns map to.
   sql::SelectStmt outer;
   sql::TableRef ref;
-  ref.subquery = BuildReconstruction(*mapping, cols, types, "_row");
-  ref.alias = table;
+  ref.subquery = BuildReconstruction(*query.mapping, query.columns, "_row");
+  ref.alias = query.table;
   outer.from.push_back(std::move(ref));
   {
     sql::SelectItem item;
-    item.expr = sql::MakeColumnRef(table, "_row");
+    item.expr = sql::MakeColumnRef(query.table, "_row");
     item.alias = "_row";
     outer.items.push_back(std::move(item));
   }
-  for (const std::string& c : cols) {
+  for (const std::string& c : query.columns) {
     sql::SelectItem item;
-    item.expr = sql::MakeColumnRef(table, c);
+    item.expr = sql::MakeColumnRef(query.table, c);
     item.alias = c;
     outer.items.push_back(std::move(item));
   }
-  if (where != nullptr) outer.where = where->Clone();
+  if (query.where != nullptr) outer.where = query.where->Clone();
 
   NotifySelect(tenant, outer);
-  MTDB_ASSIGN_OR_RETURN(QueryResult result, db_->QueryAst(outer, params));
+  MTDB_ASSIGN_OR_RETURN(QueryResult result,
+                        db_->QueryAst(outer, *query.params));
   std::vector<AffectedRow> out;
   out.reserve(result.rows.size());
   for (Row& r : result.rows) {
     AffectedRow a;
     a.row_id = r[0].is_null() ? -1 : r[0].AsInt64();
-    a.logical.assign(r.begin() + 1, r.end());
+    a.values.assign(std::make_move_iterator(r.begin() + 1),
+                    std::make_move_iterator(r.end()));
     out.push_back(std::move(a));
   }
   if (post_collect_hook_for_test_) post_collect_hook_for_test_();
   return out;
 }
 
-uint64_t SchemaMapping::PreCollectLockEpoch(const std::string& table) const {
-  lock::StatementLockContext* locks = lock::StatementLockContext::Current();
-  if (locks == nullptr || !locks->enabled()) return 0;
-  return locks->TableWriteEpoch(IdentLower(table));
-}
-
 Status SchemaMapping::LockAffectedRows(TenantId tenant,
-                                       const std::string& table,
+                                       const AffectedQuery& query,
                                        std::vector<AffectedRow>* affected,
-                                       const sql::ParsedExpr* where,
-                                       const std::vector<Value>& params,
                                        uint64_t collect_epoch) {
   lock::StatementLockContext* locks = lock::StatementLockContext::Current();
   if (locks == nullptr || !locks->enabled()) return Status::OK();
-  const std::string key = IdentLower(table);
+  const std::string key = IdentLower(query.table);
   // A NULL row column maps to row_id -1 (== lock::kTableRowId): such
   // rows have no lockable identity, so their presence degrades the set
   // to table granularity.
@@ -1107,8 +1181,7 @@ Status SchemaMapping::LockAffectedRows(TenantId tenant,
     locks->clear_waited();
     MTDB_RETURN_IF_ERROR(locks->LockTable(key, lock::LockMode::kX));
     if (locks->waited() || locks->TableWriteEpoch(key) != collect_epoch) {
-      MTDB_ASSIGN_OR_RETURN(*affected,
-                            CollectAffected(tenant, table, where, params));
+      MTDB_ASSIGN_OR_RETURN(*affected, ReadAffected(tenant, query));
     }
     return Status::OK();
   }
@@ -1125,8 +1198,7 @@ Status SchemaMapping::LockAffectedRows(TenantId tenant,
       return Status::OK();
     }
     collect_epoch = locks->TableWriteEpoch(key);  // before the re-collect
-    MTDB_ASSIGN_OR_RETURN(*affected,
-                          CollectAffected(tenant, table, where, params));
+    MTDB_ASSIGN_OR_RETURN(*affected, ReadAffected(tenant, query));
     // Fall through to the general loop; the locks taken above stay held
     // and re-acquiring them there is an idempotent probe.
   }
@@ -1152,8 +1224,7 @@ Status SchemaMapping::LockAffectedRows(TenantId tenant,
       return Status::OK();
     }
     collect_epoch = locks->TableWriteEpoch(key);  // before the re-collect
-    MTDB_ASSIGN_OR_RETURN(*affected,
-                          CollectAffected(tenant, table, where, params));
+    MTDB_ASSIGN_OR_RETURN(*affected, ReadAffected(tenant, query));
     if (has_null_row_ids(*affected)) break;
     bool all_locked = true;
     for (const AffectedRow& r : *affected) {
@@ -1173,8 +1244,7 @@ Status SchemaMapping::LockAffectedRows(TenantId tenant,
   // peer doing the same; the wait-for graph resolves that by aborting
   // the younger, which is acceptable on this pathological path.
   MTDB_RETURN_IF_ERROR(locks->LockTable(key, lock::LockMode::kX));
-  MTDB_ASSIGN_OR_RETURN(*affected,
-                        CollectAffected(tenant, table, where, params));
+  MTDB_ASSIGN_OR_RETURN(*affected, ReadAffected(tenant, query));
   return Status::OK();
 }
 
@@ -1213,11 +1283,9 @@ constexpr size_t kDmlBatchSize = 64;
 }  // namespace
 
 Result<int64_t> SchemaMapping::PassThrough(TenantId tenant,
-                                           const std::string& table,
                                            const TableMapping& mapping,
                                            sql::Statement phys,
-                                           const sql::ParsedExpr* where,
-                                           const std::vector<Value>& params) {
+                                           const AffectedQuery& query) {
   // The statement keeps its logical column names, so the source must too.
   for (const auto& [lname, target] : mapping.columns) {
     if (!IdentEquals(lname, target.physical_column)) {
@@ -1226,8 +1294,9 @@ Result<int64_t> SchemaMapping::PassThrough(TenantId tenant,
     }
   }
   const PhysicalSource& source = mapping.sources[0];
-  sql::ParsedExprPtr pred = sql::AndTogether(
-      PartitionPredicate(source), where == nullptr ? nullptr : where->Clone());
+  sql::ParsedExprPtr pred =
+      sql::AndTogether(PartitionPredicate(source),
+                       query.where == nullptr ? nullptr : query.where->Clone());
   if (phys.kind == sql::StatementKind::kUpdate) {
     phys.update->table = source.physical_table;
     phys.update->where = std::move(pred);
@@ -1238,14 +1307,17 @@ Result<int64_t> SchemaMapping::PassThrough(TenantId tenant,
   // No Phase (a) row set: the whole-table X serializes this tenant's
   // logical writers up front; the physical statement then runs after the
   // winner commits and sees its post-commit image by construction.
-  MTDB_RETURN_IF_ERROR(LockWholeTable(table));
-  return ApplyWrites(tenant, {PhysicalWrite::Dml(phys)}, params);
+  MTDB_RETURN_IF_ERROR(LockWholeTable(query.table));
+  return ApplyWrites(tenant, {PhysicalWrite::Dml(phys)}, *query.params);
 }
 
 Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
                                              const sql::UpdateStmt& stmt,
                                              const std::vector<Value>& params) {
   MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, stmt.table));
+  MTDB_ASSIGN_OR_RETURN(AffectedQuery query,
+                        ResolveWrite(*mapping, stmt.table, stmt.where.get(),
+                                     stmt.assignments, params));
   if (IsPassThrough(*mapping)) {
     sql::Statement phys;
     phys.kind = sql::StatementKind::kUpdate;
@@ -1253,32 +1325,10 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
     for (const auto& [col, expr] : stmt.assignments) {
       phys.update->assignments.emplace_back(col, expr->Clone());
     }
-    return PassThrough(tenant, stmt.table, *mapping, std::move(phys),
-                       stmt.where.get(), params);
+    return PassThrough(tenant, *mapping, std::move(phys), query);
   }
-  MTDB_ASSIGN_OR_RETURN(EffectiveTable eff, GetEffective(tenant, stmt.table));
-  const uint64_t collect_epoch = PreCollectLockEpoch(stmt.table);
-  MTDB_ASSIGN_OR_RETURN(
-      std::vector<AffectedRow> affected,
-      CollectAffected(tenant, stmt.table, stmt.where.get(), params));
-  // §15: every affected logical row is X-locked between Phase (a) and
-  // Phase (b). If the table's write epoch moved since the snapshot above,
-  // Phase (a) is re-run under the locks, so the statement always updates
-  // the winner's committed image — even when the winner committed and
-  // released without ever blocking us.
-  MTDB_RETURN_IF_ERROR(LockAffectedRows(tenant, stmt.table, &affected,
-                                        stmt.where.get(), params,
-                                        collect_epoch));
-
-  // Resolve assignment targets once.
-  std::vector<std::pair<const sql::ParsedExpr*, ColumnTarget>> sets;
-  for (const auto& [col, expr] : stmt.assignments) {
-    auto it = mapping->columns.find(IdentLower(col));
-    if (it == mapping->columns.end()) {
-      return Status::NotFound("no logical column " + col + " in " + stmt.table);
-    }
-    sets.emplace_back(expr.get(), it->second);
-  }
+  MTDB_ASSIGN_OR_RETURN(std::vector<AffectedRow> affected,
+                        CollectAffected(tenant, query));
   // One physical UPDATE of `src` with local conditions on the meta-data
   // columns and row only.
   std::vector<sql::Statement> stmts;
@@ -1299,7 +1349,7 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
   // Batched Phase (b) (§6.3's IN-predicate option): only when every
   // assignment is a constant (all affected rows get the same values).
   bool batchable = dml_mode_ == DmlMode::kBatched && !affected.empty();
-  for (const auto& [expr, target] : sets) {
+  for (const auto& [expr, target] : query.sets) {
     if (!IsConstantAssignment(*expr)) batchable = false;
   }
   if (batchable) {
@@ -1308,13 +1358,13 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
     for (const AffectedRow& r : affected) rows.push_back(r.row_id);
     // Group constant assignments by source.
     std::map<size_t, std::vector<std::pair<std::string, Value>>> by_source;
-    for (const auto& [expr, target] : sets) {
+    for (const auto& [expr, target] : query.sets) {
       MTDB_ASSIGN_OR_RETURN(Value v, EvalScalar(*expr, nullptr, nullptr,
                                                 params));
       if (!v.is_null()) {
-        MTDB_ASSIGN_OR_RETURN(v, v.CastTo(target.physical_type));
+        MTDB_ASSIGN_OR_RETURN(v, v.CastTo(target->physical_type));
       }
-      by_source[target.source].push_back({target.physical_column, v});
+      by_source[target->source].push_back({target->physical_column, v});
     }
     for (auto& [src, assigns] : by_source) {
       for (size_t begin = 0; begin < rows.size(); begin += kDmlBatchSize) {
@@ -1328,13 +1378,13 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
     for (const AffectedRow& row : affected) {
       // Group new values by source.
       std::map<size_t, std::vector<std::pair<std::string, Value>>> by_source;
-      for (const auto& [expr, target] : sets) {
-        MTDB_ASSIGN_OR_RETURN(Value v,
-                              EvalScalar(*expr, &eff, &row.logical, params));
+      for (const auto& [expr, target] : query.sets) {
+        MTDB_ASSIGN_OR_RETURN(
+            Value v, EvalScalar(*expr, &query.columns, &row.values, params));
         if (!v.is_null()) {
-          MTDB_ASSIGN_OR_RETURN(v, v.CastTo(target.physical_type));
+          MTDB_ASSIGN_OR_RETURN(v, v.CastTo(target->physical_type));
         }
-        by_source[target.source].push_back({target.physical_column, v});
+        by_source[target->source].push_back({target->physical_column, v});
       }
       for (auto& [src, assigns] : by_source) {
         add_update(src, assigns,
@@ -1350,22 +1400,17 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
                                              const sql::DeleteStmt& stmt,
                                              const std::vector<Value>& params) {
   MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, stmt.table));
+  MTDB_ASSIGN_OR_RETURN(
+      AffectedQuery query,
+      ResolveWrite(*mapping, stmt.table, stmt.where.get(), {}, params));
   if (IsPassThrough(*mapping)) {
     sql::Statement phys;
     phys.kind = sql::StatementKind::kDelete;
     phys.del = std::make_unique<sql::DeleteStmt>();
-    return PassThrough(tenant, stmt.table, *mapping, std::move(phys),
-                       stmt.where.get(), params);
+    return PassThrough(tenant, *mapping, std::move(phys), query);
   }
-  const uint64_t collect_epoch = PreCollectLockEpoch(stmt.table);
-  MTDB_ASSIGN_OR_RETURN(
-      std::vector<AffectedRow> affected,
-      CollectAffected(tenant, stmt.table, stmt.where.get(), params));
-  // §15: see GenericUpdate — lock the affected rows before Phase (b),
-  // re-collecting whenever the write epoch moved past the snapshot.
-  MTDB_RETURN_IF_ERROR(LockAffectedRows(tenant, stmt.table, &affected,
-                                        stmt.where.get(), params,
-                                        collect_epoch));
+  MTDB_ASSIGN_OR_RETURN(std::vector<AffectedRow> affected,
+                        CollectAffected(tenant, query));
 
   // Deletes must touch every chunk of the row (§6.3). With the trashcan
   // enabled they become updates that mark the rows invisible instead.
@@ -1388,11 +1433,11 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
     }
     stmts.push_back(std::move(phys));
   };
-  if (dml_mode_ == DmlMode::kBatched && !affected.empty()) {
+  std::vector<int64_t> rows;
+  rows.reserve(affected.size());
+  for (const AffectedRow& r : affected) rows.push_back(r.row_id);
+  if (dml_mode_ == DmlMode::kBatched && !rows.empty()) {
     // Batched Phase (b): one statement per chunk per batch of rows.
-    std::vector<int64_t> rows;
-    rows.reserve(affected.size());
-    for (const AffectedRow& r : affected) rows.push_back(r.row_id);
     for (const PhysicalSource& source : mapping->sources) {
       for (size_t begin = 0; begin < rows.size(); begin += kDmlBatchSize) {
         size_t end = std::min(begin + kDmlBatchSize, rows.size());
@@ -1400,14 +1445,19 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
       }
     }
   } else {
-    for (const AffectedRow& row : affected) {
+    for (int64_t row : rows) {
       for (const PhysicalSource& source : mapping->sources) {
-        add_removal(source, RowLocalPredicate(source, row.row_id));
+        add_removal(source, RowLocalPredicate(source, row));
       }
     }
   }
   MTDB_RETURN_IF_ERROR(ApplyWrites(tenant, DmlWrites(stmts)).status());
-  return static_cast<int64_t>(affected.size());
+  // The deleted rows' ids are never reused: their lock entries go when
+  // released instead of filling the lock table's empty-entry cache.
+  if (lock::StatementLockContext* locks = lock::StatementLockContext::Current()) {
+    locks->ForgetDeletedRows(IdentLower(stmt.table), rows);
+  }
+  return static_cast<int64_t>(rows.size());
 }
 
 Result<int64_t> SchemaMapping::RestoreDeleted(TenantId tenant,

@@ -347,6 +347,26 @@ class SchemaMapping : public MappingResolver {
   template <typename Fn>
   Result<int64_t> RunWrite(TenantId tenant, Fn&& body);
 
+  /// Phase (a) of §6.3 for one UPDATE or DELETE: the WHERE that selects
+  /// its rows, the bind params, the resolved SET targets and the logical
+  /// columns the statement reads. Phase (a) reconstructs only those
+  /// columns, so it joins only the sources they map to; a write that
+  /// reads none (a DELETE by row set, DropTenant, an extension's backfill)
+  /// reads row ids alone.
+  struct AffectedQuery {
+    std::string table;
+    const TableMapping* mapping = nullptr;
+    const sql::ParsedExpr* where = nullptr;
+    const std::vector<Value>* params = nullptr;
+    /// The UPDATE's assignments and where each one writes (empty for a
+    /// DELETE).
+    std::vector<std::pair<const sql::ParsedExpr*, const ColumnTarget*>> sets;
+    /// The WHERE columns plus the columns non-constant SET expressions
+    /// read, each once, in the mapping's column order.
+    std::vector<std::string> columns;
+  };
+  using Assignments = std::vector<std::pair<std::string, sql::ParsedExprPtr>>;
+
   /// The DML mapping of every layout, driven by the TableMapping (§6.3).
   /// A mapping of one source without a row column (Basic, Private) takes
   /// the PassThrough branch of GenericUpdate/GenericDelete.
@@ -360,13 +380,11 @@ class SchemaMapping : public MappingResolver {
   /// The one-source, row-less case of GenericUpdate/GenericDelete: `phys`
   /// (the logical UPDATE's assignments, or an empty DELETE) is aimed at
   /// the source's table with its partition conjuncts ANDed in front of
-  /// `where`, the (tenant, table) is X-locked — there is no Phase (a) row
-  /// set to lock — and the one write runs through ApplyWrites. The
+  /// query.where, the (tenant, table) is X-locked — there is no Phase (a)
+  /// row set to lock — and the one write runs through ApplyWrites. The
   /// source must keep the logical column names (kInternal otherwise).
-  Result<int64_t> PassThrough(TenantId tenant, const std::string& table,
-                              const TableMapping& mapping, sql::Statement phys,
-                              const sql::ParsedExpr* where,
-                              const std::vector<Value>& params);
+  Result<int64_t> PassThrough(TenantId tenant, const TableMapping& mapping,
+                              sql::Statement phys, const AffectedQuery& query);
 
   /// Maps one logical row (named columns) onto its physical inserts, one
   /// per source, appended to `writes`: assigns the row id and takes the
@@ -385,41 +403,54 @@ class SchemaMapping : public MappingResolver {
                               const std::vector<PhysicalWrite>& writes,
                               const std::vector<Value>& params = {});
 
-  /// Phase (a) of §6.3: returns the row ids (and full logical rows) that
-  /// a WHERE clause selects.
+  /// The one column resolver of the mapped write paths: checks every WHERE
+  /// column, SET target and column a SET expression reads against
+  /// `mapping` — NotFound "no logical column <c> in <table>" before
+  /// anything runs or is explained — and returns the write's Phase (a)
+  /// query, which points into `mapping`, `where`, `sets` and `params`.
+  static Result<AffectedQuery> ResolveWrite(const TableMapping& mapping,
+                                            const std::string& table,
+                                            const sql::ParsedExpr* where,
+                                            const Assignments& sets,
+                                            const std::vector<Value>& params);
+
+  /// One row Phase (a) selected: its row id and its values of
+  /// AffectedQuery::columns, in that order.
   struct AffectedRow {
     int64_t row_id;
-    Row logical;  // effective-column order
+    Row values;
   };
-  Result<std::vector<AffectedRow>> CollectAffected(
-      TenantId tenant, const std::string& table, const sql::ParsedExpr* where,
-      const std::vector<Value>& params);
 
-  /// Write-epoch snapshot to take immediately before a Phase (a)
-  /// collection whose result feeds LockAffectedRows; 0 when the
-  /// statement acquires no locks (the check then compares 0 == 0).
-  uint64_t PreCollectLockEpoch(const std::string& table) const;
+  /// Phase (a) under the write locks (DESIGN.md §15): reads the rows
+  /// `query` selects, then LockAffectedRows. No locks without a
+  /// lock::StatementLockContext (admin DDL, EXPLAIN MAPPING).
+  Result<std::vector<AffectedRow>> CollectAffected(TenantId tenant,
+                                                   const AffectedQuery& query);
+
+ private:
+  /// One Phase (a) read: the projected reconstruction of query.columns
+  /// plus the row id, filtered by the logical WHERE.
+  Result<std::vector<AffectedRow>> ReadAffected(TenantId tenant,
+                                                const AffectedQuery& query);
 
   /// Write-lock acquisition between Phase (a) and Phase (b) (DESIGN.md
   /// §15): takes the table intent plus an X lock on every affected
   /// logical row — or one whole-table X lock for affected sets containing
   /// NULL row ids (which have no lockable identity). `collect_epoch` is
-  /// the PreCollectLockEpoch snapshot taken just before the Phase (a) run
+  /// the table's write epoch snapshotted just before the Phase (a) read
   /// that produced `affected`:
   /// collect and acquire are not atomic, so a winner may write, commit
   /// and release entirely inside the gap without ever blocking this
   /// statement. Whenever the shard's write epoch moved past the
   /// snapshot — a superset of "an acquisition blocked" — Phase (a) is
-  /// re-run under the locks now held and newly matching rows are locked
-  /// too, so the statement always acts on current images. No-op unless
-  /// the statement installed a lock::StatementLockContext (admin DDL,
-  /// EXPLAIN MAPPING, recovery and compensation replay never do).
-  Status LockAffectedRows(TenantId tenant, const std::string& table,
+  /// re-read with the same projection under the locks now held and newly
+  /// matching rows are locked too, so the statement always acts on
+  /// current images.
+  Status LockAffectedRows(TenantId tenant, const AffectedQuery& query,
                           std::vector<AffectedRow>* affected,
-                          const sql::ParsedExpr* where,
-                          const std::vector<Value>& params,
                           uint64_t collect_epoch);
 
+ protected:
   /// Invalidates all cached TableMappings (call after DDL).
   void InvalidateMappings();
 

@@ -54,7 +54,7 @@ ParsedExprPtr PartitionConjunct(const std::string& alias,
 
 std::unique_ptr<SelectStmt> BuildReconstruction(
     const TableMapping& mapping, const std::vector<std::string>& columns,
-    const std::vector<TypeId>& types, const std::string& row_alias) {
+    const std::string& row_alias) {
   auto out = std::make_unique<SelectStmt>();
   // Which sources participate.
   std::set<size_t> needed;
@@ -110,7 +110,6 @@ std::unique_ptr<SelectStmt> BuildReconstruction(
         MakeColumnRef(alias_of[t.source], t.physical_column), t);
     item.alias = columns[i];
     out->items.push_back(std::move(item));
-    (void)types;
   }
   return out;
 }
@@ -237,16 +236,12 @@ Result<std::unique_ptr<SelectStmt>> QueryTransformer::EmitNested(
     LogicalBinding& b = bindings[i];
     if (b.mapping == nullptr) continue;  // already-transformed subquery
     std::vector<std::string> cols;
-    std::vector<TypeId> types;
     for (size_t c = 0; c < b.columns.size(); ++c) {
-      if (b.used[c]) {
-        cols.push_back(b.columns[c].first);
-        types.push_back(b.columns[c].second);
-      }
+      if (b.used[c]) cols.push_back(b.columns[c].first);
     }
     TableRef replacement;
     replacement.subquery =
-        BuildReconstruction(*b.mapping, cols, types, /*row_alias=*/"");
+        BuildReconstruction(*b.mapping, cols, /*row_alias=*/"");
     replacement.alias = b.binding;
     out->from[i] = std::move(replacement);
   }

@@ -103,11 +103,11 @@ class QueryTransformer {
 /// Builds the §6.1-style reconstruction subquery for one logical table:
 /// SELECT <row>, <logical cols (cast as needed)> FROM <chunk sources>
 /// WHERE <partition predicates> AND <aligning joins on row>.
-/// `needed_sources` selects which chunks participate (those providing a
-/// referenced column; at least one).
+/// Only the sources providing one of `columns` participate (source 0
+/// when none does), so a narrow projection joins fewer chunks.
 std::unique_ptr<sql::SelectStmt> BuildReconstruction(
     const TableMapping& mapping, const std::vector<std::string>& columns,
-    const std::vector<TypeId>& types, const std::string& row_alias);
+    const std::string& row_alias);
 
 }  // namespace mapping
 }  // namespace mtdb

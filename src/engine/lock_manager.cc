@@ -201,6 +201,15 @@ uint64_t LockManager::held() const {
   return g >= r ? g - r : 0;
 }
 
+size_t LockManager::entries() const {
+  size_t n = 0;
+  for (const auto& s : shards_) {
+    std::lock_guard<Latch> lk(s->mu);
+    n += s->table.size();
+  }
+  return n;
+}
+
 uint64_t LockManager::WriteEpoch(int64_t tenant,
                                  const std::string& table_lower) const {
   const size_t h = LockKeyHash::TableHash(tenant, table_lower);
@@ -495,11 +504,7 @@ Status LockManager::AcquireResolved(Holder* h, const LockKey& key,
                         .count();
     TenantWaitHistogram(h->tenant)->Record(static_cast<uint64_t>(us));
   } else if (e.owners.empty() && e.waiters == 0) {
-    if (s.empty_entries < kEmptyEntryCacheCap) {
-      s.empty_entries++;
-    } else {
-      s.table.erase(key);
-    }
+    RetireEmptyEntry(s, key, e);
   }
   return result;
 }
@@ -528,6 +533,33 @@ void LockManager::ReleaseAll(uint64_t holder) {
   ReleaseKeys(holder, held, held_entries);
 }
 
+void LockManager::RetireEmptyEntry(Shard& s, const LockKey& key,
+                                   const LockEntry& e) {
+  if (!e.dead_row && s.empty_entries < kEmptyEntryCacheCap) {
+    s.empty_entries++;  // keep as a cached empty node
+  } else {
+    s.table.erase(key);
+  }
+}
+
+void LockManager::MarkDeadRows(Holder* h, int64_t tenant,
+                               const std::string& table_lower,
+                               const std::vector<int64_t>& rows) {
+  std::vector<int64_t> sorted(rows);
+  std::sort(sorted.begin(), sorted.end());
+  // Every key of one (tenant, table) lives in one shard.
+  Shard& s = *shards_[LockKeyHash::TableHash(tenant, table_lower) %
+                      shards_.size()];
+  std::lock_guard<Latch> lk(s.mu);
+  for (size_t i = 0; i < h->held.size(); ++i) {
+    const LockKey& k = h->held[i];
+    if (k.row != kTableRowId && k.tenant == tenant && k.table == table_lower &&
+        std::binary_search(sorted.begin(), sorted.end(), k.row)) {
+      h->held_entries[i]->dead_row = true;
+    }
+  }
+}
+
 void LockManager::ReleaseKeys(uint64_t holder,
                               const std::vector<LockKey>& keys,
                               const std::vector<LockEntry*>& entries) {
@@ -554,11 +586,7 @@ void LockManager::ReleaseKeys(uint64_t holder,
         }
         notify |= e.waiters > 0;
         if (e.owners.empty() && e.waiters == 0) {
-          if (s.empty_entries < kEmptyEntryCacheCap) {
-            s.empty_entries++;  // keep as a cached empty node
-          } else {
-            s.table.erase(keys[i]);
-          }
+          RetireEmptyEntry(s, keys[i], e);
         }
         ++i;
       } while (i < keys.size() && &ShardFor(keys[i]) == &s);
@@ -643,6 +671,12 @@ Status StatementLockContext::LockRow(const std::string& table_lower,
                                    LockMode::kX, &w);
   if (w) waited_ = true;
   return st;
+}
+
+void StatementLockContext::ForgetDeletedRows(const std::string& table_lower,
+                                             const std::vector<int64_t>& rows) {
+  if (lm_ == nullptr || resolved_ == nullptr || rows.empty()) return;
+  lm_->MarkDeadRows(resolved_, tenant_, table_lower, rows);
 }
 
 Status StatementLockContext::LockRowWithIntent(const std::string& table_lower,

@@ -158,6 +158,10 @@ class LockManager {
 
   size_t shard_count() const { return shards_.size(); }
 
+  /// Lock-table entries across shards: those with owners or waiters plus
+  /// the cached empty ones (diagnostics and tests).
+  size_t entries() const;
+
  private:
   /// StatementLockContext resolves its Holder once per statement and
   /// then acquires through the resolved pointer, so the per-row fast
@@ -169,6 +173,10 @@ class LockManager {
     /// entries hold many intents or one X.
     std::vector<std::pair<uint64_t, LockMode>> owners;
     uint32_t waiters = 0;
+    /// Set (under the shard latch) on the entry of a row its owner
+    /// deleted: row ids are never reused, so the entry is erased when it
+    /// frees instead of occupying the empty-entry cache for good.
+    bool dead_row = false;
   };
   struct Shard {
     Latch mu{LatchRank::kLockShard, "lock-shard"};
@@ -232,6 +240,13 @@ class LockManager {
   /// Falls back to two AcquireResolved calls on any conflict.
   Status AcquireRowWithIntent(Holder* h, LockKey table_key, LockKey row_key,
                               bool* waited);
+  /// Flags the entries of `rows` of (tenant, table_lower) that `h` holds
+  /// as dead rows (LockEntry::dead_row).
+  void MarkDeadRows(Holder* h, int64_t tenant, const std::string& table_lower,
+                    const std::vector<int64_t>& rows);
+  /// Frees or caches an entry that has just lost its last owner and
+  /// waiter (Shard::empty_entries). Caller holds the shard latch.
+  void RetireEmptyEntry(Shard& s, const LockKey& key, const LockEntry& e);
   /// Shard sweep shared by ReleaseAll and ReleaseStatementLocks: drops
   /// `holder`'s ownership of each key and wakes waiters.
   void ReleaseKeys(uint64_t holder, const std::vector<LockKey>& keys,
@@ -318,6 +333,13 @@ class StatementLockContext {
   /// this flag is belt-and-braces on top of TableWriteEpoch().
   bool waited() const { return waited_; }
   void clear_waited() { waited_ = false; }
+
+  /// The statement deleted `rows` of `table_lower`, all X-locked by it:
+  /// their lock entries are erased when released rather than cached,
+  /// since row ids are never reused. A rolled-back delete only costs the
+  /// row a fresh entry on its next lock.
+  void ForgetDeletedRows(const std::string& table_lower,
+                         const std::vector<int64_t>& rows);
 
   /// LockManager::WriteEpoch of (tenant, table_lower)'s shard; 0 when
   /// locking is disabled (so disabled snapshots compare equal).

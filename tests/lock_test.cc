@@ -177,6 +177,48 @@ TEST(LockManagerTest, WriteEpochAdvancesOnlyOnXRelease) {
       << "an intent-only release carries no committed write";
 }
 
+// A deleted row's id is never reused, so its lock entry is dropped when
+// released instead of sitting in the lock table's empty-entry cache;
+// a row that is only updated keeps its cached entry for the next lock.
+TEST(LockManagerTest, DeletedRowsLeaveNoCachedEntries) {
+  mapping::AppSchema app = mapping::FigureFourSchema();
+  Database db;
+  auto layout = mapping::MakeLayout(LayoutKind::kExtension, &db, &app);
+  ASSERT_TRUE(layout->Bootstrap().ok());
+  ASSERT_TRUE(layout->CreateTenant(17).ok());
+  mapping::TenantSession session = layout->OpenSession(17);
+  const lock::LockManager* lm = db.lock_manager();
+  ASSERT_NE(lm, nullptr);
+  for (int64_t aid = 1; aid <= 64; ++aid) {
+    ASSERT_TRUE(session
+                    .Execute("INSERT INTO account (aid, name) VALUES (?, 'x')",
+                             {Value::Int64(aid)})
+                    .ok());
+    ASSERT_TRUE(
+        session.Execute("DELETE FROM account WHERE aid = ?", {Value::Int64(aid)})
+            .ok());
+  }
+  // Only the table intent's entry remains.
+  EXPECT_EQ(lm->entries(), 1u);
+  // A multi-row delete drops every row it deleted.
+  for (int64_t aid = 1; aid <= 8; ++aid) {
+    ASSERT_TRUE(session
+                    .Execute("INSERT INTO account (aid, name) VALUES (?, 'x')",
+                             {Value::Int64(aid)})
+                    .ok());
+  }
+  EXPECT_EQ(lm->entries(), 9u);
+  auto deleted = session.Execute("DELETE FROM account WHERE aid <= 4");
+  ASSERT_TRUE(deleted.ok());
+  EXPECT_EQ(*deleted, 4);
+  EXPECT_EQ(lm->entries(), 5u);
+  // An update leaves its row's entry cached.
+  ASSERT_TRUE(
+      session.Execute("UPDATE account SET name = 'y' WHERE aid = 5").ok());
+  EXPECT_EQ(lm->entries(), 5u);
+  EXPECT_EQ(lm->held(), 0u);
+}
+
 // ------------------------------------------------- two-session scripts
 
 /// Figure 4 plus a second logical table, so deadlocks can form between

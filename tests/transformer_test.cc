@@ -181,7 +181,7 @@ TEST(BuildReconstructionTest, AtLeastOneSourceEvenWithoutColumns) {
   s.partition.emplace_back("tenant", Value::Int32(1));
   s.row_column = "row";
   mapping.sources.push_back(std::move(s));
-  auto stmt = BuildReconstruction(mapping, {}, {}, "_row");
+  auto stmt = BuildReconstruction(mapping, {}, "_row");
   ASSERT_NE(stmt, nullptr);
   EXPECT_EQ(stmt->from.size(), 1u);
   ASSERT_EQ(stmt->items.size(), 1u);  // just _row
