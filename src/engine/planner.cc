@@ -434,6 +434,11 @@ void FlattenDerivedTables(SelectStmt* stmt) {
 struct Built {
   ExecutorPtr exec;
   std::string text;
+  /// Output positions the stream is ordered on, ascending by key
+  /// encoding (kAdvanced only; all hold equal values, joined on
+  /// equality). Set by an unfiltered partition IndexScan and kept by the
+  /// merge joins over it; empty otherwise.
+  std::vector<size_t> ordered_on;
 };
 
 std::string Indent(const std::string& text) {
@@ -445,6 +450,24 @@ std::string Indent(const std::string& text) {
   }
   if (!out.empty()) out.pop_back();
   return out;
+}
+
+/// The merge-join rule, over an index join's `keys` matched key columns
+/// of the new table's index. The join can merge when every key but the
+/// last is a constant (at least one: they select a partition, scanned in
+/// the order of the last key column) and the last key's other side,
+/// `last`, is one of the columns `ordered_on` the current stream is
+/// ordered on.
+bool CanMergeJoin(const std::vector<size_t>& ordered_on, size_t keys,
+                  size_t constants, const ParsedExpr& last,
+                  const Scope& scope) {
+  if (ordered_on.empty() || keys < 2 || constants != keys - 1 ||
+      last.kind != PExprKind::kColumnRef) {
+    return false;
+  }
+  auto loc = scope.Resolve(last.table, last.column);
+  return loc.ok() && std::find(ordered_on.begin(), ordered_on.end(),
+                               loc->first) != ordered_on.end();
 }
 
 class SelectPlanner {
@@ -595,6 +618,12 @@ Result<Built> SelectPlanner::PlanBaseTableAccess(
         table, chosen, std::move(prefix_values), nullptr);
     out.text = "IndexScan " + table->name + " (" + binding + ") index=" +
                chosen->name + " prefix=[" + prefix_text + "]";
+    // A partially matched prefix is a whole partition, read in the order
+    // of the next key column (a fully matched one is a selective probe).
+    if (mode_ == PlannerMode::kAdvanced &&
+        prefix_len < chosen->key_columns.size()) {
+      out.ordered_on.push_back(chosen->key_columns[prefix_len]);
+    }
   } else {
     out.exec = std::make_unique<SeqScanExecutor>(table, nullptr);
     out.text = "SeqScan " + table->name + " (" + binding + ")";
@@ -619,6 +648,7 @@ Result<Built> SelectPlanner::PlanBaseTableAccess(
     out.exec =
         std::make_unique<FilterExecutor>(std::move(out.exec), std::move(pred));
     out.text = "Filter [" + filter_text + "]\n" + Indent(child_text);
+    out.ordered_on.clear();  // a filtered outer may be selective
   }
   return out;
 }
@@ -721,6 +751,9 @@ Result<Built> SelectPlanner::PlanFromWhere(
     }
     PendingRef& p = pending[next];
     const std::string binding = p.ref->binding_name();
+    // Only a merge join keeps the stream's order.
+    std::vector<size_t> ordered_on = std::move(current.ordered_on);
+    current.ordered_on.clear();
 
     if (p.table != nullptr) {
       OutputSchema schema;
@@ -734,10 +767,16 @@ Result<Built> SelectPlanner::PlanFromWhere(
       const IndexInfo* join_index = nullptr;
       std::vector<ExprPtr> key_exprs;
       std::vector<size_t> key_conjuncts;
+      // For the merge-join rule: how many leading keys are constants, and
+      // the other side of the last key's conjunct.
+      size_t key_constants = 0;
+      const ParsedExpr* key_last = nullptr;
       std::string key_text;
       auto try_index = [&](const IndexInfo* idx) -> Result<bool> {
         std::vector<ExprPtr> keys;
         std::vector<size_t> consumed;
+        size_t constants = 0;
+        const ParsedExpr* last = nullptr;
         std::string text;
         for (size_t k = 0; k < idx->key_columns.size(); ++k) {
           bool found = false;
@@ -745,10 +784,11 @@ Result<Built> SelectPlanner::PlanFromWhere(
             if (used[ci]) continue;
             auto m = MatchColumnEquality(*(*conjuncts)[ci], binding, schema);
             if (!m.has_value() || m->first != idx->key_columns[k]) continue;
-            if (!IsConstant(*m->second) && !FullyBound(*m->second, *scope)) {
-              continue;
-            }
+            bool constant = IsConstant(*m->second);
+            if (!constant && !FullyBound(*m->second, *scope)) continue;
             MTDB_ASSIGN_OR_RETURN(ExprPtr kv, BindExpr(*m->second, *scope));
+            if (constant && constants == keys.size()) constants++;
+            last = m->second;
             keys.push_back(std::move(kv));
             consumed.push_back(ci);
             if (!text.empty()) text += ", ";
@@ -763,6 +803,8 @@ Result<Built> SelectPlanner::PlanFromWhere(
           join_index = idx;
           key_exprs = std::move(keys);
           key_conjuncts = std::move(consumed);
+          key_constants = constants;
+          key_last = last;
           key_text = std::move(text);
         }
         return true;
@@ -802,12 +844,31 @@ Result<Built> SelectPlanner::PlanFromWhere(
       if (join_index != nullptr && !key_exprs.empty()) {
         for (size_t ci : key_conjuncts) used[ci] = true;
         std::string child_text = std::move(current.text);
-        current.exec = std::make_unique<IndexNestedLoopJoinExecutor>(
-            std::move(current.exec), p.table, join_index, std::move(key_exprs),
-            nullptr);
-        current.text = "IndexNLJoin " + p.table->name + " (" + binding +
-                       ") index=" + join_index->name + " keys=[" + key_text +
-                       "]\n" + Indent(child_text);
+        const bool merge = CanMergeJoin(ordered_on, key_exprs.size(),
+                                        key_constants, *key_last, *scope);
+        if (merge) {
+          // Both inputs are ordered on the join column: the constants
+          // select the new table's partition, scanned in key order.
+          size_t right_col = join_index->key_columns[key_exprs.size() - 1];
+          ExprPtr left_key = std::move(key_exprs.back());
+          key_exprs.pop_back();
+          auto right = std::make_unique<IndexScanExecutor>(
+              p.table, join_index, std::move(key_exprs), nullptr);
+          current.exec = std::make_unique<MergeJoinExecutor>(
+              std::move(current.exec), std::move(right), std::move(left_key),
+              std::make_unique<ColumnRefExpr>(right_col,
+                                              schema.names[right_col]));
+          ordered_on.push_back(scope->total_width() + right_col);
+          current.ordered_on = std::move(ordered_on);
+        } else {
+          current.exec = std::make_unique<IndexNestedLoopJoinExecutor>(
+              std::move(current.exec), p.table, join_index,
+              std::move(key_exprs), nullptr);
+        }
+        current.text = (merge ? "MergeJoin " : "IndexNLJoin ") +
+                       p.table->name + " (" + binding + ") index=" +
+                       join_index->name + " keys=[" + key_text + "]\n" +
+                       Indent(child_text);
         scope->Add(binding, schema);
         (void)join_conjunct;
       } else {
@@ -886,6 +947,7 @@ Result<Built> SelectPlanner::PlanFromWhere(
       current.exec = std::make_unique<FilterExecutor>(std::move(current.exec),
                                                       std::move(pred));
       current.text = "Filter [" + filter_text + "]\n" + Indent(child_text);
+      current.ordered_on.clear();
     }
   }
 

@@ -103,13 +103,12 @@ Result<bool> IndexScanExecutor::Next(Row* out, const ExecContext& ctx) {
     MTDB_RETURN_IF_ERROR(ctx.CheckDeadline());
     MTDB_ASSIGN_OR_RETURN(bool more, it_->Next(&rid));
     if (!more) break;
-    std::string image;
-    Status st = table_->heap->Get(rid, &image);
+    Status st = table_->heap->Get(rid, &image_);
     if (st.code() == StatusCode::kNotFound) continue;  // dangling entry
     MTDB_RETURN_IF_ERROR(st);
     MTDB_ASSIGN_OR_RETURN(
-        Row row,
-        table_->codec->Decode(image.data(), static_cast<uint32_t>(image.size())));
+        Row row, table_->codec->Decode(image_.data(),
+                                       static_cast<uint32_t>(image_.size())));
     if (residual_ != nullptr) {
       MTDB_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*residual_, row, ctx));
       if (!keep) continue;
@@ -279,6 +278,85 @@ Result<bool> IndexNestedLoopJoinExecutor::Next(Row* out,
   }
 }
 
+// -------------------------------------------------------------- MergeJoin
+
+MergeJoinExecutor::MergeJoinExecutor(ExecutorPtr left, ExecutorPtr right,
+                                     ExprPtr left_key, ExprPtr right_key)
+    : left_(std::move(left)),
+      right_(std::move(right)),
+      left_key_(std::move(left_key)),
+      right_key_(std::move(right_key)) {
+  schema_ = ConcatSchemas(left_->schema(), right_->schema());
+}
+
+Status MergeJoinExecutor::Init(const ExecContext& ctx) {
+  group_.clear();
+  group_key_.clear();
+  group_pos_ = 0;
+  MTDB_RETURN_IF_ERROR(left_->Init(ctx));
+  MTDB_RETURN_IF_ERROR(right_->Init(ctx));
+  return AdvanceRight(ctx);
+}
+
+Status MergeJoinExecutor::AdvanceRight(const ExecContext& ctx) {
+  while (true) {
+    MTDB_ASSIGN_OR_RETURN(bool more, right_->Next(&right_row_, ctx));
+    if (!more) {
+      right_valid_ = false;
+      return Status::OK();
+    }
+    MTDB_ASSIGN_OR_RETURN(Value v, right_key_->Eval(right_row_, ctx));
+    // A NULL key joins nothing. Left NULL keys then find no partner: their
+    // encoding sorts below every non-NULL one.
+    if (v.is_null()) continue;
+    right_key_bytes_.clear();
+    KeyEncoder::Encode(v, &right_key_bytes_);
+    right_valid_ = true;
+    return Status::OK();
+  }
+}
+
+Result<bool> MergeJoinExecutor::Next(Row* out, const ExecContext& ctx) {
+  while (true) {
+    if (group_pos_ < group_.size()) {
+      const Row& right_row = group_[group_pos_++];
+      // Assign in place: a caller that reuses `out` keeps its values'
+      // storage instead of destroying and rebuilding them per row.
+      out->resize(left_row_.size() + right_row.size());
+      std::copy(left_row_.begin(), left_row_.end(), out->begin());
+      std::copy(right_row.begin(), right_row.end(),
+                out->begin() + static_cast<std::ptrdiff_t>(left_row_.size()));
+      return true;
+    }
+    MTDB_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_, ctx));
+    if (!more) return false;
+    MTDB_ASSIGN_OR_RETURN(Value v, left_key_->Eval(left_row_, ctx));
+    left_key_bytes_.clear();
+    KeyEncoder::Encode(v, &left_key_bytes_);
+    // An encoded key is never empty, so an empty group_key_ (no left row
+    // yet) compares below every key.
+    if (left_key_bytes_ == group_key_) {
+      group_pos_ = 0;  // a duplicate left key joins the same right run
+      continue;
+    }
+    if (left_key_bytes_ < group_key_) {
+      return Status::Internal("merge join: left input is not ordered");
+    }
+    group_key_.swap(left_key_bytes_);
+    group_.clear();
+    group_pos_ = 0;
+    while (right_valid_ && right_key_bytes_ < group_key_) {
+      MTDB_RETURN_IF_ERROR(AdvanceRight(ctx));
+    }
+    while (right_valid_ && right_key_bytes_ == group_key_) {
+      group_.push_back(std::move(right_row_));
+      MTDB_RETURN_IF_ERROR(AdvanceRight(ctx));
+    }
+    // Later left keys are larger still: nothing on the right can match.
+    if (group_.empty() && !right_valid_) return false;
+  }
+}
+
 // --------------------------------------------------------------- HashJoin
 
 HashJoinExecutor::HashJoinExecutor(ExecutorPtr left, ExecutorPtr right,
@@ -368,8 +446,9 @@ Status HashAggExecutor::Init(const ExecContext& ctx) {
     Status st;
     std::string key = HashKeyOf(group_exprs_, row, ctx, &st);
     MTDB_RETURN_IF_ERROR(st);
-    auto [it, inserted] = groups.emplace(key, states_.size());
-    if (inserted) {
+    auto it = groups.find(key);
+    if (it == groups.end()) {
+      it = groups.emplace(std::move(key), states_.size()).first;
       AggState state;
       for (const ExprPtr& g : group_exprs_) {
         Result<Value> v = g->Eval(row, ctx);

@@ -74,6 +74,7 @@ class IndexScanExecutor final : public Executor {
   ExprPtr residual_;
   std::unique_ptr<BTree::Iterator> it_;
   Rid rid_;
+  std::string image_;  // the current row's heap image, reused across rows
 };
 
 class FilterExecutor final : public Executor {
@@ -137,6 +138,38 @@ class IndexNestedLoopJoinExecutor final : public Executor {
   std::vector<Rid> matches_;
   size_t match_pos_ = 0;
   bool have_left_ = false;
+};
+
+/// Merge inner join on one equality key. The left input is ordered on
+/// `left_key`; the right input is an index partition scan ordered on
+/// `right_key`. Keys compare by their memcomparable encoding, the order
+/// the index keeps them in, and NULL keys never match. Each right run of
+/// equal keys is buffered, so duplicate keys on either side join fully;
+/// the output is in the left input's order, row for row what an index
+/// nested-loop join over the same index returns. A left key below its
+/// predecessor is an Internal error: the planner promised an order.
+class MergeJoinExecutor final : public Executor {
+ public:
+  MergeJoinExecutor(ExecutorPtr left, ExecutorPtr right, ExprPtr left_key,
+                    ExprPtr right_key);
+  Status Init(const ExecContext& ctx) override;
+  Result<bool> Next(Row* out, const ExecContext& ctx) override;
+
+ private:
+  /// Reads the next right row with a non-NULL key into right_row_ and
+  /// right_key_bytes_; clears right_valid_ at the end of the right input.
+  Status AdvanceRight(const ExecContext& ctx);
+
+  ExecutorPtr left_, right_;
+  ExprPtr left_key_, right_key_;
+  Row left_row_;
+  std::string left_key_bytes_;
+  Row right_row_;
+  std::string right_key_bytes_;
+  bool right_valid_ = false;
+  std::vector<Row> group_;  // right rows whose key is group_key_
+  std::string group_key_;   // the last left key; empty before the first
+  size_t group_pos_ = 0;
 };
 
 /// Hash inner join; builds on the right input.

@@ -220,14 +220,19 @@ Status BTree::RebuildFromRoot() {
 }
 
 Result<PageId> BTree::FindLeaf(std::string_view key,
-                               std::vector<std::pair<PageId, int>>* path) {
+                               std::vector<std::pair<PageId, int>>* path,
+                               Page** pinned_leaf) {
   PageId current = root_;
   while (true) {
     MTDB_RETURN_IF_ERROR(deadline::Check());
     MTDB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(current));
     NodeView node(page);
     if (node.is_leaf()) {
-      pool_->UnpinPage(current, false);
+      if (pinned_leaf != nullptr) {
+        *pinned_leaf = page;
+      } else {
+        pool_->UnpinPage(current, false);
+      }
       return current;
     }
     // Internal: child index = number of separator keys <= key.
@@ -248,8 +253,8 @@ Status BTree::Insert(std::string_view key, const Rid& rid) {
                               std::to_string(full.size()));
   }
   std::vector<std::pair<PageId, int>> path;
-  MTDB_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(full, &path));
-  MTDB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(leaf_id));
+  Page* page = nullptr;
+  MTDB_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(full, &path, &page));
   pool_->WillWrite(page);
   NodeView node(page);
   if (!node.Fits(full.size())) {
@@ -260,6 +265,7 @@ Status BTree::Insert(std::string_view key, const Rid& rid) {
     node.InsertAt(pos, full, PackRid(rid));
     pool_->UnpinPage(leaf_id, true);
     entries_++;
+    modifications_++;
     return Status::OK();
   }
   bool append = pos == node.count();
@@ -322,6 +328,7 @@ Status BTree::SplitAndPropagate(std::vector<std::pair<PageId, int>>& path,
 
   // Mutation phase: every page is pinned and NewPage cannot fail, so no
   // error path exits between here and return.
+  modifications_++;
   pool_->WillWrite(left_page);
   Page* right_page = pool_->NewPage(PageType::kIndex);
   NodeView right(right_page);
@@ -375,8 +382,8 @@ Status BTree::SplitAndPropagate(std::vector<std::pair<PageId, int>>& path,
 Status BTree::Delete(std::string_view key, const Rid& rid) {
   std::string full(key);
   AppendRidSuffix(rid, &full);
-  MTDB_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(full, nullptr));
-  MTDB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(leaf_id));
+  Page* page = nullptr;
+  MTDB_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(full, nullptr, &page));
   NodeView node(page);
   int pos = node.LowerBound(full);
   if (pos < node.count() && node.Key(pos) == full) {
@@ -384,6 +391,7 @@ Status BTree::Delete(std::string_view key, const Rid& rid) {
     node.RemoveAt(pos);
     pool_->UnpinPage(leaf_id, true);
     entries_--;
+    modifications_++;
     return Status::OK();
   }
   pool_->UnpinPage(leaf_id, false);
@@ -427,37 +435,72 @@ Result<std::vector<Rid>> BTree::Lookup(std::string_view key) {
 
 Result<BTree::Iterator> BTree::Scan(std::string_view lo,
                                     std::string_view hi) {
-  MTDB_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(lo, nullptr));
-  MTDB_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(leaf_id));
+  Iterator it(this, lo, hi);
+  MTDB_RETURN_IF_ERROR(it.Seek());
+  return it;
+}
+
+Status BTree::Iterator::Seek() {
+  Page* page = nullptr;
+  MTDB_ASSIGN_OR_RETURN(PageId leaf, tree_->FindLeaf(resume_, nullptr, &page));
   NodeView node(page);
-  int pos = node.LowerBound(lo);
-  pool_->UnpinPage(leaf_id, false);
-  return Iterator(this, leaf_id, pos, std::string(hi));
+  Fill(leaf, page,
+       resume_inclusive_ ? node.LowerBound(resume_) : node.UpperBound(resume_));
+  return Status::OK();
+}
+
+void BTree::Iterator::Fill(PageId leaf, Page* page, int pos) {
+  NodeView node(page);
+  keys_.clear();
+  batch_.clear();
+  pos_ = 0;
+  next_leaf_ = node.link();
+  for (int i = pos; i < node.count(); ++i) {
+    std::string_view k = node.Key(i);
+    if (!hi_.empty() && k >= hi_) {
+      next_leaf_ = kInvalidPageId;
+      break;
+    }
+    keys_.append(k);
+    batch_.push_back({static_cast<uint32_t>(keys_.size()), UnpackRid(node.Val(i))});
+  }
+  modifications_ = tree_->modifications_;
+  tree_->pool_->UnpinPage(leaf, false);
+}
+
+std::string_view BTree::Iterator::KeyAt(size_t i) const {
+  uint32_t begin = i == 0 ? 0 : batch_[i - 1].key_end;
+  return std::string_view(keys_).substr(begin, batch_[i].key_end - begin);
 }
 
 Result<bool> BTree::Iterator::Next(Rid* rid, std::string* key) {
-  while (leaf_ != kInvalidPageId) {
-    MTDB_RETURN_IF_ERROR(deadline::Check());
-    MTDB_ASSIGN_OR_RETURN(Page * page, tree_->pool_->FetchPage(leaf_));
-    NodeView node(page);
-    if (pos_ < node.count()) {
-      std::string_view k = node.Key(pos_);
-      if (!hi_.empty() && k >= hi_) {
-        tree_->pool_->UnpinPage(leaf_, false);
-        leaf_ = kInvalidPageId;
-        return false;
+  while (!done_) {
+    if (modifications_ != tree_->modifications_) {
+      // The copy may be stale: resume after the last key returned.
+      if (pos_ > 0) {
+        resume_.assign(KeyAt(pos_ - 1));
+        resume_inclusive_ = false;
       }
-      *rid = UnpackRid(node.Val(pos_));
-      if (key != nullptr) key->assign(k);
+      MTDB_RETURN_IF_ERROR(Seek());
+      continue;
+    }
+    if (pos_ < batch_.size()) {
+      *rid = batch_[pos_].rid;
+      if (key != nullptr) key->assign(KeyAt(pos_));
       pos_++;
-      tree_->pool_->UnpinPage(leaf_, false);
       return true;
     }
-    PageId next = node.link();
-    tree_->pool_->UnpinPage(leaf_, false);
-    leaf_ = next;
-    pos_ = 0;
+    if (next_leaf_ == kInvalidPageId) break;
+    if (!batch_.empty()) {
+      resume_.assign(KeyAt(batch_.size() - 1));
+      resume_inclusive_ = false;
+    }
+    MTDB_RETURN_IF_ERROR(deadline::Check());
+    PageId leaf = next_leaf_;
+    MTDB_ASSIGN_OR_RETURN(Page * page, tree_->pool_->FetchPage(leaf));
+    Fill(leaf, page, 0);
   }
+  done_ = true;
   return false;
 }
 
@@ -468,6 +511,7 @@ void BTree::Free() {
   all_pages_.clear();
   root_ = kInvalidPageId;
   entries_ = 0;
+  modifications_++;
 }
 
 Result<int> BTree::Height() {

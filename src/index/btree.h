@@ -48,6 +48,15 @@ class BTree {
   Result<std::vector<Rid>> Lookup(std::string_view key);
 
   /// Streaming scan over keys in [lo, hi).
+  ///
+  /// The iterator copies a leaf's entries below `hi` under one pin and
+  /// serves Next() from that copy, so a scan reads each leaf once and
+  /// holds no pin between calls. When the tree has been modified since
+  /// the copy was taken (its modification count moved), the next call
+  /// re-seeks to the first key after the last one returned: entries
+  /// inserted or deleted meanwhile by the latch holder are seen in key
+  /// order, and no entry is returned twice. Once Next() has returned
+  /// false it keeps returning false.
   class Iterator {
    public:
     /// Returns false at end; otherwise fills rid (and `key` if
@@ -56,12 +65,31 @@ class BTree {
 
    private:
     friend class BTree;
-    Iterator(BTree* tree, PageId leaf, int pos, std::string hi)
-        : tree_(tree), leaf_(leaf), pos_(pos), hi_(std::move(hi)) {}
+    struct Entry {
+      uint32_t key_end;  // end offset of the key in keys_
+      Rid rid;
+    };
+
+    Iterator(BTree* tree, std::string_view lo, std::string_view hi)
+        : tree_(tree), hi_(hi), resume_(lo) {}
+    /// Descends to the leaf holding resume_ and fills the batch from the
+    /// first entry at (resume_inclusive_) or after resume_.
+    Status Seek();
+    /// Copies the entries of the pinned leaf `page` from slot `pos` up
+    /// to hi_ into the batch, then unpins the leaf.
+    void Fill(PageId leaf, Page* page, int pos);
+    std::string_view KeyAt(size_t i) const;
+
     BTree* tree_;
-    PageId leaf_;
-    int pos_;
     std::string hi_;
+    std::string resume_;  // where the batch starts: at or after this key
+    bool resume_inclusive_ = true;
+    std::string keys_;           // the batch's key bytes, concatenated
+    std::vector<Entry> batch_;
+    size_t pos_ = 0;             // next batch entry to return
+    PageId next_leaf_ = kInvalidPageId;  // leaf after the batch, if any
+    uint64_t modifications_ = 0;  // the tree's count at Fill()
+    bool done_ = false;
   };
 
   Result<Iterator> Scan(std::string_view lo, std::string_view hi);
@@ -88,9 +116,12 @@ class BTree {
   struct NodeRef;  // defined in btree.cc
 
   /// Descends to the leaf that should contain `key`; records the path of
-  /// (page id, child index) in `path` when non-null.
+  /// (page id, child index) in `path` when non-null. With `pinned_leaf`
+  /// non-null the leaf stays pinned and is returned there, so the caller
+  /// reads it without fetching it again.
   Result<PageId> FindLeaf(std::string_view key,
-                          std::vector<std::pair<PageId, int>>* path);
+                          std::vector<std::pair<PageId, int>>* path,
+                          Page** pinned_leaf = nullptr);
   /// Splits `left_id` and links the new sibling into its parent. Pins
   /// every page it will modify *before* mutating anything, so an I/O
   /// failure surfaces with the tree structurally untouched. `append`
@@ -102,6 +133,9 @@ class BTree {
   BufferPool* pool_;
   PageId root_;
   uint64_t entries_ = 0;
+  /// Bumped by every change to the tree's entries or structure; an
+  /// iterator whose batch predates the current value re-seeks.
+  uint64_t modifications_ = 0;
   std::vector<PageId> all_pages_;
   mutable SharedLatch latch_{LatchRank::kTableIndex, "btree"};
 };

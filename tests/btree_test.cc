@@ -336,5 +336,209 @@ TEST_F(BTreeTest, ReadFaultDuringAppendSplitLeavesTreeUntouched) {
   EXPECT_EQ(AllKeys(&tree).size(), static_cast<size_t>(n));
 }
 
+// ------------------------------------------- the leaf-batched iterator
+
+/// The reference model of a tree: every stored (key + rid suffix) entry.
+using EntryModel = std::map<std::string, Rid>;
+
+std::string FullKey(const std::string& key, const Rid& rid) {
+  std::string full = key;
+  AppendRidSuffix(rid, &full);
+  return full;
+}
+
+/// Scans [lo, hi) and checks the keys and rids against `model`.
+void ExpectScanMatches(BTree* tree, const EntryModel& model,
+                       const std::string& lo, const std::string& hi) {
+  auto scan = tree->Scan(lo, hi);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  BTree::Iterator it = *std::move(scan);
+  auto want = model.lower_bound(lo);
+  Rid rid;
+  std::string key;
+  size_t n = 0;
+  while (true) {
+    auto more = it.Next(&rid, &key);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    ASSERT_TRUE(want != model.end() && (hi.empty() || want->first < hi))
+        << "extra entry " << n << " in range";
+    EXPECT_EQ(key, want->first) << "entry " << n;
+    EXPECT_EQ(rid, want->second) << "entry " << n;
+    ++want;
+    ++n;
+  }
+  EXPECT_TRUE(want == model.end() || (!hi.empty() && want->first >= hi))
+      << "scan stopped after " << n << " entries";
+  // Exhausted iterators stay exhausted.
+  auto again = it.Next(&rid, &key);
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(*again);
+}
+
+TEST_F(BTreeTest, IteratorMatchesReferenceOnRandomRanges) {
+  BTree tree(&pool_);
+  EntryModel model;
+  Rng rng(2024);
+  // Duplicates: 600 distinct keys, ~8 rids each, spread over many leaves.
+  for (int op = 0; op < 5000; ++op) {
+    std::string key = Key(rng.Uniform(0, 600));
+    Rid rid = MakeRid(op);
+    ASSERT_TRUE(tree.Insert(key, rid).ok());
+    model.emplace(FullKey(key, rid), rid);
+  }
+  for (int op = 0; op < 1000; ++op) {
+    auto victim = model.lower_bound(Key(rng.Uniform(0, 600)));
+    if (victim == model.end()) continue;
+    std::string key = victim->first.substr(0, victim->first.size() - 6);
+    ASSERT_TRUE(tree.Delete(key, victim->second).ok());
+    model.erase(victim);
+  }
+  ASSERT_GE(*tree.Height(), 2);
+  for (int q = 0; q < 300; ++q) {
+    int64_t a = rng.Uniform(-5, 605);
+    int64_t b = a + rng.Uniform(0, 80);
+    ExpectScanMatches(&tree, model, Key(a), Key(b));
+  }
+  // Unbounded above, and the duplicate run of one key (the Lookup range).
+  ExpectScanMatches(&tree, model, Key(300), "");
+  std::string hi = Key(123);
+  hi.push_back('\xFF');
+  ExpectScanMatches(&tree, model, Key(123), hi);
+  auto rids = tree.Lookup(Key(123));
+  ASSERT_TRUE(rids.ok());
+  auto range_lo = model.lower_bound(Key(123));
+  auto range_hi = model.lower_bound(hi);
+  EXPECT_EQ(rids->size(),
+            static_cast<size_t>(std::distance(range_lo, range_hi)));
+}
+
+TEST_F(BTreeTest, IteratorBoundariesAndEmptyRanges) {
+  BTree tree(&pool_);
+  EntryModel model;
+  const int64_t n = static_cast<int64_t>(LeafCapacity(&pool_)) * 6;
+  for (int64_t i = 0; i < n; ++i) {
+    // Even keys only, so odd keys fall between entries.
+    ASSERT_TRUE(tree.Insert(Key(2 * i), MakeRid(i)).ok());
+    model.emplace(FullKey(Key(2 * i), MakeRid(i)), MakeRid(i));
+  }
+  ASSERT_GE(tree.page_count(), 6u);
+  // `hi` equal to every stored entry in turn, so it falls exactly on the
+  // first entry of each leaf once; `lo` likewise on the last of each.
+  std::vector<std::string> full;
+  for (const auto& [k, rid] : model) full.push_back(k);
+  for (size_t i = 0; i < full.size(); ++i) {
+    size_t from = i >= 40 ? i - 40 : 0;
+    ExpectScanMatches(&tree, model, full[from], full[i]);
+  }
+  // Empty: lo == hi, lo > hi, a gap between two entries, past the end.
+  ExpectScanMatches(&tree, model, Key(100), Key(100));
+  ExpectScanMatches(&tree, model, Key(200), Key(100));
+  ExpectScanMatches(&tree, model, Key(101), Key(102));
+  ExpectScanMatches(&tree, model, Key(2 * n), Key(4 * n));
+  ExpectScanMatches(&tree, model, Key(-10), Key(0));
+}
+
+/// Inserts and deletes between Next() calls, splits included: each Next
+/// returns the smallest entry now in the tree above the last one it
+/// returned (the iterator re-seeks), so nothing is skipped or repeated.
+TEST_F(BTreeTest, IteratorReseeksAfterConcurrentChanges) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    BTree tree(&pool_);
+    EntryModel model;
+    Rng rng(seed);
+    int next_rid = 0;
+    auto insert = [&](int64_t k) {
+      Rid rid = MakeRid(next_rid++);
+      ASSERT_TRUE(tree.Insert(Key(k), rid).ok());
+      model.emplace(FullKey(Key(k), rid), rid);
+    };
+    for (int i = 0; i < 1500; ++i) insert(rng.Uniform(0, 1000));
+    const std::string lo = Key(100), hi = Key(900);
+    auto scan = tree.Scan(lo, hi);
+    ASSERT_TRUE(scan.ok());
+    BTree::Iterator it = *std::move(scan);
+    std::string last;  // empty: nothing returned yet
+    int returned = 0;
+    while (true) {
+      // Change the tree before some calls: below the cursor, at it, above
+      // it, and bursts large enough to split leaves.
+      int changes = rng.Bernoulli(0.3) ? static_cast<int>(rng.Uniform(1, 40)) : 0;
+      for (int c = 0; c < changes; ++c) {
+        if (rng.Bernoulli(0.6)) {
+          insert(rng.Uniform(0, 1000));
+        } else {
+          auto victim = model.lower_bound(Key(rng.Uniform(0, 1000)));
+          if (victim == model.end()) continue;
+          std::string key = victim->first.substr(0, victim->first.size() - 6);
+          ASSERT_TRUE(tree.Delete(key, victim->second).ok());
+          model.erase(victim);
+        }
+      }
+      auto want = last.empty() ? model.lower_bound(lo) : model.upper_bound(last);
+      Rid rid;
+      std::string key;
+      auto more = it.Next(&rid, &key);
+      ASSERT_TRUE(more.ok()) << more.status().ToString();
+      if (!*more) {
+        EXPECT_TRUE(want == model.end() || want->first >= hi)
+            << "seed " << seed << ": stopped early after " << returned;
+        break;
+      }
+      ASSERT_TRUE(want != model.end() && want->first < hi)
+          << "seed " << seed << ": entry past the range";
+      ASSERT_EQ(key, want->first) << "seed " << seed << " step " << returned;
+      EXPECT_EQ(rid, want->second);
+      last = key;
+      returned++;
+    }
+    EXPECT_GT(returned, 500);
+    EXPECT_EQ(tree.entry_count(), model.size());
+  }
+}
+
+/// A scan reads each leaf once: N entries over L leaves cost at most
+/// L + height logical page reads, where re-fetching the leaf per entry
+/// cost one read per entry.
+TEST_F(BTreeTest, ScanReadsEachLeafOnce) {
+  const size_t capacity = LeafCapacity(&pool_);
+  BTree tree(&pool_);
+  const int64_t n = static_cast<int64_t>(capacity) * 30;
+  for (int64_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(tree.Insert(Key(i), MakeRid(i)).ok());
+  }
+  const int height = *tree.Height();
+  ASSERT_EQ(height, 2);
+  const uint64_t leaves = tree.page_count() - 1;  // all but the root
+  auto reads = [&](int64_t lo, int64_t hi, int64_t* count) {
+    uint64_t before = pool_.stats().logical_reads_index;
+    auto scan = tree.Scan(Key(lo), Key(hi));
+    EXPECT_TRUE(scan.ok());
+    BTree::Iterator it = *std::move(scan);
+    Rid rid;
+    *count = 0;
+    while (*it.Next(&rid)) ++*count;
+    return pool_.stats().logical_reads_index - before;
+  };
+  int64_t count = 0;
+  EXPECT_LE(reads(0, n, &count), leaves + height);
+  EXPECT_EQ(count, n);
+  // A range over part of the tree: ascending inserts fill every leaf
+  // but the last, so `span` entries cover at most span / capacity + 2
+  // leaves.
+  const int64_t span = static_cast<int64_t>(capacity) * 7 + 5;
+  const uint64_t spanned = static_cast<uint64_t>(span) / capacity + 2;
+  EXPECT_LE(reads(capacity / 2, capacity / 2 + span, &count),
+            spanned + height);
+  EXPECT_EQ(count, span);
+  // A point lookup reads the descent and at most one more leaf.
+  uint64_t before = pool_.stats().logical_reads_index;
+  auto rids = tree.Lookup(Key(n / 3));
+  ASSERT_TRUE(rids.ok());
+  ASSERT_EQ(rids->size(), 1u);
+  EXPECT_LE(pool_.stats().logical_reads_index - before,
+            static_cast<uint64_t>(height) + 1);
+}
+
 }  // namespace
 }  // namespace mtdb

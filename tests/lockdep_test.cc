@@ -15,6 +15,7 @@
 #include "common/latch.h"
 #include "engine/database.h"
 #include "mapping_test_util.h"
+#include "scratch_dir.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
 
@@ -277,8 +278,7 @@ TEST_F(LockdepTest, ConcurrentEngineWorkloadIsClean) {
 // deferral inside SchemaMapping::Mapping() must keep the path silent.
 TEST_F(LockdepTest, DurableMultiRowInsertThroughMappingIsClean) {
   namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "mtdb_lockdep_c201";
-  fs::remove_all(dir);
+  const std::string dir = FreshScratchDir("mtdb_lockdep_c201");
   {
     mapping::AppSchema app = mapping::FigureFourSchema();
     EngineOptions options;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
+#include <tuple>
 
 #include "engine/database.h"
 #include "mapping_test_util.h"
@@ -49,14 +51,229 @@ TEST_F(PlannerTest, MetadataPredicatesUseThePartitionedBTree) {
   EXPECT_NE(plan->find("ux_tcr"), std::string::npos) << *plan;
 }
 
-TEST_F(PlannerTest, AligningJoinUsesIndexNestedLoop) {
+TEST_F(PlannerTest, AligningJoinUsesMergeJoin) {
+  // §6.1's aligning join of two whole chunk partitions: both come off the
+  // (tenant, tbl, chunk, row) index in row order, so they merge.
   auto plan = db_.Explain(
       "SELECT s0.int1, s1.str1 FROM chunkdata s0, chunkdata s1 "
       "WHERE s0.tenant = 17 AND s0.tbl = 0 AND s0.chunk = 0 "
       "AND s1.tenant = 17 AND s1.tbl = 0 AND s1.chunk = 1 "
       "AND s0.row = s1.row");
   ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("IndexNLJoin"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("MergeJoin chunkdata (s1) index=ux_tcr keys=[tenant=17, "
+                       "tbl=0, chunk=1, row=s0.row]"),
+            std::string::npos)
+      << *plan;
+  EXPECT_NE(plan->find("IndexScan chunkdata (s0) index=ux_tcr prefix=[tenant=17, "
+                       "tbl=0, chunk=0]"),
+            std::string::npos)
+      << *plan;
+  EXPECT_EQ(plan->find("IndexNLJoin"), std::string::npos) << *plan;
+}
+
+TEST_F(PlannerTest, ThreeWayAligningChainMergesTwice) {
+  for (int row = 0; row < 50; ++row) {
+    ASSERT_TRUE(db_.Execute("INSERT INTO chunkdata VALUES (17, 0, 2, " +
+                            std::to_string(row) + ", " +
+                            std::to_string(row * 5) + ", 'x" +
+                            std::to_string(row) + "')")
+                    .ok());
+  }
+  // Both ways the mapping can write the chain: every source aligned to
+  // s0, or each source aligned to the previous one.
+  for (const char* third : {"s0.row = s2.row", "s1.row = s2.row"}) {
+    const std::string q =
+        std::string("SELECT s0.int1, s1.int1, s2.str1 FROM chunkdata s0, "
+                    "chunkdata s1, chunkdata s2 "
+                    "WHERE s0.tenant = 17 AND s0.tbl = 0 AND s0.chunk = 0 "
+                    "AND s1.tenant = 17 AND s1.tbl = 0 AND s1.chunk = 1 "
+                    "AND s0.row = s1.row "
+                    "AND s2.tenant = 17 AND s2.tbl = 0 AND s2.chunk = 2 AND ") +
+        third;
+    auto plan = db_.Explain(q);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan->find("MergeJoin chunkdata (s2)"), std::string::npos)
+        << *plan;
+    EXPECT_NE(plan->find("MergeJoin chunkdata (s1)"), std::string::npos)
+        << *plan;
+    EXPECT_EQ(plan->find("IndexNLJoin"), std::string::npos) << *plan;
+    auto rows = db_.Query(q);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->rows.size(), 50u);
+    for (size_t i = 0; i < rows->rows.size(); ++i) {
+      const int64_t row = static_cast<int64_t>(i);
+      EXPECT_EQ(rows->rows[i][0].AsInt64(), row * 2);
+      EXPECT_EQ(rows->rows[i][1].AsInt64(), row * 3);
+      EXPECT_EQ(rows->rows[i][2].AsString(), "x" + std::to_string(row));
+    }
+  }
+}
+
+TEST_F(PlannerTest, SelectiveOrFilteredOuterKeepsIndexNestedLoop) {
+  const std::string join =
+      " AND s1.tenant = 17 AND s1.tbl = 0 AND s1.chunk = 1 "
+      "AND s0.row = s1.row";
+  const std::string outer =
+      "SELECT s0.row, s1.str1 FROM chunkdata s0, chunkdata s1 "
+      "WHERE s0.tenant = 17 AND s0.tbl = 0 AND s0.chunk = 0";
+  // The value index fully matched: the outer is a selective probe.
+  auto selective = db_.Explain(outer + " AND s0.int1 = ?" + join);
+  ASSERT_TRUE(selective.ok());
+  EXPECT_NE(selective->find("IndexScan chunkdata (s0) index=ix_itcr"),
+            std::string::npos)
+      << *selective;
+  EXPECT_NE(selective->find("IndexNLJoin chunkdata (s1) index=ux_tcr"),
+            std::string::npos)
+      << *selective;
+  EXPECT_EQ(selective->find("MergeJoin"), std::string::npos) << *selective;
+
+  // A residual filter on the outer's partition.
+  const std::string filtered_q = outer + " AND s0.row < 5" + join;
+  auto filtered = db_.Explain(filtered_q);
+  ASSERT_TRUE(filtered.ok());
+  EXPECT_NE(filtered->find("IndexNLJoin chunkdata (s1) index=ux_tcr"),
+            std::string::npos)
+      << *filtered;
+  EXPECT_EQ(filtered->find("MergeJoin"), std::string::npos) << *filtered;
+  auto rows = db_.Query(filtered_q);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->rows.size(), 5u);
+
+  // The partition's prefix comes from the outer row, not constants: each
+  // outer row selects its own range, so there is no one ordered scan.
+  const std::string correlated_q =
+      outer +
+      " AND s1.tenant = s0.tenant AND s1.tbl = 0 AND s1.chunk = 1 "
+      "AND s0.row = s1.row";
+  auto correlated = db_.Explain(correlated_q);
+  ASSERT_TRUE(correlated.ok());
+  EXPECT_NE(correlated->find("IndexNLJoin chunkdata (s1) index=ux_tcr keys=["
+                             "tenant=s0.tenant"),
+            std::string::npos)
+      << *correlated;
+  EXPECT_EQ(correlated->find("MergeJoin"), std::string::npos) << *correlated;
+  auto correlated_rows = db_.Query(correlated_q);
+  ASSERT_TRUE(correlated_rows.ok()) << correlated_rows.status().ToString();
+  EXPECT_EQ(correlated_rows->rows.size(), 50u);
+
+  // The naive planner never merges.
+  db_.set_planner_mode(PlannerMode::kNaive);
+  auto naive = db_.Explain(outer + join);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_NE(naive->find("IndexNLJoin chunkdata (s1) index=ux_tcr"),
+            std::string::npos)
+      << *naive;
+  EXPECT_EQ(naive->find("MergeJoin"), std::string::npos) << *naive;
+}
+
+/// Partitions with gaps: some rows are present in one chunk partition and
+/// missing in the other. The merge join must return exactly the naive
+/// planner's index nested-loop result, whichever partition drives.
+TEST_F(PlannerTest, MergeJoinMatchesNaiveOnPartitionsWithGaps) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE gaps (tenant INT, tbl INT, chunk INT, "
+                          "row BIGINT, int1 BIGINT)")
+                  .ok());
+  ASSERT_TRUE(
+      db_.Execute("CREATE UNIQUE INDEX ux_gaps ON gaps (tenant, tbl, chunk, row)")
+          .ok());
+  // Chunk 0 misses every third row, chunk 1 every fifth, chunk 2 holds
+  // only the tail; tenant 18 sits on both sides of tenant 17's range.
+  for (int row = 0; row < 120; ++row) {
+    for (int chunk = 0; chunk < 3; ++chunk) {
+      if (chunk == 0 && row % 3 == 0) continue;
+      if (chunk == 1 && row % 5 == 0) continue;
+      if (chunk == 2 && row < 90) continue;
+      for (int tenant : {16, 17, 18}) {
+        ASSERT_TRUE(db_.Execute("INSERT INTO gaps VALUES (" +
+                                std::to_string(tenant) + ", 0, " +
+                                std::to_string(chunk) + ", " +
+                                std::to_string(row) + ", " +
+                                std::to_string(row * 7 + chunk) + ")")
+                        .ok());
+      }
+    }
+  }
+  const std::string where =
+      " WHERE a.tenant = 17 AND a.tbl = 0 AND a.chunk = 0 "
+      "AND b.tenant = 17 AND b.tbl = 0 AND b.chunk = 1 AND a.row = b.row";
+  const std::string where3 =
+      where + " AND c.tenant = 17 AND c.tbl = 0 AND c.chunk = 2 "
+              "AND b.row = c.row";
+  const std::vector<std::string> queries = {
+      "SELECT a.row, a.int1, b.int1 FROM gaps a, gaps b" + where,
+      "SELECT a.row, a.int1, b.int1 FROM gaps b, gaps a" + where,
+      "SELECT a.row, b.int1, c.int1 FROM gaps a, gaps b, gaps c" + where3,
+      "SELECT a.row, b.int1, c.int1 FROM gaps c, gaps b, gaps a" + where3,
+  };
+  // Rows present in every joined partition.
+  const std::vector<size_t> expected_rows = {64, 64, 16, 16};
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const std::string& q = queries[i];
+    db_.set_planner_mode(PlannerMode::kAdvanced);
+    auto plan = db_.Explain(q);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan->find("MergeJoin"), std::string::npos) << *plan;
+    EXPECT_EQ(plan->find("IndexNLJoin"), std::string::npos) << *plan;
+    auto merged = db_.Query(q);
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    db_.set_planner_mode(PlannerMode::kNaive);
+    auto naive = db_.Query(q);
+    ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+    ASSERT_EQ(merged->rows.size(), naive->rows.size()) << q;
+    EXPECT_EQ(merged->rows.size(), expected_rows[i]) << q;
+    for (size_t r = 0; r < merged->rows.size(); ++r) {
+      ASSERT_EQ(merged->rows[r].size(), naive->rows[r].size());
+      for (size_t c = 0; c < merged->rows[r].size(); ++c) {
+        EXPECT_EQ(merged->rows[r][c].Compare(naive->rows[r][c]), 0)
+            << q << " row " << r << " column " << c;
+      }
+    }
+  }
+}
+
+/// Duplicate join keys on both sides, and NULL keys, under a non-unique
+/// partition index: every pair of equal keys joins, NULL never matches.
+TEST_F(PlannerTest, MergeJoinJoinsDuplicateKeysAndSkipsNulls) {
+  ASSERT_TRUE(
+      db_.Execute("CREATE TABLE dup (tenant INT, part INT, k BIGINT, v BIGINT)")
+          .ok());
+  ASSERT_TRUE(db_.Execute("CREATE INDEX ix_dup ON dup (tenant, part, k)").ok());
+  // part 0: keys NULL, 1, 1, 2, 4, 4, 4; part 1: keys NULL, NULL, 1, 3,
+  // 4, 4.
+  const std::vector<std::pair<int, std::string>> data = {
+      {0, "NULL"}, {0, "1"}, {0, "1"}, {0, "2"}, {0, "4"},    {0, "4"},
+      {0, "4"},    {1, "NULL"}, {1, "NULL"}, {1, "1"}, {1, "3"}, {1, "4"},
+      {1, "4"}};
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_TRUE(db_.Execute("INSERT INTO dup VALUES (5, " +
+                            std::to_string(data[i].first) + ", " +
+                            data[i].second + ", " + std::to_string(i) + ")")
+                    .ok());
+  }
+  const std::string q =
+      "SELECT x.k, x.v, y.v FROM dup x, dup y WHERE x.tenant = 5 AND "
+      "x.part = 0 AND y.tenant = 5 AND y.part = 1 AND x.k = y.k";
+  auto plan = db_.Explain(q);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->find("MergeJoin dup (y) index=ix_dup"), std::string::npos)
+      << *plan;
+  auto rows = db_.Query(q);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  // key 1: 2 x 1 pairs, key 4: 3 x 2 pairs.
+  ASSERT_EQ(rows->rows.size(), 8u);
+  std::multiset<std::tuple<int64_t, int64_t, int64_t>> got;
+  for (const Row& r : rows->rows) {
+    ASSERT_FALSE(r[0].is_null());
+    got.insert({r[0].AsInt64(), r[1].AsInt64(), r[2].AsInt64()});
+  }
+  std::multiset<std::tuple<int64_t, int64_t, int64_t>> want = {
+      {1, 1, 9},  {1, 2, 9},  {4, 4, 11}, {4, 4, 12},
+      {4, 5, 11}, {4, 5, 12}, {4, 6, 11}, {4, 6, 12}};
+  EXPECT_EQ(got, want);
+  // Left order: keys never decrease.
+  for (size_t i = 1; i < rows->rows.size(); ++i) {
+    EXPECT_LE(rows->rows[i - 1][0].AsInt64(), rows->rows[i][0].AsInt64());
+  }
 }
 
 TEST_F(PlannerTest, ValueIndexDrivesSelectiveProbe) {

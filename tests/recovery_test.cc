@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "core/tenant_session.h"
 #include "mapping_test_util.h"
+#include "scratch_dir.h"
 #include "storage/wal.h"
 
 namespace mtdb {
@@ -50,9 +51,7 @@ std::string FormatRow(const std::vector<Value>& row) {
 }
 
 std::string FreshDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "mtdb_recovery_" + tag;
-  fs::remove_all(dir);
-  return dir;
+  return FreshScratchDir("mtdb_recovery_" + tag);
 }
 
 /// Full-content compare of one tenant's logical table against the shadow.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +13,7 @@
 #include "core/chunk_folding_layout.h"
 #include "core/private_layout.h"
 #include "mapping_test_util.h"
+#include "scratch_dir.h"
 #include "testbed/crm_schema.h"
 
 namespace mtdb {
@@ -234,8 +234,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FaultSoakTest, ::testing::Values(1, 2, 3));
 /// reference — recovery resumed the soak, not a fresh database.
 TEST(DurableSoakTest, CrashReopenMidSoakKeepsDifferentialAgreement) {
   AppSchema app = testbed::BuildCrmAppSchema();
-  const std::string dir = ::testing::TempDir() + "mtdb_soak_durable";
-  std::filesystem::remove_all(dir);
+  const std::string dir = FreshScratchDir("mtdb_soak_durable");
 
   auto opened = Database::Open(DatabaseOptions::WithPath(dir));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -379,8 +378,7 @@ TEST(DurableSoakTest, CrashReopenMidSoakKeepsDifferentialAgreement) {
 /// recovered engine and the final state is verified through one more
 /// clean reopen.
 TEST(DurableConcurrentSoakTest, EightThreadCrossTableCrashRecoversExactly) {
-  const std::string dir = ::testing::TempDir() + "mtdb_soak_durable_mt";
-  std::filesystem::remove_all(dir);
+  const std::string dir = FreshScratchDir("mtdb_soak_durable_mt");
 
   constexpr int kThreads = 8;
   constexpr int kPhaseOps = 150;  // inserts per thread per phase

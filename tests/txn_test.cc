@@ -6,7 +6,6 @@
 // txn.* metric series, the tracer's transaction grouping, and the
 // durable WAL bracket (open transactions survive checkpoints via the
 // meta and are undone on reopen; committed ones persist).
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,17 +19,14 @@
 #include "engine/database.h"
 #include "engine/session.h"
 #include "mapping_test_util.h"
+#include "scratch_dir.h"
 #include "sql/printer.h"
 
 namespace mtdb {
 namespace {
 
-namespace fs = std::filesystem;
-
 std::string FreshDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "mtdb_txn_" + tag;
-  fs::remove_all(dir);
-  return dir;
+  return FreshScratchDir("mtdb_txn_" + tag);
 }
 
 void AuditClean(mapping::SchemaMapping* layout, const char* when) {
