@@ -14,17 +14,12 @@ namespace analysis {
 
 namespace {
 
-using mapping::DmlMode;
 using mapping::EmitMode;
 using mapping::SchemaMapping;
 using mapping::TableMapping;
 
 const char* EmitModeName(EmitMode mode) {
   return mode == EmitMode::kNested ? "nested" : "flattened";
-}
-
-const char* DmlModeName(DmlMode mode) {
-  return mode == DmlMode::kPerRow ? "per-row" : "batched";
 }
 
 std::string Loc(TenantId tenant, const std::string& table,
@@ -91,21 +86,16 @@ class Recorder : public mapping::PhysicalStatementObserver {
   std::vector<std::pair<TenantId, sql::Statement>> statements_;
 };
 
-/// Restores observer and DML mode however the probe pass exits.
+/// Clears the observer however the probe pass exits.
 class ProbeScope {
  public:
-  ProbeScope(SchemaMapping* layout, Recorder* recorder)
-      : layout_(layout), saved_mode_(layout->dml_mode()) {
+  ProbeScope(SchemaMapping* layout, Recorder* recorder) : layout_(layout) {
     layout_->set_statement_observer(recorder);
   }
-  ~ProbeScope() {
-    layout_->set_statement_observer(nullptr);
-    layout_->set_dml_mode(saved_mode_);
-  }
+  ~ProbeScope() { layout_->set_statement_observer(nullptr); }
 
  private:
   SchemaMapping* layout_;
-  DmlMode saved_mode_;
 };
 
 }  // namespace
@@ -245,49 +235,37 @@ void Verifier::ProbeDml(std::vector<Diagnostic>* out) {
       const std::string delete_sql =
           "DELETE FROM " + table.name + " WHERE " + key_col + " = ?";
 
-      for (DmlMode mode : {DmlMode::kPerRow, DmlMode::kBatched}) {
-        layout_->set_dml_mode(mode);
-        recorder.Clear();
+      auto inserted = layout_->InsertRow(tenant, table.name, probe_row);
+      if (!inserted.ok()) {
+        ReportProbeFailure(out, tenant, table.name, "probe InsertRow",
+                           inserted.status());
+        continue;
+      }
+      recorder.Clear();  // the insert itself routes by value — no lint
 
-        auto inserted = layout_->InsertRow(tenant, table.name, probe_row);
-        if (!inserted.ok()) {
-          ReportProbeFailure(out, tenant, table.name,
-                            std::string("probe InsertRow (") +
-                                DmlModeName(mode) + ")",
-                            inserted.status());
-          break;  // the other mode will fail identically
-        }
-        recorder.Clear();  // the insert itself routes by value — no lint
+      auto updated = layout_->Execute(tenant, update_sql, {set_val, sentinel});
+      if (!updated.ok()) {
+        ReportProbeFailure(out, tenant, table.name, "probe UPDATE",
+                           updated.status());
+      }
+      auto deleted = layout_->Execute(tenant, delete_sql, {sentinel});
+      if (!deleted.ok()) {
+        ReportProbeFailure(out, tenant, table.name, "probe DELETE",
+                           deleted.status());
+      }
 
-        auto updated =
-            layout_->Execute(tenant, update_sql, {set_val, sentinel});
-        if (!updated.ok()) {
-          ReportProbeFailure(out, tenant, table.name,
-                            std::string("probe UPDATE (") +
-                                DmlModeName(mode) + ")",
-                            updated.status());
-        }
-        auto deleted = layout_->Execute(tenant, delete_sql, {sentinel});
-        if (!deleted.ok()) {
-          ReportProbeFailure(out, tenant, table.name,
-                            std::string("probe DELETE (") +
-                                DmlModeName(mode) + ")",
-                            deleted.status());
-        }
-
-        for (const auto& [t, select] : recorder.selects()) {
-          LintContext ctx;
-          ctx.tenant = t;
-          ctx.catalog = catalog;
-          ctx.mapping = table_mapping;
-          LintPhysicalSelect(ctx, *select, out);
-        }
-        for (const auto& [t, stmt] : recorder.statements()) {
-          LintContext ctx;
-          ctx.tenant = t;
-          ctx.catalog = catalog;
-          LintPhysicalStatement(ctx, stmt, out);
-        }
+      for (const auto& [t, select] : recorder.selects()) {
+        LintContext ctx;
+        ctx.tenant = t;
+        ctx.catalog = catalog;
+        ctx.mapping = table_mapping;
+        LintPhysicalSelect(ctx, *select, out);
+      }
+      for (const auto& [t, stmt] : recorder.statements()) {
+        LintContext ctx;
+        ctx.tenant = t;
+        ctx.catalog = catalog;
+        LintPhysicalStatement(ctx, stmt, out);
       }
     }
   }

@@ -17,8 +17,8 @@ struct VerifyOptions {
   /// Replays the §6.1 query transformer over every (tenant, table) in
   /// both emit modes and lints the emitted physical SELECTs (I-rules).
   bool lint_queries = true;
-  /// Drives real UPDATE/DELETE probes through the layout in both DML
-  /// modes, capturing the emitted physical statements via the
+  /// Drives real UPDATE/DELETE probes through the layout (§6.3's
+  /// two-phase DML), capturing the emitted physical statements via the
   /// PhysicalStatementObserver hook and linting them (I101/I102/I104).
   /// NOTE: this pass MUTATES the layout's data — it inserts sentinel
   /// probe rows and deletes them again. Run it against a dedicated
@@ -29,8 +29,8 @@ struct VerifyOptions {
 
 /// Drives the static mapping verifier over one live layout: layout-
 /// invariant audit, query-emission lint (kNested and kFlattened), and
-/// two-phase DML probes (kPerRow and kBatched). Returns every finding;
-/// a hard failure of the harness itself (not of a probe) is a Status.
+/// two-phase DML probes. Returns every finding; a hard failure of the
+/// harness itself (not of a probe) is a Status.
 class Verifier {
  public:
   explicit Verifier(mapping::SchemaMapping* layout) : layout_(layout) {}

@@ -88,11 +88,16 @@ std::string KeyEncoder::EncodeKey(const std::vector<Value>& values) {
 void KeyEncoder::EncodePrefixRange(const std::vector<Value>& prefix,
                                    std::string* lo, std::string* hi) {
   *lo = EncodeKey(prefix);
-  // Upper bound: the prefix followed by the maximal byte suffix. Since no
-  // encoded component starts with 0xFF (tags are 0x01..0x03), appending
-  // 0xFF yields a string greater than every extension of the prefix.
-  *hi = *lo;
-  hi->push_back('\xFF');
+  *hi = PrefixUpperBound(*lo);
+}
+
+std::string KeyEncoder::PrefixUpperBound(const std::string& lo) {
+  // The prefix followed by the maximal byte suffix. Since no encoded
+  // component starts with 0xFF (tags are 0x01..0x03), appending 0xFF
+  // yields a string greater than every extension of the prefix.
+  std::string hi = lo;
+  hi.push_back('\xFF');
+  return hi;
 }
 
 }  // namespace mtdb

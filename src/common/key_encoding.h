@@ -35,6 +35,10 @@ class KeyEncoder {
   /// composite key starting with this prefix satisfies lo <= key < hi.
   static void EncodePrefixRange(const std::vector<Value>& prefix,
                                 std::string* lo, std::string* hi);
+
+  /// The exclusive upper bound `hi` of EncodePrefixRange for an already
+  /// encoded prefix `lo`.
+  static std::string PrefixUpperBound(const std::string& lo);
 };
 
 }  // namespace mtdb

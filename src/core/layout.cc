@@ -25,76 +25,6 @@ uint64_t NowNs() {
           .count());
 }
 
-/// Evaluates a constant (or logical-row-referencing) scalar expression
-/// used in INSERT VALUES / UPDATE SET position. Column references bind to
-/// `row`, whose values are those of `columns` in order (Phase (a)'s
-/// projection).
-Result<Value> EvalScalar(const sql::ParsedExpr& e,
-                         const std::vector<std::string>* columns,
-                         const Row* row, const std::vector<Value>& params) {
-  using sql::PExprKind;
-  switch (e.kind) {
-    case PExprKind::kLiteral:
-      return e.literal;
-    case PExprKind::kParam:
-      if (e.param_ordinal >= params.size()) {
-        return Status::InvalidArgument("missing bind parameter");
-      }
-      return params[e.param_ordinal];
-    case PExprKind::kColumnRef: {
-      if (columns == nullptr || row == nullptr) {
-        return Status::InvalidArgument("column reference not allowed here: " +
-                                       e.column);
-      }
-      for (size_t i = 0; i < columns->size(); ++i) {
-        if (IdentEquals((*columns)[i], e.column)) return (*row)[i];
-      }
-      return Status::NotFound("no logical column " + e.column);
-    }
-    case PExprKind::kUnary: {
-      MTDB_ASSIGN_OR_RETURN(Value c, EvalScalar(*e.left, columns, row, params));
-      if (e.unary_op == sql::UnaryOp::kNeg) {
-        if (c.is_null()) return c;
-        if (c.type() == TypeId::kDouble) return Value::Double(-c.AsDouble());
-        return Value::Int64(-c.AsInt64());
-      }
-      if (c.is_null()) return Value::Null(TypeId::kBool);
-      return Value::Bool(!c.AsBool());
-    }
-    case PExprKind::kBinary: {
-      MTDB_ASSIGN_OR_RETURN(Value l, EvalScalar(*e.left, columns, row, params));
-      MTDB_ASSIGN_OR_RETURN(Value r, EvalScalar(*e.right, columns, row, params));
-      if (l.is_null() || r.is_null()) return Value();
-      const bool dbl =
-          l.type() == TypeId::kDouble || r.type() == TypeId::kDouble;
-      switch (e.binary_op) {
-        case sql::BinaryOp::kAdd:
-          if (l.type() == TypeId::kString || r.type() == TypeId::kString) {
-            return Value::String(l.ToString() + r.ToString());
-          }
-          return dbl ? Value::Double(l.AsDouble() + r.AsDouble())
-                     : Value::Int64(l.AsInt64() + r.AsInt64());
-        case sql::BinaryOp::kSub:
-          return dbl ? Value::Double(l.AsDouble() - r.AsDouble())
-                     : Value::Int64(l.AsInt64() - r.AsInt64());
-        case sql::BinaryOp::kMul:
-          return dbl ? Value::Double(l.AsDouble() * r.AsDouble())
-                     : Value::Int64(l.AsInt64() * r.AsInt64());
-        case sql::BinaryOp::kDiv:
-          if (r.AsDouble() == 0.0) {
-            return Status::InvalidArgument("division by zero");
-          }
-          return dbl ? Value::Double(l.AsDouble() / r.AsDouble())
-                     : Value::Int64(l.AsInt64() / r.AsInt64());
-        default:
-          return Status::InvalidArgument("unsupported scalar expression");
-      }
-    }
-    default:
-      return Status::InvalidArgument("unsupported scalar expression");
-  }
-}
-
 CircuitBreaker::Options BreakerOptionsOf(const Database* db) {
   CircuitBreaker::Options o;
   if (db == nullptr) return o;
@@ -727,8 +657,12 @@ Result<int64_t> SchemaMapping::InsertRow(TenantId tenant,
     for (size_t i = 0; i < row.size() && i < eff.columns.size(); ++i) {
       columns.push_back(eff.columns[i].name);
     }
+    MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, table));
+    MTDB_ASSIGN_OR_RETURN(std::vector<const ColumnTarget*> targets,
+                          ResolveInsert(*mapping, table, columns));
     std::vector<PhysicalWrite> writes;
-    MTDB_RETURN_IF_ERROR(InsertMappedRow(tenant, table, columns, row, &writes));
+    MTDB_RETURN_IF_ERROR(
+        InsertMappedRow(tenant, table, *mapping, targets, row, &writes));
     MTDB_RETURN_IF_ERROR(ApplyWrites(tenant, writes).status());
     return 1;
   });
@@ -812,21 +746,36 @@ Result<int64_t> SchemaMapping::GenericInsert(TenantId tenant,
   if (columns.empty()) {
     for (const LogicalColumn& c : eff.columns) columns.push_back(c.name);
   }
+  MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, stmt.table));
+  MTDB_ASSIGN_OR_RETURN(std::vector<const ColumnTarget*> targets,
+                        ResolveInsert(*mapping, stmt.table, columns));
+  // Every VALUES row evaluates before any row takes an id or a lock.
+  ExecContext ctx;
+  ctx.params = params;
+  std::vector<Row> rows;
+  rows.reserve(stmt.rows.size());
+  for (const auto& row_exprs : stmt.rows) {
+    if (row_exprs.size() != targets.size()) {
+      return Status::InvalidArgument("VALUES arity mismatch");
+    }
+    std::vector<const sql::ParsedExpr*> parsed;
+    for (const auto& e : row_exprs) parsed.push_back(e.get());
+    MTDB_ASSIGN_OR_RETURN(std::vector<ExprPtr> bound,
+                          BindRowExprs(parsed, stmt.table, {}));
+    Row values;
+    values.reserve(bound.size());
+    for (const ExprPtr& e : bound) {
+      MTDB_ASSIGN_OR_RETURN(Value v, e->Eval(Row{}, ctx));
+      values.push_back(std::move(v));
+    }
+    rows.push_back(std::move(values));
+  }
   // A multi-row VALUES list is one logical statement: every row's
   // physical inserts go into one engine batch.
   std::vector<PhysicalWrite> writes;
-  for (const auto& row_exprs : stmt.rows) {
-    if (row_exprs.size() != columns.size()) {
-      return Status::InvalidArgument("VALUES arity mismatch");
-    }
-    Row values;
-    values.reserve(row_exprs.size());
-    for (const auto& e : row_exprs) {
-      MTDB_ASSIGN_OR_RETURN(Value v, EvalScalar(*e, nullptr, nullptr, params));
-      values.push_back(std::move(v));
-    }
+  for (const Row& values : rows) {
     MTDB_RETURN_IF_ERROR(
-        InsertMappedRow(tenant, stmt.table, columns, values, &writes));
+        InsertMappedRow(tenant, stmt.table, *mapping, targets, values, &writes));
   }
   MTDB_RETURN_IF_ERROR(ApplyWrites(tenant, writes).status());
   return static_cast<int64_t>(stmt.rows.size());
@@ -917,6 +866,24 @@ bool IsPassThrough(const TableMapping& mapping) {
   return mapping.sources.size() == 1 && mapping.sources[0].row_column.empty();
 }
 
+/// A copy of `e` with its column references unqualified. A pass-through
+/// statement runs on the source's physical table, and a qualifier names
+/// the logical table (ResolveWrite accepts no other), which the physical
+/// table may not be called (Private's account_t17_v1).
+sql::ParsedExprPtr Unqualified(const sql::ParsedExpr& e) {
+  sql::ParsedExprPtr out = e.Clone();
+  std::vector<sql::ParsedExpr*> todo = {out.get()};
+  while (!todo.empty()) {
+    sql::ParsedExpr* n = todo.back();
+    todo.pop_back();
+    if (n->kind == sql::PExprKind::kColumnRef) n->table.clear();
+    if (n->left != nullptr) todo.push_back(n->left.get());
+    if (n->right != nullptr) todo.push_back(n->right.get());
+    for (const auto& a : n->args) todo.push_back(a.get());
+  }
+  return out;
+}
+
 /// The Phase (b) batch running `stmts`, which must outlive it.
 std::vector<PhysicalWrite> DmlWrites(const std::vector<sql::Statement>& stmts) {
   std::vector<PhysicalWrite> writes;
@@ -927,23 +894,51 @@ std::vector<PhysicalWrite> DmlWrites(const std::vector<sql::Statement>& stmts) {
   return writes;
 }
 
+/// The target of logical column `col` of `table` in `mapping`: the one
+/// lookup, and the one NotFound text, of every mapped write's column list.
+Result<const ColumnTarget*> ResolveColumn(const TableMapping& mapping,
+                                          const std::string& table,
+                                          const std::string& col) {
+  auto it = mapping.columns.find(IdentLower(col));
+  if (it == mapping.columns.end()) {
+    return Status::NotFound("no logical column " + col + " in " + table);
+  }
+  return &it->second;
+}
+
 }  // namespace
 
-Status SchemaMapping::InsertMappedRow(TenantId tenant, const std::string& table,
-                                      const std::vector<std::string>& columns,
-                                      const Row& values,
-                                      std::vector<PhysicalWrite>* writes) {
-  if (columns.size() != values.size()) {
+Result<std::vector<const ColumnTarget*>> SchemaMapping::ResolveInsert(
+    const TableMapping& mapping, const std::string& table,
+    const std::vector<std::string>& columns) {
+  std::vector<const ColumnTarget*> targets;
+  targets.reserve(columns.size());
+  for (const std::string& col : columns) {
+    MTDB_ASSIGN_OR_RETURN(const ColumnTarget* target,
+                          ResolveColumn(mapping, table, col));
+    if (std::find(targets.begin(), targets.end(), target) != targets.end()) {
+      return Status::InvalidArgument("column " + col +
+                                     " appears twice in the INSERT");
+    }
+    targets.push_back(target);
+  }
+  return targets;
+}
+
+Status SchemaMapping::InsertMappedRow(
+    TenantId tenant, const std::string& table, const TableMapping& mapping,
+    const std::vector<const ColumnTarget*>& targets, const Row& values,
+    std::vector<PhysicalWrite>* writes) {
+  if (targets.size() != values.size()) {
     return Status::InvalidArgument("column/value count mismatch");
   }
   MTDB_ASSIGN_OR_RETURN(TenantEntry * entry, GetTenant(tenant));
-  MTDB_ASSIGN_OR_RETURN(const TableMapping* mapping, Mapping(tenant, table));
 
   // Assign the logical row id (§6.3: "assign each inserted new row a
   // unique row identifier"). The counter is per tenant, so concurrent
   // sessions of one tenant serialize only on this small lock.
   bool needs_row = false;
-  for (const PhysicalSource& s : mapping->sources) {
+  for (const PhysicalSource& s : mapping.sources) {
     if (!s.row_column.empty()) needs_row = true;
   }
   int64_t row_id = 0;
@@ -976,16 +971,10 @@ Status SchemaMapping::InsertMappedRow(TenantId tenant, const std::string& table,
     }
   }
 
-  // Value per logical column (lower-cased name).
-  std::unordered_map<std::string, const Value*> provided;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    provided[IdentLower(columns[i])] = &values[i];
-  }
-
   // One physical insert per source: a multi-source mapping spreads the
   // logical row over several writes of the caller's batch.
-  for (size_t src = 0; src < mapping->sources.size(); ++src) {
-    const PhysicalSource& source = mapping->sources[src];
+  for (size_t src = 0; src < mapping.sources.size(); ++src) {
+    const PhysicalSource& source = mapping.sources[src];
     TableInfo* phys = db_->catalog()->GetTable(source.physical_table);
     if (phys == nullptr) {
       return Status::Internal("physical table missing: " +
@@ -1008,17 +997,16 @@ Status SchemaMapping::InsertMappedRow(TenantId tenant, const std::string& table,
       physical_row[*pos] = Value::Int64(row_id);
     }
     // Data values routed to this source.
-    for (const auto& [lname, target] : mapping->columns) {
-      if (target.source != src) continue;
-      auto it = provided.find(lname);
-      if (it == provided.end() || it->second->is_null()) continue;
+    for (size_t i = 0; i < targets.size(); ++i) {
+      const ColumnTarget& target = *targets[i];
+      if (target.source != src || values[i].is_null()) continue;
       auto pos = phys->schema.Find(target.physical_column);
       if (!pos.has_value()) {
         return Status::Internal("physical column missing: " +
                                 target.physical_column);
       }
       MTDB_ASSIGN_OR_RETURN(physical_row[*pos],
-                            it->second->CastTo(target.physical_type));
+                            values[i].CastTo(target.physical_type));
     }
     writes->push_back(
         PhysicalWrite::RowInsert(source.physical_table, std::move(physical_row)));
@@ -1081,12 +1069,10 @@ Result<SchemaMapping::AffectedQuery> SchemaMapping::ResolveWrite(
     MTDB_RETURN_IF_ERROR(CollectReads(*where, mapping, table, &reads));
   }
   for (const auto& [col, expr] : sets) {
-    auto it = mapping.columns.find(IdentLower(col));
-    if (it == mapping.columns.end()) {
-      return Status::NotFound("no logical column " + col + " in " + table);
-    }
+    MTDB_ASSIGN_OR_RETURN(const ColumnTarget* target,
+                          ResolveColumn(mapping, table, col));
     MTDB_RETURN_IF_ERROR(CollectReads(*expr, mapping, table, &reads));
-    query.sets.emplace_back(expr.get(), &it->second);
+    query.sets.emplace_back(expr.get(), target);
   }
   for (const std::string& col : mapping.column_order) {
     if (reads.contains(IdentLower(col))) query.columns.push_back(col);
@@ -1248,40 +1234,6 @@ Status SchemaMapping::LockAffectedRows(TenantId tenant,
   return Status::OK();
 }
 
-namespace {
-
-/// partition AND (row = r1 OR row = r2 OR ...) for one batch.
-sql::ParsedExprPtr RowBatchPredicate(const PhysicalSource& source,
-                                     const std::vector<int64_t>& rows,
-                                     size_t begin, size_t end) {
-  sql::ParsedExprPtr row_set;
-  for (size_t i = begin; i < end; ++i) {
-    sql::ParsedExprPtr eq = sql::MakeBinary(
-        sql::BinaryOp::kEq, sql::MakeColumnRef("", source.row_column),
-        sql::MakeLiteral(Value::Int64(rows[i])));
-    row_set = row_set == nullptr
-                  ? std::move(eq)
-                  : sql::MakeBinary(sql::BinaryOp::kOr, std::move(row_set),
-                                    std::move(eq));
-  }
-  return sql::AndTogether(PartitionPredicate(source), std::move(row_set));
-}
-
-/// True when the expression never reads the old row (safe to batch).
-bool IsConstantAssignment(const sql::ParsedExpr& e) {
-  if (e.kind == sql::PExprKind::kColumnRef) return false;
-  if (e.left != nullptr && !IsConstantAssignment(*e.left)) return false;
-  if (e.right != nullptr && !IsConstantAssignment(*e.right)) return false;
-  for (const auto& a : e.args) {
-    if (!IsConstantAssignment(*a)) return false;
-  }
-  return true;
-}
-
-constexpr size_t kDmlBatchSize = 64;
-
-}  // namespace
-
 Result<int64_t> SchemaMapping::PassThrough(TenantId tenant,
                                            const TableMapping& mapping,
                                            sql::Statement phys,
@@ -1294,9 +1246,9 @@ Result<int64_t> SchemaMapping::PassThrough(TenantId tenant,
     }
   }
   const PhysicalSource& source = mapping.sources[0];
-  sql::ParsedExprPtr pred =
-      sql::AndTogether(PartitionPredicate(source),
-                       query.where == nullptr ? nullptr : query.where->Clone());
+  sql::ParsedExprPtr pred = sql::AndTogether(
+      PartitionPredicate(source),
+      query.where == nullptr ? nullptr : Unqualified(*query.where));
   if (phys.kind == sql::StatementKind::kUpdate) {
     phys.update->table = source.physical_table;
     phys.update->where = std::move(pred);
@@ -1323,73 +1275,46 @@ Result<int64_t> SchemaMapping::GenericUpdate(TenantId tenant,
     phys.kind = sql::StatementKind::kUpdate;
     phys.update = std::make_unique<sql::UpdateStmt>();
     for (const auto& [col, expr] : stmt.assignments) {
-      phys.update->assignments.emplace_back(col, expr->Clone());
+      phys.update->assignments.emplace_back(col, Unqualified(*expr));
     }
     return PassThrough(tenant, *mapping, std::move(phys), query);
   }
+  // Each SET binds once, over Phase (a)'s projection, and evaluates per
+  // affected row.
+  std::vector<const sql::ParsedExpr*> parsed;
+  for (const auto& [expr, target] : query.sets) parsed.push_back(expr);
+  MTDB_ASSIGN_OR_RETURN(std::vector<ExprPtr> sets,
+                        BindRowExprs(parsed, stmt.table, query.columns));
   MTDB_ASSIGN_OR_RETURN(std::vector<AffectedRow> affected,
                         CollectAffected(tenant, query));
-  // One physical UPDATE of `src` with local conditions on the meta-data
-  // columns and row only.
+  ExecContext ctx;
+  ctx.params = params;
+  // Per affected row, one physical UPDATE per touched chunk, with local
+  // conditions on the meta-data columns and row only.
   std::vector<sql::Statement> stmts;
-  auto add_update = [&](size_t src,
-                        std::vector<std::pair<std::string, Value>>& assigns,
-                        sql::ParsedExprPtr where) {
-    sql::Statement phys;
-    phys.kind = sql::StatementKind::kUpdate;
-    phys.update = std::make_unique<sql::UpdateStmt>();
-    phys.update->table = mapping->sources[src].physical_table;
-    for (auto& [col, val] : assigns) {
-      phys.update->assignments.emplace_back(col, sql::MakeLiteral(val));
-    }
-    phys.update->where = std::move(where);
-    stmts.push_back(std::move(phys));
-  };
-
-  // Batched Phase (b) (§6.3's IN-predicate option): only when every
-  // assignment is a constant (all affected rows get the same values).
-  bool batchable = dml_mode_ == DmlMode::kBatched && !affected.empty();
-  for (const auto& [expr, target] : query.sets) {
-    if (!IsConstantAssignment(*expr)) batchable = false;
-  }
-  if (batchable) {
-    std::vector<int64_t> rows;
-    rows.reserve(affected.size());
-    for (const AffectedRow& r : affected) rows.push_back(r.row_id);
-    // Group constant assignments by source.
+  for (const AffectedRow& row : affected) {
+    // Group new values by source.
     std::map<size_t, std::vector<std::pair<std::string, Value>>> by_source;
-    for (const auto& [expr, target] : query.sets) {
-      MTDB_ASSIGN_OR_RETURN(Value v, EvalScalar(*expr, nullptr, nullptr,
-                                                params));
+    for (size_t i = 0; i < sets.size(); ++i) {
+      const ColumnTarget& target = *query.sets[i].second;
+      MTDB_ASSIGN_OR_RETURN(Value v, sets[i]->Eval(row.values, ctx));
       if (!v.is_null()) {
-        MTDB_ASSIGN_OR_RETURN(v, v.CastTo(target->physical_type));
+        MTDB_ASSIGN_OR_RETURN(v, v.CastTo(target.physical_type));
       }
-      by_source[target->source].push_back({target->physical_column, v});
+      by_source[target.source].emplace_back(target.physical_column,
+                                            std::move(v));
     }
     for (auto& [src, assigns] : by_source) {
-      for (size_t begin = 0; begin < rows.size(); begin += kDmlBatchSize) {
-        size_t end = std::min(begin + kDmlBatchSize, rows.size());
-        add_update(src, assigns,
-                   RowBatchPredicate(mapping->sources[src], rows, begin, end));
+      sql::Statement phys;
+      phys.kind = sql::StatementKind::kUpdate;
+      phys.update = std::make_unique<sql::UpdateStmt>();
+      phys.update->table = mapping->sources[src].physical_table;
+      for (auto& [col, val] : assigns) {
+        phys.update->assignments.emplace_back(col, sql::MakeLiteral(val));
       }
-    }
-  } else {
-    // Per affected row, one physical UPDATE per touched chunk.
-    for (const AffectedRow& row : affected) {
-      // Group new values by source.
-      std::map<size_t, std::vector<std::pair<std::string, Value>>> by_source;
-      for (const auto& [expr, target] : query.sets) {
-        MTDB_ASSIGN_OR_RETURN(
-            Value v, EvalScalar(*expr, &query.columns, &row.values, params));
-        if (!v.is_null()) {
-          MTDB_ASSIGN_OR_RETURN(v, v.CastTo(target->physical_type));
-        }
-        by_source[target->source].push_back({target->physical_column, v});
-      }
-      for (auto& [src, assigns] : by_source) {
-        add_update(src, assigns,
-                   RowLocalPredicate(mapping->sources[src], row.row_id));
-      }
+      phys.update->where =
+          RowLocalPredicate(mapping->sources[src], row.row_id);
+      stmts.push_back(std::move(phys));
     }
   }
   MTDB_RETURN_IF_ERROR(ApplyWrites(tenant, DmlWrites(stmts)).status());
@@ -1436,19 +1361,9 @@ Result<int64_t> SchemaMapping::GenericDelete(TenantId tenant,
   std::vector<int64_t> rows;
   rows.reserve(affected.size());
   for (const AffectedRow& r : affected) rows.push_back(r.row_id);
-  if (dml_mode_ == DmlMode::kBatched && !rows.empty()) {
-    // Batched Phase (b): one statement per chunk per batch of rows.
+  for (int64_t row : rows) {
     for (const PhysicalSource& source : mapping->sources) {
-      for (size_t begin = 0; begin < rows.size(); begin += kDmlBatchSize) {
-        size_t end = std::min(begin + kDmlBatchSize, rows.size());
-        add_removal(source, RowBatchPredicate(source, rows, begin, end));
-      }
-    }
-  } else {
-    for (int64_t row : rows) {
-      for (const PhysicalSource& source : mapping->sources) {
-        add_removal(source, RowLocalPredicate(source, row));
-      }
+      add_removal(source, RowLocalPredicate(source, row));
     }
   }
   MTDB_RETURN_IF_ERROR(ApplyWrites(tenant, DmlWrites(stmts)).status());

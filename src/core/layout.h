@@ -22,15 +22,6 @@ namespace mtdb {
 namespace mapping {
 
 /// Statistics maintained by the mapping layer itself.
-/// §6.3 gives two ways to run Phase (b) of an update/delete:
-///  * kPerRow  — "let the application buffer the result and issue an
-///    atomic update for each resulted row value and every affected
-///    Chunk Table" (default; matches the paper's chosen design), or
-///  * kBatched — one statement per chunk with a row-set predicate
-///    ("nest the transformed query ... using an IN predicate on column
-///    row"), which trades statement count for predicate size.
-enum class DmlMode { kPerRow, kBatched };
-
 /// Counters are relaxed-atomic (common/metrics_registry.h Counter) so
 /// concurrent tenant sessions bump them without coordination; read them
 /// individually (the struct is not copyable).
@@ -182,11 +173,6 @@ class SchemaMapping : public MappingResolver {
   /// feeds AdviseConventionalExtensions for Chunk Folding tuning.
   const HeatProfile& heat_profile() const { return heat_; }
   HeatProfile* mutable_heat_profile() { return &heat_; }
-
-  DmlMode dml_mode() const { return dml_mode_.load(std::memory_order_relaxed); }
-  void set_dml_mode(DmlMode mode) {
-    dml_mode_.store(mode, std::memory_order_relaxed);
-  }
 
   /// Installs (or clears, with nullptr) the physical-statement observer.
   /// Not owned; the observer must outlive the layout or be cleared first.
@@ -386,11 +372,13 @@ class SchemaMapping : public MappingResolver {
   Result<int64_t> PassThrough(TenantId tenant, const TableMapping& mapping,
                               sql::Statement phys, const AffectedQuery& query);
 
-  /// Maps one logical row (named columns) onto its physical inserts, one
-  /// per source, appended to `writes`: assigns the row id and takes the
-  /// row lock, but emits and executes nothing.
+  /// Maps one logical row onto its physical inserts, one per source,
+  /// appended to `writes`: values[i] goes to targets[i] (from
+  /// ResolveInsert). Assigns the row id and takes the row lock, but emits
+  /// and executes nothing.
   Status InsertMappedRow(TenantId tenant, const std::string& table,
-                         const std::vector<std::string>& columns,
+                         const TableMapping& mapping,
+                         const std::vector<const ColumnTarget*>& targets,
                          const Row& values, std::vector<PhysicalWrite>* writes);
 
   /// The one place a Phase (b) write is emitted and run. Hands every write
@@ -413,6 +401,15 @@ class SchemaMapping : public MappingResolver {
                                             const sql::ParsedExpr* where,
                                             const Assignments& sets,
                                             const std::vector<Value>& params);
+
+  /// The column resolver of INSERT: each of `columns` must be a logical
+  /// column of `table` in `mapping` — NotFound "no logical column <c> in
+  /// <table>" as ResolveWrite reports it — and appear once (InvalidArgument
+  /// otherwise). Returns their targets in list order, before any row id is
+  /// taken.
+  static Result<std::vector<const ColumnTarget*>> ResolveInsert(
+      const TableMapping& mapping, const std::string& table,
+      const std::vector<std::string>& columns);
 
   /// One row Phase (a) selected: its row id and its values of
   /// AffectedQuery::columns, in that order.
@@ -499,7 +496,6 @@ class SchemaMapping : public MappingResolver {
   TransformOptions transform_options_;
   LayoutStats stats_;
   HeatProfile heat_;
-  std::atomic<DmlMode> dml_mode_{DmlMode::kPerRow};
   /// Physical-statement capture hook (see PhysicalStatementObserver).
   std::atomic<PhysicalStatementObserver*> observer_{nullptr};
   /// See SetPostCollectHookForTest.

@@ -24,87 +24,6 @@ std::string IndexKeyFor(const IndexInfo& index, const Row& row) {
   return KeyEncoder::EncodeKey(vals);
 }
 
-/// Evaluates a scalar parsed expression outside a full query plan:
-/// literals, params, arithmetic, and (when `row`/`schema` are given)
-/// column references into that row. Used by INSERT VALUES and UPDATE SET.
-Result<Value> EvalParsedScalar(const sql::ParsedExpr& e, const Row* row,
-                               const Schema* schema, const ExecContext& ctx) {
-  using sql::PExprKind;
-  switch (e.kind) {
-    case PExprKind::kLiteral:
-      return e.literal;
-    case PExprKind::kParam:
-      if (e.param_ordinal >= ctx.params.size()) {
-        return Status::InvalidArgument("missing bind parameter " +
-                                       std::to_string(e.param_ordinal + 1));
-      }
-      return ctx.params[e.param_ordinal];
-    case PExprKind::kColumnRef: {
-      if (row == nullptr || schema == nullptr) {
-        return Status::InvalidArgument("column reference not allowed here: " +
-                                       e.column);
-      }
-      auto pos = schema->Find(e.column);
-      if (!pos.has_value()) {
-        return Status::NotFound("no column " + e.column);
-      }
-      return (*row)[*pos];
-    }
-    case PExprKind::kUnary: {
-      MTDB_ASSIGN_OR_RETURN(Value c, EvalParsedScalar(*e.left, row, schema, ctx));
-      if (e.unary_op == sql::UnaryOp::kNeg) {
-        if (c.is_null()) return c;
-        if (c.type() == TypeId::kDouble) return Value::Double(-c.AsDouble());
-        return Value::Int64(-c.AsInt64());
-      }
-      if (c.is_null()) return Value::Null(TypeId::kBool);
-      return Value::Bool(!c.AsBool());
-    }
-    case PExprKind::kBinary: {
-      MTDB_ASSIGN_OR_RETURN(Value l, EvalParsedScalar(*e.left, row, schema, ctx));
-      MTDB_ASSIGN_OR_RETURN(Value r, EvalParsedScalar(*e.right, row, schema, ctx));
-      if (l.is_null() || r.is_null()) return Value();
-      switch (e.binary_op) {
-        case sql::BinaryOp::kAdd:
-          if (l.type() == TypeId::kString || r.type() == TypeId::kString) {
-            return Value::String(l.ToString() + r.ToString());
-          }
-          if (l.type() == TypeId::kDouble || r.type() == TypeId::kDouble) {
-            return Value::Double(l.AsDouble() + r.AsDouble());
-          }
-          return Value::Int64(l.AsInt64() + r.AsInt64());
-        case sql::BinaryOp::kSub:
-          if (l.type() == TypeId::kDouble || r.type() == TypeId::kDouble) {
-            return Value::Double(l.AsDouble() - r.AsDouble());
-          }
-          return Value::Int64(l.AsInt64() - r.AsInt64());
-        case sql::BinaryOp::kMul:
-          if (l.type() == TypeId::kDouble || r.type() == TypeId::kDouble) {
-            return Value::Double(l.AsDouble() * r.AsDouble());
-          }
-          return Value::Int64(l.AsInt64() * r.AsInt64());
-        case sql::BinaryOp::kDiv:
-          if (r.AsDouble() == 0.0) {
-            return Status::InvalidArgument("division by zero");
-          }
-          if (l.type() == TypeId::kDouble || r.type() == TypeId::kDouble) {
-            return Value::Double(l.AsDouble() / r.AsDouble());
-          }
-          return Value::Int64(l.AsInt64() / r.AsInt64());
-        case sql::BinaryOp::kMod:
-          if (r.AsInt64() == 0) {
-            return Status::InvalidArgument("modulo by zero");
-          }
-          return Value::Int64(l.AsInt64() % r.AsInt64());
-        default:
-          return Status::InvalidArgument("unsupported scalar expression");
-      }
-    }
-    default:
-      return Status::InvalidArgument("unsupported scalar expression");
-  }
-}
-
 /// Retries a compensating (undo) action so a bounded burst of transient
 /// faults cannot leave a statement half rolled back. kNotFound counts as
 /// success: the entry the undo wants gone is already gone. The statement
@@ -1077,11 +996,13 @@ Result<int64_t> Database::ExecuteInsert(const sql::InsertStmt& stmt,
     if (row_exprs.size() != positions.size()) {
       return Status::InvalidArgument("VALUES arity mismatch");
     }
+    std::vector<const sql::ParsedExpr*> parsed;
+    for (const auto& e : row_exprs) parsed.push_back(e.get());
+    MTDB_ASSIGN_OR_RETURN(std::vector<ExprPtr> values,
+                          BindRowExprs(parsed, stmt.table, {}));
     Row full(table->schema.size(), Value());
     for (size_t i = 0; i < positions.size(); ++i) {
-      MTDB_ASSIGN_OR_RETURN(
-          full[positions[i]],
-          EvalParsedScalar(*row_exprs[i], nullptr, nullptr, ctx));
+      MTDB_ASSIGN_OR_RETURN(full[positions[i]], values[i]->Eval(Row{}, ctx));
     }
     RowChange c{RowChange::Kind::kInsert, table, {}, {}, {}};
     MTDB_RETURN_IF_ERROR(InsertRowLatched(table, full, &c.rid, &c.after));
@@ -1124,29 +1045,36 @@ Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
                                         TableInfo* table,
                                         const ExecContext& ctx,
                                         RowChangeLog* log) {
-  MTDB_ASSIGN_OR_RETURN(auto affected,
-                        CollectQualifying(stmt.table, stmt.where.get(),
-                                          catalog_.get(), planner_mode(), ctx));
-  std::vector<std::pair<size_t, const sql::ParsedExpr*>> sets;
+  std::vector<size_t> positions;
+  std::vector<const sql::ParsedExpr*> parsed;
   for (const auto& [col, expr] : stmt.assignments) {
     auto pos = table->schema.Find(col);
     if (!pos.has_value()) {
       return Status::NotFound("no column " + col + " in " + stmt.table);
     }
-    sets.emplace_back(*pos, expr.get());
+    positions.push_back(*pos);
+    parsed.push_back(expr.get());
   }
+  std::vector<std::string> columns;
+  columns.reserve(table->schema.size());
+  for (const Column& c : table->schema.columns()) columns.push_back(c.name);
+  MTDB_ASSIGN_OR_RETURN(std::vector<ExprPtr> sets,
+                        BindRowExprs(parsed, stmt.table, std::move(columns)));
+  MTDB_ASSIGN_OR_RETURN(auto affected,
+                        CollectQualifying(stmt.table, stmt.where.get(),
+                                          catalog_.get(), planner_mode(), ctx));
   // Apply per row; assignments may read old row values. Each row applies
   // atomically (UpdateRowLatched).
   for (auto& [rid, old_row] : affected) {
     MTDB_RETURN_IF_ERROR(ctx.CheckDeadline());
     Row new_row = old_row;
-    for (const auto& [pos, expr] : sets) {
-      MTDB_ASSIGN_OR_RETURN(
-          Value val, EvalParsedScalar(*expr, &old_row, &table->schema, ctx));
+    for (size_t i = 0; i < sets.size(); ++i) {
+      MTDB_ASSIGN_OR_RETURN(Value val, sets[i]->Eval(old_row, ctx));
       if (!val.is_null()) {
-        MTDB_ASSIGN_OR_RETURN(val, val.CastTo(table->schema.at(pos).type));
+        MTDB_ASSIGN_OR_RETURN(val,
+                              val.CastTo(table->schema.at(positions[i]).type));
       }
-      new_row[pos] = std::move(val);
+      new_row[positions[i]] = std::move(val);
     }
     RowChange c{RowChange::Kind::kUpdate, table, {}, std::move(old_row),
                 std::move(new_row)};

@@ -28,8 +28,8 @@ class Scope {
     OutputSchema schema;
   };
 
-  void Add(const std::string& binding, const OutputSchema& schema) {
-    bindings_.push_back(Binding{IdentLower(binding), schema});
+  void Add(const std::string& binding, OutputSchema schema) {
+    bindings_.push_back(Binding{IdentLower(binding), std::move(schema)});
   }
 
   size_t total_width() const {
@@ -1343,6 +1343,23 @@ Result<PlannedQuery> PlanSelect(const sql::SelectStmt& stmt, Catalog* catalog,
   PlannedQuery out;
   out.exec = std::move(b.exec);
   out.plan_text = std::move(b.text);
+  return out;
+}
+
+Result<std::vector<ExprPtr>> BindRowExprs(
+    const std::vector<const sql::ParsedExpr*>& exprs, const std::string& table,
+    std::vector<std::string> columns) {
+  OutputSchema row;
+  row.types.assign(columns.size(), TypeId::kNull);
+  row.names = std::move(columns);
+  Scope scope;
+  scope.Add(table, std::move(row));
+  std::vector<ExprPtr> out;
+  out.reserve(exprs.size());
+  for (const sql::ParsedExpr* e : exprs) {
+    MTDB_ASSIGN_OR_RETURN(ExprPtr bound, BindExpr(*e, scope));
+    out.push_back(std::move(bound));
+  }
   return out;
 }
 

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "catalog/catalog.h"
 #include "exec/executor.h"
@@ -34,6 +35,15 @@ struct PlannedQuery {
 /// Compiles a bound-free SELECT AST against the catalog.
 Result<PlannedQuery> PlanSelect(const sql::SelectStmt& stmt, Catalog* catalog,
                                 PlannerMode mode);
+
+/// Binds a write's SET or VALUES expressions over one row laid out as
+/// `columns`: a column reference, bare or qualified by `table`, reads that
+/// position. The bound trees are exec's Expr, the evaluator a SELECT uses,
+/// so a write computes what the same expression selects. Bind once per
+/// statement and Eval per row; a VALUES row binds against no columns.
+Result<std::vector<ExprPtr>> BindRowExprs(
+    const std::vector<const sql::ParsedExpr*>& exprs, const std::string& table,
+    std::vector<std::string> columns);
 
 }  // namespace mtdb
 

@@ -41,6 +41,17 @@ std::string HashKeyOf(const std::vector<ExprPtr>& exprs, const Row& row,
   return key;
 }
 
+Result<bool> JoinKeyOf(std::span<const ExprPtr> exprs, const Row& row,
+                       const ExecContext& ctx, std::string* key) {
+  key->clear();
+  for (const ExprPtr& e : exprs) {
+    MTDB_ASSIGN_OR_RETURN(Value v, e->Eval(row, ctx));
+    if (v.is_null()) return false;
+    KeyEncoder::Encode(v, key);
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------- SeqScan
 
 SeqScanExecutor::SeqScanExecutor(TableInfo* table, ExprPtr predicate)
@@ -228,18 +239,15 @@ Status IndexNestedLoopJoinExecutor::Init(const ExecContext& ctx) {
 }
 
 Result<bool> IndexNestedLoopJoinExecutor::AdvanceLeft(const ExecContext& ctx) {
+  matches_.clear();
+  match_pos_ = 0;
   MTDB_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_, ctx));
   if (!more) return false;
   have_left_ = true;
-  std::vector<Value> key_vals;
-  for (const ExprPtr& e : key_exprs_) {
-    MTDB_ASSIGN_OR_RETURN(Value v, e->Eval(left_row_, ctx));
-    key_vals.push_back(std::move(v));
-  }
-  std::string lo, hi;
-  KeyEncoder::EncodePrefixRange(key_vals, &lo, &hi);
-  matches_.clear();
-  match_pos_ = 0;
+  std::string lo;
+  MTDB_ASSIGN_OR_RETURN(bool joins, JoinKeyOf(key_exprs_, left_row_, ctx, &lo));
+  if (!joins) return true;  // no matches: the next call advances again
+  const std::string hi = KeyEncoder::PrefixUpperBound(lo);
   MTDB_ASSIGN_OR_RETURN(BTree::Iterator it,
                         right_index_->tree->Scan(lo, hi));
   Rid rid;
@@ -305,12 +313,10 @@ Status MergeJoinExecutor::AdvanceRight(const ExecContext& ctx) {
       right_valid_ = false;
       return Status::OK();
     }
-    MTDB_ASSIGN_OR_RETURN(Value v, right_key_->Eval(right_row_, ctx));
-    // A NULL key joins nothing. Left NULL keys then find no partner: their
-    // encoding sorts below every non-NULL one.
-    if (v.is_null()) continue;
-    right_key_bytes_.clear();
-    KeyEncoder::Encode(v, &right_key_bytes_);
+    MTDB_ASSIGN_OR_RETURN(
+        bool joins,
+        JoinKeyOf({&right_key_, 1}, right_row_, ctx, &right_key_bytes_));
+    if (!joins) continue;
     right_valid_ = true;
     return Status::OK();
   }
@@ -330,9 +336,10 @@ Result<bool> MergeJoinExecutor::Next(Row* out, const ExecContext& ctx) {
     }
     MTDB_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_, ctx));
     if (!more) return false;
-    MTDB_ASSIGN_OR_RETURN(Value v, left_key_->Eval(left_row_, ctx));
-    left_key_bytes_.clear();
-    KeyEncoder::Encode(v, &left_key_bytes_);
+    MTDB_ASSIGN_OR_RETURN(
+        bool joins,
+        JoinKeyOf({&left_key_, 1}, left_row_, ctx, &left_key_bytes_));
+    if (!joins) continue;
     // An encoded key is never empty, so an empty group_key_ (no left row
     // yet) compares below every key.
     if (left_key_bytes_ == group_key_) {
@@ -381,10 +388,9 @@ Status HashJoinExecutor::Init(const ExecContext& ctx) {
     Result<bool> more = right_->Next(&row, ctx);
     if (!more.ok()) return more.status();
     if (!*more) break;
-    Status st;
-    std::string key = HashKeyOf(right_keys_, row, ctx, &st);
-    MTDB_RETURN_IF_ERROR(st);
-    table_.emplace(std::move(key), row);
+    std::string key;
+    MTDB_ASSIGN_OR_RETURN(bool joins, JoinKeyOf(right_keys_, row, ctx, &key));
+    if (joins) table_.emplace(std::move(key), row);
   }
   return left_->Init(ctx);
 }
@@ -394,9 +400,10 @@ Result<bool> HashJoinExecutor::Next(Row* out, const ExecContext& ctx) {
     if (!have_left_) {
       MTDB_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_, ctx));
       if (!more) return false;
-      Status st;
-      std::string key = HashKeyOf(left_keys_, left_row_, ctx, &st);
-      MTDB_RETURN_IF_ERROR(st);
+      std::string key;
+      MTDB_ASSIGN_OR_RETURN(bool joins,
+                            JoinKeyOf(left_keys_, left_row_, ctx, &key));
+      if (!joins) continue;
       range_ = table_.equal_range(key);
       have_left_ = true;
     }

@@ -2,6 +2,7 @@
 #define MTDB_EXEC_EXECUTOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -296,7 +297,15 @@ class MaterializeExecutor final : public Executor {
   bool materialized_ = false;
 };
 
-/// Encodes group/join keys for hashing.
+/// Encodes an equi-join key into `key`: the memcomparable encoding of
+/// each of `exprs` over `row`, the bytes an index on those columns keeps.
+/// False when any part is NULL — NULL = NULL is not true, so the row joins
+/// nothing. The index nested-loop, merge and hash joins all key through
+/// here.
+Result<bool> JoinKeyOf(std::span<const ExprPtr> exprs, const Row& row,
+                       const ExecContext& ctx, std::string* key);
+
+/// Encodes group keys for hashing; NULLs form one group, unlike join keys.
 std::string HashKeyOf(const std::vector<ExprPtr>& exprs, const Row& row,
                       const ExecContext& ctx, Status* status);
 

@@ -84,6 +84,13 @@ Result<Value> ArithmeticExpr::Eval(const Row& row,
   MTDB_ASSIGN_OR_RETURN(Value l, left_->Eval(row, ctx));
   MTDB_ASSIGN_OR_RETURN(Value r, right_->Eval(row, ctx));
   if (l.is_null() || r.is_null()) return Value::Null();
+  // Strings first: a string beside a DOUBLE must not reach AsDouble().
+  if (l.type() == TypeId::kString || r.type() == TypeId::kString) {
+    if (op_ == ArithOp::kAdd) {
+      return Value::String(l.ToString() + r.ToString());
+    }
+    return Status::TypeMismatch("arithmetic on strings");
+  }
   const bool use_double =
       l.type() == TypeId::kDouble || r.type() == TypeId::kDouble;
   if (use_double) {
@@ -101,12 +108,6 @@ Result<Value> ArithmeticExpr::Eval(const Row& row,
       case ArithOp::kMod:
         return Status::TypeMismatch("MOD on non-integers");
     }
-  }
-  if (l.type() == TypeId::kString || r.type() == TypeId::kString) {
-    if (op_ == ArithOp::kAdd) {
-      return Value::String(l.ToString() + r.ToString());
-    }
-    return Status::TypeMismatch("arithmetic on strings");
   }
   int64_t a = l.AsInt64(), b = r.AsInt64();
   switch (op_) {

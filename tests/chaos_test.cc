@@ -158,9 +158,6 @@ TEST_P(ChaosTest, FaultScheduleLeavesNoPartialStatements) {
   constexpr int kOps = 160;
   for (int op = 0; op < kOps; ++op) {
     if (op % 8 == 0) rearm();
-    // Exercise both §6.3 Phase (b) strategies under faults.
-    layout->set_dml_mode(rng.Bernoulli(0.5) ? DmlMode::kBatched
-                                            : DmlMode::kPerRow);
     deadline::Scope op_deadline(deadline_ms > 0
                                     ? deadline::Deadline::AfterMillis(deadline_ms)
                                     : deadline::Deadline::None());
@@ -371,8 +368,6 @@ TEST_P(ChaosTxnTest, TransactionalBurstsKeepTheBracketAtomic) {
   constexpr int kBursts = 48;
   for (int burst = 0; burst < kBursts; ++burst) {
     if (burst % 4 == 0) rearm();
-    layout->set_dml_mode(rng.Bernoulli(0.5) ? DmlMode::kBatched
-                                            : DmlMode::kPerRow);
     TenantId t = static_cast<TenantId>(rng.Uniform(0, kTenants - 1));
 
     if (rng.Bernoulli(0.3)) {  // autocommit statement between brackets

@@ -1,26 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "mapping_test_util.h"
 
 namespace mtdb {
 namespace mapping {
 namespace {
 
-/// Both §6.3 Phase (b) strategies — per-row atomic statements and
-/// batched row-set predicates — must produce identical logical state on
-/// every layout that uses the generic DML machinery.
-class DmlModeTest
-    : public ::testing::TestWithParam<std::tuple<LayoutKind, DmlMode>> {};
+/// §6.3's two-phase UPDATE and DELETE keep their logical meaning on every
+/// extensible layout: a constant multi-row update, an update whose SET
+/// reads the old row, and a multi-row delete.
+class WriteSemanticsTest : public ::testing::TestWithParam<LayoutKind> {};
 
-TEST_P(DmlModeTest, UpdateAndDeleteSemanticsUnchanged) {
-  auto [kind, mode] = GetParam();
+TEST_P(WriteSemanticsTest, UpdateAndDeleteSemanticsUnchanged) {
   AppSchema app = FigureFourSchema();
   Database db;
-  auto layout = MakeLayout(kind, &db, &app);
+  auto layout = MakeLayout(GetParam(), &db, &app);
   ASSERT_TRUE(layout->Bootstrap().ok());
   ASSERT_TRUE(layout->CreateTenant(17).ok());
   ASSERT_TRUE(layout->EnableExtension(17, "healthcare").ok());
-  layout->set_dml_mode(mode);
 
   for (int i = 1; i <= 30; ++i) {
     ASSERT_TRUE(layout
@@ -34,7 +33,7 @@ TEST_P(DmlModeTest, UpdateAndDeleteSemanticsUnchanged) {
                     .ok());
   }
 
-  // Constant multi-row update (batchable in kBatched mode).
+  // Constant multi-row update.
   auto updated = layout->Execute(
       17, "UPDATE account SET beds = 999 WHERE hospital = 'h1'");
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
@@ -44,7 +43,7 @@ TEST_P(DmlModeTest, UpdateAndDeleteSemanticsUnchanged) {
   ASSERT_TRUE(check.ok());
   EXPECT_EQ(check->rows[0][0].AsInt64(), 10);
 
-  // Expression update (falls back to per-row even in batched mode).
+  // Expression update: each row's new value reads its old one.
   auto expr_update = layout->Execute(
       17, "UPDATE account SET beds = beds + 1 WHERE hospital = 'h2'");
   ASSERT_TRUE(expr_update.ok()) << expr_update.status().ToString();
@@ -69,50 +68,51 @@ TEST_P(DmlModeTest, UpdateAndDeleteSemanticsUnchanged) {
   EXPECT_EQ(left->rows[0][0].AsInt64(), 20);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, DmlModeTest,
-    ::testing::Combine(::testing::Values(LayoutKind::kExtension,
-                                         LayoutKind::kUniversal,
-                                         LayoutKind::kPivot, LayoutKind::kChunk,
-                                         LayoutKind::kChunkFolding),
-                       ::testing::Values(DmlMode::kPerRow, DmlMode::kBatched)),
-    [](const ::testing::TestParamInfo<std::tuple<LayoutKind, DmlMode>>& info) {
-      return std::string(LayoutKindName(std::get<0>(info.param))) +
-             (std::get<1>(info.param) == DmlMode::kPerRow ? "_perrow"
-                                                          : "_batched");
-    });
-
-TEST(DmlModeStatsTest, BatchingIssuesFewerPhysicalStatements) {
-  AppSchema app = FigureFourSchema();
-  Database per_db, batch_db;
-  ChunkTableLayout per_row(&per_db, &app), batched(&batch_db, &app);
-  ASSERT_TRUE(per_row.Bootstrap().ok());
-  ASSERT_TRUE(batched.Bootstrap().ok());
-  batched.set_dml_mode(DmlMode::kBatched);
-  for (ChunkTableLayout* l : {&per_row, &batched}) {
-    ASSERT_TRUE(l->CreateTenant(1).ok());
-    for (int i = 1; i <= 40; ++i) {
-      ASSERT_TRUE(l->Execute(1,
-                             "INSERT INTO account (aid, name) VALUES (?, ?)",
-                             {Value::Int64(i), Value::String("x")})
-                      .ok());
-    }
-  }
-  uint64_t per_before = per_row.stats().physical_statements;
-  uint64_t batch_before = batched.stats().physical_statements;
-  ASSERT_TRUE(per_row.Execute(1, "DELETE FROM account").ok());
-  ASSERT_TRUE(batched.Execute(1, "DELETE FROM account").ok());
-  uint64_t per_cost = per_row.stats().physical_statements - per_before;
-  uint64_t batch_cost = batched.stats().physical_statements - batch_before;
-  EXPECT_LT(batch_cost, per_cost);
-  // Same logical outcome.
-  auto a = per_row.Query(1, "SELECT COUNT(*) FROM account");
-  auto b = batched.Query(1, "SELECT COUNT(*) FROM account");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->rows[0][0].AsInt64(), 0);
-  EXPECT_EQ(b->rows[0][0].AsInt64(), 0);
+/// A full-row INSERT and a bulk InsertRow take their values in the
+/// tenant's effective column order — base columns, then each extension's
+/// in declaration order — even where a layout stores an extension's
+/// indexed column ahead of its plain one.
+TEST_P(WriteSemanticsTest, FullRowInsertFollowsEffectiveColumnOrder) {
+  AppSchema app;
+  LogicalTable item;
+  item.name = "item";
+  item.columns = {{"id", TypeId::kInt64, true}, {"nm", TypeId::kString, false}};
+  ASSERT_TRUE(app.AddTable(std::move(item)).ok());
+  ExtensionDef ext;
+  ext.name = "ext";
+  ext.base_table = "item";
+  ext.columns = {{"plain", TypeId::kString, false},
+                 {"hot", TypeId::kInt64, true}};
+  ASSERT_TRUE(app.AddExtension(std::move(ext)).ok());
+  Database db;
+  auto layout = MakeLayout(GetParam(), &db, &app);
+  ASSERT_TRUE(layout->Bootstrap().ok());
+  ASSERT_TRUE(layout->CreateTenant(1).ok());
+  ASSERT_TRUE(layout->EnableExtension(1, "ext").ok());
+  ASSERT_TRUE(layout->Execute(1, "INSERT INTO item VALUES (1, 'n', 'p', 7)").ok());
+  ASSERT_TRUE(layout
+                  ->InsertRow(1, "item",
+                              {Value::Int64(2), Value::String("m"),
+                               Value::String("q"), Value::Int64(8)})
+                  .ok());
+  auto r = layout->Query(1, "SELECT plain, hot FROM item ORDER BY id");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 2u);
+  EXPECT_EQ(r->rows[0][0].AsString(), "p");
+  EXPECT_EQ(r->rows[0][1].AsInt64(), 7);
+  EXPECT_EQ(r->rows[1][0].AsString(), "q");
+  EXPECT_EQ(r->rows[1][1].AsInt64(), 8);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllExtensibleLayouts, WriteSemanticsTest,
+    ::testing::Values(LayoutKind::kPrivate, LayoutKind::kExtension,
+                      LayoutKind::kUniversal, LayoutKind::kPivot,
+                      LayoutKind::kChunk, LayoutKind::kVertical,
+                      LayoutKind::kChunkFolding),
+    [](const ::testing::TestParamInfo<LayoutKind>& info) {
+      return std::string(LayoutKindName(info.param));
+    });
 
 }  // namespace
 }  // namespace mapping

@@ -291,9 +291,9 @@ AppSchema ItemSchema() {
   return app;
 }
 
-/// Param: (layout, Chunk Table width, DML mode). The width applies to
-/// the Chunk Table layout only; the others run once at width 0.
-using SweepParam = std::tuple<LayoutKind, int, DmlMode>;
+/// Param: (layout, Chunk Table width). The width applies to the Chunk
+/// Table layout only; the others run once at width 0.
+using SweepParam = std::tuple<LayoutKind, int>;
 
 struct ShadowRow {
   int64_t amount;
@@ -305,7 +305,7 @@ struct ShadowRow {
 class CrossSourceSetTest : public ::testing::TestWithParam<SweepParam> {
  protected:
   void SetUp() override {
-    const auto [kind, width, mode] = GetParam();
+    const auto [kind, width] = GetParam();
     if (kind == LayoutKind::kChunk) {
       ChunkLayoutOptions options;
       options.shape = ChunkShape::Uniform(width);
@@ -313,7 +313,6 @@ class CrossSourceSetTest : public ::testing::TestWithParam<SweepParam> {
     } else {
       layout_ = MakeLayout(kind, &db_, &app_);
     }
-    layout_->set_dml_mode(mode);
     ASSERT_TRUE(layout_->Bootstrap().ok());
     ASSERT_TRUE(layout_->CreateTenant(1).ok());
     const bool extended = layout_->EnableExtension(1, "extra").ok();
@@ -433,8 +432,7 @@ TEST_P(CrossSourceSetTest, SetsReadCurrentValuesFromOtherSources) {
            r.hospital = "moved";
            r.amount = r.qty * 3;
          });
-  // Constant SETs only (the batched Phase (b) in kBatched), WHERE on a
-  // column no SET touches.
+  // Constant SETs only, WHERE on a column no SET touches.
   Update("UPDATE item SET {B} = ? WHERE amount > ?",
          {Value::Int64(77), Value::Int64(100)},
          [](int64_t, const ShadowRow& r) { return r.amount > 100; },
@@ -473,14 +471,12 @@ TEST_P(CrossSourceSetTest, SetsReadCurrentValuesFromOtherSources) {
 
 std::vector<SweepParam> SweepParams() {
   std::vector<SweepParam> out;
-  for (DmlMode mode : {DmlMode::kPerRow, DmlMode::kBatched}) {
-    for (LayoutKind kind : kAllLayouts) {
-      if (kind == LayoutKind::kChunk) {
-        out.emplace_back(kind, 3, mode);
-        out.emplace_back(kind, 6, mode);
-      } else {
-        out.emplace_back(kind, 0, mode);
-      }
+  for (LayoutKind kind : kAllLayouts) {
+    if (kind == LayoutKind::kChunk) {
+      out.emplace_back(kind, 3);
+      out.emplace_back(kind, 6);
+    } else {
+      out.emplace_back(kind, 0);
     }
   }
   return out;
@@ -493,8 +489,7 @@ INSTANTIATE_TEST_SUITE_P(
       if (std::get<1>(info.param) > 0) {
         name += std::to_string(std::get<1>(info.param));
       }
-      return name + (std::get<2>(info.param) == DmlMode::kPerRow ? "_perrow"
-                                                                 : "_batched");
+      return name;
     });
 
 }  // namespace

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <set>
 #include <tuple>
 
+#include "common/rng.h"
 #include "engine/database.h"
 #include "mapping_test_util.h"
 
@@ -534,6 +536,193 @@ INSTANTIATE_TEST_SUITE_P(
                       mapping::LayoutKind::kChunkFolding),
     [](const ::testing::TestParamInfo<mapping::LayoutKind>& info) {
       return mapping::LayoutKindName(info.param);
+    });
+
+/// Joins never match NULL to NULL. Small random tables with NULL and
+/// duplicate keys are joined 2 and 3 ways under every plan — both
+/// planners, with and without indexes, so index nested-loop, merge and
+/// hash joins all run — and each result must equal, as a multiset, what a
+/// nested loop with three-valued logic returns.
+class NullJoinDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<PlannerMode, bool>> {
+ protected:
+  struct RefRow {
+    int64_t p;
+    std::optional<int64_t> k, j;
+    int64_t v;
+  };
+  /// a<l>.<lc> = a<r>.<rc>, or = a<r>.<rc> + 0 when `shifted`: the same
+  /// condition, but no index or hash key, so it runs as a nested loop.
+  struct Eq {
+    int l;
+    char lc;
+    int r;
+    char rc;
+    bool shifted = false;
+  };
+  /// FROM t<tables[0]> a0, t<tables[1]> a1, ... WHERE a<n>.p = c (each
+  /// partition) AND every Eq.
+  struct JoinSpec {
+    std::vector<int> tables;
+    std::vector<std::pair<int, int64_t>> partitions;
+    std::vector<Eq> eqs;
+  };
+  using Result = std::multiset<std::vector<int64_t>>;
+
+  static std::optional<int64_t> Col(const RefRow& r, char c) {
+    return c == 'k' ? r.k : r.j;
+  }
+
+  static std::string Sql(const JoinSpec& q) {
+    std::string items, from, where;
+    for (size_t a = 0; a < q.tables.size(); ++a) {
+      const std::string alias = "a" + std::to_string(a);
+      items += (a > 0 ? ", " : "") + alias + ".v";
+      from += (a > 0 ? ", t" : "t") + std::to_string(q.tables[a]) + " " + alias;
+    }
+    auto conj = [&](const std::string& c) {
+      where += (where.empty() ? "" : " AND ") + c;
+    };
+    for (const auto& [a, c] : q.partitions) {
+      conj("a" + std::to_string(a) + ".p = " + std::to_string(c));
+    }
+    for (const Eq& e : q.eqs) {
+      conj("a" + std::to_string(e.l) + "." + e.lc + " = a" +
+           std::to_string(e.r) + "." + e.rc + (e.shifted ? " + 0" : ""));
+    }
+    return "SELECT " + items + " FROM " + from + " WHERE " + where;
+  }
+
+  /// The reference: every combination of rows, kept when each conjunct is
+  /// TRUE — an equality with a NULL side is UNKNOWN, not TRUE.
+  Result Reference(const JoinSpec& q) const {
+    Result out;
+    std::vector<const RefRow*> pick(q.tables.size());
+    std::function<void(size_t)> loop = [&](size_t a) {
+      if (a == q.tables.size()) {
+        for (const auto& [alias, c] : q.partitions) {
+          if (pick[alias]->p != c) return;
+        }
+        for (const Eq& e : q.eqs) {
+          std::optional<int64_t> l = Col(*pick[e.l], e.lc);
+          std::optional<int64_t> r = Col(*pick[e.r], e.rc);
+          if (!l.has_value() || !r.has_value() || *l != *r) return;
+        }
+        std::vector<int64_t> row;
+        for (const RefRow* p : pick) row.push_back(p->v);
+        out.insert(std::move(row));
+        return;
+      }
+      for (const RefRow& r : tables_[q.tables[a]]) {
+        pick[a] = &r;
+        loop(a + 1);
+      }
+    };
+    loop(0);
+    return out;
+  }
+
+  std::vector<RefRow> tables_[3];
+};
+
+TEST_P(NullJoinDifferentialTest, MatchesThreeValuedNestedLoop) {
+  const auto [mode, indexed] = GetParam();
+  const std::vector<JoinSpec> specs = {
+      {{0, 1}, {}, {{0, 'k', 1, 'k'}}},
+      {{0, 1}, {{0, 0}, {1, 1}}, {{0, 'k', 1, 'k'}}},
+      {{0, 0}, {{0, 0}, {1, 1}}, {{0, 'k', 1, 'k'}}},
+      {{0, 1}, {}, {{0, 'j', 1, 'j'}}},
+      {{0, 1}, {}, {{0, 'k', 1, 'k'}, {0, 'j', 1, 'j'}}},
+      {{0, 1, 2}, {}, {{0, 'k', 1, 'k'}, {1, 'k', 2, 'k'}}},
+      {{0, 1, 2}, {{0, 0}, {1, 0}, {2, 0}}, {{0, 'k', 1, 'k'}, {0, 'k', 2, 'k'}}},
+      {{0, 1, 2}, {}, {{0, 'k', 1, 'k'}, {1, 'j', 2, 'j'}}},
+      {{2, 1, 0}, {{1, 1}}, {{0, 'j', 1, 'k'}, {1, 'k', 2, 'j'}}},
+      {{0, 1}, {}, {{0, 'k', 1, 'k', true}}},
+      {{0, 1, 2}, {}, {{0, 'k', 1, 'k'}, {1, 'j', 2, 'j', true}}},
+  };
+  std::set<std::string> joins_seen;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Database db;
+    db.set_planner_mode(mode);
+    Rng rng(seed);
+    int64_t v = 0;
+    auto nullable = [&](int64_t hi) -> std::optional<int64_t> {
+      if (rng.Uniform(0, 3) == 0) return std::nullopt;
+      return rng.Uniform(0, hi);
+    };
+    auto sql_of = [](const std::optional<int64_t>& x) {
+      return x.has_value() ? std::to_string(*x) : std::string("NULL");
+    };
+    for (int t = 0; t < 3; ++t) {
+      const std::string name = "t" + std::to_string(t);
+      ASSERT_TRUE(db.Execute("CREATE TABLE " + name +
+                             " (p INT, k BIGINT, j BIGINT, v BIGINT)")
+                      .ok());
+      if (indexed) {
+        for (const char* cols : {"p, k", "k", "j"}) {
+          const std::string ix = "ix_" + name + "_" + std::to_string(cols[0]);
+          ASSERT_TRUE(db.Execute("CREATE INDEX " + ix + " ON " + name + " (" +
+                                 cols + ")")
+                          .ok());
+        }
+      }
+      tables_[t].clear();
+      const int64_t rows = rng.Uniform(6, 12);
+      for (int64_t i = 0; i < rows; ++i) {
+        RefRow r{rng.Uniform(0, 1), nullable(2), nullable(1), v++};
+        ASSERT_TRUE(db.Execute("INSERT INTO " + name + " VALUES (" +
+                               std::to_string(r.p) + ", " + sql_of(r.k) +
+                               ", " + sql_of(r.j) + ", " +
+                               std::to_string(r.v) + ")")
+                        .ok());
+        tables_[t].push_back(r);
+      }
+    }
+    for (const JoinSpec& q : specs) {
+      const std::string sql = Sql(q);
+      SCOPED_TRACE(sql);
+      auto plan = db.Explain(sql);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      for (const char* join :
+           {"IndexNLJoin", "MergeJoin", "HashJoin", " NLJoin"}) {
+        if (plan->find(join) != std::string::npos) joins_seen.insert(join);
+      }
+      auto rows = db.Query(sql);
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      Result got;
+      for (const Row& r : rows->rows) {
+        std::vector<int64_t> out;
+        for (const Value& x : r) out.push_back(x.AsInt64());
+        got.insert(std::move(out));
+      }
+      EXPECT_EQ(got, Reference(q)) << *plan;
+    }
+  }
+  // Every join operator the plan space offers ran.
+  if (mode == PlannerMode::kNaive) {
+    EXPECT_TRUE(joins_seen.contains(" NLJoin"));
+  }
+  if (!indexed) {
+    EXPECT_TRUE(joins_seen.contains("HashJoin"));
+  } else {
+    EXPECT_TRUE(joins_seen.contains("IndexNLJoin"));
+    if (mode == PlannerMode::kAdvanced) {
+      EXPECT_TRUE(joins_seen.contains("MergeJoin"));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPlans, NullJoinDifferentialTest,
+    ::testing::Combine(::testing::Values(PlannerMode::kNaive,
+                                         PlannerMode::kAdvanced),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<PlannerMode, bool>>& info) {
+      return std::string(std::get<0>(info.param) == PlannerMode::kNaive
+                             ? "naive"
+                             : "advanced") +
+             (std::get<1>(info.param) ? "_indexed" : "_noindex");
     });
 
 }  // namespace

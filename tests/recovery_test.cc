@@ -160,8 +160,6 @@ TEST_P(RecoveryTest, CrashKillReopenMatchesShadow) {
         crashed = true;
         break;
       }
-      layout->set_dml_mode(rng.Bernoulli(0.5) ? DmlMode::kBatched
-                                              : DmlMode::kPerRow);
       TenantId t = static_cast<TenantId>(rng.Uniform(0, kTenants - 1));
       const size_t cols = columns_of(t);
       const int action = static_cast<int>(rng.Uniform(0, 8));
@@ -525,8 +523,6 @@ TEST_P(TxnRecoveryTest, CrashInsideTransactionsRecoversCommittedOnly) {
         crashed = true;
         break;
       }
-      layout->set_dml_mode(rng.Bernoulli(0.5) ? DmlMode::kBatched
-                                              : DmlMode::kPerRow);
       TenantId t = static_cast<TenantId>(rng.Uniform(0, kTenants - 1));
 
       if (rng.Bernoulli(0.4)) {  // autocommit single statement
@@ -1229,7 +1225,6 @@ TEST_P(ReplayEquivalenceTest, RecoveredPagesAreByteIdenticalToCommitted) {
     // with 30-row INSERTs (one physical insert per row and source — the
     // only fan-out the single-table layouts have, whose UPDATE is one
     // physical statement).
-    layout->set_dml_mode(DmlMode::kPerRow);
     const std::vector<std::string> other_tenant = AccountRows(layout.get(), 1);
     PhysicalWriteCounter counter;
     layout->set_statement_observer(&counter);

@@ -25,7 +25,6 @@ using mapping::AppSchema;
 using mapping::ChunkLayoutOptions;
 using mapping::ChunkShape;
 using mapping::ChunkTableLayout;
-using mapping::DmlMode;
 using mapping::LayoutKind;
 using mapping::LayoutKindName;
 using mapping::SchemaMapping;
@@ -60,9 +59,9 @@ AppSchema PairedSchema() {
   return app;
 }
 
-/// Param: (layout, Chunk Table width, DML mode). The width applies to
-/// the Chunk Table layout only; the others run once at width 0.
-using TornParam = std::tuple<LayoutKind, int, DmlMode>;
+/// Param: (layout, Chunk Table width). The width applies to the Chunk
+/// Table layout only; the others run once at width 0.
+using TornParam = std::tuple<LayoutKind, int>;
 
 std::unique_ptr<SchemaMapping> MakeParamLayout(const TornParam& p,
                                                Database* db,
@@ -81,7 +80,6 @@ TEST_P(TornReadTest, ReadersNeverSeeHalfALogicalUpdate) {
   AppSchema app = PairedSchema();
   Database db;
   std::unique_ptr<SchemaMapping> layout = MakeParamLayout(GetParam(), &db, &app);
-  layout->set_dml_mode(std::get<2>(GetParam()));
   ASSERT_TRUE(layout->Bootstrap().ok());
   ASSERT_TRUE(layout->CreateTenant(1).ok());
   const bool extended = layout->EnableExtension(1, "paired").ok();
@@ -140,16 +138,14 @@ TEST_P(TornReadTest, ReadersNeverSeeHalfALogicalUpdate) {
 
 std::vector<TornParam> AllParams() {
   std::vector<TornParam> out;
-  for (DmlMode mode : {DmlMode::kPerRow, DmlMode::kBatched}) {
-    for (LayoutKind kind :
-         {LayoutKind::kBasic, LayoutKind::kPrivate, LayoutKind::kExtension,
-          LayoutKind::kUniversal, LayoutKind::kPivot, LayoutKind::kVertical,
-          LayoutKind::kChunkFolding}) {
-      out.emplace_back(kind, 0, mode);
-    }
-    out.emplace_back(LayoutKind::kChunk, 3, mode);
-    out.emplace_back(LayoutKind::kChunk, 6, mode);
+  for (LayoutKind kind :
+       {LayoutKind::kBasic, LayoutKind::kPrivate, LayoutKind::kExtension,
+        LayoutKind::kUniversal, LayoutKind::kPivot, LayoutKind::kVertical,
+        LayoutKind::kChunkFolding}) {
+    out.emplace_back(kind, 0);
   }
+  out.emplace_back(LayoutKind::kChunk, 3);
+  out.emplace_back(LayoutKind::kChunk, 6);
   return out;
 }
 
@@ -160,9 +156,7 @@ INSTANTIATE_TEST_SUITE_P(
       if (std::get<1>(info.param) > 0) {
         name += std::to_string(std::get<1>(info.param));
       }
-      return name + (std::get<2>(info.param) == DmlMode::kPerRow
-                         ? "_perrow"
-                         : "_batched");
+      return name;
     });
 
 }  // namespace
