@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the engine substrates: B+Tree
-// point operations, key encoding, row codec, buffer pool fetch, and the
-// SQL front door. These are the primitive costs underlying Figures 9-12.
+// point operations, key encoding, row codec, the page checksum, buffer
+// pool fetch (hit and miss), and the SQL front door. These are the primitive costs underlying Figures 9-12.
 #include <benchmark/benchmark.h>
 
 #include "common/key_encoding.h"
@@ -87,6 +87,40 @@ void BM_BufferPoolFetchHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferPoolFetchHit);
+
+void BM_PageChecksum(benchmark::State& state) {
+  std::vector<char> page(kDefaultPageSize);
+  Rng rng(4);
+  for (char& c : page) c = static_cast<char>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PageStore::Checksum(page.data(), page.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(page.size()));
+}
+BENCHMARK(BM_PageChecksum);
+
+// Every fetch misses and its victim is dirty: two pages of one shard take
+// turns in that shard's single frame, so each iteration is one physical
+// read (copy + checksum check) and one write-back (checksum + copy).
+void BM_BufferPoolFetchMiss(benchmark::State& state) {
+  PageStore store;
+  BufferPool pool(&store, kBufferPoolShards);
+  std::vector<PageId> ids;
+  while (ids.size() < 2) {
+    Page* page = pool.NewPage(PageType::kHeap);
+    if (BufferPool::ShardOf(page->id()) == 0) ids.push_back(page->id());
+    pool.UnpinPage(page->id(), /*dirty=*/true);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const PageId id = ids[i++ & 1];
+    auto p = pool.FetchPage(id);
+    benchmark::DoNotOptimize(p);
+    pool.UnpinPage(id, /*dirty=*/true);
+  }
+}
+BENCHMARK(BM_BufferPoolFetchMiss);
 
 void BM_SqlPointQuery(benchmark::State& state) {
   Database db;

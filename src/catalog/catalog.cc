@@ -73,6 +73,11 @@ uint64_t IndexOrderKey(TableId table, IndexId index) {
 
 }  // namespace
 
+bool IndexInfo::KeyHasNull(const Row& row) const {
+  return std::any_of(key_columns.begin(), key_columns.end(),
+                     [&](size_t c) { return row[c].is_null(); });
+}
+
 const IndexInfo* TableInfo::FindIndexOnPrefix(
     const std::vector<size_t>& cols) const {
   for (const auto& idx : indexes) {
@@ -210,7 +215,7 @@ Result<IndexInfo*> Catalog::CreateIndex(
     std::vector<Value> key_vals;
     for (size_t c : idx->key_columns) key_vals.push_back((*row)[c]);
     std::string key = KeyEncoder::EncodeKey(key_vals);
-    if (idx->unique) {
+    if (idx->unique && !idx->KeyHasNull(*row)) {
       Result<bool> dup = idx->tree->Contains(key);
       if (!dup.ok()) {
         idx->tree->Free();

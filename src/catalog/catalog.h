@@ -32,6 +32,11 @@ struct IndexInfo {
   std::vector<size_t> key_columns;  // positions in the table schema
   bool unique = false;
   std::unique_ptr<BTree> tree;
+
+  /// Whether `row`'s key here has a NULL part. Such a key never conflicts
+  /// in a unique index, as NULL equals no value, not even NULL; every
+  /// unique check (insert, update, index build) applies this one rule.
+  bool KeyHasNull(const Row& row) const;
 };
 
 /// A physical table: schema + heap + indexes + row codec.

@@ -24,6 +24,33 @@ std::string IndexKeyFor(const IndexInfo& index, const Row& row) {
   return KeyEncoder::EncodeKey(vals);
 }
 
+/// The unique-index rule, the one check INSERT and UPDATE share: no rid
+/// other than `self` (null for a row not stored yet) may sit under
+/// `row`'s key in a unique index of `table`, unless the key has a NULL
+/// part (IndexInfo::KeyHasNull). With `old_row` given, an index whose key
+/// columns the update left unchanged is skipped: the row held that key
+/// already, so it adds no new conflict.
+Status CheckUniqueKeys(const TableInfo& table, const Row& row, const Rid* self,
+                       const Row* old_row = nullptr) {
+  for (const auto& idx : table.indexes) {
+    if (!idx->unique || idx->KeyHasNull(row)) continue;
+    if (old_row != nullptr &&
+        std::all_of(idx->key_columns.begin(), idx->key_columns.end(),
+                    [&](size_t c) { return row[c] == (*old_row)[c]; })) {
+      continue;
+    }
+    MTDB_ASSIGN_OR_RETURN(std::vector<Rid> rids,
+                          idx->tree->Lookup(IndexKeyFor(*idx, row)));
+    for (const Rid& rid : rids) {
+      if (self == nullptr || !(rid == *self)) {
+        return Status::ConstraintViolation("duplicate key in unique index " +
+                                           idx->name);
+      }
+    }
+  }
+  return Status::OK();
+}
+
 /// Retries a compensating (undo) action so a bounded burst of transient
 /// faults cannot leave a statement half rolled back. kNotFound counts as
 /// success: the entry the undo wants gone is already gone. The statement
@@ -272,7 +299,7 @@ Status Database::ApplyRecoveryHint(const std::string& sql_text) {
       if (!hit.rows.empty()) return Status::OK();  // delete never applied
     }
   }
-  MTDB_ASSIGN_OR_RETURN(int64_t affected, RunMutation(stmt, {}));
+  MTDB_ASSIGN_OR_RETURN(int64_t affected, ExecuteUndo(stmt));
   (void)affected;
   durability_->counters().OnRecoveryUndoStatement();
   return Status::OK();
@@ -473,6 +500,13 @@ Result<int64_t> Database::ExecuteAst(const sql::Statement& stmt,
   return RunMutation(stmt, params);
 }
 
+Result<int64_t> Database::ExecuteUndo(const sql::Statement& comp) {
+  Result<int64_t> result =
+      RunBatch({PhysicalWrite::Dml(comp)}, {}, nullptr, /*undo=*/true);
+  MaybeAutoCheckpoint();
+  return result;
+}
+
 Result<std::string> Database::Explain(const std::string& sql) {
   MTDB_ASSIGN_OR_RETURN(auto stmt, sql::ParseSelect(sql));
   return ExplainAst(*stmt);
@@ -625,15 +659,7 @@ Status Database::InsertRowLatched(TableInfo* table, const Row& row,
     MTDB_ASSIGN_OR_RETURN(Value v, row[i].CastTo(table->schema.at(i).type));
     typed.push_back(std::move(v));
   }
-  for (const auto& idx : table->indexes) {
-    if (!idx->unique) continue;
-    std::string key = IndexKeyFor(*idx, typed);
-    MTDB_ASSIGN_OR_RETURN(bool dup, idx->tree->Contains(key));
-    if (dup) {
-      return Status::ConstraintViolation("duplicate key in unique index " +
-                                         idx->name);
-    }
-  }
+  MTDB_RETURN_IF_ERROR(CheckUniqueKeys(*table, typed, /*self=*/nullptr));
   std::string image;
   MTDB_RETURN_IF_ERROR(table->codec->Encode(typed, &image));
   MTDB_ASSIGN_OR_RETURN(Rid rid, table->heap->Insert(image));
@@ -820,7 +846,7 @@ Result<int64_t> Database::ExecuteBatch(
 
 Result<int64_t> Database::RunBatch(const std::vector<PhysicalWrite>& writes,
                                    const std::vector<Value>& params,
-                                   uint64_t* reverted) {
+                                   uint64_t* reverted, bool undo) {
   ExecContext ctx;
   ctx.params = params;
   ctx.deadline = deadline::Current();
@@ -877,7 +903,8 @@ Result<int64_t> Database::RunBatch(const std::vector<PhysicalWrite>& writes,
           case sql::StatementKind::kInsert:
             return ExecuteInsert(*w.stmt->insert, targets[i], ctx, &log);
           case sql::StatementKind::kUpdate:
-            return ExecuteUpdate(*w.stmt->update, targets[i], ctx, &log);
+            return ExecuteUpdate(*w.stmt->update, targets[i], ctx, &log,
+                                 /*check_unique=*/!undo);
           case sql::StatementKind::kDelete:
             return ExecuteDelete(*w.stmt->del, targets[i], ctx, &log);
           default:
@@ -1044,7 +1071,7 @@ Result<std::vector<std::pair<Rid, Row>>> CollectQualifying(
 Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
                                         TableInfo* table,
                                         const ExecContext& ctx,
-                                        RowChangeLog* log) {
+                                        RowChangeLog* log, bool check_unique) {
   std::vector<size_t> positions;
   std::vector<const sql::ParsedExpr*> parsed;
   for (const auto& [col, expr] : stmt.assignments) {
@@ -1065,6 +1092,7 @@ Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
                                           catalog_.get(), planner_mode(), ctx));
   // Apply per row; assignments may read old row values. Each row applies
   // atomically (UpdateRowLatched).
+  const size_t first = log->size();
   for (auto& [rid, old_row] : affected) {
     MTDB_RETURN_IF_ERROR(ctx.CheckDeadline());
     Row new_row = old_row;
@@ -1081,6 +1109,15 @@ Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
     MTDB_RETURN_IF_ERROR(
         UpdateRowLatched(table, rid, c.before, c.after, &c.rid));
     log->push_back(std::move(c));
+  }
+  // Unique keys are checked once every row is written, so keys shifting
+  // through each other (SET a = a + 1 over consecutive keys) are no
+  // conflict. A violation fails the batch, and RunBatch reverts the log
+  // through UpdateRowLatched, which checks nothing. A compensation checks
+  // nothing either (ExecuteUndo).
+  for (size_t i = first; check_unique && i < log->size(); ++i) {
+    const RowChange& c = (*log)[i];
+    MTDB_RETURN_IF_ERROR(CheckUniqueKeys(*table, c.after, &c.rid, &c.before));
   }
   return static_cast<int64_t>(affected.size());
 }

@@ -306,6 +306,15 @@ class Database : public StatementExecutor {
                                const std::vector<Value>& params = {},
                                uint64_t* reverted = nullptr);
 
+  /// Runs one compensation statement (a client rollback's or recovery's
+  /// undo of one changed row) as a batch of one. Unlike ExecuteAst, an
+  /// UPDATE here checks no unique index: compensations replay one row at
+  /// a time, newest first, so undoing a key-shifting UPDATE (SET a = a +
+  /// 1 over consecutive keys) passes through states where two rows share
+  /// a key on its way back to a state that held. RevertChanges skips the
+  /// check for the same reason.
+  Result<int64_t> ExecuteUndo(const sql::Statement& comp);
+
   /// Compiles a SELECT and renders the plan (the explain facility).
   Result<std::string> Explain(const std::string& sql);
   Result<std::string> ExplainAst(const sql::SelectStmt& stmt);
@@ -380,10 +389,12 @@ class Database : public StatementExecutor {
                               const std::vector<Value>& params);
   Result<int64_t> RunMutationInner(const sql::Statement& stmt,
                                    const std::vector<Value>& params);
-  /// ExecuteBatch without the automatic checkpoint after it.
+  /// ExecuteBatch without the automatic checkpoint after it; `undo`
+  /// marks a compensation batch (ExecuteUndo), whose UPDATEs skip the
+  /// unique-key check.
   Result<int64_t> RunBatch(const std::vector<PhysicalWrite>& writes,
                            const std::vector<Value>& params,
-                           uint64_t* reverted);
+                           uint64_t* reverted, bool undo = false);
 
   /// Durable-mode plumbing. CommitDmlGroup appends a batch's redo group
   /// (with every target table's physical anchors) while its latches are
@@ -420,7 +431,8 @@ class Database : public StatementExecutor {
   Result<int64_t> ExecuteInsert(const sql::InsertStmt& stmt, TableInfo* table,
                                 const ExecContext& ctx, RowChangeLog* log);
   Result<int64_t> ExecuteUpdate(const sql::UpdateStmt& stmt, TableInfo* table,
-                                const ExecContext& ctx, RowChangeLog* log);
+                                const ExecContext& ctx, RowChangeLog* log,
+                                bool check_unique);
   Result<int64_t> ExecuteDelete(const sql::DeleteStmt& stmt, TableInfo* table,
                                 const ExecContext& ctx, RowChangeLog* log);
   /// Reverts `log` newest-first (best effort, each step retried).

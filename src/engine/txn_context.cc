@@ -104,7 +104,7 @@ Status TransactionContext::Rollback(bool is_auto) {
       entries_.pop_back();
       Status st = Status::OK();
       for (int attempt = 0; attempt < kRollbackAttempts; ++attempt) {
-        st = db_->ExecuteAst(comp, {}).status();
+        st = db_->ExecuteUndo(comp).status();
         if (st.ok()) break;
       }
       if (!st.ok() && first_error.ok()) first_error = st;

@@ -113,36 +113,45 @@ void BufferPool::DistributeCapacity(size_t total) {
 
 void BufferPool::Touch(Shard& shard, Frame* frame, PageId id) {
   if (frame->in_lru) {
-    shard.lru.erase(frame->lru_it);
+    // Relinks the existing node: a hit frees and allocates nothing, and
+    // lru_it stays valid.
+    shard.lru.splice(shard.lru.begin(), shard.lru, frame->lru_it);
+    return;
   }
   shard.lru.push_front(id);
   frame->lru_it = shard.lru.begin();
   frame->in_lru = true;
 }
 
+void BufferPool::CountRead(Shard& shard, PageType type, bool miss) {
+  if (type == PageType::kIndex) {
+    shard.stats.logical_reads_index++;
+    if (miss) shard.stats.misses_index++;
+  } else {
+    shard.stats.logical_reads_data++;
+    if (miss) shard.stats.misses_data++;
+  }
+}
+
 Result<Page*> BufferPool::FetchPage(PageId id) {
   Shard& shard = shards_[ShardOf(id)];
-  PageType type = store_->TypeOf(id);
+  PageType type = PageType::kFree;
   {
     std::lock_guard<Latch> lock(shard.mu);
-    if (type == PageType::kIndex) {
-      shard.stats.logical_reads_index++;
-    } else {
-      shard.stats.logical_reads_data++;
-    }
     auto it = shard.frames.find(id);
     if (it != shard.frames.end()) {
+      // A hit takes the type from its frame: a cached page keeps the
+      // type it was fetched or allocated with until DeletePage drops it,
+      // so only a miss asks the store (and takes the store's latch).
       Frame* frame = it->second.get();
+      CountRead(shard, frame->page.type(), /*miss=*/false);
       frame->pin_count++;
       Touch(shard, frame, id);
       trace::OnPoolHit();
       return &frame->page;
     }
-    if (type == PageType::kIndex) {
-      shard.stats.misses_index++;
-    } else {
-      shard.stats.misses_data++;
-    }
+    type = store_->TypeOf(id);
+    CountRead(shard, type, /*miss=*/true);
     trace::OnPoolMiss();
   }
   // Miss: read through with the shard latch dropped so the device stall

@@ -252,7 +252,11 @@ class BufferPool {
   /// and eviction stops — the shard overshoots rather than lose data.
   /// Caller holds shard.mu.
   void EvictIfNeeded(Shard& shard);
+  /// Moves the frame to the LRU front (inserting it on first use).
   void Touch(Shard& shard, Frame* frame, PageId id);
+  /// Bumps the shard's logical-read (and on a miss, miss) counter of the
+  /// page's type. Caller holds shard.mu.
+  static void CountRead(Shard& shard, PageType type, bool miss);
   Status FlushFrame(Frame* frame);
 
   /// Store I/O with capped exponential backoff on transient errors.

@@ -20,8 +20,16 @@ namespace fs = std::filesystem;
 
 constexpr uint32_t kMetaMagic = 0x4D4D4554u;  // "MMET"
 // v2 appends the open-client-transaction section; v1 files (no section)
-// still load.
-constexpr uint32_t kMetaVersion = 2;
+// still load. v3 keeps v2's layout but stores PageStore::Checksum page
+// sums; v1 and v2 files hold byte-wise FNV-1a sums, which recovery still
+// verifies (LegacyPageChecksum).
+constexpr uint32_t kMetaVersion = 3;
+
+/// The page checksum of meta v1 and v2: FNV-1a 64-bit over the image.
+/// Only recovery from such a meta uses it.
+uint64_t LegacyPageChecksum(const char* image, size_t n) {
+  return WalChecksum(image, n, kFnv1aBasis);
+}
 
 void PutU32(std::string* out, uint32_t v) {
   char b[4];
@@ -318,6 +326,7 @@ Status Durability::LoadMeta(CheckpointMeta* meta, bool* found) {
       !cur.U64(&meta->next_txn_id) || !cur.U64(&page_count)) {
     return Status::DataLoss("checkpoint meta header malformed");
   }
+  meta->version = version;
   meta->pages.clear();
   meta->pages.reserve(page_count);
   for (uint64_t i = 0; i < page_count; i++) {
@@ -487,7 +496,9 @@ Result<RecoveredState> Durability::Recover() {
         return Status::DataLoss("pages.db truncated at page " +
                                 std::to_string(i));
       }
-      loaded_sums[i] = PageStore::Checksum(image.data(), page_size);
+      loaded_sums[i] = meta.version >= 3
+                           ? PageStore::Checksum(image.data(), page_size)
+                           : LegacyPageChecksum(image.data(), page_size);
       Status st = store_->RecoverInstall(static_cast<PageId>(i),
                                          meta.pages[i].first, image.data());
       if (!st.ok()) {

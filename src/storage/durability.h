@@ -144,6 +144,9 @@ class Durability {
   std::string WalDir() const { return dir_ + "/wal"; }
 
   struct CheckpointMeta {
+    /// Format version as loaded; it decides the page-sum function (v3:
+    /// PageStore::Checksum, v1/v2: FNV-1a).
+    uint32_t version = 0;
     uint64_t ckpt_lsn = 0;
     uint64_t next_txn_id = 1;
     std::vector<std::pair<PageType, uint64_t>> pages;  // slot -> type, sum

@@ -10,16 +10,87 @@
 
 namespace mtdb {
 
+namespace {
+
+// xxHash64's primes and rounds. Loads go through memcpy, so page images
+// of any alignment hash without undefined behaviour.
+constexpr uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kPrime3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kPrime5 = 0x27D4EB2F165667C5ull;
+
+uint64_t Rotl(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+uint64_t Load64(const char* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+uint32_t Load32(const char* p) {
+  uint32_t v = 0;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+uint64_t Round(uint64_t acc, uint64_t input) {
+  return Rotl(acc + input * kPrime2, 31) * kPrime1;
+}
+
+uint64_t MergeRound(uint64_t acc, uint64_t lane) {
+  return (acc ^ Round(0, lane)) * kPrime1 + kPrime4;
+}
+
+}  // namespace
+
 uint64_t PageStore::Checksum(const char* data, size_t n) {
-  // FNV-1a 64-bit: cheap, deterministic, and sensitive to both truncated
-  // images (torn writes) and single-bit flips.
-  uint64_t h = 14695981039346656037ull;
-  for (size_t i = 0; i < n; i++) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
+  // Four independent multiply-rotate lanes over 32-byte stripes keep the
+  // multiplier busy; the final avalanche spreads every input bit over
+  // the whole sum, so a single-bit flip or a torn half always shows.
+  const char* p = data;
+  const char* const end = data + n;
+  uint64_t h = kPrime5;
+  if (n >= 32) {
+    uint64_t v1 = kPrime1 + kPrime2;
+    uint64_t v2 = kPrime2;
+    uint64_t v3 = 0;
+    uint64_t v4 = 0 - kPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = Round(v1, Load64(p));
+      v2 = Round(v2, Load64(p + 8));
+      v3 = Round(v3, Load64(p + 16));
+      v4 = Round(v4, Load64(p + 24));
+    }
+    h = Rotl(v1, 1) + Rotl(v2, 7) + Rotl(v3, 12) + Rotl(v4, 18);
+    h = MergeRound(h, v1);
+    h = MergeRound(h, v2);
+    h = MergeRound(h, v3);
+    h = MergeRound(h, v4);
   }
+  h += static_cast<uint64_t>(n);
+  for (; end - p >= 8; p += 8) {
+    h = Rotl(h ^ Round(0, Load64(p)), 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    h = Rotl(h ^ (Load32(p) * kPrime1), 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h = Rotl(h ^ (static_cast<unsigned char>(*p) * kPrime5), 11) * kPrime1;
+  }
+  h ^= h >> 33;
+  h *= kPrime2;
+  h ^= h >> 29;
+  h *= kPrime3;
+  h ^= h >> 32;
   return h;
 }
+
+PageStore::PageStore(uint32_t page_size)
+    : page_size_(page_size),
+      zero_checksum_(Checksum(std::vector<char>(page_size, 0).data(),
+                              page_size)) {}
 
 PageId PageStore::Allocate(PageType type, uint64_t* seq) {
   std::lock_guard<Latch> lock(mu_);
@@ -38,7 +109,7 @@ PageId PageStore::Allocate(PageType type, uint64_t* seq) {
     pages_.push_back(
         StoredPage{type, false, std::vector<char>(page_size_, 0), 0});
   }
-  pages_[id].checksum = Checksum(pages_[id].image.data(), page_size_);
+  pages_[id].checksum = zero_checksum_;
   NoteDirtyLocked(id);
   return id;
 }
@@ -130,6 +201,12 @@ Status PageStore::Write(PageId id, const char* in) {
   FaultSpec torn_spec;
   bool torn = injector != nullptr &&
               injector->ShouldFire(FaultPoint::kTornWrite, &torn_spec);
+  // The checksum always covers the full intended image. On a torn write
+  // only a prefix lands, so the image no longer matches its own checksum
+  // — the read path reports that as kDataLoss until a later full write
+  // repairs the page. It is computed before mu_ so concurrent
+  // write-backs hash in parallel.
+  const uint64_t checksum = Checksum(in, page_size_);
   {
     std::lock_guard<Latch> lock(mu_);
     if (id < 0 || static_cast<size_t>(id) >= pages_.size() ||
@@ -138,11 +215,7 @@ Status PageStore::Write(PageId id, const char* in) {
                               std::to_string(id));
     }
     stats_.physical_writes++;
-    // The checksum always covers the full intended image. On a torn
-    // write only a prefix lands, so the image no longer matches its own
-    // checksum — the read path reports that as kDataLoss until a later
-    // full write repairs the page.
-    pages_[id].checksum = Checksum(in, page_size_);
+    pages_[id].checksum = checksum;
     size_t n = torn ? page_size_ / 2 : page_size_;
     std::memcpy(pages_[id].image.data(), in, n);
     NoteDirtyLocked(id);
@@ -291,7 +364,7 @@ Status PageStore::RecoverAlloc(PageId id, PageType type) {
   pages_[id].type = type;
   pages_[id].imaged = false;
   std::memset(pages_[id].image.data(), 0, page_size_);
-  pages_[id].checksum = Checksum(pages_[id].image.data(), page_size_);
+  pages_[id].checksum = zero_checksum_;
   NoteDirtyLocked(id);
   return Status::OK();
 }

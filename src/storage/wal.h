@@ -32,7 +32,7 @@ struct WalRecord {
 };
 
 /// FNV-1a 64-bit offset basis: the seed of every WAL frame and checkpoint
-/// meta checksum, the same basis PageStore::Checksum starts from.
+/// meta checksum, and of the page sums in v1/v2 checkpoint meta files.
 inline constexpr uint64_t kFnv1aBasis = 14695981039346656037ull;
 
 /// FNV-1a over a byte range; also used by the checkpoint meta file.

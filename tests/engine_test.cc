@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "engine/session.h"
 
 namespace mtdb {
 namespace {
@@ -173,6 +174,96 @@ TEST_F(EngineTest, UniqueConstraintViolation) {
   auto st = db_.Execute("INSERT INTO parent VALUES (3, 'dup', 0)");
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.status().code(), StatusCode::kConstraintViolation);
+}
+
+class UniqueIndexTest : public EngineTest {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.Execute("CREATE TABLE t (a INT, b VARCHAR)").ok());
+    ASSERT_TRUE(db_.Execute("CREATE UNIQUE INDEX ux_t_a ON t (a)").ok());
+  }
+
+  std::vector<std::string> Contents() {
+    auto r = db_.Query("SELECT a, b FROM t ORDER BY b");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<std::string> out;
+    if (!r.ok()) return out;
+    for (const Row& row : r->rows) {
+      out.push_back(row[0].ToString() + ":" + row[1].ToString());
+    }
+    return out;
+  }
+};
+
+TEST_F(UniqueIndexTest, UpdateOntoAnExistingKeyIsRejectedAndLeavesTheTable) {
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')").ok());
+  const std::vector<std::string> before = Contents();
+  auto st = db_.Execute("UPDATE t SET a = 1 WHERE a = 2");
+  EXPECT_EQ(st.status().code(), StatusCode::kConstraintViolation)
+      << st.status().ToString();
+  EXPECT_EQ(Contents(), before);
+  // The reverted row is reachable through the index again.
+  auto r = db_.Query("SELECT b FROM t WHERE a = 2");
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].AsString(), "y");
+}
+
+TEST_F(UniqueIndexTest, KeysShiftingThroughEachOtherAreNoConflict) {
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c'), "
+                          "(4, 'd'), (5, 'e')")
+                  .ok());
+  auto n = db_.Execute("UPDATE t SET a = a + 1");
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(n->rows[0][0].AsInt64(), 5);
+  EXPECT_EQ(Contents(), (std::vector<std::string>{"2:a", "3:b", "4:c", "5:d",
+                                                  "6:e"}));
+}
+
+// A client rollback replays one compensation per row, newest first, so
+// undoing the shift moves row e from 6 back to 5 while row d still holds
+// 5. The compensations check no unique index and restore every row.
+TEST_F(UniqueIndexTest, RollingBackAKeyShiftRestoresEveryRow) {
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c'), "
+                          "(4, 'd'), (5, 'e')")
+                  .ok());
+  const std::vector<std::string> before = Contents();
+  Session session = db_.OpenSession();
+  ASSERT_TRUE(session.Begin().ok());
+  auto n = session.Execute("UPDATE t SET a = a + 1");
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  Status rolled_back = session.Rollback();
+  EXPECT_TRUE(rolled_back.ok()) << rolled_back.ToString();
+  EXPECT_EQ(Contents(), before);
+  EXPECT_EQ(db_.Execute("INSERT INTO t VALUES (5, 'f')").status().code(),
+            StatusCode::kConstraintViolation);
+}
+
+TEST_F(UniqueIndexTest, NullKeysNeverCollide) {
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (NULL, 'a')").ok());
+  auto st = db_.Execute("INSERT INTO t VALUES (NULL, 'b')");
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  // Updating a row onto a NULL key is no conflict either, and a non-NULL
+  // duplicate still is.
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (7, 'c')").ok());
+  ASSERT_TRUE(db_.Execute("UPDATE t SET a = NULL WHERE a = 7").ok());
+  EXPECT_EQ(db_.Execute("INSERT INTO t VALUES (8, 'd'), (8, 'e')")
+                .status()
+                .code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(Contents(),
+            (std::vector<std::string>{"NULL:a", "NULL:b", "NULL:c"}));
+}
+
+TEST_F(EngineTest, UniqueIndexBuildsOverExistingNullKeys) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE u (a INT, b VARCHAR)").ok());
+  ASSERT_TRUE(
+      db_.Execute("INSERT INTO u VALUES (NULL, 'a'), (NULL, 'b'), (1, 'c')")
+          .ok());
+  auto built = db_.Execute("CREATE UNIQUE INDEX ux_u_a ON u (a)");
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(db_.Execute("INSERT INTO u VALUES (1, 'd')").status().code(),
+            StatusCode::kConstraintViolation);
 }
 
 TEST_F(EngineTest, NotNullConstraint) {

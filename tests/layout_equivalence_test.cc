@@ -244,6 +244,63 @@ TEST_P(InsertColumnsTest, UnknownAndRepeatedColumnsFailFirst) {
 INSTANTIATE_TEST_SUITE_P(AllLayouts, InsertColumnsTest,
                          ::testing::ValuesIn(kAllLayouts), LayoutParamName);
 
+/// Unique keys follow one rule on every layout: a key with a NULL part
+/// never conflicts, and an UPDATE that moves a row onto a taken id has the
+/// outcome of INSERT-ing that duplicate. Basic and Private keep a unique
+/// index on (tenant, first column), so both are ConstraintViolation there
+/// and the table is left as it was; the row-id layouts keep no such index
+/// and accept both.
+class UniqueKeyTest : public ::testing::TestWithParam<LayoutKind> {};
+
+TEST_P(UniqueKeyTest, NullKeysInsertAndUpdateDuplicatesMatchInsert) {
+  AppSchema app = FigureFourSchema();
+  Database db;
+  auto layout = MakeLayout(GetParam(), &db, &app);
+  ASSERT_TRUE(layout->Bootstrap().ok());
+  ASSERT_TRUE(layout->CreateTenant(17).ok());
+  TenantSession session = layout->OpenSession(17);
+  auto nulls = session.Execute(
+      "INSERT INTO account (aid, name) VALUES (NULL, 'a'), (NULL, 'b')");
+  ASSERT_TRUE(nulls.ok()) << nulls.status().ToString();
+  ASSERT_TRUE(
+      session.Execute("INSERT INTO account (aid, name) VALUES (1, 'x'), "
+                      "(2, 'y')")
+          .ok());
+  auto contents = [&] {
+    std::vector<std::string> out;
+    auto r = session.Query("SELECT aid, name FROM account ORDER BY name");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return out;
+    for (const Row& row : r->rows) {
+      out.push_back(row[0].ToString() + ":" + row[1].ToString());
+    }
+    return out;
+  };
+  const std::vector<std::string> before = contents();
+  ASSERT_EQ(before, (std::vector<std::string>{"NULL:a", "NULL:b", "1:x",
+                                              "2:y"}));
+
+  auto inserted = session.Execute(
+      "INSERT INTO account (aid, name) VALUES (1, 'z')");
+  if (inserted.ok()) {
+    ASSERT_TRUE(session.Execute("DELETE FROM account WHERE name = 'z'").ok());
+  } else {
+    EXPECT_EQ(inserted.status().code(), StatusCode::kConstraintViolation)
+        << inserted.status().ToString();
+  }
+  EXPECT_EQ(contents(), before);
+
+  auto updated = session.Execute("UPDATE account SET aid = 1 WHERE aid = 2");
+  EXPECT_EQ(updated.ok(), inserted.ok()) << updated.status().ToString();
+  EXPECT_EQ(updated.status().code(), inserted.status().code());
+  if (!updated.ok()) {
+    EXPECT_EQ(contents(), before);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLayouts, UniqueKeyTest,
+                         ::testing::ValuesIn(kAllLayouts), LayoutParamName);
+
 /// Runs statements on tenant 17 of one layout or, with no layout, on a
 /// plain engine Session over a physical account table of the same shape.
 class WriteTarget {

@@ -1653,6 +1653,145 @@ TEST(RecoveryMetaTest, UnreadableMetaFailsOpenInsteadOfLookingFresh) {
       << opened.status().ToString();
 }
 
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteWholeFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// Rewrites a v3 checkpoint meta in `dir` as the v2 file the same
+/// checkpoint would have left before page sums changed hash: version 2,
+/// and every allocated slot's sum the byte-wise FNV-1a of its pages.db
+/// image. The two versions share one layout: magic, version, page size,
+/// checkpoint lsn, next txn id, the slot count, then per slot a type byte
+/// and a 64-bit sum, then the free list, catalog blob and open-txn
+/// section, and last the FNV-1a sum of everything before it. Reports the
+/// allocated slots in `allocated`.
+void RewriteMetaAsV2(const std::string& dir, std::vector<size_t>* allocated) {
+  std::string meta = ReadWholeFile(dir + "/meta");
+  const std::string pages = ReadWholeFile(dir + "/pages.db");
+  ASSERT_GE(meta.size(), 36u);
+  uint32_t version = 0;
+  std::memcpy(&version, meta.data() + 4, 4);
+  ASSERT_EQ(version, 3u);
+  version = 2;
+  std::memcpy(meta.data() + 4, &version, 4);
+  uint64_t slots = 0;
+  std::memcpy(&slots, meta.data() + 28, 8);
+  size_t pos = 36;
+  for (uint64_t i = 0; i < slots; ++i, pos += 9) {
+    ASSERT_LE(pos + 9, meta.size() - 8);
+    if (meta[pos] == static_cast<char>(PageType::kFree)) continue;
+    ASSERT_LE((i + 1) * kDefaultPageSize, pages.size());
+    const uint64_t sum = WalChecksum(pages.data() + i * kDefaultPageSize,
+                                     kDefaultPageSize, kFnv1aBasis);
+    std::memcpy(meta.data() + pos + 1, &sum, 8);
+    allocated->push_back(i);
+  }
+  ASSERT_FALSE(allocated->empty());
+  const uint64_t meta_sum =
+      WalChecksum(meta.data(), meta.size() - 8, kFnv1aBasis);
+  std::memcpy(meta.data() + meta.size() - 8, &meta_sum, 8);
+  WriteWholeFile(dir + "/meta", meta);
+}
+
+/// Checkpoint meta v1 and v2 hold byte-wise FNV-1a page sums; v3 holds
+/// PageStore::Checksum sums. A database checkpointed under v2 still
+/// opens, and its untouched pages are still verified: a corrupted one is
+/// kDataLoss, not silently loaded.
+TEST(RecoveryMetaTest, V2MetaWithFnvPageSumsRecoversAndStillVerifies) {
+  const std::string dir = FreshDir("meta_v2");
+  const std::string corrupt_dir = FreshDir("meta_v2_corrupt");
+  {
+    auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<Database> db = std::move(*opened);
+    Schema schema;
+    schema.AddColumn(Column{"id", TypeId::kInt64, true});
+    schema.AddColumn(Column{"name", TypeId::kString, false});
+    ASSERT_TRUE(db->CreateTable("t", schema).ok());
+    ASSERT_TRUE(db->CreateIndex("t", "ux_t_id", {"id"}, /*unique=*/true).ok());
+    for (int64_t i = 0; i < 300; ++i) {
+      ASSERT_TRUE(db->InsertRow("t", {Value::Int64(i),
+                                      Value::String("row " +
+                                                    std::to_string(i))})
+                      .ok());
+    }
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  std::vector<size_t> allocated;
+  RewriteMetaAsV2(dir, &allocated);
+  fs::remove_all(corrupt_dir);
+  fs::copy(dir, corrupt_dir, fs::copy_options::recursive);
+
+  {
+    auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto rows = (*opened)->Query("SELECT COUNT(*), SUM(id) FROM t");
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->rows[0][0].AsInt64(), 300);
+    EXPECT_EQ(rows->rows[0][1].AsInt64(), 299 * 300 / 2);
+  }
+
+  // Flip one byte of an allocated page in pages.db. The checkpoint left
+  // the log empty, so replay does not touch the page.
+  std::string pages = ReadWholeFile(corrupt_dir + "/pages.db");
+  pages[allocated.back() * kDefaultPageSize + kDefaultPageSize / 2] ^= 0x10;
+  WriteWholeFile(corrupt_dir + "/pages.db", pages);
+  auto opened = Database::Open(DatabaseOptions::WithPath(corrupt_dir));
+  ASSERT_FALSE(opened.ok()) << "a corrupted page under a v2 meta loaded";
+  EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
+      << opened.status().ToString();
+}
+
+/// Recovery undoes an open transaction one compensation per row, newest
+/// first. Undoing a key-shifting UPDATE under a unique index passes
+/// through states where two rows share a key; the compensations check no
+/// unique index, so the database reopens with every row restored.
+TEST(RecoveryUniqueKeyTest, OpenKeyShiftUnderAUniqueIndexIsUndone) {
+  const std::string dir = FreshDir("unique_shift");
+  {
+    auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<Database> db = std::move(*opened);
+    ASSERT_TRUE(db->Execute("CREATE TABLE t (a INT, b VARCHAR)").ok());
+    ASSERT_TRUE(db->Execute("CREATE UNIQUE INDEX ux_t_a ON t (a)").ok());
+    ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), "
+                            "(3, 'c'), (4, 'd'), (5, 'e')")
+                    .ok());
+    Session session = db->OpenSession();
+    ASSERT_TRUE(session.Begin().ok());
+    auto n = session.Execute("UPDATE t SET a = a + 1");
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    // Kill the durability layer at the COMMIT record: recovery must undo
+    // the transaction from its hints.
+    FaultInjector injector(7);
+    FaultSpec spec;
+    spec.probability = 1.0;
+    spec.max_fires = 1;
+    injector.Arm(FaultPoint::kCrash, spec);
+    db->page_store()->set_fault_injector(&injector);
+    EXPECT_FALSE(session.Commit().ok());
+    EXPECT_TRUE(db->durability()->frozen());
+    db->page_store()->set_fault_injector(nullptr);
+  }
+  auto reopened = Database::Open(DatabaseOptions::WithPath(dir));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto rows = (*reopened)->Query("SELECT a, b FROM t ORDER BY b");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  std::vector<std::string> got;
+  for (const Row& row : rows->rows) {
+    got.push_back(row[0].ToString() + ":" + row[1].ToString());
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"1:a", "2:b", "3:c", "4:d",
+                                           "5:e"}));
+}
+
 // Runs last in this binary: under an instrumented build
 // (-DMTDB_LOCKDEP=ON) every test above must have left the lockdep
 // registry empty — no latch-order or WAL-protocol violations anywhere

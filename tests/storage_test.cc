@@ -235,12 +235,109 @@ TEST(BufferPoolTest, IndexVsDataSplit) {
   pool.UnpinPage(heap_id, false);
   pool.UnpinPage(index_id, false);
   pool.ResetStats();
-  ASSERT_TRUE(pool.FetchPage(heap_id).ok());
-  pool.UnpinPage(heap_id, false);
-  ASSERT_TRUE(pool.FetchPage(index_id).ok());
-  pool.UnpinPage(index_id, false);
-  EXPECT_EQ(pool.stats().logical_reads_data, 1u);
-  EXPECT_EQ(pool.stats().logical_reads_index, 1u);
+  auto fetch = [&](PageId id) {
+    auto page = pool.FetchPage(id);
+    if (page.ok()) pool.UnpinPage(id, false);
+    return page.status();
+  };
+  auto expect_counts = [&](uint64_t reads_data, uint64_t reads_index,
+                           uint64_t misses_data, uint64_t misses_index) {
+    const BufferPoolStats s = pool.stats();
+    EXPECT_EQ(s.logical_reads_data, reads_data);
+    EXPECT_EQ(s.logical_reads_index, reads_index);
+    EXPECT_EQ(s.misses_data, misses_data);
+    EXPECT_EQ(s.misses_index, misses_index);
+  };
+
+  // Hits count by the cached frame's type.
+  ASSERT_TRUE(fetch(heap_id).ok());
+  ASSERT_TRUE(fetch(index_id).ok());
+  ASSERT_TRUE(fetch(index_id).ok());
+  expect_counts(1, 2, 0, 0);
+
+  // Misses count by the store's type; the re-read frames then hit.
+  ASSERT_TRUE(pool.EvictAll().ok());
+  ASSERT_TRUE(fetch(index_id).ok());
+  ASSERT_TRUE(fetch(heap_id).ok());
+  ASSERT_TRUE(fetch(index_id).ok());
+  ASSERT_TRUE(fetch(heap_id).ok());
+  expect_counts(3, 4, 1, 1);
+  EXPECT_EQ(pool.stats().evictions, 2u);
+
+  // A heap page freed and re-allocated as an index page counts as index,
+  // on a hit and on a miss.
+  pool.DeletePage(heap_id);
+  Page* reused = pool.NewPage(PageType::kIndex);
+  ASSERT_EQ(reused->id(), heap_id);
+  pool.UnpinPage(heap_id, true);
+  ASSERT_TRUE(fetch(heap_id).ok());
+  expect_counts(3, 5, 1, 1);
+  ASSERT_TRUE(pool.EvictAll().ok());
+  ASSERT_TRUE(fetch(heap_id).ok());
+  expect_counts(3, 6, 1, 2);
+
+  // A freed page is not cached: the fetch is a (data) miss and fails.
+  pool.DeletePage(index_id);
+  EXPECT_EQ(fetch(index_id).code(), StatusCode::kNotFound);
+  expect_counts(4, 6, 2, 2);
+  EXPECT_EQ(pool.stats().evictions, 4u);
+}
+
+/// The page checksum is xxHash64 at seed 0: pinned by the reference
+/// vectors, since v3 checkpoint meta files store it.
+TEST(PageChecksumTest, MatchesXxHash64ReferenceVectors) {
+  EXPECT_EQ(PageStore::Checksum("", 0), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(PageStore::Checksum("a", 1), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(PageStore::Checksum("abc", 3), 0x44BC2CF5AD770999ull);
+  const std::string text = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(PageStore::Checksum(text.data(), text.size()),
+            0xFBCEA83C8A378BF1ull);
+}
+
+std::vector<char> PatternedPage() {
+  std::vector<char> page(kDefaultPageSize);
+  Rng rng(22);
+  for (char& c : page) c = static_cast<char>(rng.Uniform(0, 255));
+  return page;
+}
+
+/// Every single-bit flip of a full 8 KiB page changes its checksum, for a
+/// patterned page and for the all-zero page every allocation starts as.
+TEST(PageChecksumTest, EverySingleBitFlipIsDetected) {
+  for (std::vector<char> page :
+       {PatternedPage(), std::vector<char>(kDefaultPageSize, 0)}) {
+    const uint64_t sum = PageStore::Checksum(page.data(), page.size());
+    size_t missed = 0;
+    for (size_t bit = 0; bit < page.size() * 8; ++bit) {
+      page[bit / 8] = static_cast<char>(page[bit / 8] ^ (1 << (bit % 8)));
+      if (PageStore::Checksum(page.data(), page.size()) == sum) ++missed;
+      page[bit / 8] = static_cast<char>(page[bit / 8] ^ (1 << (bit % 8)));
+    }
+    EXPECT_EQ(missed, 0u);
+  }
+}
+
+/// A torn write leaves one half of the intended image over the other half
+/// of the previous one; either way round the result fails the intended
+/// image's checksum, also when one of the two images is all zeros.
+TEST(PageChecksumTest, TornWriteOfEitherHalfIsDetected) {
+  const std::vector<char> zero(kDefaultPageSize, 0);
+  const std::vector<char> patterned = PatternedPage();
+  const size_t half = kDefaultPageSize / 2;
+  for (const auto& [intended, previous] :
+       {std::pair{patterned, zero}, std::pair{zero, patterned}}) {
+    const uint64_t sum = PageStore::Checksum(intended.data(), intended.size());
+    std::vector<char> first_half_landed = previous;
+    std::copy(intended.begin(), intended.begin() + half,
+              first_half_landed.begin());
+    std::vector<char> second_half_landed = intended;
+    std::copy(previous.begin(), previous.begin() + half,
+              second_half_landed.begin());
+    EXPECT_NE(PageStore::Checksum(first_half_landed.data(), kDefaultPageSize),
+              sum);
+    EXPECT_NE(
+        PageStore::Checksum(second_half_landed.data(), kDefaultPageSize), sum);
+  }
 }
 
 TEST(RowCodecTest, RoundTripAllTypes) {
