@@ -1,63 +1,14 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
-#include <cstring>
 #include <mutex>
 
+#include "common/byte_codec.h"
 #include "common/key_encoding.h"
 
 namespace mtdb {
 
 namespace {
-
-// Little-endian encode/decode helpers for the Snapshot blob. The blob is
-// integrity-protected by whichever durable record carries it (WAL frame
-// or checkpoint meta checksum), so there is no checksum here.
-void PutU32(std::string* out, uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out->append(b, 4);
-}
-void PutU64(std::string* out, uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out->append(b, 8);
-}
-void PutI32(std::string* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-void PutStr(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-class Cursor {
- public:
-  Cursor(const char* data, size_t len) : data_(data), len_(len) {}
-  bool U8(uint8_t* v) { return Raw(v, 1); }
-  bool U32(uint32_t* v) { return Raw(v, 4); }
-  bool U64(uint64_t* v) { return Raw(v, 8); }
-  bool I32(int32_t* v) { return Raw(v, 4); }
-  bool Str(std::string* out) {
-    uint32_t n = 0;
-    if (!U32(&n) || len_ - pos_ < n) return false;
-    out->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == len_; }
-
- private:
-  bool Raw(void* v, size_t n) {
-    if (len_ - pos_ < n) return false;
-    std::memcpy(v, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  const char* data_;
-  size_t len_;
-  size_t pos_ = 0;
-};
 
 // Lockdep order keys for the kTableIndex latch family. The engine's
 // canonical acquisition order is tables ascending by TableId, and within
@@ -313,10 +264,10 @@ std::string Catalog::Snapshot() const {
   PutU32(&blob, static_cast<uint32_t>(tables.size()));
   for (const TableInfo* info : tables) {
     PutI32(&blob, info->id);
-    PutStr(&blob, info->name);
+    PutBytes(&blob, info->name);
     PutU32(&blob, static_cast<uint32_t>(info->schema.size()));
     for (const Column& col : info->schema.columns()) {
-      PutStr(&blob, col.name);
+      PutBytes(&blob, col.name);
       blob.push_back(static_cast<char>(col.type));
       blob.push_back(col.not_null ? 1 : 0);
     }
@@ -324,7 +275,7 @@ std::string Catalog::Snapshot() const {
     PutU32(&blob, static_cast<uint32_t>(info->indexes.size()));
     for (const auto& idx : info->indexes) {
       PutI32(&blob, idx->id);
-      PutStr(&blob, idx->name);
+      PutBytes(&blob, idx->name);
       blob.push_back(idx->unique ? 1 : 0);
       PutI32(&blob, idx->tree->root());
       PutU32(&blob, static_cast<uint32_t>(idx->key_columns.size()));
@@ -353,7 +304,7 @@ Status Catalog::Restore(
   }
 
   Status bad = Status::DataLoss("catalog snapshot malformed");
-  Cursor cur(blob.data(), blob.size());
+  ByteCursor cur(blob.data(), blob.size());
   uint32_t table_count = 0;
   if (!cur.I32(&next_table_id_) || !cur.I32(&next_index_id_) ||
       !cur.U32(&table_count)) {
@@ -363,7 +314,7 @@ Status Catalog::Restore(
   for (uint32_t t = 0; t < table_count; t++) {
     auto info = std::make_unique<TableInfo>();
     uint32_t column_count = 0;
-    if (!cur.I32(&info->id) || !cur.Str(&info->name) ||
+    if (!cur.I32(&info->id) || !cur.Bytes(&info->name) ||
         !cur.U32(&column_count)) {
       return bad;
     }
@@ -371,7 +322,7 @@ Status Catalog::Restore(
     for (uint32_t c = 0; c < column_count; c++) {
       Column col;
       uint8_t type = 0, not_null = 0;
-      if (!cur.Str(&col.name) || !cur.U8(&type) || !cur.U8(&not_null)) {
+      if (!cur.Bytes(&col.name) || !cur.U8(&type) || !cur.U8(&not_null)) {
         return bad;
       }
       col.type = static_cast<TypeId>(type);
@@ -399,7 +350,7 @@ Status Catalog::Restore(
       uint8_t unique = 0;
       PageId root = kInvalidPageId;
       uint32_t key_count = 0;
-      if (!cur.I32(&idx->id) || !cur.Str(&idx->name) || !cur.U8(&unique) ||
+      if (!cur.I32(&idx->id) || !cur.Bytes(&idx->name) || !cur.U8(&unique) ||
           !cur.I32(&root) || !cur.U32(&key_count)) {
         return bad;
       }

@@ -65,8 +65,8 @@ inline Status Check() {
 /// execution (the session front doors hold one across the statement so
 /// the executor, B-tree, buffer pool and page store can all observe it).
 /// Restores the previous deadline on destruction. Installing an inactive
-/// Deadline SUPPRESSES any ambient one — undo-log rollback and engine
-/// housekeeping (checkpoints, recovery) use that so compensation work is
+/// Deadline SUPPRESSES any ambient one — a batch's revert, ROLLBACK and
+/// engine housekeeping (checkpoints, recovery) use that so undo work is
 /// never itself cancelled mid-flight.
 class Scope {
  public:

@@ -76,8 +76,7 @@ struct DurabilityCountersSnapshot {
   uint64_t replayed_groups = 0;
   uint64_t truncated_tails = 0;
   uint64_t txn_begins = 0;
-  uint64_t txn_ends = 0;
-  uint64_t recovery_undo_statements = 0;
+  uint64_t recovery_undo_rows = 0;
   uint64_t injected_crashes = 0;
 };
 
@@ -105,9 +104,8 @@ class DurabilityCounters {
     truncated_tails_.fetch_add(1, std::memory_order_relaxed);
   }
   void OnTxnBegin() { txn_begins_.fetch_add(1, std::memory_order_relaxed); }
-  void OnTxnEnd() { txn_ends_.fetch_add(1, std::memory_order_relaxed); }
-  void OnRecoveryUndoStatement() {
-    recovery_undo_statements_.fetch_add(1, std::memory_order_relaxed);
+  void OnRecoveryUndoRows(uint64_t rows) {
+    recovery_undo_rows_.fetch_add(rows, std::memory_order_relaxed);
   }
   void OnInjectedCrash() {
     injected_crashes_.fetch_add(1, std::memory_order_relaxed);
@@ -125,9 +123,7 @@ class DurabilityCounters {
     s.replayed_groups = replayed_groups_.load(std::memory_order_relaxed);
     s.truncated_tails = truncated_tails_.load(std::memory_order_relaxed);
     s.txn_begins = txn_begins_.load(std::memory_order_relaxed);
-    s.txn_ends = txn_ends_.load(std::memory_order_relaxed);
-    s.recovery_undo_statements =
-        recovery_undo_statements_.load(std::memory_order_relaxed);
+    s.recovery_undo_rows = recovery_undo_rows_.load(std::memory_order_relaxed);
     s.injected_crashes = injected_crashes_.load(std::memory_order_relaxed);
     return s;
   }
@@ -143,8 +139,7 @@ class DurabilityCounters {
   std::atomic<uint64_t> replayed_groups_{0};
   std::atomic<uint64_t> truncated_tails_{0};
   std::atomic<uint64_t> txn_begins_{0};
-  std::atomic<uint64_t> txn_ends_{0};
-  std::atomic<uint64_t> recovery_undo_statements_{0};
+  std::atomic<uint64_t> recovery_undo_rows_{0};
   std::atomic<uint64_t> injected_crashes_{0};
 };
 

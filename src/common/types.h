@@ -1,6 +1,7 @@
 #ifndef MTDB_COMMON_TYPES_H_
 #define MTDB_COMMON_TYPES_H_
 
+#include <compare>
 #include <cstdint>
 #include <string>
 
@@ -61,7 +62,7 @@ struct Rid {
   PageId page_id = kInvalidPageId;
   uint16_t slot = 0;
 
-  bool operator==(const Rid& other) const = default;
+  auto operator<=>(const Rid& other) const = default;
 };
 
 }  // namespace mtdb

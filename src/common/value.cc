@@ -82,7 +82,7 @@ std::string Value::ToSqlLiteral() const {
   }
   if (type_ == TypeId::kDouble && std::isfinite(AsDouble())) {
     // The shortest fixed-point text that parses back to the same double:
-    // compensations and recovery hints find rows by exact value, and the
+    // printed statements (EXPLAIN MAPPING) run again as written, and the
     // lexer reads no exponent. A trailing ".0" keeps an integral value a
     // DOUBLE literal (and out of the integer parser's range limits).
     char buf[400];  // the longest fixed-point double is ~330 characters

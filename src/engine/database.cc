@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "common/byte_codec.h"
 #include "common/deadline.h"
 #include "common/key_encoding.h"
 #include "common/trace.h"
@@ -126,9 +127,17 @@ void CollectSelectTables(const sql::SelectStmt& stmt,
   }
 }
 
+/// Dedupes `tables` and sorts them into canonical latch order
+/// (ascending TableId).
+void SortInLatchOrder(std::vector<TableInfo*>* tables) {
+  std::sort(tables->begin(), tables->end(),
+            [](const TableInfo* a, const TableInfo* b) { return a->id < b->id; });
+  tables->erase(std::unique(tables->begin(), tables->end()), tables->end());
+}
+
 /// Resolves `names` against the catalog, dedupes, and returns the tables
-/// in canonical latch order (ascending TableId). Unknown names are
-/// skipped — the planner reports them properly afterwards.
+/// in canonical latch order. Unknown names are skipped — the planner
+/// reports them properly afterwards.
 std::vector<TableInfo*> ResolveInLatchOrder(
     Catalog* catalog, const std::vector<std::string>& names) {
   std::vector<TableInfo*> tables;
@@ -136,10 +145,46 @@ std::vector<TableInfo*> ResolveInLatchOrder(
     TableInfo* info = catalog->GetTable(name);
     if (info != nullptr) tables.push_back(info);
   }
-  std::sort(tables.begin(), tables.end(),
-            [](const TableInfo* a, const TableInfo* b) { return a->id < b->id; });
-  tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
+  SortInLatchOrder(&tables);
   return tables;
+}
+
+/// kFailedPrecondition unless `rid` of `table` holds exactly the encoded
+/// image of `row`: a revert step changes only the row its change left.
+/// The read is retried; a missing row reads as empty, which no encoded
+/// row is.
+Status CheckRowImage(TableInfo* table, const Rid& rid, const Row& row) {
+  std::string want, have;
+  MTDB_RETURN_IF_ERROR(table->codec->Encode(row, &want));
+  MTDB_RETURN_IF_ERROR(RetryCompensation([&] {
+    have.clear();
+    return table->heap->Get(rid, &have);
+  }));
+  if (have != want) {
+    return Status::FailedPrecondition(
+        "undo refused: a row of " + table->name +
+        " no longer holds the image the transaction left there");
+  }
+  return Status::OK();
+}
+
+/// kFailedPrecondition when another row holds a unique key of `row`, so
+/// restoring `row` would duplicate it. A transaction's own undo never
+/// hits this — the state a step restores existed before — so the holder
+/// is another writer's row. The lookups are retried.
+Status CheckKeysFree(TableInfo* table, const Row& row) {
+  bool taken = false;
+  MTDB_RETURN_IF_ERROR(RetryCompensation([&] {
+    Status st = CheckUniqueKeys(*table, row, /*self=*/nullptr);
+    taken = st.code() == StatusCode::kConstraintViolation;
+    return taken ? Status::OK() : st;
+  }));
+  if (taken) {
+    return Status::FailedPrecondition(
+        "undo refused: another row of " + table->name +
+        " holds a unique key of the row it would restore");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -228,8 +273,8 @@ void Database::RegisterEngineGauges() {
     registry_->RegisterGauge("wal.replayed_groups",
                              [dc] { return dc->Snapshot().replayed_groups; });
     registry_->RegisterGauge(
-        "wal.recovery_undo_statements",
-        [dc] { return dc->Snapshot().recovery_undo_statements; });
+        "wal.recovery_undo_rows",
+        [dc] { return dc->Snapshot().recovery_undo_rows; });
   }
 }
 
@@ -240,6 +285,9 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
 }
 
 Status Database::Recover() {
+  if (durability_ == nullptr) {
+    return Status::InvalidArgument("not a durable database");
+  }
   MTDB_ASSIGN_OR_RETURN(RecoveredState state, durability_->Recover());
   std::unordered_map<TableId, Catalog::TableOverride> overrides;
   for (const WalTableMeta& tm : state.table_overrides) {
@@ -247,62 +295,23 @@ Status Database::Recover() {
                                                     tm.index_roots};
   }
   MTDB_RETURN_IF_ERROR(catalog_->Restore(state.catalog_blob, overrides));
-  // Undo client transactions the crash left open, newest hint first.
-  // Each compensation runs through the normal durable statement path
-  // and commits its own group, so a crash mid-undo simply resumes here
-  // on the next open (compensations are idempotent or guarded).
-  for (auto it = state.open_hints.rbegin(); it != state.open_hints.rend();
-       ++it) {
-    MTDB_RETURN_IF_ERROR(ApplyRecoveryHint(it->sql));
+  // Revert the client transactions the crash left open: the same undo
+  // batch as ROLLBACK, over all their records in log order, ending them
+  // all in its one redo group. A crash inside it leaves them open on
+  // disk, and the next open reverts them again from the same log.
+  if (!state.open_txns.empty()) {
+    std::shared_lock<SharedLatch> ddl(ddl_mu_);
+    MTDB_ASSIGN_OR_RETURN(RowChangeLog log, DecodeUndo(state.open_undo));
+    durability_->counters().OnRecoveryUndoRows(log.size());
+    Status st = RevertTxns(state.open_txns, log);
+    // A refused step names a row a committed write changed after the
+    // transaction did (engine sessions take no row locks); that write
+    // stands.
+    if (!st.ok() && st.code() != StatusCode::kFailedPrecondition) return st;
   }
   // A fresh checkpoint seals recovery: the replayed log (and the undone
   // txns' records) truncate away.
   return Checkpoint();
-}
-
-Status Database::ApplyRecoveryHint(const std::string& sql_text) {
-  MTDB_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql_text));
-  if (stmt.kind == sql::StatementKind::kInsert && stmt.insert->rows.size() == 1) {
-    // The hint was logged *before* its forward statement, so the DELETE
-    // this INSERT compensates may never have executed — re-inserting
-    // would duplicate the row. Probe by the literal column values.
-    const sql::InsertStmt& ins = *stmt.insert;
-    TableInfo* table = catalog_->GetTable(ins.table);
-    if (table == nullptr) {
-      return Status::NotFound("recovery hint targets unknown table " +
-                              ins.table);
-    }
-    sql::ParsedExprPtr where;
-    for (size_t i = 0; i < ins.rows[0].size(); i++) {
-      const sql::ParsedExpr& e = *ins.rows[0][i];
-      if (e.kind != sql::PExprKind::kLiteral || e.literal.is_null()) continue;
-      std::string column = i < ins.columns.size()
-                               ? ins.columns[i]
-                               : (i < table->schema.size()
-                                      ? table->schema.at(i).name
-                                      : std::string());
-      if (column.empty()) continue;
-      where = sql::AndTogether(
-          std::move(where),
-          sql::MakeBinary(sql::BinaryOp::kEq,
-                          sql::MakeColumnRef("", column),
-                          sql::MakeLiteral(e.literal)));
-    }
-    if (where != nullptr) {
-      sql::SelectStmt probe;
-      probe.select_star = true;
-      sql::TableRef ref;
-      ref.table_name = ins.table;
-      probe.from.push_back(std::move(ref));
-      probe.where = std::move(where);
-      MTDB_ASSIGN_OR_RETURN(QueryResult hit, QueryAst(probe, {}));
-      if (!hit.rows.empty()) return Status::OK();  // delete never applied
-    }
-  }
-  MTDB_ASSIGN_OR_RETURN(int64_t affected, ExecuteUndo(stmt));
-  (void)affected;
-  durability_->counters().OnRecoveryUndoStatement();
-  return Status::OK();
 }
 
 Status Database::Checkpoint() {
@@ -316,20 +325,15 @@ Status Database::Checkpoint() {
   // The DDL latch exclusive quiesces every write batch and every
   // txn-record append, so a checkpoint never lands inside a logical
   // write. Open client transactions hold no latch between their
-  // statements: their undo hints are snapshotted here (race-free: every
-  // staging path holds the DDL latch shared) and preserved in the meta
-  // file so WAL truncation cannot lose them.
+  // statements: their undo records are snapshotted here (race-free: a
+  // batch adds them under the DDL latch shared) and preserved in the
+  // meta file so WAL truncation cannot lose them. A transaction that has
+  // not written yet has nothing to preserve.
   std::unique_lock<SharedLatch> ddl(ddl_mu_);
   std::vector<OpenTxnMeta> open;
   {
     std::lock_guard<Latch> reg(txn_registry_mu_);
-    open.reserve(open_txns_.size());
-    for (const auto& [id, hints] : open_txns_) {
-      OpenTxnMeta t;
-      t.txn_id = id;
-      t.hints = hints;
-      open.push_back(std::move(t));
-    }
+    open = open_batches_;
   }
   return durability_->WriteCheckpoint(catalog_->Snapshot(), open);
 }
@@ -342,20 +346,16 @@ void Database::MaybeAutoCheckpoint() {
 }
 
 Result<uint64_t> Database::BeginTxn() {
+  uint64_t txn_id = 0;
   if (durability_ == nullptr) {
-    return mem_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (durability_->frozen()) {
+    txn_id = mem_txn_id_.fetch_add(1, std::memory_order_relaxed);
+  } else if (durability_->frozen()) {
     return Status::Unavailable("durability frozen after crash");
+  } else {
+    txn_id = durability_->BeginTxn();
   }
-  // Brief shared hold: the begin record and the registry insert must be
-  // one atom w.r.t. a checkpoint's DDL-exclusive snapshot, or a
-  // checkpoint could truncate the begin record without carrying the
-  // transaction in meta.
-  std::shared_lock<SharedLatch> ddl(ddl_mu_);
-  MTDB_ASSIGN_OR_RETURN(uint64_t txn_id, durability_->BeginTxn());
   std::lock_guard<Latch> reg(txn_registry_mu_);
-  open_txns_[txn_id];
+  open_txns_.insert(txn_id);
   return txn_id;
 }
 
@@ -379,45 +379,81 @@ OpenTxnCounters* Database::OpenTxnCount(int64_t tenant) {
   return it->second.get();
 }
 
-Status Database::StageTxnHint(uint64_t txn_id,
-                              const std::string& compensation_sql) {
-  if (durability_ == nullptr) return Status::OK();
-  std::shared_lock<SharedLatch> ddl(ddl_mu_);
-  return StageTxnHintUnderStatement(txn_id, compensation_sql);
-}
-
-Status Database::StageTxnHintUnderStatement(
-    uint64_t txn_id, const std::string& compensation_sql) {
-  if (durability_ == nullptr) return Status::OK();
-  // The caller holds the DDL latch shared: it is inside a write batch, or
-  // it is StageTxnHint. Checkpoints hold the DDL latch exclusively, so no
-  // checkpoint can interleave with the append and the registry update.
-  MTDB_RETURN_IF_ERROR(durability_->LogHint(txn_id, compensation_sql));
+std::string Database::TakeTxnUndo(uint64_t txn_id) {
   std::lock_guard<Latch> reg(txn_registry_mu_);
-  auto it = open_txns_.find(txn_id);
-  if (it != open_txns_.end()) it->second.push_back(compensation_sql);
-  return Status::OK();
+  open_txns_.erase(txn_id);
+  std::string undo;
+  for (const OpenTxnMeta& batch : open_batches_) {
+    if (batch.txn_id == txn_id) undo += batch.undo;
+  }
+  std::erase_if(open_batches_, [&](const OpenTxnMeta& batch) {
+    return batch.txn_id == txn_id;
+  });
+  return undo;
 }
 
 Status Database::EndTxn(uint64_t txn_id) {
-  if (durability_ == nullptr) return Status::OK();
+  // Deregistering and appending under one shared hold keeps a checkpoint
+  // from carrying the transaction in meta once the group that ends it is
+  // written (and then truncated). A transaction that never wrote left
+  // nothing in the log to close.
   std::shared_lock<SharedLatch> ddl(ddl_mu_);
-  Status st = durability_->EndTxn(txn_id);
-  // Deregister even when the end record could not be appended (frozen
-  // durability): recovery resolves the transaction from disk, and a
-  // frozen engine writes no further checkpoints anyway.
-  std::lock_guard<Latch> reg(txn_registry_mu_);
-  open_txns_.erase(txn_id);
-  return st;
+  if (TakeTxnUndo(txn_id).empty() || durability_ == nullptr) {
+    return Status::OK();
+  }
+  WalGroup group;
+  group.ended_txns = {txn_id};
+  return durability_->CommitGroup(PageMutationCapture(), std::move(group));
+}
+
+Status Database::RollbackTxn(uint64_t txn_id) {
+  std::shared_lock<SharedLatch> ddl(ddl_mu_);
+  const std::string undo = TakeTxnUndo(txn_id);
+  if (undo.empty()) return Status::OK();
+  MTDB_ASSIGN_OR_RETURN(RowChangeLog log, DecodeUndo(undo));
+  return RevertTxns({txn_id}, log);
+}
+
+Status Database::RevertTxns(const std::vector<uint64_t>& txns,
+                            const RowChangeLog& log) {
+  // The batch runs to completion, its latching and group commit
+  // included, even when the deadline that aborted the transaction has
+  // expired: a pool miss while logging the reverted pages would
+  // otherwise fail the commit and freeze the engine.
+  deadline::Scope no_deadline(deadline::Deadline::None());
+  std::vector<TableInfo*> tables;
+  for (const RowChange& c : log) {
+    if (c.table != nullptr) tables.push_back(c.table);
+  }
+  SortInLatchOrder(&tables);
+  LatchSet latches;
+  for (TableInfo* table : tables) latches.LockTable(table, /*exclusive=*/true);
+  if (durability_ != nullptr && durability_->frozen()) {
+    return Status::Unavailable("durability frozen after crash");
+  }
+  PageMutationCapture capture;
+  Status st;
+  {
+    std::optional<PageCaptureScope> scope;
+    if (durability_ != nullptr) scope.emplace(&capture);
+    st = RevertChanges(log);
+  }
+  WalGroup group;
+  group.ended_txns = txns;
+  Status logged = CommitDmlGroup(capture, tables, std::move(group));
+  return logged.ok() ? st : logged;
 }
 
 Status Database::CommitDmlGroup(const PageMutationCapture& capture,
-                                const std::vector<TableInfo*>& tables) {
+                                const std::vector<TableInfo*>& tables,
+                                WalGroup group) {
   // WAL-protocol analyzer: the capture is consumed here, while the
   // batch's exclusive latches are still held (C302/C303).
   lockdep::OnCaptureCommit(&capture);
-  if (durability_ == nullptr || capture.empty()) return Status::OK();
-  std::vector<WalTableMeta> meta;
+  if (durability_ == nullptr || (capture.empty() && group.PagesOnly())) {
+    return Status::OK();
+  }
+  std::vector<WalTableMeta>& meta = group.table_meta;
   meta.reserve(tables.size());
   for (TableInfo* table : tables) {
     WalTableMeta tm;
@@ -428,7 +464,7 @@ Status Database::CommitDmlGroup(const PageMutationCapture& capture,
     }
     meta.push_back(std::move(tm));
   }
-  return durability_->CommitGroup(capture, std::move(meta), nullptr);
+  return durability_->CommitGroup(capture, std::move(group));
 }
 
 Status Database::CommitDdlGroup(const PageMutationCapture& capture,
@@ -437,13 +473,12 @@ Status Database::CommitDdlGroup(const PageMutationCapture& capture,
   if (durability_ == nullptr || (capture.empty() && !snapshot)) {
     return Status::OK();
   }
-  std::string blob;
-  const std::string* blob_ptr = nullptr;
+  WalGroup group;
   if (snapshot) {
-    blob = catalog_->Snapshot();
-    blob_ptr = &blob;
+    group.has_catalog_blob = true;
+    group.catalog_blob = catalog_->Snapshot();
   }
-  return durability_->CommitGroup(capture, {}, blob_ptr);
+  return durability_->CommitGroup(capture, std::move(group));
 }
 
 Session Database::OpenSession() {
@@ -498,13 +533,6 @@ Result<int64_t> Database::ExecuteAst(const sql::Statement& stmt,
     return Status::InvalidArgument("use Query() for SELECT");
   }
   return RunMutation(stmt, params);
-}
-
-Result<int64_t> Database::ExecuteUndo(const sql::Statement& comp) {
-  Result<int64_t> result =
-      RunBatch({PhysicalWrite::Dml(comp)}, {}, nullptr, /*undo=*/true);
-  MaybeAutoCheckpoint();
-  return result;
 }
 
 Result<std::string> Database::Explain(const std::string& sql) {
@@ -776,65 +804,48 @@ Status Database::UpdateRowLatched(TableInfo* table, const Rid& old_rid,
   return fail;
 }
 
-void Database::RevertInsertedRow(TableInfo* table, const Row& typed,
-                                 const Rid& rid) {
+Status Database::RevertInsertedRow(TableInfo* table, const Row& typed,
+                                   const Rid& rid) {
+  // Every entry is attempted; the first failure is reported.
+  Status first;
   for (const auto& idx : table->indexes) {
     std::string key = IndexKeyFor(*idx, typed);
-    (void)RetryCompensation([&] { return idx->tree->Delete(key, rid); });
+    Status st = RetryCompensation([&] { return idx->tree->Delete(key, rid); });
+    if (first.ok()) first = st;
   }
-  (void)RetryCompensation([&] { return table->heap->Delete(rid); });
+  Status st = RetryCompensation([&] { return table->heap->Delete(rid); });
+  return first.ok() ? st : first;
 }
 
-void Database::RevertUpdatedRow(TableInfo* table, const Rid& new_rid,
-                                const Row& new_row, const Row& old_row) {
+Status Database::RevertUpdatedRow(TableInfo* table, Rid* rid,
+                                  const Row& new_row, const Row& old_row) {
   // UpdateRowLatched is its own inverse; it already compensates
   // internally, and the outer retry covers transient bursts.
-  (void)RetryCompensation([&] {
-    Rid ignored;
-    return UpdateRowLatched(table, new_rid, new_row, old_row, &ignored);
-  });
-}
-
-void Database::RestoreDeletedRow(TableInfo* table, const Row& row) {
-  std::string image;
-  if (!table->codec->Encode(row, &image).ok()) return;
-  Rid rid{};
-  Status st = RetryCompensation([&] {
-    auto r = table->heap->Insert(image);
-    if (!r.ok()) return r.status();
-    rid = *r;
+  return RetryCompensation([&] {
+    Rid landed;
+    MTDB_RETURN_IF_ERROR(
+        UpdateRowLatched(table, *rid, new_row, old_row, &landed));
+    *rid = landed;
     return Status::OK();
   });
-  if (!st.ok()) return;
+}
+
+Status Database::RestoreDeletedRow(TableInfo* table, const Row& row,
+                                   Rid* rid) {
+  std::string image;
+  MTDB_RETURN_IF_ERROR(table->codec->Encode(row, &image));
+  MTDB_RETURN_IF_ERROR(RetryCompensation([&] {
+    MTDB_ASSIGN_OR_RETURN(*rid, table->heap->Insert(image));
+    return Status::OK();
+  }));
+  Status first;
   for (const auto& idx : table->indexes) {
     std::string key = IndexKeyFor(*idx, row);
-    (void)RetryCompensation([&] { return idx->tree->Insert(key, rid); });
+    Status st = RetryCompensation([&] { return idx->tree->Insert(key, *rid); });
+    if (first.ok()) first = st;
   }
+  return first;
 }
-
-namespace {
-
-/// Conjunction matching every non-null column value of `row` — the
-/// engine's value-based row predicate for client-transaction
-/// compensations. The engine knows no row-id column, so the match is by
-/// content: every mapped layout writes its tenant, table and row id into
-/// each physical row, but if a table holds duplicate identical rows (the
-/// Basic and Private layouts can) the compensation touches all of them.
-/// NULL columns are skipped because SQL `col = NULL` never matches.
-sql::ParsedExprPtr AllValuesPredicate(const Schema& schema, const Row& row) {
-  sql::ParsedExprPtr where;
-  for (size_t i = 0; i < row.size() && i < schema.size(); ++i) {
-    if (row[i].is_null()) continue;
-    where = sql::AndTogether(
-        std::move(where),
-        sql::MakeBinary(sql::BinaryOp::kEq,
-                        sql::MakeColumnRef("", schema.at(i).name),
-                        sql::MakeLiteral(row[i])));
-  }
-  return where;
-}
-
-}  // namespace
 
 Result<int64_t> Database::ExecuteBatch(
     const std::vector<PhysicalWrite>& writes, const std::vector<Value>& params,
@@ -846,7 +857,7 @@ Result<int64_t> Database::ExecuteBatch(
 
 Result<int64_t> Database::RunBatch(const std::vector<PhysicalWrite>& writes,
                                    const std::vector<Value>& params,
-                                   uint64_t* reverted, bool undo) {
+                                   uint64_t* reverted) {
   ExecContext ctx;
   ctx.params = params;
   ctx.deadline = deadline::Current();
@@ -864,20 +875,24 @@ Result<int64_t> Database::RunBatch(const std::vector<PhysicalWrite>& writes,
   // batch: writers to a table serialize with each other and with its
   // readers, and a reader's statement sees all of the batch or none.
   std::vector<TableInfo*> tables = targets;
-  std::sort(tables.begin(), tables.end(),
-            [](const TableInfo* a, const TableInfo* b) { return a->id < b->id; });
-  tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
+  SortInLatchOrder(&tables);
   LatchSet latches;
   for (TableInfo* table : tables) latches.LockTable(table, /*exclusive=*/true);
   if (durability_ != nullptr && durability_->frozen()) {
     return Status::Unavailable("durability frozen after crash");
   }
+  // Inside a client transaction the batch's undo records ride its redo
+  // group, so undo exists exactly when redo does.
+  txn::TransactionContext* txn_ctx = txn::TransactionContext::Current();
+  const uint64_t txn_id =
+      txn_ctx != nullptr && txn_ctx->open() ? txn_ctx->txn_id() : 0;
   // A durable batch captures its page mutations and commits them as one
   // redo group while the latches are still held — a failed-and-reverted
   // batch logs its (restored) pages too, so the WAL always reproduces
   // exactly what memory holds.
   PageMutationCapture capture;
   RowChangeLog log;
+  std::string undo;
   int64_t affected = 0;
   Status st;
   {
@@ -893,7 +908,7 @@ Result<int64_t> Database::RunBatch(const std::vector<PhysicalWrite>& writes,
       Result<int64_t> n = [&]() -> Result<int64_t> {
         MTDB_RETURN_IF_ERROR(ctx.CheckDeadline());
         if (!w.table.empty()) {
-          RowChange c{RowChange::Kind::kInsert, targets[i], {}, {}, {}};
+          RowChange c{RowChange::Kind::kInsert, targets[i], {}, {}, {}, {}};
           MTDB_RETURN_IF_ERROR(
               InsertRowLatched(targets[i], w.row, &c.rid, &c.after));
           log.push_back(std::move(c));
@@ -903,8 +918,7 @@ Result<int64_t> Database::RunBatch(const std::vector<PhysicalWrite>& writes,
           case sql::StatementKind::kInsert:
             return ExecuteInsert(*w.stmt->insert, targets[i], ctx, &log);
           case sql::StatementKind::kUpdate:
-            return ExecuteUpdate(*w.stmt->update, targets[i], ctx, &log,
-                                 /*check_unique=*/!undo);
+            return ExecuteUpdate(*w.stmt->update, targets[i], ctx, &log);
           case sql::StatementKind::kDelete:
             return ExecuteDelete(*w.stmt->del, targets[i], ctx, &log);
           default:
@@ -918,88 +932,119 @@ Result<int64_t> Database::RunBatch(const std::vector<PhysicalWrite>& writes,
         st = n.status();
       }
     }
+    if (st.ok() && txn_id != 0 && !log.empty()) st = EncodeUndo(log, &undo);
     if (!st.ok()) {
-      RevertChanges(log);
+      (void)RevertChanges(log);
       if (reverted != nullptr) *reverted = changed_writes;
     }
   }
-  // Inside a client transaction the batch stages the compensations of
-  // its rows. Hints must reach the log before the redo group: a crash
-  // between them loses the batch (no group) and the hints replay
-  // harmlessly against the pre-batch state.
-  txn::TransactionContext* txn_ctx = txn::TransactionContext::Current();
-  if (st.ok() && !log.empty() && txn_ctx != nullptr && txn_ctx->open()) {
-    st = txn_ctx->StageEngineUndo(CompensationsFor(log));
+  WalGroup group;
+  if (st.ok() && !undo.empty()) {
+    // Under the DDL latch this batch holds shared, so a checkpoint sees
+    // the records and the group that carries them together.
+    std::lock_guard<Latch> reg(txn_registry_mu_);
+    if (open_txns_.count(txn_id) != 0) {
+      open_batches_.push_back(OpenTxnMeta{txn_id, undo});
+    }
+    group.txn_id = txn_id;
+    group.undo = std::move(undo);
   }
-  Status logged = CommitDmlGroup(capture, tables);
+  Status logged = CommitDmlGroup(capture, tables, std::move(group));
   if (st.ok()) st = logged;
   if (!st.ok()) return st;
   return affected;
 }
 
-void Database::RevertChanges(const RowChangeLog& log) {
+Status Database::RevertChanges(const RowChangeLog& log) {
+  // A revert runs to completion even when the deadline that failed its
+  // batch or aborted its transaction has expired.
+  deadline::Scope no_deadline(deadline::Deadline::None());
+  // Where a row the log names by rid sits now, once a newer step of this
+  // revert moved it: an UPDATE's revert moves the row the older steps
+  // know by its old rid, a DELETE's revert restores it at a fresh rid. A
+  // slot holds a new row only after the old one left it, so the revert
+  // of that leaving rewrites the entry before any older step reads it.
+  std::map<std::pair<TableInfo*, Rid>, Rid> moved;
+  Status first;
   for (auto it = log.rbegin(); it != log.rend(); ++it) {
-    switch (it->kind) {
-      case RowChange::Kind::kInsert:
-        RevertInsertedRow(it->table, it->after, it->rid);
-        break;
-      case RowChange::Kind::kUpdate:
-        RevertUpdatedRow(it->table, it->rid, it->after, it->before);
-        break;
-      case RowChange::Kind::kDelete:
-        RestoreDeletedRow(it->table, it->before);
-        break;
+    const RowChange& c = *it;
+    Status st;
+    if (c.table == nullptr) {
+      st = Status::FailedPrecondition("undo refused: its table was dropped");
+    } else if (c.kind == RowChange::Kind::kDelete) {
+      Rid at;
+      st = CheckKeysFree(c.table, c.before);
+      if (st.ok()) st = RestoreDeletedRow(c.table, c.before, &at);
+      if (st.ok()) moved[{c.table, c.rid}] = at;
+    } else {
+      auto found = moved.find({c.table, c.rid});
+      Rid at = found == moved.end() ? c.rid : found->second;
+      st = CheckRowImage(c.table, at, c.after);
+      if (st.ok() && c.kind == RowChange::Kind::kInsert) {
+        st = RevertInsertedRow(c.table, c.after, at);
+      } else if (st.ok()) {
+        st = RevertUpdatedRow(c.table, &at, c.after, c.before);
+        if (st.ok()) moved[{c.table, c.old_rid}] = at;
+      }
     }
+    if (!st.ok() && first.ok()) first = st;
   }
+  return first;
 }
 
-std::vector<sql::Statement> Database::CompensationsFor(const RowChangeLog& log) {
-  std::vector<sql::Statement> out;
-  out.reserve(log.size());
+Status Database::EncodeUndo(const RowChangeLog& log, std::string* out) {
+  std::string image;
   for (const RowChange& c : log) {
-    const Schema& schema = c.table->schema;
-    sql::Statement comp;
-    switch (c.kind) {
-      case RowChange::Kind::kInsert:
-      case RowChange::Kind::kUpdate: {
-        sql::ParsedExprPtr where = AllValuesPredicate(schema, c.after);
-        // An all-NULL image has no value predicate; an unqualified
-        // statement would hit the whole table, so leave that (degenerate)
-        // row uncompensated rather than stage a wrong undo.
-        if (where == nullptr) continue;
-        if (c.kind == RowChange::Kind::kInsert) {
-          comp.kind = sql::StatementKind::kDelete;
-          comp.del = std::make_unique<sql::DeleteStmt>();
-          comp.del->table = c.table->name;
-          comp.del->where = std::move(where);
-        } else {
-          comp.kind = sql::StatementKind::kUpdate;
-          comp.update = std::make_unique<sql::UpdateStmt>();
-          comp.update->table = c.table->name;
-          for (size_t i = 0; i < c.before.size() && i < schema.size(); ++i) {
-            comp.update->assignments.emplace_back(
-                schema.at(i).name, sql::MakeLiteral(c.before[i]));
-          }
-          comp.update->where = std::move(where);
-        }
-        break;
-      }
-      case RowChange::Kind::kDelete: {
-        comp.kind = sql::StatementKind::kInsert;
-        comp.insert = std::make_unique<sql::InsertStmt>();
-        comp.insert->table = c.table->name;
-        std::vector<sql::ParsedExprPtr> vals;
-        for (size_t i = 0; i < c.before.size() && i < schema.size(); ++i) {
-          comp.insert->columns.push_back(schema.at(i).name);
-          vals.push_back(sql::MakeLiteral(c.before[i]));
-        }
-        comp.insert->rows.push_back(std::move(vals));
-        break;
-      }
+    PutU8(out, static_cast<uint8_t>(c.kind));
+    PutI32(out, c.table->id);
+    for (const Rid& rid : {c.rid, c.old_rid}) {
+      PutI32(out, rid.page_id);
+      PutU16(out, rid.slot);
     }
-    out.push_back(std::move(comp));
+    // The before and after images; empty where the kind has none (an
+    // encoded row is never empty).
+    for (const Row* row : {&c.before, &c.after}) {
+      image.clear();
+      if (!row->empty()) {
+        MTDB_RETURN_IF_ERROR(c.table->codec->Encode(*row, &image));
+      }
+      PutBytes(out, image);
+    }
   }
-  return out;
+  return Status::OK();
+}
+
+Result<Database::RowChangeLog> Database::DecodeUndo(const std::string& undo) {
+  ByteCursor cur(undo);
+  RowChangeLog log;
+  while (!cur.AtEnd()) {
+    RowChange c{};
+    uint8_t kind = 0;
+    TableId table_id = 0;
+    std::string_view before, after;
+    if (!cur.U8(&kind) ||
+        kind > static_cast<uint8_t>(RowChange::Kind::kDelete) ||
+        !cur.I32(&table_id) || !cur.I32(&c.rid.page_id) ||
+        !cur.U16(&c.rid.slot) || !cur.I32(&c.old_rid.page_id) ||
+        !cur.U16(&c.old_rid.slot) || !cur.Bytes(&before) ||
+        !cur.Bytes(&after)) {
+      return Status::DataLoss("undo record truncated");
+    }
+    c.kind = static_cast<RowChange::Kind>(kind);
+    c.table = catalog_->GetTable(table_id);
+    // A dropped table's images stay undecoded; RevertChanges refuses its
+    // steps.
+    const std::pair<std::string_view, Row*> images[] = {{before, &c.before},
+                                                        {after, &c.after}};
+    for (const auto& [image, row] : images) {
+      if (image.empty() || c.table == nullptr) continue;
+      MTDB_ASSIGN_OR_RETURN(
+          *row, c.table->codec->Decode(image.data(),
+                                       static_cast<uint32_t>(image.size())));
+    }
+    log.push_back(std::move(c));
+  }
+  return log;
 }
 
 Result<int64_t> Database::ExecuteInsert(const sql::InsertStmt& stmt,
@@ -1031,7 +1076,7 @@ Result<int64_t> Database::ExecuteInsert(const sql::InsertStmt& stmt,
     for (size_t i = 0; i < positions.size(); ++i) {
       MTDB_ASSIGN_OR_RETURN(full[positions[i]], values[i]->Eval(Row{}, ctx));
     }
-    RowChange c{RowChange::Kind::kInsert, table, {}, {}, {}};
+    RowChange c{RowChange::Kind::kInsert, table, {}, {}, {}, {}};
     MTDB_RETURN_IF_ERROR(InsertRowLatched(table, full, &c.rid, &c.after));
     log->push_back(std::move(c));
   }
@@ -1071,7 +1116,7 @@ Result<std::vector<std::pair<Rid, Row>>> CollectQualifying(
 Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
                                         TableInfo* table,
                                         const ExecContext& ctx,
-                                        RowChangeLog* log, bool check_unique) {
+                                        RowChangeLog* log) {
   std::vector<size_t> positions;
   std::vector<const sql::ParsedExpr*> parsed;
   for (const auto& [col, expr] : stmt.assignments) {
@@ -1104,7 +1149,7 @@ Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
       }
       new_row[positions[i]] = std::move(val);
     }
-    RowChange c{RowChange::Kind::kUpdate, table, {}, std::move(old_row),
+    RowChange c{RowChange::Kind::kUpdate, table, {}, rid, std::move(old_row),
                 std::move(new_row)};
     MTDB_RETURN_IF_ERROR(
         UpdateRowLatched(table, rid, c.before, c.after, &c.rid));
@@ -1113,9 +1158,8 @@ Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStmt& stmt,
   // Unique keys are checked once every row is written, so keys shifting
   // through each other (SET a = a + 1 over consecutive keys) are no
   // conflict. A violation fails the batch, and RunBatch reverts the log
-  // through UpdateRowLatched, which checks nothing. A compensation checks
-  // nothing either (ExecuteUndo).
-  for (size_t i = first; check_unique && i < log->size(); ++i) {
+  // through RevertChanges, which checks nothing.
+  for (size_t i = first; i < log->size(); ++i) {
     const RowChange& c = (*log)[i];
     MTDB_RETURN_IF_ERROR(CheckUniqueKeys(*table, c.after, &c.rid, &c.before));
   }
@@ -1133,8 +1177,8 @@ Result<int64_t> Database::ExecuteDelete(const sql::DeleteStmt& stmt,
   for (auto& [rid, old_row] : affected) {
     MTDB_RETURN_IF_ERROR(ctx.CheckDeadline());
     MTDB_RETURN_IF_ERROR(DeleteRowLatched(table, old_row, rid));
-    log->push_back({RowChange::Kind::kDelete, table, rid, std::move(old_row),
-                    {}});
+    log->push_back(
+        {RowChange::Kind::kDelete, table, rid, {}, std::move(old_row), {}});
   }
   return static_cast<int64_t>(affected.size());
 }

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <variant>
 #include <vector>
@@ -227,37 +228,42 @@ class Database : public StatementExecutor {
   /// path the engine is purely in-memory.
   static Result<std::unique_ptr<Database>> Open(DatabaseOptions options);
 
+  /// The recovery half of Open(), for a durable engine constructed
+  /// directly: call it before anything else, for instance after
+  /// attaching a fault injector to the page store so that recovery
+  /// itself can be crashed. A second call is kFailedPrecondition.
+  Status Recover();
+
   bool durable() const { return durability_ != nullptr; }
   Durability* durability() { return durability_.get(); }
 
   /// Quiesces all statements and writes a checkpoint: dirty pages into
   /// the page file, catalog snapshot and open client transactions' undo
-  /// hints into meta, WAL truncated. Also runs automatically by WAL
+  /// records into meta, WAL truncated. Also runs automatically by WAL
   /// volume (EngineOptions::checkpoint_interval_bytes), after a write
   /// batch has released its latches — never inside one.
   Status Checkpoint();
 
-  /// Client-transaction plumbing, used by txn::TransactionContext. Only
-  /// client brackets write txn records: an autocommit write is one
-  /// ExecuteBatch and needs none. Each txn-record append and its registry
-  /// update hold the DDL latch shared — briefly, never between
-  /// statements — so an open transaction cannot stall checkpoints (which
-  /// take it exclusively); checkpoints instead carry the open
-  /// transactions' undo hints forward in the meta file (Durability meta
-  /// v2). BeginTxn also registers the transaction in the open-txn
-  /// registry that backs that snapshot.
+  /// Client-transaction plumbing, used by txn::TransactionContext.
+  /// BeginTxn registers the transaction in the open-txn registry, which
+  /// collects the undo records of its write batches (ExecuteBatch); it
+  /// logs nothing. Every registry change that pairs with a log append
+  /// holds the DDL latch shared — briefly, never between statements — so
+  /// an open transaction cannot stall checkpoints (which take it
+  /// exclusively); checkpoints instead carry the open transactions' undo
+  /// records forward in the meta file (Durability meta v4).
   Result<uint64_t> BeginTxn();
-  /// Appends a compensation hint under a brief shared DDL-latch hold and
-  /// mirrors it into the open-txn registry.
-  Status StageTxnHint(uint64_t txn_id, const std::string& compensation_sql);
-  /// Same, from inside a write batch, which already holds the DDL latch
-  /// shared.
-  Status StageTxnHintUnderStatement(uint64_t txn_id,
-                                    const std::string& compensation_sql);
-  /// Appends the end record and deregisters atomically w.r.t.
-  /// checkpoints. Deregisters even when the append fails (frozen
-  /// durability): recovery resolves the transaction from disk.
+  /// COMMIT: logs a pages-free group that ends the transaction, when it
+  /// logged undo, and deregisters atomically w.r.t. checkpoints.
+  /// Deregisters even when the append fails (frozen durability):
+  /// recovery resolves the transaction from disk.
   Status EndTxn(uint64_t txn_id);
+  /// ROLLBACK: one batch that reverts the transaction's undo records
+  /// newest-first (RevertChanges) and ends the transaction in its redo
+  /// group. Every step is attempted; a step whose row no longer holds
+  /// the image the transaction left there is refused, and the first
+  /// refusal or failure is returned. Deregisters like EndTxn.
+  Status RollbackTxn(uint64_t txn_id);
   /// The counts behind the per-tenant txn.open gauge, registered on
   /// first use.
   OpenTxnCounters* OpenTxnCount(int64_t tenant);
@@ -296,24 +302,15 @@ class Database : public StatementExecutor {
   /// no reader sees part of it. On any failure
   /// or deadline it reverts every row the batch changed and returns the
   /// error; `reverted`, when set, then receives the number of physical
-  /// writes that had changed rows. Inside a client transaction it stages
-  /// value-based compensations for the changed rows. A durable engine
-  /// logs the batch as exactly one redo group while the latches are
-  /// held; an automatic checkpoint can only run after it. A batch
-  /// touches each physical row at most once (revert is by row image).
-  /// Every DML statement is a batch of one, as is InsertRow.
+  /// writes that had changed rows. Inside a client transaction it adds
+  /// the undo records of its rows to the transaction. A durable engine
+  /// logs the batch as exactly one redo group, which carries those
+  /// records, while the latches are held; an automatic checkpoint can
+  /// only run after it. Every DML statement is a batch of one, as is
+  /// InsertRow.
   Result<int64_t> ExecuteBatch(const std::vector<PhysicalWrite>& writes,
                                const std::vector<Value>& params = {},
                                uint64_t* reverted = nullptr);
-
-  /// Runs one compensation statement (a client rollback's or recovery's
-  /// undo of one changed row) as a batch of one. Unlike ExecuteAst, an
-  /// UPDATE here checks no unique index: compensations replay one row at
-  /// a time, newest first, so undoing a key-shifting UPDATE (SET a = a +
-  /// 1 over consecutive keys) passes through states where two rows share
-  /// a key on its way back to a state that held. RevertChanges skips the
-  /// check for the same reason.
-  Result<int64_t> ExecuteUndo(const sql::Statement& comp);
 
   /// Compiles a SELECT and renders the plan (the explain facility).
   Result<std::string> Explain(const std::string& sql);
@@ -389,60 +386,75 @@ class Database : public StatementExecutor {
                               const std::vector<Value>& params);
   Result<int64_t> RunMutationInner(const sql::Statement& stmt,
                                    const std::vector<Value>& params);
-  /// ExecuteBatch without the automatic checkpoint after it; `undo`
-  /// marks a compensation batch (ExecuteUndo), whose UPDATEs skip the
-  /// unique-key check.
+  /// ExecuteBatch without the automatic checkpoint after it.
   Result<int64_t> RunBatch(const std::vector<PhysicalWrite>& writes,
                            const std::vector<Value>& params,
-                           uint64_t* reverted, bool undo = false);
-
+                           uint64_t* reverted);
   /// Durable-mode plumbing. CommitDmlGroup appends a batch's redo group
-  /// (with every target table's physical anchors) while its latches are
-  /// still held; it runs for failed-and-reverted batches too, so the log
-  /// always matches memory. CommitDdlGroup adds the full catalog snapshot.
+  /// (with every target table's physical anchors, and `group`'s
+  /// transaction section) while its latches are still held; it runs for
+  /// failed-and-reverted batches too, so the log always matches memory.
+  /// CommitDdlGroup adds the full catalog snapshot.
   Status CommitDmlGroup(const PageMutationCapture& capture,
-                        const std::vector<TableInfo*>& tables);
+                        const std::vector<TableInfo*>& tables,
+                        WalGroup group = {});
   Status CommitDdlGroup(const PageMutationCapture& capture, bool snapshot);
   /// Runs one catalog operation as DDL: DDL latch exclusive, its page
   /// mutations captured and committed as one group (with the catalog
   /// snapshot when `op` succeeded). Returns the group's error, else op's.
   Status RunDdl(const std::function<Status()>& op);
   void MaybeAutoCheckpoint();
-  Status Recover();
-  /// Executes one recovery-undo compensation; INSERT compensations probe
-  /// for the row first (the hint precedes its forward statement in the
-  /// log, so the delete being compensated may never have run).
-  Status ApplyRecoveryHint(const std::string& sql_text);
 
-  /// One row a batch changed: enough to revert it in memory and to
-  /// build its client-transaction compensation.
+  /// One row a batch changed: enough to revert it, in memory or from its
+  /// encoded undo record.
   struct RowChange {
     enum class Kind { kInsert, kUpdate, kDelete };
     Kind kind;
+    /// Null when the record names a table dropped since.
     TableInfo* table;
-    Rid rid;     // insert: the new row; update: its (possibly moved) rid
+    /// The row's rid after the change (insert, update) or before it
+    /// (delete); `old_rid` is an UPDATE's rid before it (the heap may
+    /// have moved the row).
+    Rid rid;
+    Rid old_rid;
     Row before;  // update, delete
     Row after;   // insert, update (typed)
   };
   using RowChangeLog = std::vector<RowChange>;
+
+  /// A client transaction's undo records: per row the kind, the table
+  /// id, the rid and an UPDATE's old rid, and the before/after images in
+  /// the table's RowCodec encoding. EncodeUndo appends `log`'s;
+  /// DecodeUndo reads them back against the catalog.
+  static Status EncodeUndo(const RowChangeLog& log, std::string* out);
+  Result<RowChangeLog> DecodeUndo(const std::string& undo);
+  /// Deregisters `txn_id` and returns its undo records, oldest first.
+  std::string TakeTxnUndo(uint64_t txn_id);
+  /// The undo batch of ROLLBACK and of recovery: X-latches the tables of
+  /// `log` (the decoded records of `txns`' write batches in the order
+  /// they ran), reverts it and commits one redo group that ends `txns`.
+  /// No deadline applies to any of it. The caller holds the DDL latch
+  /// shared.
+  Status RevertTxns(const std::vector<uint64_t>& txns, const RowChangeLog& log);
 
   /// The statement drivers of a batch: each appends every row it fully
   /// applies to `log` and leaves reverting to the batch.
   Result<int64_t> ExecuteInsert(const sql::InsertStmt& stmt, TableInfo* table,
                                 const ExecContext& ctx, RowChangeLog* log);
   Result<int64_t> ExecuteUpdate(const sql::UpdateStmt& stmt, TableInfo* table,
-                                const ExecContext& ctx, RowChangeLog* log,
-                                bool check_unique);
+                                const ExecContext& ctx, RowChangeLog* log);
   Result<int64_t> ExecuteDelete(const sql::DeleteStmt& stmt, TableInfo* table,
                                 const ExecContext& ctx, RowChangeLog* log);
-  /// Reverts `log` newest-first (best effort, each step retried).
-  void RevertChanges(const RowChangeLog& log);
-  /// Value-based compensations undoing `log`, in log order (a client
-  /// rollback replays them newest-first): a DELETE of each inserted row,
-  /// an UPDATE restoring every column of each updated row, an INSERT of
-  /// each deleted row. Whole rows, so a WAL hint reproduces the old image
-  /// without access to in-memory state.
-  static std::vector<sql::Statement> CompensationsFor(const RowChangeLog& log);
+  /// Reverts `log` newest-first, each step retried. A step finds its row
+  /// where an earlier step of the same revert moved it (an UPDATE undone
+  /// onto another page, a DELETE restored at a fresh rid), and is refused
+  /// with kFailedPrecondition unless that rid holds exactly the image the
+  /// change left there; a restored DELETE is refused when another row
+  /// holds one of its unique keys. Reverting an INSERT or UPDATE checks
+  /// no unique index: undoing a key shift (SET a = a + 1 over consecutive
+  /// keys) row by row passes through states where two rows share a key.
+  /// Attempts every step and returns the first refusal or failure.
+  Status RevertChanges(const RowChangeLog& log);
 
   // Every physical mutation below is atomic at the row level: if any of
   // its heap/index writes fails, the ones already applied are compensated
@@ -460,11 +472,13 @@ class Database : public StatementExecutor {
   Status UpdateRowLatched(TableInfo* table, const Rid& old_rid,
                           const Row& old_row, const Row& new_row,
                           Rid* out_new_rid);
-  /// Best-effort inverses used by RevertChanges.
-  void RevertInsertedRow(TableInfo* table, const Row& typed, const Rid& rid);
-  void RevertUpdatedRow(TableInfo* table, const Rid& new_rid,
-                        const Row& new_row, const Row& old_row);
-  void RestoreDeletedRow(TableInfo* table, const Row& row);
+  /// The retried inverses RevertChanges applies. RevertUpdatedRow moves
+  /// `rid` to where the restored row lands; RestoreDeletedRow reports the
+  /// rid it re-inserted the row at.
+  Status RevertInsertedRow(TableInfo* table, const Row& typed, const Rid& rid);
+  Status RevertUpdatedRow(TableInfo* table, Rid* rid, const Row& new_row,
+                          const Row& old_row);
+  Status RestoreDeletedRow(TableInfo* table, const Row& row, Rid* rid);
 
   DatabaseOptions options_db_;
   EngineOptions options_;
@@ -481,14 +495,16 @@ class Database : public StatementExecutor {
   /// start cannot be dropped mid-statement.
   mutable SharedLatch ddl_mu_{LatchRank::kDdl, "ddl"};
 
-  /// Open logical transactions: txn id → accumulated compensation hints
-  /// (a registry mirror of the WAL kTxnHint records, so checkpoints can
-  /// preserve open transactions across WAL truncation); beside it the
-  /// per-tenant txn.open gauge counts. Guarded by txn_registry_mu_; writers
-  /// additionally hold the DDL latch shared, which is what makes the
-  /// checkpoint's DDL-exclusive snapshot race-free.
+  /// Open client transactions, and the undo records of their write
+  /// batches in the order the batches ran, across transactions (what
+  /// ROLLBACK reverts, one transaction's share, and what checkpoints
+  /// carry across WAL truncation); beside them the per-tenant txn.open
+  /// gauge counts. Guarded by txn_registry_mu_; writers that pair a change
+  /// with a log append additionally hold the DDL latch shared, which is
+  /// what makes the checkpoint's DDL-exclusive snapshot race-free.
   mutable Latch txn_registry_mu_{LatchRank::kTxnRegistry, "txn-registry"};
-  std::map<uint64_t, std::vector<std::string>> open_txns_;
+  std::set<uint64_t> open_txns_;
+  std::vector<OpenTxnMeta> open_batches_;
   std::map<int64_t, std::shared_ptr<OpenTxnCounters>> txn_open_counts_;
   /// Client-txn ids for in-memory engines (no WAL to assign them).
   std::atomic<uint64_t> mem_txn_id_{1};

@@ -617,8 +617,8 @@ StatementLockContext::StatementLockContext(LockManager* lm, int64_t tenant,
 StatementLockContext::~StatementLockContext() {
   tls_lock_ctx = prev_;
   // Statement-duration locks drop here — the entry points destroy this
-  // scope only after the statement's undo log has rolled back or
-  // finished, so compensation always runs under the locks it needs.
+  // scope only after the statement's batch has reverted or finished, so
+  // a revert always runs under the locks it needs.
   // Bracket-owned locks (neither flag set) survive until the
   // TransactionContext releases them after COMMIT/ROLLBACK.
   if (leased_holder_) {

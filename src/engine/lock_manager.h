@@ -297,16 +297,16 @@ class LockManager {
 /// the mapping layer's write entry points (Execute/InsertRow) around
 /// statement execution — mirrors ExplainScope/TransactionContext::Scope.
 /// Paths that must acquire nothing (admin DDL under the exclusive layer
-/// latch, EXPLAIN MAPPING, recovery and compensation replay through the
-/// engine front door) simply never install one, so the acquisition
-/// helpers inside the shared DML code no-op there.
+/// latch, EXPLAIN MAPPING, recovery and the rollback's undo batch in the
+/// engine) simply never install one, so the acquisition helpers inside
+/// the shared DML code no-op there.
 ///
 /// Holder resolution: when the statement runs inside a client bracket
 /// (txn_holder != 0) locks join the bracket's holder and survive until
 /// COMMIT/ROLLBACK; otherwise a statement-duration holder is created on
 /// first use and released by the destructor — which the entry points
-/// order to run only after the statement's undo log has finished (locks
-/// drop after compensation completes, never before).
+/// order to run only after the statement's write batch has committed or
+/// reverted (locks drop after the revert completes, never before).
 class StatementLockContext {
  public:
   /// `lm` may be null (locking disabled): every method no-ops.

@@ -128,10 +128,10 @@ auto Session::Pipeline(sql::StatementKind kind, deadline::Deadline deadline,
       }
     }
     auto out = [&]() -> decltype(run()) {
-      // The Scope makes the open transaction visible to the executor
-      // (undo binding + engine compensation staging). It must NOT cover
-      // the rollback below: compensation replay goes through the engine
-      // and must not re-enter the staging paths.
+      // The Scope makes the open transaction visible to the executor:
+      // the engine's write batches record undo for it and the mapping
+      // layer's row locks join its holder. It does not cover the
+      // rollback below.
       std::optional<txn::TransactionContext::Scope> in_txn;
       if (txn_ != nullptr) in_txn.emplace(txn_.get());
       AdmissionTicket ticket;

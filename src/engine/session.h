@@ -90,18 +90,19 @@ class Session {
 
   /// Client transaction control, equivalent to executing "BEGIN" /
   /// "COMMIT" / "ROLLBACK" through Execute. Between Begin() and
-  /// Commit()/Rollback() every DML statement's compensations accumulate
-  /// in a session transaction; Rollback() replays them newest-first and
-  /// a crash before the commit record reaches the WAL undoes the whole
-  /// transaction during recovery. Statements inside a transaction are
-  /// still admitted individually — an open transaction holds no
-  /// admission slot, no latch, and no open WAL handle between
-  /// statements. A failed statement poisons the transaction (only
-  /// ROLLBACK is accepted afterwards); a deadline expiry, admission
-  /// rejection, breaker trip or deadlock abort mid-transaction rolls it
-  /// back automatically, after which ROLLBACK acknowledges the abort.
-  /// DDL is rejected inside a transaction with kFailedPrecondition. An
-  /// open transaction is rolled back when the session is destroyed.
+  /// Commit()/Rollback() every DML statement's undo records (its rows'
+  /// rids and images) accumulate in a session transaction; Rollback()
+  /// reverts them newest-first and a crash before the commit record
+  /// reaches the WAL undoes the whole transaction during recovery.
+  /// Statements inside a transaction are still admitted individually —
+  /// an open transaction holds no admission slot, no latch, and no open
+  /// WAL handle between statements. A failed statement poisons the
+  /// transaction (only ROLLBACK is accepted afterwards); a deadline
+  /// expiry, admission rejection, breaker trip or deadlock abort
+  /// mid-transaction rolls it back automatically, after which ROLLBACK
+  /// acknowledges the abort. DDL is rejected inside a transaction with
+  /// kFailedPrecondition. An open transaction is rolled back when the
+  /// session is destroyed.
   Status Begin();
   Status Commit();
   Status Rollback();

@@ -1,17 +1,13 @@
 #include "engine/txn_context.h"
 
-#include "common/deadline.h"
+#include <string>
+
 #include "engine/database.h"
-#include "sql/printer.h"
 
 namespace mtdb {
 namespace txn {
 
 namespace {
-
-// Per-entry retry budget during rollback, on top of the buffer pool's
-// own per-I/O retries.
-constexpr int kRollbackAttempts = 4;
 
 thread_local TransactionContext* tls_current = nullptr;
 
@@ -65,12 +61,6 @@ Status TransactionContext::Begin() {
   return Status::OK();
 }
 
-Status TransactionContext::Close() {
-  begun_ = false;
-  open_counts_->closed.Add(1);
-  return db_->EndTxn(txn_id_);
-}
-
 Status TransactionContext::Commit() {
   if (!begun_) return Status::FailedPrecondition("no transaction open");
   if (state_ != State::kActive) {
@@ -79,8 +69,9 @@ Status TransactionContext::Commit() {
             ? "transaction is poisoned by a failed statement; ROLLBACK it"
             : "transaction was already aborted; ROLLBACK to acknowledge");
   }
-  entries_.clear();
-  Status st = Close();
+  begun_ = false;
+  open_counts_->closed.Add(1);
+  Status st = db_->EndTxn(txn_id_);
   // Row locks drop only once the bracket is fully closed — waiters that
   // proceed now re-run Phase (a) and see the committed image.
   ReleaseLocks();
@@ -92,44 +83,14 @@ Status TransactionContext::Commit() {
 
 Status TransactionContext::Rollback(bool is_auto) {
   if (!begun_) return Status::FailedPrecondition("no transaction open");
-  Status first_error = Status::OK();
-  {
-    // Compensations must run to completion even when the transaction is
-    // being torn down by a deadline or a cancellation, and must not
-    // stage undo of their own.
-    deadline::Scope no_deadline(deadline::Deadline::None());
-    Scope detached(nullptr);
-    while (!entries_.empty()) {
-      sql::Statement comp = std::move(entries_.back());
-      entries_.pop_back();
-      Status st = Status::OK();
-      for (int attempt = 0; attempt < kRollbackAttempts; ++attempt) {
-        st = db_->ExecuteUndo(comp).status();
-        if (st.ok()) break;
-      }
-      if (!st.ok() && first_error.ok()) first_error = st;
-    }
-  }
-  Status ended = Close();
-  // Locks release strictly after the compensations replayed above: the
-  // rolled-back rows stay write-isolated until their pre-images are back.
+  begun_ = false;
+  open_counts_->closed.Add(1);
+  Status st = db_->RollbackTxn(txn_id_);
+  // Locks release strictly after the revert above: the rolled-back rows
+  // stay write-isolated until their pre-images are back.
   ReleaseLocks();
-  if (first_error.ok()) first_error = ended;
   BumpCounter(is_auto ? "auto_rollback" : "rollback");
-  return first_error;
-}
-
-Status TransactionContext::StageEngineUndo(
-    std::vector<sql::Statement> compensations) {
-  if (!begun_) return Status::FailedPrecondition("no transaction open");
-  if (db_->durable()) {
-    for (const sql::Statement& comp : compensations) {
-      MTDB_RETURN_IF_ERROR(
-          db_->StageTxnHintUnderStatement(txn_id_, sql::ToSql(comp)));
-    }
-  }
-  for (auto& comp : compensations) entries_.push_back(std::move(comp));
-  return Status::OK();
+  return st;
 }
 
 }  // namespace txn

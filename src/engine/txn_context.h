@@ -2,11 +2,8 @@
 #define MTDB_ENGINE_TXN_CONTEXT_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/status.h"
-#include "sql/ast.h"
 
 namespace mtdb {
 
@@ -17,27 +14,27 @@ namespace txn {
 
 /// A client transaction: the bracket a Session (a TenantSession holds
 /// one) opens at an explicit BEGIN and closes at the matching COMMIT or
-/// ROLLBACK. It owns an undo log of compensating statements plus, on
-/// durable engines, the WAL bracket that makes it survive a crash.
+/// ROLLBACK.
 ///
-/// The engine is the only undo producer. Every write batch that runs
-/// while this context is Current() and open stages value-based
-/// compensations for the rows it changed (Database::ExecuteBatch ->
-/// StageEngineUndo), in batch order; Rollback() replays the accumulated
-/// log newest-first through the ordinary SQL front door. A statement
-/// that fails inside the bracket has already reverted its own batch, so
-/// it stages nothing. Autocommit writes have no context at all: one
-/// batch is atomic by itself.
+/// The engine keeps its undo. Every write batch that runs while this
+/// context is Current() and open adds the rid-keyed row images of the
+/// rows it changed to the transaction's entry in the engine's open-txn
+/// registry (Database::ExecuteBatch), in batch order; Rollback() is one
+/// engine batch that reverts them newest-first (Database::RollbackTxn),
+/// the same revert a failed batch runs. A statement that fails inside
+/// the bracket has already reverted its own batch, so it adds nothing.
+/// Autocommit writes have no context at all: one batch is atomic by
+/// itself.
 ///
-/// Durability: Begin() appends kTxnBegin, each compensation is appended
-/// as a kTxnHint before its batch's redo group, and Commit()/Rollback()
-/// append kTxnEnd. A crash anywhere in between leaves the transaction
-/// without an end record, so Recover() replays the hints newest-first —
-/// committed transactions survive, open ones vanish. The engine DDL
-/// latch, the one checkpoint exclusion, is held shared only around each
-/// append, never across statements: checkpoints do NOT wait for open
-/// transactions but carry the accumulated hints forward in the
-/// checkpoint meta (Durability meta v2), so a bracket may stay open
+/// Durability: each batch's undo records ride its redo group; Commit()
+/// logs a pages-free group that ends the transaction, and the rollback
+/// batch's own group ends it. A crash anywhere in between leaves the
+/// transaction without an end, so Recover() reverts its records —
+/// committed transactions survive, open ones vanish. The engine DDL latch, the
+/// one checkpoint exclusion, is held shared only inside those batches
+/// and appends, never across statements: checkpoints do NOT wait for
+/// open transactions but carry their undo records forward in the
+/// checkpoint meta (Durability meta v4), so a bracket may stay open
 /// indefinitely without pinning the WAL.
 ///
 /// State machine:
@@ -56,8 +53,8 @@ namespace txn {
 /// Thread model: a context belongs to one session and is touched by one
 /// thread at a time, like the session itself. The TLS installation
 /// (Scope) makes the context visible to the statement pipeline
-/// underneath: the engine's write batches stage into it, and the mapping
-/// layer's row locks join its lock holder.
+/// underneath: the engine's write batches record undo for it, and the
+/// mapping layer's row locks join its lock holder.
 class TransactionContext {
  public:
   enum class State { kActive, kPoisoned, kAborted };
@@ -72,21 +69,21 @@ class TransactionContext {
   TransactionContext(const TransactionContext&) = delete;
   TransactionContext& operator=(const TransactionContext&) = delete;
 
-  /// Opens the bracket: the WAL begin record, the engine's
-  /// open-transaction registry (checkpoint preservation) and the
-  /// txn.open gauge.
+  /// Opens the bracket: the engine's open-transaction registry and the
+  /// txn.open gauge. Logs nothing.
   Status Begin();
 
-  /// Appends the commit record and discards the undo log. Fails with
-  /// kFailedPrecondition when no transaction is open or it is poisoned
-  /// or aborted.
+  /// Logs the group that ends the transaction and discards the undo
+  /// records. Fails with kFailedPrecondition when no transaction is open
+  /// or it is poisoned or aborted.
   Status Commit();
 
-  /// Replays the accumulated compensations newest-first, then closes the
-  /// WAL bracket. Each entry is retried a few times and the replay is
-  /// deadline-suppressed; it returns the first failure but attempts
-  /// every entry. `is_auto` selects the txn.auto_rollback metric and is
-  /// set by the session's abort paths and the destructor.
+  /// Reverts the transaction's rows newest-first in one engine batch
+  /// that also ends it (Database::RollbackTxn). Each step is retried and
+  /// the batch is deadline-suppressed; it returns the first failure or
+  /// refusal but attempts every step. `is_auto` selects the
+  /// txn.auto_rollback metric and is set by the session's abort paths
+  /// and the destructor.
   Status Rollback(bool is_auto = false);
 
   State state() const { return state_; }
@@ -99,7 +96,7 @@ class TransactionContext {
 
   /// The bracket's lock-manager holder id (DESIGN.md §15), created on
   /// the first write statement's acquisition and released only after
-  /// Commit()/Rollback() completes — compensation replay always runs
+  /// Commit()/Rollback() completes — the rollback batch always runs
   /// under the locks that protected the forward statements. Returns 0
   /// when the engine runs without a lock manager.
   uint64_t EnsureLockHolder();
@@ -108,20 +105,13 @@ class TransactionContext {
   uint64_t txn_id() const { return txn_id_; }
   bool open() const { return begun_; }
 
-  /// Value-based compensations of a write batch that already applied,
-  /// appended to the undo log. Runs under the batch's shared DDL latch,
-  /// so no checkpoint (DDL latch exclusive) can interleave with the
-  /// hints' appends.
-  Status StageEngineUndo(std::vector<sql::Statement> compensations);
-
   /// The context installed on this thread by the innermost live Scope,
   /// or nullptr outside any transaction-bound statement.
   static TransactionContext* Current();
 
   /// Installs a context (or nullptr) as the thread's current for the
   /// duration of one statement. The session layer creates one around
-  /// statement execution; Rollback() installs nullptr while it replays,
-  /// so compensation replay never stages undo of its own.
+  /// statement execution.
   class Scope {
    public:
     explicit Scope(TransactionContext* ctx);
@@ -136,8 +126,6 @@ class TransactionContext {
  private:
   void BumpCounter(const char* op);
   void ReleaseLocks();
-  /// Appends the end record of an opened bracket.
-  Status Close();
 
   Database* db_;
   int64_t tenant_;
@@ -147,8 +135,6 @@ class TransactionContext {
   uint64_t txn_id_ = 0;
   uint64_t lock_holder_ = 0;
   bool begun_ = false;
-  /// Compensations in staging order, across statements.
-  std::vector<sql::Statement> entries_;
 };
 
 }  // namespace txn

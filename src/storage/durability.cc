@@ -1,5 +1,6 @@
 #include "storage/durability.h"
 
+#include "common/byte_codec.h"
 #include "common/trace.h"
 
 #include <algorithm>
@@ -19,61 +20,20 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kMetaMagic = 0x4D4D4554u;  // "MMET"
-// v2 appends the open-client-transaction section; v1 files (no section)
-// still load. v3 keeps v2's layout but stores PageStore::Checksum page
-// sums; v1 and v2 files hold byte-wise FNV-1a sums, which recovery still
-// verifies (LegacyPageChecksum).
-constexpr uint32_t kMetaVersion = 3;
+// v2 appended an open-client-transaction section of SQL undo hints; v3
+// kept that layout but stored PageStore::Checksum page sums, where v1
+// and v2 files hold byte-wise FNV-1a sums (LegacyPageChecksum). v4's
+// open-txn section lists the open transactions' write batches (txn id,
+// undo records) in the order they ran, and its last eight bytes are
+// PageStore::Checksum of the rest instead of FNV-1a.
+// A v1–v3 file loads when it carries no SQL hint.
+constexpr uint32_t kMetaVersion = 4;
 
 /// The page checksum of meta v1 and v2: FNV-1a 64-bit over the image.
 /// Only recovery from such a meta uses it.
 uint64_t LegacyPageChecksum(const char* image, size_t n) {
   return WalChecksum(image, n, kFnv1aBasis);
 }
-
-void PutU32(std::string* out, uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out->append(b, 4);
-}
-void PutU64(std::string* out, uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out->append(b, 8);
-}
-void PutI32(std::string* out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-/// Bounds-checked sequential decoder over the meta image.
-class Cursor {
- public:
-  Cursor(const char* data, size_t len) : data_(data), len_(len) {}
-
-  bool U8(uint8_t* v) { return Raw(v, 1); }
-  bool U32(uint32_t* v) { return Raw(v, 4); }
-  bool U64(uint64_t* v) { return Raw(v, 8); }
-  bool I32(int32_t* v) { return Raw(v, 4); }
-  bool Bytes(std::string* out, size_t n) {
-    if (len_ - pos_ < n) return false;
-    out->assign(data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  size_t pos() const { return pos_; }
-  bool AtEnd() const { return pos_ == len_; }
-
- private:
-  bool Raw(void* v, size_t n) {
-    if (len_ - pos_ < n) return false;
-    std::memcpy(v, data_ + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  const char* data_;
-  size_t len_;
-  size_t pos_ = 0;
-};
 
 Status StatusFromErrno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
@@ -126,10 +86,8 @@ Status Durability::AppendLocked(WalRecordType type, const std::string& payload) 
 }
 
 Status Durability::CommitGroup(const PageMutationCapture& capture,
-                               std::vector<WalTableMeta> table_meta,
-                               const std::string* catalog_blob) {
-  if (capture.empty() && catalog_blob == nullptr) return Status::OK();
-  WalGroup group;
+                               WalGroup group) {
+  if (capture.empty() && group.PagesOnly()) return Status::OK();
   group.ops.reserve(capture.ops.size());
   for (const PageMutationCapture::Op& op : capture.ops) {
     WalPageOp out;
@@ -194,11 +152,6 @@ Status Durability::CommitGroup(const PageMutationCapture& capture,
     }
     pool_->UnpinPage(id, /*dirty=*/false);
   }
-  group.table_meta = std::move(table_meta);
-  if (catalog_blob != nullptr) {
-    group.has_catalog_blob = true;
-    group.catalog_blob = *catalog_blob;
-  }
   std::string payload = EncodeWalGroup(group);
   std::lock_guard<Latch> lock(mu_);
   MTDB_RETURN_IF_ERROR(AppendLocked(WalRecordType::kGroup, payload));
@@ -206,34 +159,9 @@ Status Durability::CommitGroup(const PageMutationCapture& capture,
   return Status::OK();
 }
 
-Status Durability::LogHint(uint64_t txn_id, const std::string& compensation_sql) {
-  WalTxnRecord rec;
-  rec.txn_id = txn_id;
-  rec.sql = compensation_sql;
-  std::string payload = EncodeWalTxn(rec);
-  std::lock_guard<Latch> lock(mu_);
-  return AppendLocked(WalRecordType::kTxnHint, payload);
-}
-
-Result<uint64_t> Durability::BeginTxn() {
-  uint64_t txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  WalTxnRecord rec;
-  rec.txn_id = txn_id;
-  std::string payload = EncodeWalTxn(rec);
-  std::lock_guard<Latch> lock(mu_);
-  MTDB_RETURN_IF_ERROR(AppendLocked(WalRecordType::kTxnBegin, payload));
+uint64_t Durability::BeginTxn() {
   counters_.OnTxnBegin();
-  return txn_id;
-}
-
-Status Durability::EndTxn(uint64_t txn_id) {
-  WalTxnRecord rec;
-  rec.txn_id = txn_id;
-  std::string payload = EncodeWalTxn(rec);
-  std::lock_guard<Latch> lock(mu_);
-  MTDB_RETURN_IF_ERROR(AppendLocked(WalRecordType::kTxnEnd, payload));
-  counters_.OnTxnEnd();
-  return Status::OK();
+  return next_txn_id_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool Durability::NeedsCheckpoint() const {
@@ -261,13 +189,10 @@ Status Durability::StoreMeta(const CheckpointMeta& meta) {
   PutU64(&buf, meta.open_txns.size());
   for (const OpenTxnMeta& txn : meta.open_txns) {
     PutU64(&buf, txn.txn_id);
-    PutU64(&buf, txn.hints.size());
-    for (const std::string& hint : txn.hints) {
-      PutU64(&buf, hint.size());
-      buf.append(hint);
-    }
+    PutU64(&buf, txn.undo.size());
+    buf.append(txn.undo);
   }
-  PutU64(&buf, WalChecksum(buf.data(), buf.size(), kFnv1aBasis));
+  PutU64(&buf, PageStore::Checksum(buf.data(), buf.size()));
 
   std::FILE* f = std::fopen(MetaTmpPath().c_str(), "wb");
   if (f == nullptr) return StatusFromErrno("open " + MetaTmpPath());
@@ -311,13 +236,19 @@ Status Durability::LoadMeta(CheckpointMeta* meta, bool* found) {
   bool read_error = std::ferror(f) != 0;
   std::fclose(f);
   if (read_error) return StatusFromErrno("read " + MetaPath());
-  if (buf.size() < 8) return Status::DataLoss("checkpoint meta truncated");
+  if (buf.size() < 16) return Status::DataLoss("checkpoint meta truncated");
+  // The version field picks the sum; a damaged one fails the check.
+  uint32_t sum_version;
   uint64_t stored_sum;
+  std::memcpy(&sum_version, buf.data() + 4, 4);
   std::memcpy(&stored_sum, buf.data() + buf.size() - 8, 8);
-  if (WalChecksum(buf.data(), buf.size() - 8, kFnv1aBasis) != stored_sum) {
+  const uint64_t sum =
+      sum_version >= 4 ? PageStore::Checksum(buf.data(), buf.size() - 8)
+                       : WalChecksum(buf.data(), buf.size() - 8, kFnv1aBasis);
+  if (sum != stored_sum) {
     return Status::DataLoss("checkpoint meta checksum mismatch");
   }
-  Cursor cur(buf.data(), buf.size() - 8);
+  ByteCursor cur(buf.data(), buf.size() - 8);
   uint32_t magic = 0, version = 0, page_size = 0;
   uint64_t page_count = 0;
   if (!cur.U32(&magic) || magic != kMetaMagic || !cur.U32(&version) ||
@@ -352,33 +283,28 @@ Status Durability::LoadMeta(CheckpointMeta* meta, bool* found) {
     meta->free_list.push_back(id);
   }
   uint64_t blob_len = 0;
-  if (!cur.U64(&blob_len) || !cur.Bytes(&meta->catalog_blob, blob_len)) {
+  if (!cur.U64(&blob_len) || !cur.Take(&meta->catalog_blob, blob_len)) {
     return Status::DataLoss("checkpoint meta catalog blob malformed");
   }
   meta->open_txns.clear();
-  if (version >= 2) {
-    uint64_t txn_count = 0;
-    if (!cur.U64(&txn_count)) {
+  uint64_t txn_count = 0;
+  if (version >= 2 && !cur.U64(&txn_count)) {
+    return Status::DataLoss("checkpoint meta open-txn section malformed");
+  }
+  for (uint64_t i = 0; i < txn_count; i++) {
+    OpenTxnMeta txn;
+    uint64_t count = 0;  // v4: undo bytes; v2/v3: SQL hints
+    if (!cur.U64(&txn.txn_id) || !cur.U64(&count) ||
+        (version >= 4 && !cur.Take(&txn.undo, count))) {
       return Status::DataLoss("checkpoint meta open-txn section malformed");
     }
-    meta->open_txns.reserve(txn_count);
-    for (uint64_t i = 0; i < txn_count; i++) {
-      OpenTxnMeta txn;
-      uint64_t hint_count = 0;
-      if (!cur.U64(&txn.txn_id) || !cur.U64(&hint_count)) {
-        return Status::DataLoss("checkpoint meta open-txn section malformed");
-      }
-      txn.hints.reserve(hint_count);
-      for (uint64_t h = 0; h < hint_count; h++) {
-        uint64_t len = 0;
-        std::string sql;
-        if (!cur.U64(&len) || !cur.Bytes(&sql, len)) {
-          return Status::DataLoss("checkpoint meta open-txn hint malformed");
-        }
-        txn.hints.push_back(std::move(sql));
-      }
-      meta->open_txns.push_back(std::move(txn));
+    if (version < 4 && count > 0) {
+      return Status::FailedPrecondition(
+          "checkpoint meta " + MetaPath() + " (v" + std::to_string(version) +
+          ") holds an open transaction's SQL undo hints; this build undoes "
+          "by row image, cannot replay them and left the files untouched");
     }
+    if (version >= 4) meta->open_txns.push_back(std::move(txn));
   }
   if (!cur.AtEnd()) {
     return Status::DataLoss("checkpoint meta has trailing bytes");
@@ -467,6 +393,9 @@ Status Durability::WriteCheckpoint(const std::string& catalog_blob,
 }
 
 Result<RecoveredState> Durability::Recover() {
+  if (writer_ != nullptr) {
+    return Status::FailedPrecondition("durability already recovered");
+  }
   counters_.OnRecovery();
   std::error_code ec;
   fs::create_directories(WalDir(), ec);
@@ -520,20 +449,18 @@ Result<RecoveredState> Durability::Recover() {
   state.found_checkpoint = found;
   state.catalog_blob = meta.catalog_blob;
   std::map<int32_t, WalTableMeta> overrides;
-  std::map<uint64_t, std::vector<RecoveredTxnHint>> open_txns;
-  // Client transactions open at the last checkpoint: their WAL records
-  // were truncated, so their hints come from the meta file. Pseudo-lsns
-  // 1..k keep within-txn order and sort before every surviving log
-  // record: each hint once occupied a real lsn <= ckpt_lsn, so
-  // k <= ckpt_lsn < the lsn of anything still in the log. A kTxnEnd
-  // surviving in the log (commit after the checkpoint) closes the
-  // meta-seeded entry exactly like a log-seeded one.
+  // Open client transactions: per txn its batches' (lsn, undo records).
+  std::map<uint64_t, std::vector<std::pair<uint64_t, std::string>>> open_txns;
+  // Batches of client transactions open at the last checkpoint: their
+  // groups were truncated, so their undo records come from the meta
+  // file, which lists them in the order they ran. Pseudo-lsns 1..k keep
+  // that order and sort before every surviving log record: each batch
+  // rode its own group at an lsn <= ckpt_lsn, so k <= ckpt_lsn < the lsn
+  // of anything still in the log. A group surviving in the log that ends
+  // such a transaction closes it exactly like a log-seeded one.
   uint64_t pseudo_lsn = 0;
-  for (const OpenTxnMeta& txn : meta.open_txns) {
-    auto& list = open_txns[txn.txn_id];
-    for (const std::string& sql : txn.hints) {
-      list.push_back({++pseudo_lsn, txn.txn_id, sql});
-    }
+  for (OpenTxnMeta& batch : meta.open_txns) {
+    open_txns[batch.txn_id].emplace_back(++pseudo_lsn, std::move(batch.undo));
   }
   std::unordered_set<PageId> touched;
   // Alloc/dealloc order at the store is a global total order, but group
@@ -554,73 +481,51 @@ Result<RecoveredState> Durability::Recover() {
   uint64_t max_txn = 0;
   for (WalRecord& rec : scan.records) {
     max_lsn = std::max(max_lsn, rec.lsn);
-    switch (rec.type) {
-      case WalRecordType::kGroup: {
-        if (rec.lsn <= meta.ckpt_lsn) break;  // covered by the checkpoint
-        MTDB_ASSIGN_OR_RETURN(WalGroup group, DecodeWalGroup(rec.payload));
-        for (const WalPageOp& op : group.ops) {
-          max_op_seq = std::max(max_op_seq, op.seq);
-          touched.insert(op.page);
-          page_ops.push_back(op);
-        }
-        for (WalPageImage& img : group.images) {
-          if (img.image.size() != store_->page_size()) {
-            return Status::DataLoss("replay image size mismatch on page " +
-                                    std::to_string(img.page));
-          }
-          touched.insert(img.page);
-          last_images[img.page] = std::move(img);
-        }
-        for (const WalPageDelta& delta : group.deltas) {
-          // Every page changed since the checkpoint logged a full image
-          // first, so a delta with no image before it means a damaged log.
-          auto it = last_images.find(delta.page);
-          if (it == last_images.end()) {
-            return Status::DataLoss("replay delta for page " +
-                                    std::to_string(delta.page) +
-                                    " has no full image since the checkpoint");
-          }
-          MTDB_RETURN_IF_ERROR(ApplyPageDelta(
-              delta.ops, it->second.image.data(), store_->page_size()));
-        }
-        if (group.has_catalog_blob) {
-          // DDL group: its snapshot supersedes everything recorded so far.
-          state.catalog_blob = std::move(group.catalog_blob);
-          overrides.clear();
-        }
-        for (WalTableMeta& tm : group.table_meta) {
-          overrides[tm.table_id] = std::move(tm);
-        }
-        counters_.OnReplayedGroup();
-        state.replayed_groups++;
-        break;
-      }
-      case WalRecordType::kTxnBegin: {
-        // Txn records at or below ckpt_lsn are already accounted for by
-        // the checkpoint (closed txns are resolved; open ones travel in
-        // meta.open_txns). Replaying them would double-count hints when
-        // a crash lands between meta install and WAL truncation.
-        if (rec.lsn <= meta.ckpt_lsn) break;
-        MTDB_ASSIGN_OR_RETURN(WalTxnRecord txn, DecodeWalTxn(rec.payload));
-        max_txn = std::max(max_txn, txn.txn_id);
-        open_txns[txn.txn_id];
-        break;
-      }
-      case WalRecordType::kTxnHint: {
-        if (rec.lsn <= meta.ckpt_lsn) break;
-        MTDB_ASSIGN_OR_RETURN(WalTxnRecord txn, DecodeWalTxn(rec.payload));
-        max_txn = std::max(max_txn, txn.txn_id);
-        open_txns[txn.txn_id].push_back({rec.lsn, txn.txn_id, txn.sql});
-        break;
-      }
-      case WalRecordType::kTxnEnd: {
-        if (rec.lsn <= meta.ckpt_lsn) break;
-        MTDB_ASSIGN_OR_RETURN(WalTxnRecord txn, DecodeWalTxn(rec.payload));
-        max_txn = std::max(max_txn, txn.txn_id);
-        open_txns.erase(txn.txn_id);
-        break;
-      }
+    if (rec.lsn <= meta.ckpt_lsn) continue;  // covered by the checkpoint
+    MTDB_ASSIGN_OR_RETURN(WalGroup group, DecodeWalGroup(rec.payload));
+    for (const WalPageOp& op : group.ops) {
+      max_op_seq = std::max(max_op_seq, op.seq);
+      touched.insert(op.page);
+      page_ops.push_back(op);
     }
+    for (WalPageImage& img : group.images) {
+      if (img.image.size() != store_->page_size()) {
+        return Status::DataLoss("replay image size mismatch on page " +
+                                std::to_string(img.page));
+      }
+      touched.insert(img.page);
+      last_images[img.page] = std::move(img);
+    }
+    for (const WalPageDelta& delta : group.deltas) {
+      // Every page changed since the checkpoint logged a full image
+      // first, so a delta with no image before it means a damaged log.
+      auto it = last_images.find(delta.page);
+      if (it == last_images.end()) {
+        return Status::DataLoss("replay delta for page " +
+                                std::to_string(delta.page) +
+                                " has no full image since the checkpoint");
+      }
+      MTDB_RETURN_IF_ERROR(ApplyPageDelta(
+          delta.ops, it->second.image.data(), store_->page_size()));
+    }
+    if (group.has_catalog_blob) {
+      // DDL group: its snapshot supersedes everything recorded so far.
+      state.catalog_blob = std::move(group.catalog_blob);
+      overrides.clear();
+    }
+    for (WalTableMeta& tm : group.table_meta) {
+      overrides[tm.table_id] = std::move(tm);
+    }
+    if (group.txn_id != 0) {
+      max_txn = std::max(max_txn, group.txn_id);
+      open_txns[group.txn_id].emplace_back(rec.lsn, std::move(group.undo));
+    }
+    for (uint64_t txn_id : group.ended_txns) {
+      max_txn = std::max(max_txn, txn_id);
+      open_txns.erase(txn_id);
+    }
+    counters_.OnReplayedGroup();
+    state.replayed_groups++;
   }
 
   // Replay the page ops in true allocation order, each directed at
@@ -664,15 +569,13 @@ Result<RecoveredState> Durability::Recover() {
     }
   }
 
-  for (auto& [txn_id, hints] : open_txns) {
-    for (RecoveredTxnHint& hint : hints) {
-      state.open_hints.push_back(std::move(hint));
-    }
+  std::vector<std::pair<uint64_t, std::string>> batches;
+  for (auto& [txn_id, undo] : open_txns) {
+    state.open_txns.push_back(txn_id);
+    for (auto& batch : undo) batches.push_back(std::move(batch));
   }
-  std::sort(state.open_hints.begin(), state.open_hints.end(),
-            [](const RecoveredTxnHint& a, const RecoveredTxnHint& b) {
-              return a.lsn < b.lsn;
-            });
+  std::sort(batches.begin(), batches.end());  // by lsn; lsns are unique
+  for (const auto& [lsn, undo] : batches) state.open_undo += undo;
   state.table_overrides.reserve(overrides.size());
   for (auto& [table_id, tm] : overrides) {
     state.table_overrides.push_back(std::move(tm));

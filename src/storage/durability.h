@@ -24,30 +24,28 @@ struct DurabilityOptions {
   uint64_t checkpoint_interval_bytes = 0;
 };
 
-/// A compensation hint of a logical transaction left open by a crash.
-struct RecoveredTxnHint {
-  uint64_t lsn = 0;
-  uint64_t txn_id = 0;
-  std::string sql;
-};
-
-/// A client transaction still open at checkpoint time. Checkpoints must
-/// not lose the undo information of open transactions when they truncate
-/// the WAL, so the accumulated compensation hints travel in the meta
-/// file (v2) and are re-seeded into replay on recovery.
+/// One write batch of a client transaction still open at checkpoint
+/// time: the transaction and the batch's undo records. Checkpoints must
+/// not lose them when they truncate the WAL, so the meta file (v4) lists
+/// every open transaction's batches in the order they ran, and recovery
+/// re-seeds them into replay in that order. Reverting needs the order
+/// across transactions too: a heap slot one transaction freed can hold a
+/// row another inserted.
 struct OpenTxnMeta {
   uint64_t txn_id = 0;
-  std::vector<std::string> hints;  // compensation SQL, staging order
+  std::string undo;
 };
 
 /// What WAL replay hands back to the engine: the last catalog snapshot,
 /// the physical-location overrides accumulated since it (heap first
-/// pages, index roots), and the open logical transactions to undo.
+/// pages, index roots), and the open client transactions to undo with
+/// their write batches' undo records, concatenated in log order.
 struct RecoveredState {
   bool found_checkpoint = false;
   std::string catalog_blob;
   std::vector<WalTableMeta> table_overrides;
-  std::vector<RecoveredTxnHint> open_hints;  // ascending lsn
+  std::vector<uint64_t> open_txns;
+  std::string open_undo;
   uint64_t next_txn_id = 1;
   uint64_t replayed_groups = 0;
 };
@@ -62,8 +60,10 @@ struct RecoveredState {
 /// page's first change since the checkpoint or its allocation, plus
 /// ordered alloc/dealloc ops) while its table latches are still held,
 /// so "statement reported success" if and only if "statement survives
-/// recovery". Txn records bracket client transactions only; their hints
-/// let recovery undo a transaction that never committed.
+/// recovery". Inside a client transaction the group also carries the
+/// batch's undo records, which let recovery undo a transaction that
+/// never committed; a group that ends the transaction (a pages-free one
+/// on COMMIT) closes it.
 ///
 /// Failure model: freeze-on-crash. An injected kCrash (or a real append
 /// failure) freezes the subsystem; every later durable operation returns
@@ -83,36 +83,36 @@ class Durability {
   /// Loads the checkpoint into the store, replays the WAL (truncating a
   /// torn tail), verifies untouched page images against the checkpoint
   /// checksums, and opens a fresh log segment for new appends. Must be
-  /// called exactly once, before any other method.
+  /// called before any other method; a second call is
+  /// kFailedPrecondition.
   Result<RecoveredState> Recover();
 
-  /// Appends a write batch's redo group. Called with the batch's
-  /// exclusive table latches still held. A page with a before-image in
-  /// the capture is logged as a delta against it, unless it has no full
-  /// image in the log since the last checkpoint (or its allocation) or
-  /// the delta would not be smaller than the page; then as a full image.
-  /// An empty capture with no blob is a no-op (read-only statement).
-  Status CommitGroup(const PageMutationCapture& capture,
-                     std::vector<WalTableMeta> table_meta,
-                     const std::string* catalog_blob);
+  /// Appends a write batch's redo group: `group` arrives with its table
+  /// meta, catalog blob and transaction section set, and the capture's
+  /// page ops and records are added. Called with the batch's exclusive
+  /// table latches still held. A page with a before-image in the capture
+  /// is logged as a delta against it, unless it has no full image in the
+  /// log since the last checkpoint (or its allocation) or the delta would
+  /// not be smaller than the page; then as a full image. An empty capture
+  /// of a group that carries nothing else is a no-op (read-only batch).
+  Status CommitGroup(const PageMutationCapture& capture, WalGroup group);
 
-  /// Client transaction bracket: appends the begin/end record. The
-  /// caller (Database's open-txn registry) holds the engine DDL latch
-  /// shared around each append, never across statements, and checkpoints
+  /// Client transactions: assigns an id and logs nothing. A transaction
+  /// first reaches the log with its first write batch's group and leaves
+  /// it with a group that ends it (WalGroup::ended_txns); checkpoints
   /// carry open transactions forward in the meta file instead of waiting
   /// for them.
-  Result<uint64_t> BeginTxn();
-  Status LogHint(uint64_t txn_id, const std::string& compensation_sql);
-  Status EndTxn(uint64_t txn_id);
+  uint64_t BeginTxn();
 
   /// Writes the checkpoint: FlushAll, dirty store pages into pages.db,
   /// meta (tmp + atomic rename), then WAL truncation last. Installing the
   /// meta clears every page's imaged bit, so each page's next change
   /// logs a full image again. The caller
   /// must have quiesced all statements and txn-record appends (engine DDL
-  /// latch exclusive). `open_txns` carries the undo hints of
-  /// logical transactions still open at this instant; truncation erases
-  /// their WAL records, so the meta copy is what recovery replays.
+  /// latch exclusive). `open_txns` carries the undo records of client
+  /// transactions still open at this instant, one entry per write batch
+  /// in the order the batches ran; truncation erases their groups, so
+  /// the meta copy is what recovery reverts.
   Status WriteCheckpoint(const std::string& catalog_blob,
                          const std::vector<OpenTxnMeta>& open_txns = {});
 
@@ -144,7 +144,7 @@ class Durability {
   std::string WalDir() const { return dir_ + "/wal"; }
 
   struct CheckpointMeta {
-    /// Format version as loaded; it decides the page-sum function (v3:
+    /// Format version as loaded; it decides the page-sum function (v3+:
     /// PageStore::Checksum, v1/v2: FNV-1a).
     uint32_t version = 0;
     uint64_t ckpt_lsn = 0;
@@ -152,7 +152,7 @@ class Durability {
     std::vector<std::pair<PageType, uint64_t>> pages;  // slot -> type, sum
     std::vector<PageId> free_list;
     std::string catalog_blob;
-    std::vector<OpenTxnMeta> open_txns;  // meta v2; empty in v1 files
+    std::vector<OpenTxnMeta> open_txns;  // loaded from v4 files only
   };
   Status LoadMeta(CheckpointMeta* meta, bool* found);
   Status StoreMeta(const CheckpointMeta& meta);

@@ -6,6 +6,9 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/byte_codec.h"
+#include "storage/page_store.h"
+
 namespace mtdb {
 
 namespace fs = std::filesystem;
@@ -13,66 +16,31 @@ namespace fs = std::filesystem;
 namespace {
 
 // Frame layout: magic u32 | lsn u64 | type u8 | pad u8[3] | payload_len
-// u32 | checksum u64, followed by payload_len payload bytes. The
-// checksum covers the header (with the checksum field zeroed) plus the
-// payload, so a tear anywhere in the frame is detected. The magic is the
-// format version: "MWL2" frames carry delta groups; "MWAL" frames (full
-// page images, checksummed from a mistyped FNV basis) are only
-// recognised so recovery can refuse them.
-constexpr uint32_t kFrameMagic = 0x4D574C32u;        // "MWL2"
-constexpr uint32_t kLegacyFrameMagic = 0x4D57414Cu;  // "MWAL"
-constexpr uint64_t kLegacyChecksumSeed = 1469598103934665603ull;
+// u32 | checksum u64, followed by payload_len payload bytes. The magic is
+// the format version. An "MWL3" frame's checksum is PageStore::Checksum
+// of the header whose checksum field holds PageStore::Checksum of the
+// payload, so a tear anywhere in the frame is detected. Frames of the
+// older formats are only recognised so recovery can refuse them: "MWL2"
+// (SQL undo hints) and "MWAL" (full page images, from a mistyped FNV
+// basis) are FNV-1a over the header, checksum field zeroed, then the
+// payload.
+constexpr uint32_t kFrameMagic = 0x4D574C33u;  // "MWL3"
+constexpr uint32_t kMwl2Magic = 0x4D574C32u;   // "MWL2"
+constexpr uint32_t kMwalMagic = 0x4D57414Cu;   // "MWAL"
+constexpr uint64_t kMwalChecksumSeed = 1469598103934665603ull;
 constexpr size_t kFrameHeaderSize = kWalFrameHeaderSize;
 constexpr size_t kChecksumOffset = 4 + 8 + 1 + 3 + 4;
 
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), 4);
+/// The "MWL3" checksum of a frame: `header`'s checksum field is
+/// overwritten with the payload's sum, then the header is summed.
+uint64_t FrameChecksum(char* header, const std::string& payload) {
+  const uint64_t payload_sum =
+      PageStore::Checksum(payload.data(), payload.size());
+  std::memcpy(header + kChecksumOffset, &payload_sum, 8);
+  return PageStore::Checksum(header, kFrameHeaderSize);
 }
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), 8);
-}
-void PutI32(std::string* out, int32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), 4);
-}
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-void PutBytes(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-/// Bounds-checked little cursor over a decoded payload.
-class Cursor {
- public:
-  explicit Cursor(const std::string& data) : data_(data) {}
-
-  bool ReadU32(uint32_t* v) { return ReadRaw(v, 4); }
-  bool ReadU64(uint64_t* v) { return ReadRaw(v, 8); }
-  bool ReadI32(int32_t* v) { return ReadRaw(v, 4); }
-  bool ReadU8(uint8_t* v) { return ReadRaw(v, 1); }
-  bool ReadBytes(std::string* s) {
-    uint32_t len;
-    if (!ReadU32(&len)) return false;
-    if (pos_ + len > data_.size()) return false;
-    s->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  bool ReadRaw(void* out, size_t n) {
-    if (pos_ + n > data_.size()) return false;
-    std::memcpy(out, data_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  const std::string& data_;
-  size_t pos_ = 0;
-};
 
 /// The frame header for `payload`, checksum filled in. Appends write it
 /// and the payload back to back, so the payload is never copied.
@@ -85,8 +53,7 @@ std::array<char, kFrameHeaderSize> FrameHeader(uint64_t lsn,
   std::memcpy(header.data() + 4, &lsn, 8);
   header[12] = static_cast<char>(type);
   std::memcpy(header.data() + 16, &len, 4);
-  uint64_t sum = WalChecksum(header.data(), header.size(), kFnv1aBasis);
-  sum = WalChecksum(payload.data(), payload.size(), sum);
+  const uint64_t sum = FrameChecksum(header.data(), payload);
   std::memcpy(header.data() + kChecksumOffset, &sum, 8);
   return header;
 }
@@ -135,11 +102,6 @@ constexpr size_t kDeltaGap = 16;
 constexpr size_t kMinMoveRun = 24;
 /// Largest shift searched for: a few B-tree entries (12 bytes each).
 constexpr size_t kMaxShift = 64;
-
-void PutU16(std::string* out, size_t v) {
-  const uint16_t u = static_cast<uint16_t>(v);
-  out->append(reinterpret_cast<const char*>(&u), 2);
-}
 
 /// Builds EncodePageDelta's op list. Moves read the before-image, so the
 /// encoder keeps each move's source inside a window no other op writes
@@ -251,28 +213,20 @@ std::string EncodePageDelta(const char* before, const char* after,
 }
 
 Status ApplyPageDelta(const std::string& ops, char* page, size_t page_size) {
-  size_t pos = 0;
-  auto read_u16 = [&](size_t* v) {
-    if (ops.size() - pos < 2) return false;
-    uint16_t u;
-    std::memcpy(&u, ops.data() + pos, 2);
-    pos += 2;
-    *v = u;
-    return true;
-  };
-  while (pos < ops.size()) {
-    const auto op = static_cast<DeltaOp>(ops[pos++]);
-    size_t dst = 0, len = 0, src = 0;
-    if (op == DeltaOp::kSet) {
-      if (!read_u16(&dst) || !read_u16(&len) || ops.size() - pos < len ||
-          dst + len > page_size) {
+  ByteCursor cur(ops);
+  uint8_t op;
+  while (cur.U8(&op)) {
+    uint16_t dst = 0, len = 0, src = 0;
+    if (op == static_cast<uint8_t>(DeltaOp::kSet)) {
+      std::string_view bytes;
+      if (!cur.U16(&dst) || !cur.U16(&len) || !cur.Take(&bytes, len) ||
+          size_t{dst} + len > page_size) {
         return Status::DataLoss("wal delta: malformed set");
       }
-      std::memcpy(page + dst, ops.data() + pos, len);
-      pos += len;
-    } else if (op == DeltaOp::kMove) {
-      if (!read_u16(&dst) || !read_u16(&src) || !read_u16(&len) ||
-          dst + len > page_size || src + len > page_size) {
+      std::memcpy(page + dst, bytes.data(), len);
+    } else if (op == static_cast<uint8_t>(DeltaOp::kMove)) {
+      if (!cur.U16(&dst) || !cur.U16(&src) || !cur.U16(&len) ||
+          size_t{dst} + len > page_size || size_t{src} + len > page_size) {
         return Status::DataLoss("wal delta: malformed move");
       }
       std::memmove(page + dst, page + src, len);
@@ -284,6 +238,14 @@ Status ApplyPageDelta(const std::string& ops, char* page, size_t page_size) {
 }
 
 // ------------------------------------------------------------- payloads
+
+namespace {
+
+// Bits of a group's transaction flag byte.
+constexpr uint8_t kHasUndo = 1;
+constexpr uint8_t kEndsTxns = 2;
+
+}  // namespace
 
 std::string EncodeWalGroup(const WalGroup& group) {
   std::string out;
@@ -317,20 +279,32 @@ std::string EncodeWalGroup(const WalGroup& group) {
   }
   PutU8(&out, group.has_catalog_blob ? 1 : 0);
   if (group.has_catalog_blob) PutBytes(&out, group.catalog_blob);
+  // One flag byte for the transaction section, so an autocommit group
+  // pays a single byte for it.
+  PutU8(&out, (group.txn_id != 0 ? kHasUndo : 0) |
+                  (group.ended_txns.empty() ? 0 : kEndsTxns));
+  if (group.txn_id != 0) {
+    PutU64(&out, group.txn_id);
+    PutBytes(&out, group.undo);
+  }
+  if (!group.ended_txns.empty()) {
+    PutU32(&out, static_cast<uint32_t>(group.ended_txns.size()));
+    for (uint64_t txn_id : group.ended_txns) PutU64(&out, txn_id);
+  }
   return out;
 }
 
 Result<WalGroup> DecodeWalGroup(const std::string& payload) {
   WalGroup group;
-  Cursor cur(payload);
+  ByteCursor cur(payload);
   uint32_t n_ops;
-  if (!cur.ReadU32(&n_ops)) return Status::DataLoss("wal group: ops count");
+  if (!cur.U32(&n_ops)) return Status::DataLoss("wal group: ops count");
   group.ops.reserve(n_ops);
   for (uint32_t i = 0; i < n_ops; ++i) {
     WalPageOp op;
     uint8_t kind, type;
-    if (!cur.ReadU8(&kind) || !cur.ReadI32(&op.page) || !cur.ReadU8(&type) ||
-        !cur.ReadU64(&op.seq)) {
+    if (!cur.U8(&kind) || !cur.I32(&op.page) || !cur.U8(&type) ||
+        !cur.U64(&op.seq)) {
       return Status::DataLoss("wal group: truncated op");
     }
     op.kind = static_cast<WalPageOp::Kind>(kind);
@@ -338,46 +312,46 @@ Result<WalGroup> DecodeWalGroup(const std::string& payload) {
     group.ops.push_back(op);
   }
   uint32_t n_images;
-  if (!cur.ReadU32(&n_images)) {
+  if (!cur.U32(&n_images)) {
     return Status::DataLoss("wal group: image count");
   }
   group.images.reserve(n_images);
   for (uint32_t i = 0; i < n_images; ++i) {
     WalPageImage img;
     uint8_t type;
-    if (!cur.ReadI32(&img.page) || !cur.ReadU8(&type) ||
-        !cur.ReadBytes(&img.image)) {
+    if (!cur.I32(&img.page) || !cur.U8(&type) ||
+        !cur.Bytes(&img.image)) {
       return Status::DataLoss("wal group: truncated image");
     }
     img.type = static_cast<PageType>(type);
     group.images.push_back(std::move(img));
   }
   uint32_t n_deltas;
-  if (!cur.ReadU32(&n_deltas)) {
+  if (!cur.U32(&n_deltas)) {
     return Status::DataLoss("wal group: delta count");
   }
   group.deltas.reserve(n_deltas);
   for (uint32_t i = 0; i < n_deltas; ++i) {
     WalPageDelta delta;
-    if (!cur.ReadI32(&delta.page) || !cur.ReadBytes(&delta.ops)) {
+    if (!cur.I32(&delta.page) || !cur.Bytes(&delta.ops)) {
       return Status::DataLoss("wal group: truncated delta");
     }
     group.deltas.push_back(std::move(delta));
   }
   uint32_t n_meta;
-  if (!cur.ReadU32(&n_meta)) return Status::DataLoss("wal group: meta count");
+  if (!cur.U32(&n_meta)) return Status::DataLoss("wal group: meta count");
   group.table_meta.reserve(n_meta);
   for (uint32_t i = 0; i < n_meta; ++i) {
     WalTableMeta meta;
     uint32_t n_roots;
-    if (!cur.ReadI32(&meta.table_id) || !cur.ReadI32(&meta.first_page) ||
-        !cur.ReadU32(&n_roots)) {
+    if (!cur.I32(&meta.table_id) || !cur.I32(&meta.first_page) ||
+        !cur.U32(&n_roots)) {
       return Status::DataLoss("wal group: truncated meta");
     }
     for (uint32_t r = 0; r < n_roots; ++r) {
       int32_t index_id;
       PageId root;
-      if (!cur.ReadI32(&index_id) || !cur.ReadI32(&root)) {
+      if (!cur.I32(&index_id) || !cur.I32(&root)) {
         return Status::DataLoss("wal group: truncated index root");
       }
       meta.index_roots.emplace_back(index_id, root);
@@ -385,29 +359,25 @@ Result<WalGroup> DecodeWalGroup(const std::string& payload) {
     group.table_meta.push_back(std::move(meta));
   }
   uint8_t has_blob;
-  if (!cur.ReadU8(&has_blob)) return Status::DataLoss("wal group: blob flag");
+  if (!cur.U8(&has_blob)) return Status::DataLoss("wal group: blob flag");
   group.has_catalog_blob = has_blob != 0;
-  if (group.has_catalog_blob && !cur.ReadBytes(&group.catalog_blob)) {
+  if (group.has_catalog_blob && !cur.Bytes(&group.catalog_blob)) {
     return Status::DataLoss("wal group: truncated catalog blob");
+  }
+  uint8_t txn_flags;
+  uint32_t n_ended = 0;
+  if (!cur.U8(&txn_flags) || txn_flags > (kHasUndo | kEndsTxns) ||
+      ((txn_flags & kHasUndo) != 0 &&
+       (!cur.U64(&group.txn_id) || !cur.Bytes(&group.undo))) ||
+      ((txn_flags & kEndsTxns) != 0 && !cur.U32(&n_ended))) {
+    return Status::DataLoss("wal group: truncated txn section");
+  }
+  group.ended_txns.resize(n_ended);
+  for (uint64_t& txn_id : group.ended_txns) {
+    if (!cur.U64(&txn_id)) return Status::DataLoss("wal group: ends");
   }
   if (!cur.AtEnd()) return Status::DataLoss("wal group: trailing bytes");
   return group;
-}
-
-std::string EncodeWalTxn(const WalTxnRecord& rec) {
-  std::string out;
-  PutU64(&out, rec.txn_id);
-  PutBytes(&out, rec.sql);
-  return out;
-}
-
-Result<WalTxnRecord> DecodeWalTxn(const std::string& payload) {
-  WalTxnRecord rec;
-  Cursor cur(payload);
-  if (!cur.ReadU64(&rec.txn_id) || !cur.ReadBytes(&rec.sql) || !cur.AtEnd()) {
-    return Status::DataLoss("wal txn record: truncated");
-  }
-  return rec;
 }
 
 // -------------------------------------------------------------- writer
@@ -552,8 +522,10 @@ Result<WalReader::ScanResult> WalReader::ReadAll() {
       type = static_cast<uint8_t>(header[12]);
       std::memcpy(&payload_len, header + 16, 4);
       std::memcpy(&stored_sum, header + kChecksumOffset, 8);
-      const bool legacy = magic == kLegacyFrameMagic;
-      if ((magic != kFrameMagic && !legacy) || type < 1 || type > 4) {
+      const bool mwl2 = magic == kMwl2Magic;
+      const bool legacy = mwl2 || magic == kMwalMagic;
+      if ((magic != kFrameMagic && !legacy) || type < 1 || type > 4 ||
+          (!legacy && type != static_cast<uint8_t>(WalRecordType::kGroup))) {
         torn = true;
         break;
       }
@@ -571,26 +543,29 @@ Result<WalReader::ScanResult> WalReader::ReadAll() {
         torn = true;
         break;
       }
-      // Re-derive the checksum with the stored field zeroed.
-      char zeroed[kFrameHeaderSize];
-      std::memcpy(zeroed, header, kFrameHeaderSize);
-      std::memset(zeroed + kChecksumOffset, 0, 8);
-      const uint64_t seed = legacy ? kLegacyChecksumSeed : kFnv1aBasis;
-      uint64_t sum = WalChecksum(zeroed, kFrameHeaderSize, seed);
-      sum = WalChecksum(payload.data(), payload.size(), sum);
+      uint64_t sum;
+      if (legacy) {
+        // Re-derive the old FNV-1a checksum with the stored field zeroed.
+        std::memset(header + kChecksumOffset, 0, 8);
+        sum = WalChecksum(header, kFrameHeaderSize,
+                          mwl2 ? kFnv1aBasis : kMwalChecksumSeed);
+        sum = WalChecksum(payload.data(), payload.size(), sum);
+      } else {
+        sum = FrameChecksum(header, payload);
+      }
       if (sum != stored_sum) {
         torn = true;
         break;
       }
       if (legacy) {
-        // A whole, valid frame of the full-image format, not a tear:
+        // A whole, valid frame of an older format, not a tear:
         // truncating it would silently drop acknowledged statements.
         std::fclose(f);
         return Status::FailedPrecondition(
             "wal segment " + path.string() + " holds a frame at offset " +
-            std::to_string(offset) +
-            " in the older full-image format (magic MWAL); this build "
-            "cannot replay it and left the log untouched");
+            std::to_string(offset) + " in an older format (magic " +
+            (mwl2 ? "MWL2, SQL undo hints" : "MWAL, full page images") +
+            "); this build cannot replay it and left the log untouched");
       }
       WalRecord rec;
       rec.lsn = lsn;

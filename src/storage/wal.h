@@ -13,15 +13,14 @@
 
 namespace mtdb {
 
-/// Physical log record kinds. Groups carry page redo for one engine
-/// write batch (a whole logical write); the txn records bracket a
-/// client transaction, so recovery can undo one that never committed
-/// (see DESIGN.md §10 and §14).
+/// Physical log record kinds. A group carries page redo for one engine
+/// write batch (a whole logical write) and, inside a client transaction,
+/// the batch's undo records; a group also ends client transactions, on
+/// COMMIT (pages-free) or by reverting them (DESIGN.md §10 and §14).
+/// Types 2–4 belonged to the retired begin, SQL-hint and commit records
+/// of the "MWL2" format.
 enum class WalRecordType : uint8_t {
   kGroup = 1,
-  kTxnBegin = 2,
-  kTxnHint = 3,
-  kTxnEnd = 4,
 };
 
 /// One decoded log frame: header fields plus the raw payload bytes.
@@ -31,11 +30,13 @@ struct WalRecord {
   std::string payload;
 };
 
-/// FNV-1a 64-bit offset basis: the seed of every WAL frame and checkpoint
-/// meta checksum, and of the page sums in v1/v2 checkpoint meta files.
+/// FNV-1a 64-bit offset basis: the seed of the "MWL2" frame checksum,
+/// of the v1–v3 checkpoint meta checksum and of the page sums in v1/v2
+/// meta files.
 inline constexpr uint64_t kFnv1aBasis = 14695981039346656037ull;
 
-/// FNV-1a over a byte range; also used by the checkpoint meta file.
+/// FNV-1a over a byte range. Only older formats use it: recognising
+/// "MWAL" and "MWL2" frames, and reading v1–v3 checkpoint meta files.
 uint64_t WalChecksum(const char* data, size_t len, uint64_t seed);
 
 /// Bytes of frame framing ahead of the payload (magic, lsn, type, pad,
@@ -107,20 +108,24 @@ struct WalGroup {
   /// Full catalog snapshot; present only for DDL statements.
   bool has_catalog_blob = false;
   std::string catalog_blob;
+  /// The client transaction whose write batch this is (0: autocommit)
+  /// and the batch's undo records, which storage keeps opaque (the
+  /// engine's row-image encoding). Undo exists exactly when redo does.
+  uint64_t txn_id = 0;
+  std::string undo;
+  /// Client transactions this group ends: COMMIT logs a group holding
+  /// only this; the undo batch of a ROLLBACK or of recovery reverts the
+  /// transactions and closes them in the same group.
+  std::vector<uint64_t> ended_txns;
+
+  /// True when the group carries nothing but page redo.
+  bool PagesOnly() const {
+    return !has_catalog_blob && txn_id == 0 && ended_txns.empty();
+  }
 };
 
 std::string EncodeWalGroup(const WalGroup& group);
 Result<WalGroup> DecodeWalGroup(const std::string& payload);
-
-/// Decoded kTxnBegin / kTxnHint / kTxnEnd payload. Hints carry the
-/// compensation SQL for the *next* physical statement of the txn.
-struct WalTxnRecord {
-  uint64_t txn_id = 0;
-  std::string sql;  // hints only
-};
-
-std::string EncodeWalTxn(const WalTxnRecord& rec);
-Result<WalTxnRecord> DecodeWalTxn(const std::string& payload);
 
 // -------------------------------------------------------------- writer
 
@@ -172,8 +177,8 @@ class WalWriter {
 /// Scans every segment in order, verifying frame checksums. The first
 /// invalid frame is treated as a torn tail: the file is truncated at
 /// that offset, later segments are deleted, and the scan stops — torn
-/// records are never surfaced, let alone replayed. A valid frame of the
-/// older full-image format (magic "MWAL") fails the scan with
+/// records are never surfaced, let alone replayed. A valid frame of an
+/// older format (magic "MWAL" or "MWL2") fails the scan with
 /// kFailedPrecondition and leaves every segment as it is.
 class WalReader {
  public:

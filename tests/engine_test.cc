@@ -220,9 +220,9 @@ TEST_F(UniqueIndexTest, KeysShiftingThroughEachOtherAreNoConflict) {
                                                   "6:e"}));
 }
 
-// A client rollback replays one compensation per row, newest first, so
+// A client rollback reverts one row image at a time, newest first, so
 // undoing the shift moves row e from 6 back to 5 while row d still holds
-// 5. The compensations check no unique index and restore every row.
+// 5. The revert checks no unique index and restores every row.
 TEST_F(UniqueIndexTest, RollingBackAKeyShiftRestoresEveryRow) {
   ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c'), "
                           "(4, 'd'), (5, 'e')")

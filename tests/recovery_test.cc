@@ -445,8 +445,8 @@ INSTANTIATE_TEST_SUITE_P(Layouts, RecoverySiteSweepTest,
 // Crashes inside open client transactions: the shadow holds only what
 // COMMIT acknowledged. Statements acked inside a transaction that never
 // reached its commit record must vanish on recovery; acked COMMITs must
-// survive; a kill mid-ROLLBACK (while compensations are being replayed
-// and their WAL groups appended) must still erase the transaction.
+// survive; a kill mid-ROLLBACK (at the undo batch's group append) must
+// still erase the transaction.
 
 /// Randomized matrix over every layout × seeds: autocommit statements
 /// interleave with transactional bursts (BEGIN; 1..4 DML; COMMIT or
@@ -644,8 +644,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// Deterministic transactional site sweep: a fixed scripted workload —
 /// a committed transaction, a checkpoint inside an open transaction, a
-/// runtime ROLLBACK (whose compensation replay appends its own WAL
-/// groups), and a transaction left open at teardown — is dry-run to
+/// runtime ROLLBACK (whose undo batch appends its own WAL group), and a
+/// transaction left open at teardown — is dry-run to
 /// count kCrash evaluations, then re-run once per site with the kill
 /// pinned there. Every kill must recover to the committed-only shadow:
 /// crashes before the commit record erase the transaction, crashes
@@ -711,9 +711,9 @@ TEST_P(TxnRecoverySiteSweepTest, EveryCrashSiteRecoversCommittedOnly) {
       }
     }
 
-    // Transaction 2: checkpoint lands mid-bracket (hints move to meta
-    // v2), then the transaction rolls back at runtime — compensations
-    // append their own groups, so kills land mid-rollback too.
+    // Transaction 2: checkpoint lands mid-bracket (its undo records move
+    // to meta v4), then the transaction rolls back at runtime — the undo
+    // batch appends its own group, so kills land mid-rollback too.
     if (!crashed) {
       TenantSession s = layout->OpenSession(0);
       bool ok = s.Begin().ok();
@@ -805,14 +805,12 @@ INSTANTIATE_TEST_SUITE_P(Layouts, TxnRecoverySiteSweepTest,
                            return LayoutKindName(info.param);
                          });
 
-/// Recovery replays an open transaction's compensations from their SQL
-/// text, and a compensation finds its physical row by the row's whole
-/// image. Every literal in that text must therefore parse back to the
-/// exact stored value: a DOUBLE rendered short (1234.5678 as 1234.57)
-/// matches nothing, and the uncommitted writes would survive the crash.
-/// Non-round doubles sit in a base column and in an extension column, so
-/// the mapped layouts keep them in chunk, pivot and extension tables; the
-/// Chunk Table layouts get a shape with typed dbl columns for them.
+/// Recovery reverts an open transaction from the row images its groups
+/// logged, so non-round DOUBLE values (which a short decimal rendering
+/// would not reproduce) come back bit for bit. They sit in a base column
+/// and in an extension column, so the mapped layouts keep them in chunk,
+/// pivot and extension tables; the Chunk Table layouts get a shape with
+/// typed dbl columns for them.
 class TxnRecoveryDoubleTest : public ::testing::TestWithParam<LayoutKind> {};
 
 TEST_P(TxnRecoveryDoubleTest, OpenTransactionOverDoublesVanishesOnRecovery) {
@@ -874,7 +872,7 @@ TEST_P(TxnRecoveryDoubleTest, OpenTransactionOverDoublesVanishesOnRecovery) {
       ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
     }
     // Kill the durability layer at the COMMIT record: the transaction
-    // has no end record, so recovery must undo it from its hints.
+    // has no end record, so recovery must undo it from its undo records.
     FaultInjector injector(7);
     FaultSpec spec;
     spec.probability = 1.0;
@@ -921,6 +919,140 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<LayoutKind>& info) {
       return LayoutKindName(info.param);
     });
+
+/// Recovery reverts the transactions a crash left open with the same undo
+/// batch as ROLLBACK, and a crash can land inside recovery too. One
+/// crashed state — a committed transaction beside an open one that shifted
+/// unique keys and was checkpointed mid-bracket — is recovered once per
+/// kCrash site of recovery itself (the undo batch's group append, then the
+/// sealing checkpoint), killed there, and opened again: every run must
+/// reach the committed-only state.
+TEST(TxnRecoveryUndoCrashTest, EveryCrashSiteInRecoveryReopensCommittedOnly) {
+  const std::string image = FreshDir("txn_undo_crash_image");
+  {
+    auto opened = Database::Open(DatabaseOptions::WithPath(image));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<Database> db = std::move(*opened);
+    for (const char* sql :
+         {"CREATE TABLE t (id BIGINT, name VARCHAR)",
+          "CREATE UNIQUE INDEX ux_t_id ON t (id)",
+          "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')"}) {
+      ASSERT_TRUE(db->Execute(sql).ok()) << sql;
+    }
+    Session committed = db->OpenSession();
+    ASSERT_TRUE(committed.Begin().ok());
+    ASSERT_TRUE(
+        committed.Execute("UPDATE t SET name = 'b2' WHERE id = 2").ok());
+    ASSERT_TRUE(committed.Commit().ok());
+    Session open = db->OpenSession();
+    ASSERT_TRUE(open.Begin().ok());
+    for (const std::string& sql :
+         {std::string("INSERT INTO t VALUES (4, 'd')"),
+          std::string("UPDATE t SET id = id + 1"), std::string("CHECKPOINT"),
+          std::string("DELETE FROM t WHERE id = 4"),
+          "UPDATE t SET name = '" + std::string(300, 'x') + "' WHERE id = 3"}) {
+      if (sql == "CHECKPOINT") {
+        ASSERT_TRUE(db->Checkpoint().ok());
+        continue;
+      }
+      auto r = open.Execute(sql);
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    }
+    // The process stops with the bracket open.
+    db->durability()->Freeze();
+  }
+  const std::vector<std::string> want = {"1:a", "2:b2", "3:c"};
+  auto rows = [](Database* db) {
+    std::vector<std::string> out;
+    auto r = db->Query("SELECT id, name FROM t ORDER BY id");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return out;
+    for (const Row& row : r->rows) {
+      out.push_back(row[0].ToString() + ":" + row[1].ToString());
+    }
+    return out;
+  };
+  const std::string dir = FreshDir("txn_undo_crash");
+  // Recovers a copy of the crashed state with `spec` armed at kCrash.
+  auto recover = [&](const FaultSpec& spec, uint64_t* evaluations,
+                     uint64_t* undo_rows) {
+    fs::remove_all(dir);
+    fs::copy(image, dir, fs::copy_options::recursive);
+    Database db(DatabaseOptions::WithPath(dir));
+    FaultInjector injector(5);
+    injector.Arm(FaultPoint::kCrash, spec);
+    db.page_store()->set_fault_injector(&injector);
+    Status st = db.Recover();
+    db.page_store()->set_fault_injector(nullptr);
+    EXPECT_EQ(db.Recover().code(), StatusCode::kFailedPrecondition)
+        << "an engine recovered twice";
+    *evaluations = injector.evaluations(FaultPoint::kCrash);
+    *undo_rows = db.Stats().durability.recovery_undo_rows;
+    return st;
+  };
+
+  FaultSpec dry;
+  dry.probability = 0.0;
+  uint64_t sites = 0;
+  uint64_t undo_rows = 0;
+  Status clean = recover(dry, &sites, &undo_rows);
+  ASSERT_TRUE(clean.ok()) << clean.ToString();
+  // INSERT, four key-shifted rows, DELETE, UPDATE.
+  EXPECT_EQ(undo_rows, 7u);
+  ASSERT_GT(sites, 2u) << "recovery consulted kCrash too rarely";
+
+  for (uint64_t site = 0; site <= sites; ++site) {
+    SCOPED_TRACE("recovery crash site " + std::to_string(site) + " of " +
+                 std::to_string(sites));
+    FaultSpec spec;
+    spec.probability = 1.0;
+    spec.skip = site;
+    spec.max_fires = 1;
+    uint64_t evaluations = 0;
+    Status st = recover(spec, &evaluations, &undo_rows);
+    EXPECT_EQ(st.ok(), site == sites) << st.ToString();
+    auto reopened = Database::Open(DatabaseOptions::WithPath(dir));
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(rows(reopened->get()), want);
+  }
+}
+
+/// Two open brackets share a heap slot: the younger transaction deletes a
+/// row, the older one inserts into the freed slot, and a checkpoint
+/// moves both batches' undo records into the meta file before the
+/// crash. Recovery must revert the batches in the order they ran, not
+/// transaction by transaction, or the older transaction's revert looks
+/// for its row where the restored delete put the other one, is refused,
+/// and its uncommitted row survives.
+TEST(TxnRecoveryInterleaveTest, SlotSharedByTwoOpenBracketsIsUndoneInOrder) {
+  const std::string dir = FreshDir("txn_interleave");
+  {
+    auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::unique_ptr<Database> db = std::move(*opened);
+    ASSERT_TRUE(db->Execute("CREATE TABLE t (id BIGINT, name VARCHAR)").ok());
+    ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')").ok());
+    Session older = db->OpenSession();
+    ASSERT_TRUE(older.Begin().ok());
+    Session younger = db->OpenSession();
+    ASSERT_TRUE(younger.Begin().ok());
+    ASSERT_TRUE(younger.Execute("DELETE FROM t WHERE id = 1").ok());
+    ASSERT_TRUE(older.Execute("INSERT INTO t VALUES (9, 'q')").ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    // The process stops with both brackets open.
+    db->durability()->Freeze();
+  }
+  auto reopened = Database::Open(DatabaseOptions::WithPath(dir));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto r = (*reopened)->Query("SELECT id, name FROM t ORDER BY id");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::vector<std::string> got;
+  for (const Row& row : r->rows) {
+    got.push_back(row[0].ToString() + ":" + row[1].ToString());
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"1:x", "2:y"}));
+  EXPECT_EQ((*reopened)->Stats().durability.recovery_undo_rows, 2u);
+}
 
 /// Deallocation regression: DROP TABLE frees pages through the logged
 /// free list. Recovery must replay those deallocations byte-exactly —
@@ -1572,69 +1704,82 @@ TEST(WalReaderRobustnessTest, StraySegmentLookalikesAreIgnored) {
   EXPECT_FALSE(fs::exists(wal_dir + "/seg-00000001.wal"));
 }
 
-/// A log written in the older full-image frame format ("MWAL" magic,
-/// checksummed from the mistyped FNV basis) is whole and valid, not a
+/// A log written in an older frame format is whole and valid, not a
 /// torn tail: recovery must refuse it with an explicit error and leave
 /// every byte on disk, instead of truncating acknowledged statements.
+/// "MWAL" frames (full page images) were checksummed with FNV-1a from a
+/// mistyped basis, "MWL2" frames (SQL undo hints) from the right one.
 TEST(WalFormatTest, OldFormatLogFailsOpenAndStaysOnDisk) {
-  const std::string dir = FreshDir("wal_old_format");
-  const std::string wal_dir = dir + "/wal";
-  fs::create_directories(wal_dir);
-  // Old kGroup payload: one alloc op, one full image, no table meta, no
-  // catalog blob.
-  std::string payload;
-  auto put = [&payload](const auto& v) {
-    payload.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  struct OldFormat {
+    const char* magic_text;
+    uint32_t magic;
+    uint64_t seed;
   };
-  put(uint32_t{1});
-  put(uint8_t{1});
-  put(int32_t{0});
-  put(uint8_t{1});
-  put(uint64_t{1});
-  put(uint32_t{1});
-  put(int32_t{0});
-  put(uint8_t{1});
-  put(static_cast<uint32_t>(kDefaultPageSize));
-  payload.append(kDefaultPageSize, 'A');
-  put(uint32_t{0});
-  put(uint8_t{0});
-  std::string frame;
-  const uint32_t magic = 0x4D57414Cu;  // "MWAL"
-  const uint64_t lsn = 1;
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  frame.append(reinterpret_cast<const char*>(&magic), 4);
-  frame.append(reinterpret_cast<const char*>(&lsn), 8);
-  frame.push_back(1);  // kGroup
-  frame.append(3, '\0');
-  frame.append(reinterpret_cast<const char*>(&len), 4);
-  frame.append(8, '\0');  // checksum, computed over the zeroed field
-  const uint64_t old_seed = 1469598103934665603ull;  // the mistyped basis
-  uint64_t sum = WalChecksum(frame.data(), frame.size(), old_seed);
-  sum = WalChecksum(payload.data(), payload.size(), sum);
-  std::memcpy(frame.data() + 20, &sum, 8);
-  frame += payload;
-  const std::string segment = wal_dir + "/seg-00000000.wal";
-  {
-    std::ofstream out(segment, std::ios::binary);
-    out << frame;
-  }
+  for (const OldFormat& format :
+       {OldFormat{"MWAL", 0x4D57414Cu, 1469598103934665603ull},
+        OldFormat{"MWL2", 0x4D574C32u, kFnv1aBasis}}) {
+    SCOPED_TRACE(format.magic_text);
+    const std::string dir =
+        FreshDir(std::string("wal_old_format_") + format.magic_text);
+    const std::string wal_dir = dir + "/wal";
+    fs::create_directories(wal_dir);
+    // Old kGroup payload: one alloc op, one full image, no table meta, no
+    // catalog blob.
+    std::string payload;
+    auto put = [&payload](const auto& v) {
+      payload.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(uint32_t{1});
+    put(uint8_t{1});
+    put(int32_t{0});
+    put(uint8_t{1});
+    put(uint64_t{1});
+    put(uint32_t{1});
+    put(int32_t{0});
+    put(uint8_t{1});
+    put(static_cast<uint32_t>(kDefaultPageSize));
+    payload.append(kDefaultPageSize, 'A');
+    put(uint32_t{0});
+    put(uint8_t{0});
+    std::string frame;
+    const uint64_t lsn = 1;
+    const uint32_t len = static_cast<uint32_t>(payload.size());
+    frame.append(reinterpret_cast<const char*>(&format.magic), 4);
+    frame.append(reinterpret_cast<const char*>(&lsn), 8);
+    frame.push_back(1);  // kGroup
+    frame.append(3, '\0');
+    frame.append(reinterpret_cast<const char*>(&len), 4);
+    frame.append(8, '\0');  // checksum, computed over the zeroed field
+    uint64_t sum = WalChecksum(frame.data(), frame.size(), format.seed);
+    sum = WalChecksum(payload.data(), payload.size(), sum);
+    std::memcpy(frame.data() + 20, &sum, 8);
+    frame += payload;
+    const std::string segment = wal_dir + "/seg-00000000.wal";
+    {
+      std::ofstream out(segment, std::ios::binary);
+      out << frame;
+    }
 
-  auto opened = Database::Open(DatabaseOptions::WithPath(dir));
-  ASSERT_FALSE(opened.ok()) << "an old-format log was replayed or dropped";
-  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition)
-      << opened.status().ToString();
-  EXPECT_NE(opened.status().ToString().find("format"), std::string::npos)
-      << opened.status().ToString();
-  std::ifstream in(segment, std::ios::binary);
-  const std::string on_disk((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  EXPECT_EQ(on_disk, frame) << "recovery rewrote the old-format segment";
-  size_t segments = 0;
-  for (const auto& entry : fs::directory_iterator(wal_dir)) {
-    (void)entry;
-    ++segments;
+    auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+    ASSERT_FALSE(opened.ok()) << "an old-format log was replayed or dropped";
+    EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition)
+        << opened.status().ToString();
+    EXPECT_NE(opened.status().ToString().find("format"), std::string::npos)
+        << opened.status().ToString();
+    EXPECT_NE(opened.status().ToString().find(format.magic_text),
+              std::string::npos)
+        << opened.status().ToString();
+    std::ifstream in(segment, std::ios::binary);
+    const std::string on_disk((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    EXPECT_EQ(on_disk, frame) << "recovery rewrote the old-format segment";
+    size_t segments = 0;
+    for (const auto& entry : fs::directory_iterator(wal_dir)) {
+      (void)entry;
+      ++segments;
+    }
+    EXPECT_EQ(segments, 1u);
   }
-  EXPECT_EQ(segments, 1u);
 }
 
 /// Only ENOENT means "fresh database". Any other failure to open the
@@ -1664,34 +1809,44 @@ void WriteWholeFile(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-/// Rewrites a v3 checkpoint meta in `dir` as the v2 file the same
-/// checkpoint would have left before page sums changed hash: version 2,
-/// and every allocated slot's sum the byte-wise FNV-1a of its pages.db
-/// image. The two versions share one layout: magic, version, page size,
-/// checkpoint lsn, next txn id, the slot count, then per slot a type byte
-/// and a 64-bit sum, then the free list, catalog blob and open-txn
-/// section, and last the FNV-1a sum of everything before it. Reports the
-/// allocated slots in `allocated`.
-void RewriteMetaAsV2(const std::string& dir, std::vector<size_t>* allocated) {
+/// Rewrites the v4 checkpoint meta in `dir`, whose open-txn section is
+/// empty, as the file an older build would have left: `version` in the
+/// header, every allocated slot's sum the byte-wise FNV-1a of its pages.db
+/// image when `version` is below 3, the open-txn section replaced by
+/// `open_txns`, and last the FNV-1a sum of everything before it instead
+/// of PageStore::Checksum. v2 to v4 share the rest of the layout: magic,
+/// version, page size, checkpoint lsn, next txn id, the slot count, then
+/// per slot a type byte and a 64-bit sum, then the free list and catalog
+/// blob. v2 and v3 lay the open-txn section out as a txn count, then per
+/// txn its id, its hint count and each SQL hint length-prefixed. Reports
+/// the allocated slots in `allocated`.
+void RewriteMetaAs(const std::string& dir, uint32_t version,
+                   const std::string& open_txns,
+                   std::vector<size_t>* allocated) {
   std::string meta = ReadWholeFile(dir + "/meta");
   const std::string pages = ReadWholeFile(dir + "/pages.db");
-  ASSERT_GE(meta.size(), 36u);
-  uint32_t version = 0;
-  std::memcpy(&version, meta.data() + 4, 4);
-  ASSERT_EQ(version, 3u);
-  version = 2;
+  ASSERT_GE(meta.size(), 52u);
+  uint32_t old_version = 0;
+  std::memcpy(&old_version, meta.data() + 4, 4);
+  ASSERT_EQ(old_version, 4u);
   std::memcpy(meta.data() + 4, &version, 4);
+  ASSERT_EQ(meta.substr(meta.size() - 16, 8), std::string(8, '\0'))
+      << "the checkpoint carried an open transaction";
+  meta.resize(meta.size() - 16);
+  meta += open_txns;
+  meta.append(8, '\0');
   uint64_t slots = 0;
   std::memcpy(&slots, meta.data() + 28, 8);
   size_t pos = 36;
   for (uint64_t i = 0; i < slots; ++i, pos += 9) {
     ASSERT_LE(pos + 9, meta.size() - 8);
     if (meta[pos] == static_cast<char>(PageType::kFree)) continue;
+    allocated->push_back(i);
+    if (version >= 3) continue;
     ASSERT_LE((i + 1) * kDefaultPageSize, pages.size());
     const uint64_t sum = WalChecksum(pages.data() + i * kDefaultPageSize,
                                      kDefaultPageSize, kFnv1aBasis);
     std::memcpy(meta.data() + pos + 1, &sum, 8);
-    allocated->push_back(i);
   }
   ASSERT_FALSE(allocated->empty());
   const uint64_t meta_sum =
@@ -1700,42 +1855,52 @@ void RewriteMetaAsV2(const std::string& dir, std::vector<size_t>* allocated) {
   WriteWholeFile(dir + "/meta", meta);
 }
 
-/// Checkpoint meta v1 and v2 hold byte-wise FNV-1a page sums; v3 holds
-/// PageStore::Checksum sums. A database checkpointed under v2 still
+/// A checkpointed table of 300 rows, for the meta-format tests.
+void CheckpointThreeHundredRows(const std::string& dir) {
+  auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  Schema schema;
+  schema.AddColumn(Column{"id", TypeId::kInt64, true});
+  schema.AddColumn(Column{"name", TypeId::kString, false});
+  ASSERT_TRUE(db->CreateTable("t", schema).ok());
+  ASSERT_TRUE(db->CreateIndex("t", "ux_t_id", {"id"}, /*unique=*/true).ok());
+  for (int64_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(
+        db->InsertRow("t", {Value::Int64(i),
+                            Value::String("row " + std::to_string(i))})
+            .ok());
+  }
+  ASSERT_TRUE(db->Checkpoint().ok());
+}
+
+/// The 300 rows are all there with their ids.
+void ExpectThreeHundredRows(Database* db) {
+  auto rows = db->Query("SELECT COUNT(*), SUM(id) FROM t");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows[0][0].AsInt64(), 300);
+  EXPECT_EQ(rows->rows[0][1].AsInt64(), 299 * 300 / 2);
+}
+
+/// Checkpoint meta v1 and v2 hold byte-wise FNV-1a page sums; v3 and v4
+/// hold PageStore::Checksum sums. A database checkpointed under v2 still
 /// opens, and its untouched pages are still verified: a corrupted one is
 /// kDataLoss, not silently loaded.
 TEST(RecoveryMetaTest, V2MetaWithFnvPageSumsRecoversAndStillVerifies) {
   const std::string dir = FreshDir("meta_v2");
   const std::string corrupt_dir = FreshDir("meta_v2_corrupt");
-  {
-    auto opened = Database::Open(DatabaseOptions::WithPath(dir));
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    std::unique_ptr<Database> db = std::move(*opened);
-    Schema schema;
-    schema.AddColumn(Column{"id", TypeId::kInt64, true});
-    schema.AddColumn(Column{"name", TypeId::kString, false});
-    ASSERT_TRUE(db->CreateTable("t", schema).ok());
-    ASSERT_TRUE(db->CreateIndex("t", "ux_t_id", {"id"}, /*unique=*/true).ok());
-    for (int64_t i = 0; i < 300; ++i) {
-      ASSERT_TRUE(db->InsertRow("t", {Value::Int64(i),
-                                      Value::String("row " +
-                                                    std::to_string(i))})
-                      .ok());
-    }
-    ASSERT_TRUE(db->Checkpoint().ok());
-  }
+  CheckpointThreeHundredRows(dir);
+  if (::testing::Test::HasFatalFailure()) return;
   std::vector<size_t> allocated;
-  RewriteMetaAsV2(dir, &allocated);
+  RewriteMetaAs(dir, 2, std::string(8, '\0'), &allocated);
+  if (::testing::Test::HasFatalFailure()) return;
   fs::remove_all(corrupt_dir);
   fs::copy(dir, corrupt_dir, fs::copy_options::recursive);
 
   {
     auto opened = Database::Open(DatabaseOptions::WithPath(dir));
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    auto rows = (*opened)->Query("SELECT COUNT(*), SUM(id) FROM t");
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    EXPECT_EQ(rows->rows[0][0].AsInt64(), 300);
-    EXPECT_EQ(rows->rows[0][1].AsInt64(), 299 * 300 / 2);
+    ExpectThreeHundredRows(opened->get());
   }
 
   // Flip one byte of an allocated page in pages.db. The checkpoint left
@@ -1749,9 +1914,68 @@ TEST(RecoveryMetaTest, V2MetaWithFnvPageSumsRecoversAndStillVerifies) {
       << opened.status().ToString();
 }
 
-/// Recovery undoes an open transaction one compensation per row, newest
+/// v2 and v3 files kept open transactions as SQL undo hints, which this
+/// build no longer replays: it undoes by row image. A v3 meta with an
+/// empty open-txn section still loads. One that carries a hint fails Open
+/// with kFailedPrecondition and leaves every file as it was, so an older
+/// build can still recover it.
+TEST(RecoveryMetaTest, V3MetaWithSqlUndoHintsFailsOpenAndStaysOnDisk) {
+  const std::string clean_dir = FreshDir("meta_v3_clean");
+  CheckpointThreeHundredRows(clean_dir);
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::string dir = FreshDir("meta_v3_hints");
+  fs::remove_all(dir);
+  fs::copy(clean_dir, dir, fs::copy_options::recursive);
+
+  std::vector<size_t> allocated;
+  RewriteMetaAs(clean_dir, 3, std::string(8, '\0'), &allocated);
+  if (::testing::Test::HasFatalFailure()) return;
+  {
+    auto opened = Database::Open(DatabaseOptions::WithPath(clean_dir));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ExpectThreeHundredRows(opened->get());
+  }
+
+  // One open transaction (id 7) with one compensation hint.
+  const std::string hint = "DELETE FROM t WHERE id = 3";
+  std::string open_txns;
+  auto put = [&open_txns](uint64_t v) {
+    open_txns.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(1);
+  put(7);
+  put(1);
+  put(hint.size());
+  open_txns += hint;
+  allocated.clear();
+  RewriteMetaAs(dir, 3, open_txns, &allocated);
+  if (::testing::Test::HasFatalFailure()) return;
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      files[entry.path().string()] = ReadWholeFile(entry.path().string());
+    }
+  }
+  ASSERT_GE(files.size(), 2u);
+
+  auto opened = Database::Open(DatabaseOptions::WithPath(dir));
+  ASSERT_FALSE(opened.ok()) << "a meta with SQL undo hints was recovered";
+  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().ToString().find("hint"), std::string::npos)
+      << opened.status().ToString();
+  std::map<std::string, std::string> after;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      after[entry.path().string()] = ReadWholeFile(entry.path().string());
+    }
+  }
+  EXPECT_TRUE(after == files) << "recovery changed a file it refused";
+}
+
+/// Recovery undoes an open transaction one row image at a time, newest
 /// first. Undoing a key-shifting UPDATE under a unique index passes
-/// through states where two rows share a key; the compensations check no
+/// through states where two rows share a key; the revert checks no
 /// unique index, so the database reopens with every row restored.
 TEST(RecoveryUniqueKeyTest, OpenKeyShiftUnderAUniqueIndexIsUndone) {
   const std::string dir = FreshDir("unique_shift");
@@ -1769,7 +1993,7 @@ TEST(RecoveryUniqueKeyTest, OpenKeyShiftUnderAUniqueIndexIsUndone) {
     auto n = session.Execute("UPDATE t SET a = a + 1");
     ASSERT_TRUE(n.ok()) << n.status().ToString();
     // Kill the durability layer at the COMMIT record: recovery must undo
-    // the transaction from its hints.
+    // the transaction from its undo records.
     FaultInjector injector(7);
     FaultSpec spec;
     spec.probability = 1.0;

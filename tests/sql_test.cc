@@ -258,8 +258,9 @@ TEST(PrinterTest, LikeRoundTrip) {
 }
 
 TEST(PrinterTest, DoubleLiteralsParseBackExactly) {
-  // Compensations and recovery hints find rows by exact value through
-  // printed SQL, so a printed DOUBLE must parse back bit for bit.
+  // EXPLAIN MAPPING prints the physical statements a layout runs as SQL
+  // a client can run again, and the planner matches expressions by their
+  // printed text, so a printed DOUBLE must parse back bit for bit.
   for (double v : {1234.5678, 0.1 + 0.2, 1e-7, 1e20, 3.0, 2.718281828459045,
                    5e-324, 1.7976931348623157e308}) {
     const std::string literal = Value::Double(v).ToSqlLiteral();

@@ -3,9 +3,12 @@
 // (src/engine/txn_context.{h,cc} + the session front doors), including
 // the poisoned/aborted state machine, DDL rejection, auto-rollback on
 // deadline expiry and admission rejection, destructor rollback, the
-// txn.* metric series, the tracer's transaction grouping, and the
-// durable WAL bracket (open transactions survive checkpoints via the
-// meta and are undone on reopen; committed ones persist).
+// txn.* metric series, the tracer's transaction grouping, ROLLBACK by
+// rid and row image (identical rows, relocated rows, rows another session
+// replaced or whose unique key it took), and the durable bracket (open
+// transactions survive checkpoints via the meta and are undone on reopen;
+// committed ones persist; an auto-rollback past its deadline completes).
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -535,8 +538,8 @@ TEST(TxnTracerTest, StatementsAttributeToTxnSeriesAndParentSpan) {
 
 // Committed transactions survive reopen; a transaction whose bracket
 // was still open when the process stopped is undone — even when a
-// checkpoint ran mid-transaction, leaving the hints only in the
-// checkpoint meta (v2) and not in the WAL.
+// checkpoint ran mid-transaction, leaving its first statement's undo
+// records only in the checkpoint meta (v4) and not in the WAL.
 TEST(TxnDurabilityTest, OpenBracketIsUndoneOnReopenCommittedOneSurvives) {
   const std::string dir = FreshDir("bracket");
   {
@@ -553,25 +556,19 @@ TEST(TxnDurabilityTest, OpenBracketIsUndoneOnReopenCommittedOneSurvives) {
         committed.Execute("INSERT INTO t VALUES (2, 'keep2')", {}).ok());
     ASSERT_TRUE(committed.Commit().ok());
 
-    // Open bracket, checkpointed mid-transaction: the accumulated hints
-    // ride the checkpoint meta while the WAL is truncated underneath.
-    uint64_t open_txn = 0;
-    {
-      auto begun = db->BeginTxn();
-      ASSERT_TRUE(begun.ok()) << begun.status().ToString();
-      open_txn = *begun;
-    }
-    ASSERT_TRUE(
-        db->StageTxnHint(open_txn, "DELETE FROM t WHERE id = 3").ok());
-    ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (3, 'undo me')").ok());
+    // Open bracket, checkpointed mid-transaction: the undo records of its
+    // INSERT ride the checkpoint meta while the WAL is truncated
+    // underneath; its UPDATE's ride a group after the checkpoint.
+    Session open = db->OpenSession();
+    ASSERT_TRUE(open.Begin().ok());
+    ASSERT_TRUE(open.Execute("INSERT INTO t VALUES (3, 'undo me')", {}).ok());
     ASSERT_TRUE(db->Checkpoint().ok());
     ASSERT_TRUE(
-        db->StageTxnHint(open_txn,
-                            "UPDATE t SET name = 'keep' WHERE id = 1")
-            .ok());
-    ASSERT_TRUE(
-        db->Execute("UPDATE t SET name = 'dirty' WHERE id = 1").ok());
-    // Process stops here with the bracket still open: no EndTxn.
+        open.Execute("UPDATE t SET name = 'dirty' WHERE id = 1", {}).ok());
+    // The process stops here with the bracket still open: the frozen
+    // engine logs nothing more, so the session's teardown rollback never
+    // reaches the disk.
+    db->durability()->Freeze();
   }
   auto reopened = Database::Open(DatabaseOptions::WithPath(dir));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
@@ -586,6 +583,44 @@ TEST(TxnDurabilityTest, OpenBracketIsUndoneOnReopenCommittedOneSurvives) {
   auto r2 = db->Query("SELECT name FROM t WHERE id = 2");
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->rows.size(), 1u) << "committed transaction lost";
+  EXPECT_EQ(db->Stats().durability.recovery_undo_rows, 2u);
+}
+
+// A statement past its deadline aborts its bracket, and the session rolls
+// the transaction back while that deadline is still in force. The
+// rollback batch must run to the end regardless: with a pool smaller than
+// the pages the bracket dirtied, logging the reverted pages misses the
+// pool, and a miss that honoured the deadline would fail the group commit
+// and freeze the engine.
+TEST(TxnDurabilityTest, DeadlineAbortUnderASmallPoolLeavesTheEngineUp) {
+  EngineOptions engine;
+  engine.memory_budget_bytes = 32 * kDefaultPageSize;
+  auto opened = Database::Open(
+      DatabaseOptions::WithPath(FreshDir("deadline_pool"), engine));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(*opened);
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (id BIGINT, name VARCHAR)").ok());
+  Session session = db->OpenSession();
+  ASSERT_TRUE(session.Begin().ok());
+  const std::string pad(1000, 'p');
+  for (int i = 0; i < 600; ++i) {
+    auto r = session.Execute("INSERT INTO t VALUES (" + std::to_string(i) +
+                             ", '" + pad + "')");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  ASSERT_GT(db->page_store()->allocated_pages(), 64u)
+      << "the bracket fits the pool; the rollback would not miss it";
+  EXPECT_EQ(session
+                .Execute("INSERT INTO t VALUES (-1, 'late')", {},
+                         deadline::Deadline::AfterMillis(-5))
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(db->durability()->frozen())
+      << "the auto-rollback froze the engine";
+  ASSERT_TRUE(session.Rollback().ok());
+  EXPECT_EQ(CountRows(db.get(), "t"), 0);
+  EXPECT_TRUE(db->Execute("INSERT INTO t VALUES (1, 'after')").ok());
 }
 
 // A durable mapping-layer transaction: COMMIT makes the multi-statement
@@ -629,6 +664,186 @@ TEST(TxnDurabilityTest, MappingTransactionIsAtomicAcrossReopen) {
   EXPECT_EQ(r->rows[1][1].AsString(), "b");
   AuditClean(layout.get(), "after reopen");
 }
+
+// ------------------------------------------------- row-image undo
+
+// ROLLBACK reverts each row by its rid and row image, like a failed
+// batch. The first four cases are rows that a value-matched undo cannot
+// name: an identical twin, a row updated onto another row's image, and
+// all-NULL images.
+class TxnUndoTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.Execute("CREATE TABLE t (a BIGINT, b VARCHAR)").ok());
+  }
+
+  /// The rows of t as sorted "a:b" strings.
+  std::vector<std::string> Rows() {
+    std::vector<std::string> out;
+    auto r = db_.Query("SELECT a, b FROM t");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return out;
+    for (const Row& row : r->rows) {
+      out.push_back(row[0].ToString() + ":" + row[1].ToString());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  /// Runs `statements` in one bracket of an engine session, then
+  /// returns its ROLLBACK's status.
+  Status RunAndRollBack(const std::vector<std::string>& statements) {
+    Session session = db_.OpenSession();
+    MTDB_RETURN_IF_ERROR(session.Begin());
+    for (const std::string& sql : statements) {
+      MTDB_RETURN_IF_ERROR(session.Execute(sql).status());
+    }
+    return session.Rollback();
+  }
+
+  Database db_;
+};
+
+TEST_F(TxnUndoTest, RollingBackAnIdenticalInsertKeepsTheCommittedTwin) {
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (NULL, 'a')").ok());
+  ASSERT_TRUE(RunAndRollBack({"INSERT INTO t VALUES (NULL, 'a')"}).ok());
+  EXPECT_EQ(Rows(), (std::vector<std::string>{"NULL:a"}));
+}
+
+TEST_F(TxnUndoTest, RollingBackAnUpdateOntoAnotherRowsImageRestoresIt) {
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')").ok());
+  ASSERT_TRUE(
+      RunAndRollBack({"UPDATE t SET a = 2, b = 'y' WHERE a = 1"}).ok());
+  EXPECT_EQ(Rows(), (std::vector<std::string>{"1:x", "2:y"}));
+}
+
+TEST_F(TxnUndoTest, RollingBackAnAllNullInsertRemovesIt) {
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'x')").ok());
+  ASSERT_TRUE(RunAndRollBack({"INSERT INTO t VALUES (NULL, NULL)"}).ok());
+  EXPECT_EQ(Rows(), (std::vector<std::string>{"1:x"}));
+}
+
+TEST_F(TxnUndoTest, RollingBackAnUpdateToAllNullRestoresTheRow) {
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'x')").ok());
+  ASSERT_TRUE(RunAndRollBack({"UPDATE t SET a = NULL, b = NULL"}).ok());
+  EXPECT_EQ(Rows(), (std::vector<std::string>{"1:x"}));
+}
+
+// Rows that grow off their heap page move to another rid. A later step
+// of the bracket names the row by its new rid, and each revert step must
+// find the row where the newer steps' reverts put it back.
+TEST_F(TxnUndoTest, RelocationChainRollsBackToThePreBracketTable) {
+  // Seven rows of ~1 KB leave about 1 KB free on the first heap page.
+  for (int64_t i = 1; i <= 7; ++i) {
+    ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (" + std::to_string(i) +
+                            ", '" + std::string(1000, 'a' + i) + "')")
+                    .ok());
+  }
+  const std::vector<std::string> before = Rows();
+  Session session = db_.OpenSession();
+  ASSERT_TRUE(session.Begin().ok());
+  auto run = [&](const std::string& sql) {
+    auto r = session.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+  };
+  run("INSERT INTO t VALUES (100, 'small')");
+  const size_t pages = db_.page_store()->allocated_pages();
+  run("UPDATE t SET b = '" + std::string(3000, 'z') + "' WHERE a = 100");
+  ASSERT_GT(db_.page_store()->allocated_pages(), pages)
+      << "the grown row did not leave its page";
+  run("UPDATE t SET b = 'mid' WHERE a = 100");
+  run("DELETE FROM t WHERE a = 100");
+  // The same chain on a row committed before the bracket.
+  run("UPDATE t SET b = '" + std::string(3000, 'y') + "' WHERE a = 3");
+  run("UPDATE t SET b = 'mid3' WHERE a = 3");
+  run("DELETE FROM t WHERE a = 3");
+  if (::testing::Test::HasFatalFailure()) return;
+  Status st = session.Rollback();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(Rows(), before);
+}
+
+// Engine sessions take no row locks, so another session can delete a row
+// an open bracket updated and put a new row in its slot. ROLLBACK must
+// leave that row alone, revert everything else, and say it could not.
+TEST_F(TxnUndoTest, RollbackRefusesARowAnotherSessionReplaced) {
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')").ok());
+  Session a = db_.OpenSession();
+  ASSERT_TRUE(a.Begin().ok());
+  ASSERT_TRUE(a.Execute("INSERT INTO t VALUES (5, 'e')").ok());
+  ASSERT_TRUE(a.Execute("UPDATE t SET b = 'z' WHERE a = 1").ok());
+  ASSERT_TRUE(a.Execute("UPDATE t SET b = 'w' WHERE a = 2").ok());
+  Session b = db_.OpenSession();
+  ASSERT_TRUE(b.Execute("DELETE FROM t WHERE a = 1").ok());
+  ASSERT_TRUE(b.Execute("INSERT INTO t VALUES (9, 'q')").ok());
+  Status st = a.Rollback();
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_FALSE(a.in_transaction());
+  EXPECT_EQ(Rows(), (std::vector<std::string>{"2:y", "9:q"}));
+}
+
+// Another session can also re-insert the unique key of a row an open
+// bracket deleted. Restoring the deleted row would put two rows under
+// that key, so ROLLBACK refuses the step and keeps the other row.
+TEST_F(TxnUndoTest, RollbackRefusesToDuplicateAUniqueKeyAnotherSessionTook) {
+  ASSERT_TRUE(db_.Execute("CREATE UNIQUE INDEX ux_t_a ON t (a)").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (5, 'x'), (6, 'y')").ok());
+  Session a = db_.OpenSession();
+  ASSERT_TRUE(a.Begin().ok());
+  ASSERT_TRUE(a.Execute("DELETE FROM t WHERE a = 5").ok());
+  ASSERT_TRUE(a.Execute("UPDATE t SET b = 'z' WHERE a = 6").ok());
+  Session b = db_.OpenSession();
+  ASSERT_TRUE(b.Execute("INSERT INTO t VALUES (5, 'q')").ok());
+  Status st = a.Rollback();
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_EQ(Rows(), (std::vector<std::string>{"5:q", "6:y"}));
+  auto by_key = db_.Query("SELECT b FROM t WHERE a = 5");
+  ASSERT_TRUE(by_key.ok()) << by_key.status().ToString();
+  EXPECT_EQ(by_key->rows.size(), 1u);
+}
+
+// The mapped form of the identical-twin case, on every layout: Basic and
+// Private keep no row id, so their physical rows are identical too.
+class TxnUndoLayoutTest
+    : public ::testing::TestWithParam<mapping::LayoutKind> {};
+
+TEST_P(TxnUndoLayoutTest, RollbackOfAnIdenticalInsertKeepsTheCommittedRow) {
+  mapping::AppSchema app = mapping::FigureFourSchema();
+  Database db;
+  std::unique_ptr<mapping::SchemaMapping> layout =
+      mapping::MakeLayout(GetParam(), &db, &app);
+  ASSERT_TRUE(layout->Bootstrap().ok());
+  ASSERT_TRUE(layout->CreateTenant(0).ok());
+  const std::string insert =
+      "INSERT INTO account (aid, name) VALUES (NULL, 'a')";
+  auto committed = layout->Execute(0, insert);
+  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  mapping::TenantSession session = layout->OpenSession(0);
+  ASSERT_TRUE(session.Begin().ok());
+  ASSERT_TRUE(session.Execute(insert).ok());
+  Status st = session.Rollback();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  auto r = layout->Query(0, "SELECT aid, name FROM account");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->rows.size(), 1u) << "ROLLBACK took the committed twin along";
+  EXPECT_TRUE(r->rows[0][0].is_null());
+  EXPECT_EQ(r->rows[0][1].AsString(), "a");
+  AuditClean(layout.get(), "after rollback");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLayouts, TxnUndoLayoutTest,
+    ::testing::Values(mapping::LayoutKind::kBasic,
+                      mapping::LayoutKind::kPrivate,
+                      mapping::LayoutKind::kExtension,
+                      mapping::LayoutKind::kUniversal,
+                      mapping::LayoutKind::kPivot,
+                      mapping::LayoutKind::kChunk,
+                      mapping::LayoutKind::kVertical,
+                      mapping::LayoutKind::kChunkFolding),
+    [](const ::testing::TestParamInfo<mapping::LayoutKind>& info) {
+      return std::string(mapping::LayoutKindName(info.param));
+    });
 
 }  // namespace
 }  // namespace mtdb
