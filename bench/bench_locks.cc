@@ -8,17 +8,20 @@
 // convoy regime; 256 spreads them out. The lock.waits / lock.deadlocks
 // deltas per point make the contention visible alongside throughput.
 //
+// Statement lock cycle: the lock work of one single-row autocommit
+// write, timed alone — a StatementLockContext, the write-epoch snapshot,
+// the combined table-intent + row-X acquisition, the epoch re-check and
+// the release at scope end. Median of 9 reps of 200,000 cycles.
+//
 // Gate: with one writer on the wide hot set (no contention anywhere),
 // the same workload runs with row locks ON and OFF
-// (DatabaseOptions::row_locks); the fast-path cost — one holder probe
-// and one map insert per written row — must stay within 2% of the
-// unlocked engine. The gate statistic is the median over PAIRED ~2 ms
-// batches on one long-lived thread: each ON batch is compared only
-// against its adjacent OFF batch over the same rows, so machine drift
-// and descheduling bursts become discarded outlier pairs instead of
-// skew.
-// MTDB_BENCH_LOCK_GATE_PCT / _OPS override. Emits BENCH_locks.json;
-// exits 1 when the gate fails.
+// (DatabaseOptions::row_locks); the fast-path cost — one statement
+// lock cycle per written row — must stay within 2% of the unlocked
+// engine. The gate statistic is the median over PAIRED ~2 ms batches
+// on one long-lived thread: each ON batch is compared only against its
+// adjacent OFF batch over the same rows, so machine drift and
+// descheduling bursts become discarded outlier pairs instead of skew.
+// Emits BENCH_locks.json; exits 1 when the gate fails.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -191,9 +194,6 @@ int Main() {
   BenchConfig config;
   config.rows = EnvInt("MTDB_BENCH_ROWS", static_cast<int>(config.rows));
   config.total_ops = EnvInt("MTDB_BENCH_OPS", config.total_ops);
-  config.gate_ops = EnvInt("MTDB_BENCH_LOCK_GATE_OPS", config.gate_ops);
-  config.gate_pct = EnvInt("MTDB_BENCH_LOCK_GATE_PCT",
-                           static_cast<int>(config.gate_pct));
 
   // --- contention sweep (row locks on) ------------------------------
   const int kWriterCounts[] = {1, 2, 4, 8};
@@ -228,27 +228,41 @@ int Main() {
     }
   }
 
-  // --- raw fast-path microloop --------------------------------------
-  // The lock cycle one autocommit UPDATE pays, isolated from the rest
-  // of the statement: holder create + IX table + X row + release.
+  // --- statement lock cycle ----------------------------------------
+  // The lock work one single-row autocommit write pays, isolated from
+  // the rest of the statement, through the same calls the mapping layer
+  // makes (SchemaMapping::RunWrite and LockAffectedRows).
+  double cycle_ns = 0;
   {
     lock::LockManager* lm = fixture->db->lock_manager();
     const std::string table = "account";
     const int kCycles = 200000;
+    const int kReps = 9;
     Rng rng(config.seed + 7);
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kCycles; ++i) {
-      uint64_t h = lm->CreateHolder(1, false);
-      (void)lm->Acquire(h, {1, table, lock::kTableRowId},
-                        lock::LockMode::kIntentX);
-      (void)lm->Acquire(h, {1, table, rng.Uniform(0, config.rows - 1)},
-                        lock::LockMode::kX);
-      lm->ReleaseAll(h);
+    std::vector<double> rep_ns;
+    int failures = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < kCycles; ++i) {
+        lock::StatementLockContext ctx(lm, 1, 0);
+        const uint64_t epoch = ctx.TableWriteEpoch(table);
+        Status st =
+            ctx.LockRowWithIntent(table, rng.Uniform(0, config.rows - 1));
+        if (!st.ok() || ctx.TableWriteEpoch(table) != epoch) failures++;
+      }
+      auto t1 = std::chrono::steady_clock::now();
+      rep_ns.push_back(
+          std::chrono::duration<double, std::nano>(t1 - t0).count() /
+          kCycles);
     }
-    auto t1 = std::chrono::steady_clock::now();
-    std::printf("# raw lock cycle: %.0f ns/statement\n",
-                std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                    kCycles);
+    if (failures != 0) {
+      std::fprintf(stderr, "%d statement lock cycles failed\n", failures);
+      return 1;
+    }
+    std::sort(rep_ns.begin(), rep_ns.end());
+    cycle_ns = rep_ns[kReps / 2];
+    std::printf("# statement lock cycle: median %.0f ns (reps %.0f-%.0f)\n",
+                cycle_ns, rep_ns.front(), rep_ns.back());
   }
 
   // --- uncontended overhead gate ------------------------------------
@@ -370,6 +384,7 @@ int Main() {
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"statement_lock_cycle_ns\": %.1f,\n", cycle_ns);
   std::fprintf(f,
                "  \"gate\": {\"median_us_locks_on\": %.3f, "
                "\"median_us_locks_off\": %.3f, "

@@ -50,7 +50,7 @@ enum class LatchRank : uint8_t {
   kMappingTableNum = 80,   // SchemaMapping::table_number_mu_
   kMappingCache = 90,      // SchemaMapping::cache_mu_
   kTenantRow = 100,        // TenantEntry::row_mu; ordered by TenantId
-  kLockWaitGraph = 103,    // LockManager::graph_mu_ (holders + wait-for graph)
+  kLockWaitGraph = 103,    // LockManager::graph_mu_ (parked holders, wait-for graph)
   kLockShard = 106,        // LockManager shard latches (hash-partitioned)
   kMappingLayer = 120,     // SchemaMapping::layer_mu_
   kAdmission = 125,        // AdmissionController::mu_ (outermost)

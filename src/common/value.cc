@@ -27,7 +27,8 @@ std::string DateToString(int32_t days) {
   int64_t d = doy - (153 * mp + 2) / 5 + 1;
   int64_t m = mp < 10 ? mp + 3 : mp - 9;
   if (m <= 2) y += 1;
-  char buf[32];
+  // Room for three full-width int64 fields: GCC cannot bound m and d.
+  char buf[64];
   std::snprintf(buf, sizeof(buf), "%04lld-%02lld-%02lld",
                 static_cast<long long>(y), static_cast<long long>(m),
                 static_cast<long long>(d));

@@ -570,7 +570,7 @@ Result<int64_t> SchemaMapping::RunWrite(TenantId tenant, Fn&& body) {
   txn::TransactionContext* txn = txn::TransactionContext::Current();
   lock::StatementLockContext locks(
       db_->lock_manager(), tenant,
-      txn != nullptr ? txn->EnsureLockHolder() : 0);
+      txn != nullptr ? txn->EnsureLockHolder() : nullptr);
   Result<int64_t> out = body();
   probe.Disarm();
   NoteTenantOutcome(tenant, out.status());
@@ -957,14 +957,12 @@ Status SchemaMapping::InsertMappedRow(
   // §15: inserts lock before Phase (b), like updates. With row ids the
   // per-row X lock is on a fresh id — it can never block — and the table
   // intent can only wait on the first row of a statement (later rows
-  // re-probe an owned lock). Without row ids the whole-table X is the
-  // write lock.
+  // re-probe an owned lock); both come from one combined shard visit.
+  // Without row ids the whole-table X is the write lock.
   if (lock::StatementLockContext* locks = lock::StatementLockContext::Current();
       locks != nullptr && locks->enabled()) {
     if (needs_row) {
-      MTDB_RETURN_IF_ERROR(
-          locks->LockTable(IdentLower(table), lock::LockMode::kIntentX));
-      MTDB_RETURN_IF_ERROR(locks->LockRow(IdentLower(table), row_id));
+      MTDB_RETURN_IF_ERROR(locks->LockRowWithIntent(IdentLower(table), row_id));
     } else {
       MTDB_RETURN_IF_ERROR(
           locks->LockTable(IdentLower(table), lock::LockMode::kX));

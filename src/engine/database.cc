@@ -197,8 +197,7 @@ Database::Database(DatabaseOptions options)
   admission_ = std::make_unique<AdmissionController>(options_db_.admission,
                                                      registry_.get());
   if (options_db_.row_locks) {
-    lock_manager_ = std::make_unique<lock::LockManager>(
-        registry_.get(), options_db_.lock_shards);
+    lock_manager_ = std::make_unique<lock::LockManager>(registry_.get());
   }
   store_ = std::make_unique<PageStore>(options_.page_size);
   store_->set_read_latency_ns(options_.read_latency_ns);

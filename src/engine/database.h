@@ -201,8 +201,6 @@ struct DatabaseOptions {
   /// deadlock victims with kAborted. On by default; the off switch
   /// exists for the uncontended-overhead benchmark control arm.
   bool row_locks = true;
-  /// Lock-table shards (hash-partitioned by lock key).
-  size_t lock_shards = 16;
 
   /// Convenience maker for the common durable-open call.
   static DatabaseOptions WithPath(std::string path,

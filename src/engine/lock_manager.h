@@ -1,11 +1,12 @@
 #ifndef MTDB_ENGINE_LOCK_MANAGER_H_
 #define MTDB_ENGINE_LOCK_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -75,67 +76,43 @@ struct LockKeyHash {
   }
 };
 
+class LockHolder;
+
 /// Sharded logical-row lock table with deadline-aware waits and
 /// wait-for-graph deadlock detection (DESIGN.md §15).
 ///
-/// Holders are registered by the transaction layer: a client bracket
-/// registers one holder at BEGIN and keeps it until COMMIT/ROLLBACK
-/// finishes (locks outlive each statement); an autocommit statement
-/// leases a thread-cached statement holder whose locks drop when the
-/// statement ends (the holder itself stays registered, so the per-
-/// statement fast path never touches the holder registry). Every
-/// bracket start / statement lease stamps the holder with a fresh
-/// monotonic epoch, so epoch order is age order — the deadlock victim
-/// is always the youngest (largest epoch) member of the cycle.
+/// Every lock belongs to a LockHolder, and every holder has one owner:
+/// an autocommit statement's StatementLockContext owns one for that
+/// statement, and a client bracket's TransactionContext owns one from
+/// its first write until COMMIT/ROLLBACK. A holder's id comes from one
+/// monotonic counter when the holder is created, so id order is age
+/// order — the deadlock victim is always the youngest (largest id)
+/// member of the cycle.
 ///
-/// Blocking: a conflicting Acquire parks on the shard's condvar with
+/// Blocking: a conflicting acquisition parks on the shard's condvar with
 /// the shard latch released, re-checking grantability, the ambient
 /// deadline (deadline::Current) and its own victim flag on every wake.
-/// Before each park the waiter publishes its blocker edges into the
-/// wait-for graph and runs a DFS from itself; a cycle aborts the
-/// youngest member — either by returning kAborted to the caller (self)
-/// or by flagging the victim and waking it (the victim's own wait
-/// returns kAborted, and its session auto-rolls the bracket back).
+/// The manager knows a holder only while it is parked: before each park
+/// the waiter enters the parked set with its blocker edges and runs a
+/// DFS from itself; a cycle aborts the youngest member — either by
+/// returning kAborted to the caller (self) or by flagging the parked
+/// victim and waking it (the victim's own wait returns kAborted, and its
+/// session auto-rolls the bracket back).
 ///
 /// Latch order (DESIGN.md §11): shard latch (kLockShard) > graph latch
 /// (kLockWaitGraph) > metrics registry. Both rank below the mapping
 /// layer latch and above every mapping-internal and engine latch.
 class LockManager {
  public:
-  /// Opaque per-transaction lock-owner record; defined in the .cc. The
-  /// name is public only so the thread-local statement-holder cache
-  /// can carry a pointer to it.
-  struct Holder;
+  /// Lock-table shards. Every key of one (tenant, table) lands in one
+  /// shard (LockKeyHash::TableHash).
+  static constexpr size_t kShards = 16;
 
-  explicit LockManager(MetricsRegistry* metrics, size_t shards = 16);
+  explicit LockManager(MetricsRegistry* metrics);
   ~LockManager();
 
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
-
-  /// Registers a lock holder. `bracket` marks client transactions (for
-  /// diagnostics; victim selection is purely age-based). Returns the
-  /// holder id (monotonic, never 0).
-  uint64_t CreateHolder(int64_t tenant, bool bracket);
-
-  /// Releases every lock of `holder`, wakes waiters, forgets the
-  /// holder. Must be called by the owning session thread; after this
-  /// the id is invalid. No-op for id 0 or an unknown id.
-  void ReleaseAll(uint64_t holder);
-
-  /// Acquires (or upgrades to) `mode` on `key` for `holder`.
-  /// Idempotent: re-acquiring an owned lock is a map probe. Returns:
-  ///  * OK — lock held; *waited set true if the call ever blocked.
-  ///  * kDeadlineExceeded — the ambient statement deadline expired
-  ///    while waiting; the message names a current conflicting holder.
-  ///  * kAborted — this holder was picked as a deadlock victim (by its
-  ///    own DFS or a peer's). The caller must fail the statement so
-  ///    the session rolls the bracket back and releases everything.
-  Status Acquire(uint64_t holder, const LockKey& key, LockMode mode,
-                 bool* waited = nullptr);
-
-  /// True when the holder has been flagged as a deadlock victim.
-  bool IsAborted(uint64_t holder) const;
 
   /// Current write epoch of the shard hosting (tenant, table): advances
   /// whenever an X lock in that shard is released. Collect and acquire
@@ -156,16 +133,14 @@ class LockManager {
   /// fine for a diagnostic gauge.
   uint64_t held() const;
 
-  size_t shard_count() const { return shards_.size(); }
-
   /// Lock-table entries across shards: those with owners or waiters plus
   /// the cached empty ones (diagnostics and tests).
   size_t entries() const;
 
  private:
-  /// StatementLockContext resolves its Holder once per statement and
-  /// then acquires through the resolved pointer, so the per-row fast
-  /// path is one shard-latched map probe — no graph-latch id lookup.
+  friend class LockHolder;
+  /// Takes the single-row fast path (AcquireRowWithIntent) and flags
+  /// deleted rows (MarkDeadRows) on its holder.
   friend class StatementLockContext;
 
   struct LockEntry {
@@ -177,9 +152,12 @@ class LockManager {
     /// deleted: row ids are never reused, so the entry is erased when it
     /// frees instead of occupying the empty-entry cache for good.
     bool dead_row = false;
+    /// lock.acquired.t<tenant> of the key's tenant, resolved when the
+    /// entry is created, so a grant bumps it without a registry lookup.
+    Counter* acquired = nullptr;
   };
   struct Shard {
-    Latch mu{LatchRank::kLockShard, "lock-shard"};
+    mutable Latch mu{LatchRank::kLockShard, "lock-shard"};
     std::condition_variable_any cv;
     std::unordered_map<LockKey, LockEntry, LockKeyHash> table;
     /// Entries with no owners and no waiters kept in `table` as a
@@ -196,6 +174,15 @@ class LockManager {
     /// released; read lock-free by WriteEpoch(). See that method for
     /// the collect→acquire freshness protocol it backs.
     std::atomic<uint64_t> write_epoch{0};
+    /// lock.acquired.t<tenant> per tenant with keys in this shard;
+    /// consulted only when an entry is created (LockEntry::acquired).
+    std::unordered_map<int64_t, Counter*> acquired_counters;
+  };
+  /// A holder blocked in Acquire: its control block and the holders it
+  /// waits for (refreshed on every wake).
+  struct Parked {
+    LockHolder* holder = nullptr;
+    std::vector<uint64_t> blockers;
   };
   /// Per-shard cap on cached empty entries (~400 KB of nodes/shard;
   /// one tenant-table's whole row set maps to a single shard, so the
@@ -204,8 +191,11 @@ class LockManager {
 
   /// Sharded by (tenant, table) — see LockKeyHash::TableHash.
   Shard& ShardFor(const LockKey& key) {
-    return *shards_[LockKeyHash::TableHash(key) % shards_.size()];
+    return shards_[LockKeyHash::TableHash(key) % kShards];
   }
+  /// The entry of `key`, created (with its tenant's acquired counter) if
+  /// absent; a cached empty entry leaves the cache. Caller holds s.mu.
+  LockEntry& EntryFor(Shard& s, const LockKey& key);
   /// True when `holder` may take `mode` on the entry right now.
   static bool Grantable(const LockEntry& e, uint64_t holder, LockMode mode);
   /// Other holders currently blocking `holder` on the entry.
@@ -215,82 +205,102 @@ class LockManager {
   /// when this is a new grant (vs. an upgrade of an existing intent).
   static bool Grant(LockEntry* e, uint64_t holder, LockMode mode);
 
-  /// Resolves a holder id to its control block under the graph latch;
-  /// nullptr for unknown ids. The pointer stays valid until ReleaseAll.
-  Holder* ResolveHolder(uint64_t holder) const;
-  /// CreateHolder + ResolveHolder in one graph-latch round.
-  Holder* CreateHolderResolved(int64_t tenant, bool bracket);
-  /// Leases this thread's cached statement holder for `tenant` (creating
-  /// and registering it on first use), stamped with a fresh epoch. Sets
-  /// *leased true when the holder came from the thread cache — release
-  /// it with ReleaseStatementLocks, which keeps the registration. Falls
-  /// back to a plain CreateHolderResolved (*leased false, release with
-  /// ReleaseAll) when the cached holder is already in use by an
-  /// enclosing statement on this thread.
-  Holder* LeaseStatementHolder(int64_t tenant, bool* leased);
-  /// Drops every lock of a leased statement holder and returns it to
-  /// the thread cache — no graph-latch traffic, the holder stays
-  /// registered for the thread's next statement.
-  void ReleaseStatementLocks(Holder* h);
-  /// Acquire with the holder already resolved (the per-row fast path).
-  Status AcquireResolved(Holder* h, const LockKey& key, LockMode mode,
-                         bool* waited);
+  /// LockHolder::Acquire.
+  Status Acquire(LockHolder* h, const LockKey& key, LockMode mode,
+                 bool* waited);
   /// Uncontended combined form of the common statement shape — table
   /// IX then row X, which shard co-location makes one latched visit.
-  /// Falls back to two AcquireResolved calls on any conflict.
-  Status AcquireRowWithIntent(Holder* h, LockKey table_key, LockKey row_key,
-                              bool* waited);
+  /// Falls back to two Acquire calls on any conflict.
+  Status AcquireRowWithIntent(LockHolder* h, LockKey table_key,
+                              LockKey row_key, bool* waited);
+  /// Drops every lock of `h` and wakes waiters (LockHolder::ReleaseAll).
+  void Release(LockHolder* h);
   /// Flags the entries of `rows` of (tenant, table_lower) that `h` holds
   /// as dead rows (LockEntry::dead_row).
-  void MarkDeadRows(Holder* h, int64_t tenant, const std::string& table_lower,
+  void MarkDeadRows(LockHolder* h, int64_t tenant,
+                    const std::string& table_lower,
                     const std::vector<int64_t>& rows);
   /// Frees or caches an entry that has just lost its last owner and
   /// waiter (Shard::empty_entries). Caller holds the shard latch.
   void RetireEmptyEntry(Shard& s, const LockKey& key, const LockEntry& e);
-  /// Shard sweep shared by ReleaseAll and ReleaseStatementLocks: drops
-  /// `holder`'s ownership of each key and wakes waiters.
-  void ReleaseKeys(uint64_t holder, const std::vector<LockKey>& keys,
-                   const std::vector<LockEntry*>& entries);
 
-  /// Runs DFS from `self` over waits_for_; on a cycle returns the
-  /// youngest member's id, else 0. Caller holds graph_mu_.
+  /// Runs DFS from `self` over the parked set; on a cycle returns the
+  /// youngest (largest id) member, else 0. Caller holds graph_mu_.
   uint64_t FindDeadlockVictimLocked(uint64_t self) const;
   /// Flags `victim` and wakes every shard so it observes the flag.
-  /// No-op when the victim has no live waits_for_ entry: a holder whose
-  /// edges are gone was granted since the DFS saw it (grant acceptance
-  /// retires the edges under graph_mu_) and is no longer parked —
-  /// flagging it now would spuriously abort its next acquisition.
-  /// Caller holds graph_mu_ (and one shard latch; condvars need no
-  /// latch to notify).
+  /// No-op when the victim is no longer parked: a holder granted since
+  /// the DFS saw it left the parked set under graph_mu_ — flagging it
+  /// now would spuriously abort its next acquisition. Caller holds
+  /// graph_mu_ (and one shard latch; condvars need no latch to notify).
   void AbortVictimLocked(uint64_t victim);
 
   Counter* TenantCounter(const char* what, int64_t tenant);
   LatencyHistogram* TenantWaitHistogram(int64_t tenant);
 
   MetricsRegistry* metrics_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kShards> shards_;
 
-  /// Guards holders_ and waits_for_. Acquired under a shard latch on
-  /// the wait path, hence the lower rank.
-  mutable Latch graph_mu_{LatchRank::kLockWaitGraph, "lock-wait-graph"};
-  std::map<uint64_t, std::unique_ptr<Holder>> holders_;
-  /// Retired Holder blocks recycled by CreateHolder (autocommit creates
-  /// one per statement; reuse keeps the fast path allocation-free).
-  std::vector<std::unique_ptr<Holder>> holder_pool_;
-  /// lock.acquired.t<tenant> cache so CreateHolder skips the registry's
-  /// name lookup after a tenant's first holder.
-  std::map<int64_t, Counter*> acquired_counters_;
-  /// waiter -> holders it currently waits for (edges live only while
-  /// the waiter is parked; refreshed on every wake).
-  std::map<uint64_t, std::vector<uint64_t>> waits_for_;
-  uint64_t next_holder_ = 1;  // guarded by graph_mu_
-  /// Age stamps for victim selection; advanced latch-free at every
-  /// bracket start and statement lease.
-  std::atomic<uint64_t> epoch_counter_{1};
-  /// Process-unique instance id: the per-thread statement-holder cache
-  /// keys on (manager pointer, serial), so a manager reincarnated at a
-  /// recycled address can never match another instance's cache entry.
-  const uint64_t serial_;
+  /// Guards parked_. Acquired under a shard latch on the wait path,
+  /// hence the lower rank.
+  Latch graph_mu_{LatchRank::kLockWaitGraph, "lock-wait-graph"};
+  /// Holder id -> its wait state, for holders parked in Acquire only.
+  std::map<uint64_t, Parked> parked_;
+  /// Holder ids, handed out at holder creation: id order is age order.
+  std::atomic<uint64_t> next_holder_id_{1};
+};
+
+/// One lock owner. Its owner creates it, acquires through it and
+/// destroys it (which releases everything). Touched only by the owner's
+/// thread, except the victim flag a peer's deadlock detection sets while
+/// the holder is parked.
+class LockHolder {
+ public:
+  /// Takes the next id from `lm` — ids are monotonic, never 0.
+  LockHolder(LockManager* lm, int64_t tenant);
+  ~LockHolder() { ReleaseAll(); }
+
+  LockHolder(const LockHolder&) = delete;
+  LockHolder& operator=(const LockHolder&) = delete;
+
+  uint64_t id() const { return id_; }
+
+  /// Acquires (or upgrades to) `mode` on `key`, a key of this holder's
+  /// tenant. Idempotent: re-acquiring an owned lock is a map probe.
+  /// Returns:
+  ///  * OK — lock held; *waited set true if the call ever blocked.
+  ///  * kDeadlineExceeded — the ambient statement deadline expired
+  ///    while waiting; the message names a current conflicting holder.
+  ///  * kAborted — this holder was picked as a deadlock victim (by its
+  ///    own DFS or a peer's). The caller must fail the statement so
+  ///    the session rolls the bracket back and releases everything.
+  Status Acquire(const LockKey& key, LockMode mode, bool* waited = nullptr) {
+    return lm_->Acquire(this, key, mode, waited);
+  }
+
+  /// Releases every lock and wakes waiters. The holder stays usable.
+  void ReleaseAll() {
+    if (!held_.empty()) lm_->Release(this);
+  }
+
+  /// True once the holder has been flagged as a deadlock victim.
+  bool aborted() const { return aborted_.load(std::memory_order_acquire); }
+
+ private:
+  friend class LockManager;
+  friend class StatementLockContext;
+
+  /// Granted keys, each with the map node it owns so release skips the
+  /// map probe. Node addresses survive rehashes, and an entry with
+  /// owners is never erased, so the pointers stay valid until release.
+  using HeldKeys = std::vector<std::pair<LockKey, LockManager::LockEntry*>>;
+
+  LockManager* const lm_;
+  const uint64_t id_;
+  const int64_t tenant_;
+  /// Set by a peer's deadlock detection (AbortVictimLocked); read by the
+  /// owner on every wake and at every acquisition.
+  std::atomic<bool> aborted_{false};
+  HeldKeys held_;
 };
 
 /// Per-statement lock acquisition context, installed thread-locally by
@@ -301,16 +311,18 @@ class LockManager {
 /// engine) simply never install one, so the acquisition helpers inside
 /// the shared DML code no-op there.
 ///
-/// Holder resolution: when the statement runs inside a client bracket
-/// (txn_holder != 0) locks join the bracket's holder and survive until
-/// COMMIT/ROLLBACK; otherwise a statement-duration holder is created on
-/// first use and released by the destructor — which the entry points
-/// order to run only after the statement's write batch has committed or
-/// reverted (locks drop after the revert completes, never before).
+/// Holder: inside a client bracket (txn_holder != nullptr) locks join
+/// the bracket's holder and survive until COMMIT/ROLLBACK; otherwise the
+/// context owns a holder for the statement and its destructor releases
+/// it — which the entry points order to run only after the statement's
+/// write batch has committed or reverted (locks drop after the revert
+/// completes, never before). An owned holder borrows a thread-local
+/// held-key buffer, so a statement allocates nothing for its lock list.
 class StatementLockContext {
  public:
   /// `lm` may be null (locking disabled): every method no-ops.
-  StatementLockContext(LockManager* lm, int64_t tenant, uint64_t txn_holder);
+  StatementLockContext(LockManager* lm, int64_t tenant,
+                       LockHolder* txn_holder);
   ~StatementLockContext();
 
   StatementLockContext(const StatementLockContext&) = delete;
@@ -320,8 +332,8 @@ class StatementLockContext {
   /// column maps to -1 == kTableRowId and would silently alias the
   /// table lock); callers degrade such sets to LockTable(kX) instead.
   Status LockRow(const std::string& table_lower, int64_t row_id);
-  /// Table IX + row X in one shard visit — the single-row statement
-  /// fast path (equivalent to LockTable(kIntentX) then LockRow).
+  /// Table IX + row X in one shard visit — the single-row fast path
+  /// (equivalent to LockTable(kIntentX) then LockRow).
   Status LockRowWithIntent(const std::string& table_lower, int64_t row_id);
   /// Table-level lock (kIntentX before row locks; kX as the whole-table
   /// fallback for layouts without row ids).
@@ -352,20 +364,21 @@ class StatementLockContext {
   static StatementLockContext* Current();
 
  private:
-  /// Leases the thread-cached statement holder on first use (when no
-  /// bracket holder was passed in) and caches the resolved control
-  /// block, so repeat acquisitions skip the graph latch entirely.
-  LockManager::Holder* EnsureResolved();
+  /// Records a wait reported by an acquisition.
+  Status Note(Status st, bool waited) {
+    if (waited) waited_ = true;
+    return st;
+  }
+
+  /// The buffer an owned holder borrows for its held keys.
+  static thread_local LockHolder::HeldKeys held_scratch_;
 
   LockManager* lm_;
   int64_t tenant_;
-  uint64_t holder_ = 0;
-  LockManager::Holder* resolved_ = nullptr;
-  /// How the destructor must dispose of the holder: a leased thread-
-  /// cached holder returns to the cache with its registration intact;
-  /// an owned fallback holder (nested statement) is fully released.
-  bool leased_holder_ = false;
-  bool owns_holder_ = false;
+  /// The autocommit statement's own holder (empty inside a bracket or
+  /// with locking disabled).
+  std::optional<LockHolder> own_;
+  LockHolder* holder_;
   bool waited_ = false;
   StatementLockContext* prev_;
 };

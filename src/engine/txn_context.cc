@@ -3,6 +3,7 @@
 #include <string>
 
 #include "engine/database.h"
+#include "engine/lock_manager.h"
 
 namespace mtdb {
 namespace txn {
@@ -26,7 +27,6 @@ TransactionContext::TransactionContext(Database* db, int64_t tenant)
 
 TransactionContext::~TransactionContext() {
   if (begun_) (void)Rollback(/*is_auto=*/true);
-  ReleaseLocks();  // defensive: Commit/Rollback already released
 }
 
 void TransactionContext::BumpCounter(const char* op) {
@@ -35,19 +35,12 @@ void TransactionContext::BumpCounter(const char* op) {
       ->Add(1);
 }
 
-uint64_t TransactionContext::EnsureLockHolder() {
-  if (lock_holder_ == 0 && db_->lock_manager() != nullptr) {
-    lock_holder_ = db_->lock_manager()->CreateHolder(tenant_, /*bracket=*/true);
+lock::LockHolder* TransactionContext::EnsureLockHolder() {
+  if (lock_holder_ == nullptr && db_->lock_manager() != nullptr) {
+    lock_holder_ =
+        std::make_unique<lock::LockHolder>(db_->lock_manager(), tenant_);
   }
-  return lock_holder_;
-}
-
-void TransactionContext::ReleaseLocks() {
-  if (lock_holder_ == 0) return;
-  if (db_->lock_manager() != nullptr) {
-    db_->lock_manager()->ReleaseAll(lock_holder_);
-  }
-  lock_holder_ = 0;
+  return lock_holder_.get();
 }
 
 Status TransactionContext::Begin() {
@@ -74,7 +67,7 @@ Status TransactionContext::Commit() {
   Status st = db_->EndTxn(txn_id_);
   // Row locks drop only once the bracket is fully closed — waiters that
   // proceed now re-run Phase (a) and see the committed image.
-  ReleaseLocks();
+  lock_holder_.reset();
   // A failed end-record append (frozen durability) means the commit is
   // NOT durable: recovery will undo the transaction. Report that.
   if (st.ok()) BumpCounter("commit");
@@ -88,7 +81,7 @@ Status TransactionContext::Rollback(bool is_auto) {
   Status st = db_->RollbackTxn(txn_id_);
   // Locks release strictly after the revert above: the rolled-back rows
   // stay write-isolated until their pre-images are back.
-  ReleaseLocks();
+  lock_holder_.reset();
   BumpCounter(is_auto ? "auto_rollback" : "rollback");
   return st;
 }

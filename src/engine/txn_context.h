@@ -2,6 +2,7 @@
 #define MTDB_ENGINE_TXN_CONTEXT_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "common/status.h"
 
@@ -9,6 +10,10 @@ namespace mtdb {
 
 class Database;
 struct OpenTxnCounters;
+
+namespace lock {
+class LockHolder;
+}  // namespace lock
 
 namespace txn {
 
@@ -94,13 +99,12 @@ class TransactionContext {
   /// the bracket lost a deadlock and was aborted with kAborted).
   void MarkAborted() { state_ = State::kAborted; }
 
-  /// The bracket's lock-manager holder id (DESIGN.md §15), created on
-  /// the first write statement's acquisition and released only after
-  /// Commit()/Rollback() completes — the rollback batch always runs
-  /// under the locks that protected the forward statements. Returns 0
-  /// when the engine runs without a lock manager.
-  uint64_t EnsureLockHolder();
-  uint64_t lock_holder() const { return lock_holder_; }
+  /// The bracket's lock holder (DESIGN.md §15), owned by this context
+  /// from the first write statement's acquisition until Commit() or
+  /// Rollback() completes — the rollback batch always runs under the
+  /// locks that protected the forward statements. Returns nullptr when
+  /// the engine runs without a lock manager.
+  lock::LockHolder* EnsureLockHolder();
 
   uint64_t txn_id() const { return txn_id_; }
   bool open() const { return begun_; }
@@ -125,7 +129,6 @@ class TransactionContext {
 
  private:
   void BumpCounter(const char* op);
-  void ReleaseLocks();
 
   Database* db_;
   int64_t tenant_;
@@ -133,7 +136,7 @@ class TransactionContext {
   OpenTxnCounters* open_counts_ = nullptr;
   State state_ = State::kActive;
   uint64_t txn_id_ = 0;
-  uint64_t lock_holder_ = 0;
+  std::unique_ptr<lock::LockHolder> lock_holder_;
   bool begun_ = false;
 };
 

@@ -2,7 +2,8 @@
 // + the mapping layer's acquisition points, DESIGN.md §15): direct
 // LockManager unit coverage (intent compatibility, idempotent
 // re-acquisition, deadline timeouts with holder hints, youngest-victim
-// deadlock resolution) and scripted two-session write-write
+// deadlock resolution, no wait-for edge carried from one autocommit
+// statement to the next) and scripted two-session write-write
 // interleavings through the TenantSession front door — block-then-
 // proceed with the winner's post-commit image, a rival committing and
 // releasing inside the collect→lock window (the write-epoch TOCTOU
@@ -60,19 +61,19 @@ bool WaitForCounter(Counter* counter, uint64_t target,
 
 TEST(LockManagerTest, IntentsShareTablesWhileRowAndTableXExclude) {
   MetricsRegistry registry;
-  lock::LockManager lm(&registry, 4);
-  const uint64_t a = lm.CreateHolder(7, /*bracket=*/true);
-  const uint64_t b = lm.CreateHolder(7, /*bracket=*/true);
-  ASSERT_NE(a, 0u);
-  ASSERT_LT(a, b) << "holder ids must be monotonic (age order)";
+  lock::LockManager lm(&registry);
+  lock::LockHolder a(&lm, 7);
+  lock::LockHolder b(&lm, 7);
+  ASSERT_NE(a.id(), 0u);
+  ASSERT_LT(a.id(), b.id()) << "holder ids must be monotonic (age order)";
 
   const lock::LockKey table{7, "account", lock::kTableRowId};
   const lock::LockKey row{7, "account", 5};
-  EXPECT_TRUE(lm.Acquire(a, table, lock::LockMode::kIntentX).ok());
-  EXPECT_TRUE(lm.Acquire(b, table, lock::LockMode::kIntentX).ok())
+  EXPECT_TRUE(a.Acquire(table, lock::LockMode::kIntentX).ok());
+  EXPECT_TRUE(b.Acquire(table, lock::LockMode::kIntentX).ok())
       << "table intents are compatible";
-  EXPECT_TRUE(lm.Acquire(a, row, lock::LockMode::kX).ok());
-  EXPECT_TRUE(lm.Acquire(a, row, lock::LockMode::kX).ok())
+  EXPECT_TRUE(a.Acquire(row, lock::LockMode::kX).ok());
+  EXPECT_TRUE(a.Acquire(row, lock::LockMode::kX).ok())
       << "re-acquiring an owned lock is idempotent";
   EXPECT_EQ(lm.held(), 3u);
 
@@ -80,73 +81,121 @@ TEST(LockManagerTest, IntentsShareTablesWhileRowAndTableXExclude) {
   // a deadline and the message names the blocking holder.
   {
     deadline::Scope scope(deadline::Deadline::AfterMillis(60));
-    Status st = lm.Acquire(b, row, lock::LockMode::kX);
+    Status st = b.Acquire(row, lock::LockMode::kX);
     ASSERT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.ToString();
-    EXPECT_NE(st.message().find("held by"), std::string::npos)
+    EXPECT_NE(st.message().find("held by txn " + std::to_string(a.id()) +
+                                " (tenant 7)"),
+              std::string::npos)
         << st.ToString();
-    st = lm.Acquire(b, table, lock::LockMode::kX);
+    st = b.Acquire(table, lock::LockMode::kX);
     EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.ToString();
   }
   EXPECT_GE(registry.GetCounter("lock.timeouts.t7")->value(), 2u);
   EXPECT_GE(registry.GetCounter("lock.waits.t7")->value(), 2u);
 
-  lm.ReleaseAll(a);
-  EXPECT_TRUE(lm.Acquire(b, row, lock::LockMode::kX).ok())
+  a.ReleaseAll();
+  EXPECT_TRUE(b.Acquire(row, lock::LockMode::kX).ok())
       << "release must unblock the row";
-  lm.ReleaseAll(b);
+  b.ReleaseAll();
   EXPECT_EQ(lm.held(), 0u) << "every grant must be matched by a release";
 }
 
 TEST(LockManagerTest, BlockedAcquireProceedsWhenHolderReleases) {
   MetricsRegistry registry;
-  lock::LockManager lm(&registry, 4);
-  const uint64_t a = lm.CreateHolder(3, true);
-  const uint64_t b = lm.CreateHolder(3, true);
+  lock::LockManager lm(&registry);
+  lock::LockHolder a(&lm, 3);
+  lock::LockHolder b(&lm, 3);
   const lock::LockKey row{3, "t", 1};
-  ASSERT_TRUE(lm.Acquire(a, row, lock::LockMode::kX).ok());
+  ASSERT_TRUE(a.Acquire(row, lock::LockMode::kX).ok());
 
   Status blocked = Status::OK();
   bool waited = false;
   std::thread waiter([&] {
-    blocked = lm.Acquire(b, row, lock::LockMode::kX, &waited);
+    blocked = b.Acquire(row, lock::LockMode::kX, &waited);
   });
   EXPECT_TRUE(WaitForCounter(registry.GetCounter("lock.waits.t3"), 1));
-  lm.ReleaseAll(a);
+  a.ReleaseAll();
   waiter.join();
   EXPECT_TRUE(blocked.ok()) << blocked.ToString();
   EXPECT_TRUE(waited);
   EXPECT_GE(registry.GetCounter("lock.acquired.t3")->value(), 2u);
-  lm.ReleaseAll(b);
+  b.ReleaseAll();
   EXPECT_EQ(lm.held(), 0u);
 }
 
 TEST(LockManagerTest, YoungestHolderLosesTheDeadlock) {
   MetricsRegistry registry;
-  lock::LockManager lm(&registry, 4);
-  const uint64_t older = lm.CreateHolder(9, true);
-  const uint64_t younger = lm.CreateHolder(9, true);
+  lock::LockManager lm(&registry);
+  lock::LockHolder older(&lm, 9);
+  lock::LockHolder younger(&lm, 9);
   const lock::LockKey r1{9, "t", 1};
   const lock::LockKey r2{9, "t", 2};
-  ASSERT_TRUE(lm.Acquire(older, r1, lock::LockMode::kX).ok());
-  ASSERT_TRUE(lm.Acquire(younger, r2, lock::LockMode::kX).ok());
+  ASSERT_TRUE(older.Acquire(r1, lock::LockMode::kX).ok());
+  ASSERT_TRUE(younger.Acquire(r2, lock::LockMode::kX).ok());
 
   Status older_wait = Status::OK();
   std::thread parked([&] {
-    older_wait = lm.Acquire(older, r2, lock::LockMode::kX);
+    older_wait = older.Acquire(r2, lock::LockMode::kX);
   });
   EXPECT_TRUE(WaitForCounter(registry.GetCounter("lock.waits.t9"), 1));
 
   // Closing the cycle from the younger holder picks it as the victim
   // synchronously — the older, parked holder must never abort.
-  Status younger_wait = lm.Acquire(younger, r1, lock::LockMode::kX);
+  Status younger_wait = younger.Acquire(r1, lock::LockMode::kX);
   EXPECT_EQ(younger_wait.code(), StatusCode::kAborted)
       << younger_wait.ToString();
-  EXPECT_TRUE(lm.IsAborted(younger));
-  lm.ReleaseAll(younger);
+  EXPECT_TRUE(younger.aborted());
+  younger.ReleaseAll();
   parked.join();
   EXPECT_TRUE(older_wait.ok()) << older_wait.ToString();
+  EXPECT_FALSE(older.aborted());
   EXPECT_EQ(registry.GetCounter("lock.deadlocks.t9")->value(), 1u);
-  lm.ReleaseAll(older);
+  older.ReleaseAll();
+  EXPECT_EQ(lm.held(), 0u);
+}
+
+// Every autocommit statement owns a fresh holder. A bracket W that
+// parked behind a thread's previous statement may still carry a
+// wait-for edge to that statement's id when W wakes; the thread's next
+// statement must not inherit the edge, or its own wait for W closes a
+// cycle that does not exist and aborts it as the deadlock victim.
+TEST(LockManagerTest, NextStatementInheritsNoWaitForEdge) {
+  MetricsRegistry registry;
+  lock::LockManager lm(&registry);
+  Counter* waits = registry.GetCounter("lock.waits.t1");
+  int aborted = 0;
+  for (int i = 0; i < 300; ++i) {
+    lock::LockHolder w(&lm, 1);
+    ASSERT_TRUE(w.Acquire({1, "t", 2}, lock::LockMode::kX).ok());
+    const uint64_t waits_before = waits->value();
+    Status second = Status::OK();
+    std::atomic<bool> first_locked{false};
+    std::atomic<bool> w_parked{false};
+    std::thread t([&] {
+      {
+        lock::StatementLockContext first(&lm, 1, nullptr);
+        EXPECT_TRUE(first.LockRow("t", 1).ok());
+        first_locked = true;
+        while (!w_parked) std::this_thread::yield();
+      }
+      deadline::Scope scope(deadline::Deadline::AfterMillis(2000));
+      lock::StatementLockContext next(&lm, 1, nullptr);
+      second = next.LockRow("t", 2);
+    });
+    while (!first_locked) std::this_thread::yield();
+    std::thread parked([&] {
+      EXPECT_TRUE(w.Acquire({1, "t", 1}, lock::LockMode::kX).ok());
+    });
+    EXPECT_TRUE(WaitForCounter(waits, waits_before + 1));
+    w_parked = true;
+    parked.join();
+    w.ReleaseAll();
+    t.join();
+    if (second.code() == StatusCode::kAborted) aborted++;
+    EXPECT_TRUE(second.ok()) << "iteration " << i << ": " << second.ToString();
+  }
+  EXPECT_EQ(aborted, 0);
+  EXPECT_EQ(registry.GetCounter("lock.deadlocks.t1")->value(), 0u);
   EXPECT_EQ(lm.held(), 0u);
 }
 
@@ -156,23 +205,21 @@ TEST(LockManagerTest, YoungestHolderLosesTheDeadlock) {
 // intent-only releases.
 TEST(LockManagerTest, WriteEpochAdvancesOnlyOnXRelease) {
   MetricsRegistry registry;
-  lock::LockManager lm(&registry, 4);
-  const uint64_t a = lm.CreateHolder(5, true);
+  lock::LockManager lm(&registry);
+  lock::LockHolder a(&lm, 5);
   const uint64_t e0 = lm.WriteEpoch(5, "t");
   ASSERT_TRUE(
-      lm.Acquire(a, {5, "t", lock::kTableRowId}, lock::LockMode::kIntentX)
-          .ok());
-  ASSERT_TRUE(lm.Acquire(a, {5, "t", 1}, lock::LockMode::kX).ok());
+      a.Acquire({5, "t", lock::kTableRowId}, lock::LockMode::kIntentX).ok());
+  ASSERT_TRUE(a.Acquire({5, "t", 1}, lock::LockMode::kX).ok());
   EXPECT_EQ(lm.WriteEpoch(5, "t"), e0) << "grants must not move the epoch";
-  lm.ReleaseAll(a);
+  a.ReleaseAll();
   EXPECT_GT(lm.WriteEpoch(5, "t"), e0) << "an X release must move it";
 
-  const uint64_t b = lm.CreateHolder(5, true);
+  lock::LockHolder b(&lm, 5);
   const uint64_t e1 = lm.WriteEpoch(5, "t");
   ASSERT_TRUE(
-      lm.Acquire(b, {5, "t", lock::kTableRowId}, lock::LockMode::kIntentX)
-          .ok());
-  lm.ReleaseAll(b);
+      b.Acquire({5, "t", lock::kTableRowId}, lock::LockMode::kIntentX).ok());
+  b.ReleaseAll();
   EXPECT_EQ(lm.WriteEpoch(5, "t"), e1)
       << "an intent-only release carries no committed write";
 }

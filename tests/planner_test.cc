@@ -489,7 +489,9 @@ TEST_P(PointStatementPagesTest, WideSelectUpdateDeleteByKey) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_EQ(r->rows.size(), 1u);
     EXPECT_EQ(r->rows[0][1].AsString(), "n123");
-    if (extended) EXPECT_EQ(r->rows[0][2].AsString(), "h123");
+    if (extended) {
+      EXPECT_EQ(r->rows[0][2].AsString(), "h123");
+    }
   });
   EXPECT_LE(select_pages, bound) << "wide point SELECT";
 
